@@ -11,6 +11,7 @@ metadata header, and are deterministic given (config, seed).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -304,6 +305,30 @@ def _resolve_threads(arg: Optional[int]) -> int:
     return 1
 
 
+def write_outputs(table: ResultTable, policy_dump: Optional[dict], out: str) -> None:
+    """Write the CSV, and the optimizer's ``<out>.policy.json``, atomically.
+
+    Each file is written in full under a temporary name in its own directory
+    and then renamed over its target, so a failed run leaves no partial file.
+    The CSV is renamed last: a new CSV never sits next to an old policy dump.
+    """
+    pending = [(f"{out}.{os.getpid()}.tmp", out)]
+    try:
+        write_result_table(table, pending[0][0])
+        if policy_dump is not None:
+            policy = out + ".policy.json"
+            pending.append((f"{policy}.{os.getpid()}.tmp", policy))
+            with open(pending[-1][0], "w") as handle:
+                json.dump(policy_dump, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+        for tmp, path in reversed(pending):
+            os.replace(tmp, path)
+    finally:
+        for tmp, _ in pending:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qlink", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -323,6 +348,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if config.mode != args.command:
             raise ConfigError(
                 f"config mode {config.mode!r} does not match command {args.command!r}")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         threads = _resolve_threads(args.threads)
         policy_dump = None
         if config.mode == "analytic":
@@ -349,14 +376,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_NUMERIC
 
     try:
-        write_result_table(table, args.out)
-        if policy_dump is not None:
-            with open(args.out + ".policy.json", "w") as handle:
-                json.dump(policy_dump, handle, indent=2, sort_keys=True)
-                handle.write("\n")
+        write_outputs(table, policy_dump, args.out)
     except OSError as exc:
         print(f"qlink: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as exc:  # a ragged result table
+        print(f"qlink: output error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     return EXIT_OK
 
 

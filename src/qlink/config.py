@@ -173,8 +173,9 @@ def parse_config(doc: dict) -> RunConfig:
         t_req = tuple(entries)
 
     seed = doc.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise ConfigError("field seed must be an integer")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)
+                             or seed < 0):
+        raise ConfigError("field seed must be a non-negative integer")
     trials = doc.get("trials")
     if trials is not None and (isinstance(trials, bool)
                                or not isinstance(trials, int) or trials < 1):

@@ -14,6 +14,13 @@ in memory, with -1 for an unloaded memory:
 
 The engine runs symbolically on (p, FidelityCurve); density matrices enter
 only through `materialize_average_state`.
+
+Monte Carlo draw contract.  Trial i of a run seeded with s takes every
+random number from its own stream `trial_rng(s, i)`, in this order: one
+uniform for the outcome of the initial request A(0), then for each
+t = 1..H-1 one uniform for the decision A(t) and, if A(t) is a request, one
+more for its outcome.  That is at most 2H - 1 uniforms per trial.  An event
+of probability q happens when its uniform is below q.
 """
 
 from __future__ import annotations
@@ -35,6 +42,12 @@ from .quantum import (
 
 EXHAUSTIVE_WARN_HORIZON = 20
 WEIGHT_SUM_TOL = 1e-12
+# Memory for one block of Monte Carlo trials' uniforms: the (block, 2H - 1)
+# draw array dominates the simulator's footprint, so it sets the block size.
+# Below MIN_BLOCK_TRIALS (long horizons) numpy's per-step overhead would
+# cost more than a trial-at-a-time loop.
+DRAW_BLOCK_BYTES = 1 << 18
+MIN_BLOCK_TRIALS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -407,68 +420,108 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(trial,))))
 
 
-def _bernoulli(rng: np.random.Generator, prob: float) -> int:
-    # inverse-CDF sampling from a single uniform draw
-    return 1 if rng.random() < prob else 0
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids 0..k-1 for the distinct small non-negative ``keys``, in key
+    order, and for each id one position holding it."""
+    present = np.bincount(keys) > 0
+    ids = (np.cumsum(present) - 1)[keys]
+    reps = np.empty(int(np.count_nonzero(present)), dtype=np.int64)
+    reps[ids] = np.arange(len(keys))
+    return ids, reps
 
 
 def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
                           n_trials: int, seed: int) -> SimulationResult:
-    """Sample n_trials trajectories and estimate the tracked link quantities."""
+    """Sample n_trials trajectories and estimate the tracked link quantities.
+
+    Trials run in blocks as one state machine over (x, M, N_req, N_succ),
+    advanced a time step at a time.  Each trial's 2H - 1 uniforms (see the
+    module docstring) are drawn up front as one row, and a per-trial cursor
+    consumes them in the order a trial-at-a-time loop would.  Sums over
+    trials accumulate in trial order, so the result does not depend on the
+    block size.
+    """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     p = params.p
     fcurve = params.fcurve
-    fast_rule = policy.decide_state
+    rule = policy.decide_state
+    width = 2 * horizon - 1
+    block = max(MIN_BLOCK_TRIALS, DRAW_BLOCK_BYTES // (8 * width))
 
-    sum_x = np.zeros(horizon)
-    sum_ft = np.zeros(horizon)
-    sum_ft_sq = np.zeros(horizon)
-    sum_s = np.zeros(horizon)
-    sum_s_sq = np.zeros(horizon)
+    # ftable[m + 1] = f_m for every age reached so far; ftable[0] = 0.0 stands
+    # for the unloaded memory, since x = 0 exactly when M = -1
+    ftable = np.zeros(1)
+    state_probs: dict[tuple[int, int], float] = {}  # (t, m) -> decide_state
     n_active = np.zeros(horizon, dtype=np.int64)
-    sum_f_active = np.zeros(horizon)
-    sum_f_active_sq = np.zeros(horizon)
+    sums = np.zeros((4, horizon))  # per t: sum of Ftilde, Ftilde^2, S, S^2
 
-    for trial in range(n_trials):
-        rng = trial_rng(seed, trial)
-        x = _bernoulli(rng, p)  # A(0) = 1
-        m = x - 1
-        n_req, n_succ = 1, x
-        xs: list[int] = [x]
-        acts: list[int] = []
+    # one buffer for every block: a second would double the peak memory
+    draws = np.empty((min(block, n_trials), width))
+    for start in range(0, n_trials, block):
+        n = min(block, n_trials - start)
+        for i in range(n):
+            trial_rng(seed, start + i).random(out=draws[i])
+        flat = draws[:n].ravel()
+        cursor = np.arange(0, n * width, width)  # flat index of the next draw
+        x = flat[cursor] < p  # A(0) = 1
+        cursor += 1
+        n_req = np.ones(n, dtype=np.int64)
+        n_succ = x.astype(np.int64)
+        m = n_succ - 1
+        if rule is None:
+            xs = np.empty((n, horizon), dtype=np.int8)
+            acts = np.empty((n, horizon - 1), dtype=np.int8)
+            xs[:, 0] = x
+            hist_ids, hist_reps = _distinct(n_succ)
+        fold = np.empty((4, n + 1))
         for t in range(1, horizon + 1):
             idx = t - 1
-            sum_x[idx] += x
-            ft = fcurve(m) if x == 1 else 0.0
-            sum_ft[idx] += ft
-            sum_ft_sq[idx] += ft * ft
+            top = int(m.max())
+            if top + 2 > len(ftable):  # ages grow by one per step: no gaps
+                ftable = np.append(ftable, [fcurve(age) for age in
+                                            range(len(ftable) - 1, top + 1)])
+            ft = ftable[m + 1]
             s = n_succ / n_req
-            sum_s[idx] += s
-            sum_s_sq[idx] += s * s
-            if x == 1:
-                n_active[idx] += 1
-                sum_f_active[idx] += ft
-                sum_f_active_sq[idx] += ft * ft
+            n_active[idx] += np.count_nonzero(x)
+            # cumsum adds in trial order; sum() would add pairwise
+            fold[:, 0] = sums[:, idx]
+            fold[0, 1:] = ft
+            fold[1, 1:] = ft * ft
+            fold[2, 1:] = s
+            fold[3, 1:] = s * s
+            sums[:, idx] = np.cumsum(fold, axis=1)[:, -1]
             if t == horizon:
                 break
-            if fast_rule is not None:
-                pi1 = fast_rule(t, x, m)
+
+            # one decision per distinct state (or history) present
+            if rule is None:
+                ids = hist_ids
+                probs = [policy.action_prob(t, History(tuple(xs[r, :t].tolist()),
+                                                       tuple(acts[r, :idx].tolist())))
+                         for r in hist_reps.tolist()]
             else:
-                pi1 = policy.action_prob(t, History(tuple(xs), tuple(acts)))
-            a = _bernoulli(rng, pi1)
-            if a == 1:
-                x = _bernoulli(rng, p)
-                m = x - 1
-                n_req += 1
-                n_succ += x
-            else:
-                m += x
-            if fast_rule is None:
-                xs.append(x)
-                acts.append(a)
+                ids, reps = _distinct(m + 1)
+                probs = []
+                for age in m[reps].tolist():
+                    key = (t, age)
+                    if key not in state_probs:
+                        state_probs[key] = rule(t, int(age >= 0), age)
+                    probs.append(state_probs[key])
+            request = flat[cursor] < np.array(probs, dtype=float)[ids]
+            cursor += 1
+            success = flat[cursor] < p
+            cursor += request
+            x = np.where(request, success, x)
+            m = np.where(request, x - 1, m + x)
+            n_req += request
+            n_succ += request & success
+            if rule is None:
+                xs[:, t] = x
+                acts[:, idx] = request
+                hist_ids, hist_reps = _distinct(hist_ids * 4 + request * 2 + x)
 
     def mean_se(total: np.ndarray, total_sq: np.ndarray, n: int
                 ) -> tuple[list[float], list[Optional[float]]]:
@@ -484,10 +537,13 @@ def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
         return means, ses
 
     n = n_trials
+    sum_x = n_active.astype(float)
     pa_mean, pa_se = mean_se(sum_x, sum_x, n)  # x^2 = x for bits
-    ft_mean, ft_se = mean_se(sum_ft, sum_ft_sq, n)
-    s_mean, s_se = mean_se(sum_s, sum_s_sq, n)
+    ft_mean, ft_se = mean_se(sums[0], sums[1], n)
+    s_mean, s_se = mean_se(sums[2], sums[3], n)
 
+    # Ftilde is 0.0 on inactive trials, so its sums are also the sums over
+    # active trials alone
     e_f: list[Optional[float]] = []
     e_f_se: list[Optional[float]] = []
     for idx in range(horizon):
@@ -496,10 +552,10 @@ def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
             e_f.append(None)
             e_f_se.append(None)
             continue
-        mean = sum_f_active[idx] / k
+        mean = sums[0, idx] / k
         e_f.append(float(mean))
         if k > 1:
-            var = max(0.0, (sum_f_active_sq[idx] - k * mean * mean) / (k - 1))
+            var = max(0.0, (sums[1, idx] - k * mean * mean) / (k - 1))
             e_f_se.append(float(np.sqrt(var / k)))
         else:
             e_f_se.append(None)

@@ -3,6 +3,9 @@
 Nothing here imports the analytic formulas under test: supported sequences
 are found by literally replaying the cutoff rules over all bitstrings, and
 the binomial-sum formulas are re-evaluated in exact rational arithmetic.
+The trial-at-a-time Monte Carlo loop is kept here as the reference for the
+engine's vectorized simulator; it shares only the engine's types and its
+per-trial RNG streams.
 """
 
 from __future__ import annotations
@@ -10,6 +13,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterator, Optional, Union
+
+import numpy as np
+
+from qlink.engine import History, LinkParams, Policy, SimulationResult, trial_rng
 
 
 def replay_cutoff_sequence(xs: tuple[int, ...], tstar: Union[int, float]
@@ -103,3 +110,111 @@ def exact_success_rate(t: int, tstar: Union[int, float], p: Fraction) -> Fractio
                       * math.comb(t - k - b * tstar, b)
                       * p ** (b + 1) * (1 - p) ** fail)
     return total
+
+
+def _bernoulli(rng: np.random.Generator, prob: float) -> int:
+    # inverse-CDF sampling from a single uniform draw
+    return 1 if rng.random() < prob else 0
+
+
+def simulate_trajectories_scalar(params: LinkParams, policy: Policy,
+                                 horizon: int, n_trials: int, seed: int
+                                 ) -> SimulationResult:
+    """The trial-at-a-time Monte Carlo loop: the reference for the engine's
+    vectorized simulator, which must return an equal SimulationResult."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    p = params.p
+    fcurve = params.fcurve
+    fast_rule = policy.decide_state
+
+    sum_x = np.zeros(horizon)
+    sum_ft = np.zeros(horizon)
+    sum_ft_sq = np.zeros(horizon)
+    sum_s = np.zeros(horizon)
+    sum_s_sq = np.zeros(horizon)
+    n_active = np.zeros(horizon, dtype=np.int64)
+    sum_f_active = np.zeros(horizon)
+    sum_f_active_sq = np.zeros(horizon)
+
+    for trial in range(n_trials):
+        rng = trial_rng(seed, trial)
+        x = _bernoulli(rng, p)  # A(0) = 1
+        m = x - 1
+        n_req, n_succ = 1, x
+        xs: list[int] = [x]
+        acts: list[int] = []
+        for t in range(1, horizon + 1):
+            idx = t - 1
+            sum_x[idx] += x
+            ft = fcurve(m) if x == 1 else 0.0
+            sum_ft[idx] += ft
+            sum_ft_sq[idx] += ft * ft
+            s = n_succ / n_req
+            sum_s[idx] += s
+            sum_s_sq[idx] += s * s
+            if x == 1:
+                n_active[idx] += 1
+                sum_f_active[idx] += ft
+                sum_f_active_sq[idx] += ft * ft
+            if t == horizon:
+                break
+            if fast_rule is not None:
+                pi1 = fast_rule(t, x, m)
+            else:
+                pi1 = policy.action_prob(t, History(tuple(xs), tuple(acts)))
+            a = _bernoulli(rng, pi1)
+            if a == 1:
+                x = _bernoulli(rng, p)
+                m = x - 1
+                n_req += 1
+                n_succ += x
+            else:
+                m += x
+            if fast_rule is None:
+                xs.append(x)
+                acts.append(a)
+
+    def mean_se(total: np.ndarray, total_sq: np.ndarray, n: int
+                ) -> tuple[list[float], list[Optional[float]]]:
+        means, ses = [], []
+        for tot, tot_sq in zip(total, total_sq):
+            mean = tot / n
+            if n > 1:
+                var = max(0.0, (tot_sq - n * mean * mean) / (n - 1))
+                ses.append(float(np.sqrt(var / n)))
+            else:
+                ses.append(None)
+            means.append(float(mean))
+        return means, ses
+
+    n = n_trials
+    pa_mean, pa_se = mean_se(sum_x, sum_x, n)  # x^2 = x for bits
+    ft_mean, ft_se = mean_se(sum_ft, sum_ft_sq, n)
+    s_mean, s_se = mean_se(sum_s, sum_s_sq, n)
+
+    e_f: list[Optional[float]] = []
+    e_f_se: list[Optional[float]] = []
+    for idx in range(horizon):
+        k = int(n_active[idx])
+        if k == 0:
+            e_f.append(None)
+            e_f_se.append(None)
+            continue
+        mean = sum_f_active[idx] / k
+        e_f.append(float(mean))
+        if k > 1:
+            var = max(0.0, (sum_f_active_sq[idx] - k * mean * mean) / (k - 1))
+            e_f_se.append(float(np.sqrt(var / k)))
+        else:
+            e_f_se.append(None)
+
+    return SimulationResult(
+        horizon=horizon, n_trials=n_trials, seed=seed,
+        prob_active=pa_mean, prob_active_se=pa_se,
+        e_ftilde=ft_mean, e_ftilde_se=ft_se,
+        e_s=s_mean, e_s_se=s_se,
+        e_f=e_f, e_f_se=e_f_se,
+    )

@@ -481,3 +481,11 @@ def test_criterion_11_simulate_determinism(tmp_path):
     _run_cli(["simulate", "--config", str(config), "--out", str(out1)])
     _run_cli(["simulate", "--config", str(config), "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_criterion_11_simulate_golden(tmp_path):
+    """`qlink simulate` reproduces the stored Monte Carlo table byte for byte."""
+    out = tmp_path / "simulate.csv"
+    _run_cli(["simulate", "--config", str(GOLDEN_DIR / "simulate.json"),
+              "--out", str(out)])
+    assert out.read_bytes() == (GOLDEN_DIR / "simulate.csv").read_bytes()

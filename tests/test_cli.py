@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from qlink import cli
 from qlink.cli import main
 from qlink.config import ConfigError, load_config, parse_config
 from qlink.csvio import ResultTable, config_hash, read_result_table, write_result_table
@@ -263,3 +264,51 @@ def test_cli_reproduce_figure(tmp_path):
     assert len(table.rows) == 12
     row = dict(zip(table.columns, table.rows[0]))
     assert row["e_wait"] == pytest.approx(waiting_time(0, 0, 0.3).expectation, abs=0)
+
+
+def test_negative_seeds_are_config_errors(tmp_path):
+    doc = {"schema_version": 1, "mode": "simulate",
+           "link": {"p": 0.4, "tstar": 2}, "horizon": 3, "trials": 5, "seed": -1}
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config(doc)
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 2
+    doc["seed"] = 1
+    assert main(["simulate", "--config", write_config(tmp_path, doc),
+                 "--out", str(out), "--seed", "-1"]) == 2
+    assert not out.exists()
+
+
+def test_cli_failed_write_keeps_previous_outputs(tmp_path, monkeypatch):
+    """A run that fails while writing leaves no partial file and no new CSV
+    beside an old policy dump."""
+    doc = {"schema_version": 1, "mode": "optimize",
+           "link": {"p": 0.3, "tstar": 2,
+                    "fidelity": {"kind": "depolarizing", "lam": 0.8}},
+           "horizon": 4}
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "opt.csv"
+    policy = tmp_path / "opt.csv.policy.json"
+    out.write_text("old table\n")
+    policy.write_text("old policy\n")
+
+    def failing_dump(obj, handle, **kwargs):
+        handle.write('{"horizon": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.json, "dump", failing_dump)
+    assert main(["optimize", "--config", config, "--out", str(out)]) == 4
+    assert out.read_text() == "old table\n"
+    assert policy.read_text() == "old policy\n"
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "opt.csv",
+                                            "opt.csv.policy.json"]
+
+
+def test_cli_ragged_table_is_a_numeric_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run_analytic",
+                        lambda config: ResultTable(columns=["a", "b"], rows=[(1,)]))
+    config = write_config(tmp_path, analytic_doc())
+    assert main(["analytic", "--config", config,
+                 "--out", str(tmp_path / "o.csv")]) == 3
+    assert os.listdir(tmp_path) == ["config.json"]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qlink import engine
 from qlink.cutoff import cutoff_policy, prob_active
 from qlink.engine import (
     History,
@@ -21,7 +22,7 @@ from qlink.engine import (
 )
 from qlink.quantum import FidelityCurve, fidelity, preset_channel, preset_state
 
-from oracles import enumerate_supported
+from oracles import enumerate_supported, simulate_trajectories_scalar
 
 CURVE = FidelityCurve.depolarizing(1.0, 0.9, 4)
 
@@ -29,6 +30,12 @@ CURVE = FidelityCurve.depolarizing(1.0, 0.9, 4)
 def stochastic_policy() -> Policy:
     return Policy.from_state_rule(lambda t, x, m: 0.3 + 0.4 * x, "stochastic",
                                   "test-stochastic")
+
+
+def history_policy() -> Policy:
+    """A stochastic policy with no decide_state: it reads the whole history."""
+    return Policy(decide=lambda t, h: 0.2 + 0.3 * (sum(h.actions) % 3),
+                  kind="stochastic", label="test-history")
 
 
 @st.composite
@@ -234,6 +241,57 @@ def test_simulation_fast_path_matches_history_path():
     r2 = simulate_trajectories(params, without_fast, 8, 200, seed=7)
     assert r1.prob_active == r2.prob_active
     assert r1.e_s == r2.e_s
+
+
+SIM_POLICIES = {
+    "cutoff0": lambda: cutoff_policy(0),
+    "cutoff3": lambda: cutoff_policy(3),
+    "cutoffinf": lambda: cutoff_policy("inf"),
+    "stochastic": stochastic_policy,
+    "history": history_policy,
+}
+
+
+@pytest.mark.parametrize("policy_name", sorted(SIM_POLICIES))
+@pytest.mark.parametrize("horizon", [1, 2, 50])
+def test_simulation_matches_scalar_oracle(horizon, policy_name, monkeypatch):
+    """The vectorized simulator returns exactly the trial-at-a-time loop's
+    result, for trial counts on both sides of the block boundaries."""
+    block = 16
+    monkeypatch.setattr(engine, "MIN_BLOCK_TRIALS", 1)
+    monkeypatch.setattr(engine, "DRAW_BLOCK_BYTES", 8 * (2 * horizon - 1) * block)
+    policy = SIM_POLICIES[policy_name]()
+    for p in (0.0, 0.3, 1.0):
+        params = LinkParams.symbolic(p, CURVE)
+        for n in (1, block - 1, block, block + 1, 3 * block + 7):
+            fast = simulate_trajectories(params, policy, horizon, n, seed=n)
+            slow = simulate_trajectories_scalar(params, policy, horizon, n, seed=n)
+            assert fast == slow, (p, n)
+
+
+def test_simulation_matches_scalar_oracle_at_default_block_size():
+    horizon = 50
+    block = max(engine.MIN_BLOCK_TRIALS,
+                engine.DRAW_BLOCK_BYTES // (8 * (2 * horizon - 1)))
+    params = LinkParams.symbolic(0.3, CURVE)
+    policy = cutoff_policy(5)
+    assert (simulate_trajectories(params, policy, horizon, block + 1, seed=9)
+            == simulate_trajectories_scalar(params, policy, horizon, block + 1, seed=9))
+
+
+def test_simulation_evaluates_each_visited_age_once():
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return CURVE(m)
+
+    params = LinkParams.symbolic(0.3, FidelityCurve(counted, "closed-form"))
+    simulate_trajectories_scalar(params, cutoff_policy("inf"), 30, 300, seed=3)
+    visited = set(calls)
+    calls.clear()
+    simulate_trajectories(params, cutoff_policy("inf"), 30, 300, seed=3)
+    assert sorted(calls) == sorted(visited)
 
 
 def test_simulation_matches_exact_evolution_within_4_sigma():
