@@ -25,8 +25,10 @@ from .engine import (
     simulate_trajectories,
 )
 from .cutoff import (
+    ActiveRow,
     Cutoff,
     SequenceStats,
+    active_rows,
     count_sequences,
     cutoff_policy,
     expected_fidelity_cutoff,

@@ -64,17 +64,13 @@ def _metadata(config: RunConfig, seed: Optional[int] = None) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 def _analytic_rows(link: LinkSpec, times: Sequence[int]) -> list[tuple]:
-    curve = _link_curve(link)
     rows = []
-    for t in times:
-        active = ca.prob_active(t, link.tstar, link.p)
-        e_s = ca.expected_success_rate(t, link.tstar, link.p)
-        if curve is not None:
-            fid = ca.expected_fidelity_cutoff(t, link.tstar, link.p, curve)
-            e_ftilde, e_f = fid.e_ftilde, fid.e_f
-        else:
-            e_ftilde, e_f = None, None
-        rows.append((link.p, _tstar_cell(link.tstar), t, active, e_ftilde, e_f, e_s))
+    for row in ca.active_rows(times, link.tstar, link.p, _link_curve(link)):
+        e_s = ca.expected_success_rate(row.t, link.tstar, link.p)
+        fid = row.fidelity
+        e_ftilde, e_f = (fid.e_ftilde, fid.e_f) if fid is not None else (None, None)
+        rows.append((link.p, _tstar_cell(link.tstar), row.t, row.prob_active,
+                     e_ftilde, e_f, e_s))
     return rows
 
 
@@ -147,11 +143,12 @@ def run_simulate(config: RunConfig, seed_override: Optional[int]) -> ResultTable
                                    config.trials, seed)
     table = ResultTable(columns=list(SIMULATE_COLUMNS), rows=[],
                         metadata=_metadata(config, seed=seed))
-    for t in range(1, config.horizon + 1):
+    exact = ca.active_rows(range(1, config.horizon + 1), link.tstar, link.p)
+    for t, row in enumerate(exact, start=1):
         idx = t - 1
         table.append(
             t,
-            ca.prob_active(t, link.tstar, link.p),
+            row.prob_active,
             result.prob_active[idx], result.prob_active_se[idx],
             result.e_ftilde[idx], result.e_ftilde_se[idx],
             result.e_s[idx], result.e_s_se[idx],
@@ -196,10 +193,11 @@ def run_optimize(config: RunConfig) -> tuple[ResultTable, dict]:
     table.append("greedy", ev.e_ftilde, ev.e_x, ev.e_f)
 
     cutoffs = [ca.Cutoff(v) for v in range(T + 1)] + [ca.Cutoff(math.inf)]
+    fvals = [curve(m) for m in range(T + 1)]  # f_m once for every cutoff
     for cut in cutoffs:
-        active = ca.prob_active(T + 1, cut, link.p)
-        fid = ca.expected_fidelity_cutoff(T + 1, cut, link.p, curve)
-        table.append(f"cutoff({cut})", fid.e_ftilde, active, fid.e_f)
+        row = next(ca.active_rows((T + 1,), cut, link.p, fvals.__getitem__))
+        table.append(f"cutoff({cut})", row.fidelity.e_ftilde, row.prob_active,
+                     row.fidelity.e_f)
 
     policy_dump: dict = {"horizon": T, "mode": result.mode, "actions": []}
     if result.table is not None and result.mode == "reduced":
@@ -241,8 +239,8 @@ def reproduce_figure(figure: str, overrides: Optional[dict] = None) -> ResultTab
         times = range(1, ov.get("t_max", 60) + 1)
         table = ResultTable(columns=["tstar", "t", "e_x"], rows=[])
         for cut in tstars:
-            for t in times:
-                table.append(_tstar_cell(cut), t, ca.prob_active(t, cut, p))
+            for row in ca.active_rows(times, cut, p):
+                table.append(_tstar_cell(cut), row.t, row.prob_active)
         return table
     if figure == "fig5":
         times = range(1, ov.get("t_max", 100) + 1)
@@ -365,7 +363,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"qlink: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except OSError as exc:  # the config file is missing or unreadable
         print(f"qlink: {exc}", file=sys.stderr)
         return EXIT_IO
     except LimitError as exc:

@@ -19,6 +19,18 @@ SCHEMA_VERSION = 1
 
 MODES = ("analytic", "simulate", "optimize", "sweep", "reproduce")
 FIGURES = ("fig4-left", "fig4-right", "fig5", "fig7", "fig8", "fig9")
+TOP_LEVEL_FIELDS = ("schema_version", "mode", "link", "times", "t_req", "seed",
+                    "trials", "horizon", "optimizer_mode", "sweep", "figure",
+                    "overrides")
+# the overrides each figure reads; any other override is a typo
+FIGURE_OVERRIDES = {
+    "fig4-left": ("tstars", "t"),
+    "fig4-right": ("tstars", "p", "t_max"),
+    "fig5": ("tstars", "p", "t_max"),
+    "fig7": ("tstars", "p", "t_req_max"),
+    "fig8": ("cutoffs", "t"),
+    "fig9": ("cutoffs", "t"),
+}
 
 
 class ConfigError(ValueError):
@@ -80,6 +92,18 @@ def _require(doc: dict, key: str, kind, where: str = "") -> Any:
     return value
 
 
+def _check_fields(doc: dict, allowed, where: str = "") -> None:
+    for key in doc:
+        if key not in allowed:
+            raise ConfigError(f"unknown field {where}{key}")
+
+
+def _parse_int(value: Any, where: str, low: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"field {where} must be an integer >= {low}")
+    return value
+
+
 def _parse_prob(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field {where} must be a number in [0, 1]")
@@ -106,10 +130,11 @@ def _parse_cutoff(value: Any, where: str) -> Cutoff:
 
 def _parse_times(value: Any, where: str) -> tuple[int, ...]:
     if isinstance(value, dict):
+        _check_fields(value, ("start", "stop", "step"), where + ".")
         start = _require(value, "start", int, where + ".")
         stop = _require(value, "stop", int, where + ".")
-        step = value.get("step", 1)
-        if start < 1 or stop < start or step < 1:
+        step = _parse_int(value.get("step", 1), where + ".step", 1)
+        if start < 1 or stop < start:
             raise ConfigError(f"field {where}: invalid range {value}")
         return tuple(range(start, stop + 1, step))
     if isinstance(value, list):
@@ -127,12 +152,13 @@ def _parse_times(value: Any, where: str) -> tuple[int, ...]:
 def _parse_fidelity(doc: Any, where: str) -> FidelitySpec:
     if not isinstance(doc, dict):
         raise ConfigError(f"field {where} must be an object")
+    _check_fields(doc, ("kind", "f0", "lam", "dim"), where + ".")
     kind = _require(doc, "kind", str, where + ".")
     spec = FidelitySpec(
         kind=kind,
         f0=_parse_prob(doc.get("f0", 1.0), where + ".f0"),
         lam=_parse_prob(doc.get("lam", 1.0), where + ".lam"),
-        dim=doc.get("dim", 4),
+        dim=_parse_int(doc.get("dim", 4), where + ".dim", 1),
     )
     spec.curve()  # validates kind/parameters
     return spec
@@ -141,6 +167,7 @@ def _parse_fidelity(doc: Any, where: str) -> FidelitySpec:
 def _parse_link(doc: Any, where: str = "link") -> LinkSpec:
     if not isinstance(doc, dict):
         raise ConfigError(f"field {where} must be an object")
+    _check_fields(doc, ("p", "tstar", "fidelity"), where + ".")
     p = _parse_prob(_require(doc, "p", (int, float), where + "."), where + ".p")
     tstar = _parse_cutoff(_require(doc, "tstar", (int, float, str), where + "."),
                           where + ".tstar")
@@ -153,6 +180,7 @@ def _parse_link(doc: Any, where: str = "link") -> LinkSpec:
 def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("configuration root must be a JSON object")
+    _check_fields(doc, TOP_LEVEL_FIELDS)
     version = _require(doc, "schema_version", int)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version} (expected {SCHEMA_VERSION})")
@@ -193,6 +221,7 @@ def parse_config(doc: dict) -> RunConfig:
     sweep_values: tuple = ()
     if mode == "sweep":
         sweep = _require(doc, "sweep", dict)
+        _check_fields(sweep, ("field", "values"), "sweep.")
         sweep_field = _require(sweep, "field", str, "sweep.")
         if sweep_field not in ("p", "tstar"):
             raise ConfigError('field sweep.field must be "p" or "tstar"')
@@ -213,6 +242,18 @@ def parse_config(doc: dict) -> RunConfig:
         overrides = doc.get("overrides", {})
         if not isinstance(overrides, dict):
             raise ConfigError("field overrides must be an object")
+        _check_fields(overrides, FIGURE_OVERRIDES[figure], "overrides.")
+        for key, value in overrides.items():
+            where = f"overrides.{key}"
+            if key in ("tstars", "cutoffs"):
+                if not isinstance(value, list) or not value:
+                    raise ConfigError(f"field {where} must be a nonempty list")
+                for entry in value:
+                    _parse_cutoff(entry, where)
+            elif key == "p":
+                _parse_prob(value, where)
+            else:
+                _parse_int(value, where, 0 if key == "t_req_max" else 1)
         figure_overrides = overrides
 
     # per-mode requirements

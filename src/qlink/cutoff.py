@@ -11,13 +11,31 @@ Convention: this module uses the cutoff policy's mod-(t*+1) memory time
 M_{t*}(t) = (sum_j X(j) - 1) mod (t*+1), which lives in {0..t*} and equals
 t* when the memory is unloaded.  The engine's general M(t) (with -1 for
 unloaded) is a different accessor; `memory_time_cutoff` maps between them.
+
+Shared series.  For t > t*+1 each b-term of Pr[M_{t*}(t) = m, X(t) = 1]
+depends on t and m only through u = t - m, so that probability is g(t - m)
+for the single sequence
+
+    g(u) = sum_{b=0}^{(u-1)//(t*+1)} C(u-1-b t*, b) p^(b+1) (1-p)^(u-1-b(t*+1)),
+
+and the row at time t is g(t), g(t-1), ..., g(t-t*).  `active_rows`
+evaluates g once per (t*, p) series, only at the u its times need.
+
+Summation order.  The values are bit-identical to adding the terms one at a
+time, and the CSV goldens rely on that: each term is exp(log C + succ log p
++ fail log(1-p)) with log C = lgamma(n+1) - lgamma(b+1) - lgamma(n-b+1),
+added left to right in exactly that order; g(u) and the other binomial sums
+add their terms in increasing b with `+=` from 0.0; a row and E[F~] are
+added with `sum()` in increasing m.  Swapping `+=` and `sum()` changes the
+last bits (from Python 3.12, `sum()` of floats is compensated), and so does
+numpy: `np.exp` is not `math.exp`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -193,27 +211,60 @@ def count_sequences(t: int, tstar: CutoffLike) -> int:
 
 
 # ---------------------------------------------------------------------------
-# numerically stable binomial-sum terms
+# binomial sums, evaluated once per (t*, p) series
 # ---------------------------------------------------------------------------
 
-def _log_comb(n: int, k: int) -> float:
-    if k < 0 or k > n:
-        raise ValueError(f"invalid binomial C({n}, {k})")
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+# Entry k is math.lgamma(k + 1).  Sweeps read the table from several threads,
+# so it is never changed in place: `_log_factorials` builds a longer list and
+# rebinds the name, and every reader keeps the complete list it fetched.
+_LOG_FACTORIAL: list[float] = [0.0]
 
 
-def _term(n: int, b: int, p: float, succ: int, fail: int) -> float:
-    """C(n, b) * p^succ * (1-p)^fail, evaluated in log space.
+def _log_factorials(n: int) -> list[float]:
+    """The log-factorial table, grown first if it does not reach k = n."""
+    global _LOG_FACTORIAL
+    table = _LOG_FACTORIAL
+    if n >= len(table):
+        size = max(n + 1, 2 * len(table))
+        table = table + [math.lgamma(k + 1) for k in range(len(table), size)]
+        _LOG_FACTORIAL = table
+    return table
 
-    All binomial-sum formulas below add terms of this positive form; log
-    evaluation keeps huge binomials times tiny probability powers finite.
+
+def _binomial_term(log_fact: list[float], n: int, b: int, succ: int, fail: int,
+                   log_p: float, log_q: float) -> float:
+    """C(n, b) * p^succ * (1-p)^fail in log space, given log p and log(1-p).
+
+    Log evaluation keeps huge binomials times tiny probability powers finite.
     """
-    log_val = _log_comb(n, b)
+    log_val = log_fact[n] - log_fact[b] - log_fact[n - b]
     if succ:
-        log_val += succ * math.log(p)
+        log_val += succ * log_p
     if fail:
-        log_val += fail * math.log1p(-p)
+        log_val += fail * log_q
     return math.exp(log_val)
+
+
+def _active_series(us: Iterable[int], ts: int, p: float) -> dict[int, float]:
+    """g(u) for each u in ``us``, for a finite cutoff t* and 0 < p < 1.
+
+    g(u) = sum_{b=0}^{(u-1)//(t*+1)} C(u-1-b t*, b) p^(b+1) (1-p)^(u-1-b(t*+1))
+    is Pr[M_{t*}(t) = m, X(t) = 1] for u = t - m and any t > t*+1.  Only the
+    requested u are evaluated, so a sparse time grid costs no more than its
+    own rows.
+    """
+    wanted = set(us)
+    block = ts + 1
+    log_fact = _log_factorials(max(wanted, default=0))
+    log_p, log_q = math.log(p), math.log1p(-p)
+    series = {}
+    for u in wanted:
+        total = 0.0
+        for b in range((u - 1) // block + 1):
+            total += _binomial_term(log_fact, u - 1 - b * ts, b, b + 1,
+                                    u - 1 - b * block, log_p, log_q)
+        series[u] = total
+    return series
 
 
 # ---------------------------------------------------------------------------
@@ -261,21 +312,92 @@ def joint_prob(t: int, tstar: CutoffLike, p: float, m: int, x: int) -> float:
             return 0.0
         if t <= ts + 1:
             return (1.0 - p) ** t
+        log_fact = _log_factorials(t)
+        log_p, log_q = math.log(p), math.log1p(-p)
         total = 0.0
         for b in range((t - 1) // block + 1):
-            total += _term(t - 1 - b * ts, b, p, b, t - b * block)
+            total += _binomial_term(log_fact, t - 1 - b * ts, b, b, t - b * block,
+                                    log_p, log_q)
         return total
 
     # x == 1
     if t <= ts + 1:
         return p * (1.0 - p) ** (t - m - 1) if m <= t - 1 else 0.0
-    total = 0.0
-    for b in range((t - 1) // block + 1):
-        fail = t - (m + 1) - b * block
-        if fail < 0:
-            continue
-        total += _term(t - (m + 1) - b * ts, b, p, b + 1, fail)
-    return total
+    return _active_series((t - m,), ts, p)[t - m]
+
+
+@dataclass(frozen=True)
+class FidelityExpectations:
+    e_ftilde: float
+    e_f: Optional[float]  # None when the link is never active
+
+
+@dataclass(frozen=True)
+class ActiveRow:
+    """The active-link distribution at one time t under the cutoff policy.
+
+    ``joint[m]`` is Pr[M_{t*}(t) = m, X(t) = 1] for every age m the link can
+    have at t: 0..min(t, t*+1)-1, or 0..t-1 for t* = infinity.
+    ``prob_active`` is Pr[X(t) = 1].  ``fidelity`` holds E[F~(t)] and E[F(t)]
+    when the row was built with a fidelity curve.
+    """
+
+    t: int
+    joint: tuple[float, ...]
+    prob_active: float
+    fidelity: Optional[FidelityExpectations] = None
+
+
+def active_rows(times: Sequence[int], tstar: CutoffLike, p: float,
+                fcurve: Optional[Callable[[int], float]] = None) -> Iterator[ActiveRow]:
+    """Yield the ActiveRow at each time in ``times``, in the order given.
+
+    The binomial sums behind all rows are evaluated once for the series
+    (see the module docstring), the powers (1-p)^k once, and f_m once per
+    age.  Each value equals what `joint_prob`, `prob_active` and
+    `expected_fidelity_cutoff` return for that time.  Rows are made as they
+    are consumed, so a long series holds one row at a time.
+    """
+    _validate_p(p)
+    cut = Cutoff.parse(tstar)
+    times = list(times)
+    for t in times:
+        if t < 1:
+            raise ValueError(f"t must be >= 1, got {t}")
+    if cut.is_infinite:
+        ts, block = None, None
+        max_age = max(times, default=0)
+    else:
+        ts = cut.finite_value
+        block = ts + 1
+        max_age = min(max(times, default=0), block)
+    series: dict[int, float] = {}
+    if block is not None and 0.0 < p < 1.0:
+        series = _active_series((t - m for t in times if t > block
+                                 for m in range(block)), ts, p)
+    powers = [(1.0 - p) ** k for k in range(max_age)]
+    fvals = [fcurve(m) for m in range(max_age)] if fcurve is not None else None
+
+    for t in times:
+        if block is None or t <= block:
+            joint = tuple(p * powers[t - m - 1] for m in range(t))
+            active = 1.0 - (1.0 - p) ** t
+        else:
+            if p == 0.0:
+                joint = (0.0,) * block
+            elif p == 1.0:
+                joint = tuple(1.0 if m == (t - 1) % block else 0.0 for m in range(block))
+            else:
+                joint = tuple(series[t - m] for m in range(block))
+            active = sum(joint)
+        fidelity = None
+        if fvals is not None:
+            e_ftilde = sum(fvals[m] * w for m, w in enumerate(joint))
+            if active == 0.0:
+                fidelity = FidelityExpectations(e_ftilde=0.0, e_f=None)
+            else:
+                fidelity = FidelityExpectations(e_ftilde=e_ftilde, e_f=e_ftilde / active)
+        yield ActiveRow(t=t, joint=joint, prob_active=active, fidelity=fidelity)
 
 
 def prob_active(t: int, tstar: CutoffLike, p: float) -> float:
@@ -286,7 +408,7 @@ def prob_active(t: int, tstar: CutoffLike, p: float) -> float:
     cut = Cutoff.parse(tstar)
     if cut.is_infinite or t <= cut.finite_value + 1:
         return 1.0 - (1.0 - p) ** t
-    return sum(joint_prob(t, cut, p, m, 1) for m in range(cut.finite_value + 1))
+    return next(active_rows((t,), cut, p)).prob_active
 
 
 @dataclass(frozen=True)
@@ -322,25 +444,10 @@ def steady_state(tstar: CutoffLike, p: float) -> SteadyState:
                        failure_weight_inf=failed, age_weights_inf=dict(joint_active))
 
 
-@dataclass(frozen=True)
-class FidelityExpectations:
-    e_ftilde: float
-    e_f: Optional[float]  # None when the link is never active
-
-
 def expected_fidelity_cutoff(t: int, tstar: CutoffLike, p: float,
                              fcurve: Callable[[int], float]) -> FidelityExpectations:
     """E[F~(t)] = sum_m f_m Pr[M=m, X=1] and E[F(t)] = E[F~(t)] / Pr[X=1]."""
-    cut = Cutoff.parse(tstar)
-    if cut.is_infinite:
-        ages = range(t)
-    else:
-        ages = range(min(t, cut.finite_value + 1))
-    e_ftilde = sum(fcurve(m) * joint_prob(t, cut, p, m, 1) for m in ages)
-    active = prob_active(t, cut, p)
-    if active == 0.0:
-        return FidelityExpectations(e_ftilde=0.0, e_f=None)
-    return FidelityExpectations(e_ftilde=e_ftilde, e_f=e_ftilde / active)
+    return next(active_rows((t,), tstar, p, fcurve)).fidelity
 
 
 def steady_fidelity_cutoff(tstar: CutoffLike, p: float,
@@ -376,17 +483,20 @@ def expected_success_rate(t: int, tstar: CutoffLike, p: float) -> float:
         return sum(p * (1.0 - p) ** j / (j + 1) for j in range(t))
     ts = cut.finite_value
     block = ts + 1
+    log_fact = _log_factorials(t)
+    log_p, log_q = math.log(p), math.log1p(-p)
     total = 0.0
     for b in range((t - 1) // block + 1):
         if b > 0:
             # all-trailing-zeros sequences: S = Y1 / (t - t* Y1)
-            total += b / (t - ts * b) * _term(t - 1 - b * ts, b, p, b, t - b * block)
+            total += b / (t - ts * b) * _binomial_term(
+                log_fact, t - 1 - b * ts, b, b, t - b * block, log_p, log_q)
         for k in range(1, block + 1):
             fail = t - k - b * block
             if fail < 0:
                 continue
-            total += (b + 1) / (t - k - ts * b + 1) * _term(t - k - b * ts, b, p,
-                                                           b + 1, fail)
+            total += (b + 1) / (t - k - ts * b + 1) * _binomial_term(
+                log_fact, t - k - b * ts, b, b + 1, fail, log_p, log_q)
     return total
 
 

@@ -163,15 +163,9 @@ def joint_state_descriptor(specs: Sequence[ParallelLinkSpec], t: int,
         raise ValueError(f"t must be >= 1, got {t}")
     mixtures = []
     for spec in specs:
-        failure = 1.0 - spec.prob_active(t)
-        ages = {}
-        if spec.tstar.is_infinite:
-            age_range = range(t)
-        else:
-            age_range = range(min(t, spec.tstar.finite_value + 1))
-        for m in age_range:
-            ages[m] = ca.joint_prob(t, spec.tstar, spec.p, m, 1)
-        mixtures.append(LinkStateMixture(t=t, failure_weight=failure, age_weights=ages))
+        row = next(ca.active_rows((t,), spec.tstar, spec.p))
+        mixtures.append(LinkStateMixture(t=t, failure_weight=1.0 - row.prob_active,
+                                         age_weights=dict(enumerate(row.joint))))
     descriptor = JointStateDescriptor(t=t, mixtures=mixtures)
     if not materialize:
         return descriptor, None

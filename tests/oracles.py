@@ -5,17 +5,20 @@ are found by literally replaying the cutoff rules over all bitstrings, and
 the binomial-sum formulas are re-evaluated in exact rational arithmetic.
 The trial-at-a-time Monte Carlo loop is kept here as the reference for the
 engine's vectorized simulator; it shares only the engine's types and its
-per-trial RNG streams.
+per-trial RNG streams.  The term-at-a-time lgamma evaluation of the cutoff
+binomial sums is kept as the reference the shared-series kernels in
+`qlink.cutoff` must equal under `==`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
+from qlink.cutoff import Cutoff, CutoffLike
 from qlink.engine import History, LinkParams, Policy, SimulationResult, trial_rng
 
 
@@ -109,6 +112,136 @@ def exact_success_rate(t: int, tstar: Union[int, float], p: Fraction) -> Fractio
             total += (Fraction(b + 1, t - k - tstar * b + 1)
                       * math.comb(t - k - b * tstar, b)
                       * p ** (b + 1) * (1 - p) ** fail)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# the cutoff binomial sums, one lgamma-evaluated term at a time
+# ---------------------------------------------------------------------------
+
+def _validate_p(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"success probability must be in [0, 1], got {p}")
+
+
+def _log_comb(n: int, k: int) -> float:
+    if k < 0 or k > n:
+        raise ValueError(f"invalid binomial C({n}, {k})")
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+def _term(n: int, b: int, p: float, succ: int, fail: int) -> float:
+    """C(n, b) * p^succ * (1-p)^fail, evaluated in log space."""
+    log_val = _log_comb(n, b)
+    if succ:
+        log_val += succ * math.log(p)
+    if fail:
+        log_val += fail * math.log1p(-p)
+    return math.exp(log_val)
+
+
+def joint_prob_lgamma(t: int, tstar: CutoffLike, p: float, m: int, x: int) -> float:
+    """Pr[M_{t*}(t) = m, X(t) = x], every term evaluated on its own."""
+    if t < 1:
+        raise ValueError(f"t must be >= 1, got {t}")
+    if x not in (0, 1):
+        raise ValueError(f"x must be a bit, got {x}")
+    _validate_p(p)
+    cut = Cutoff.parse(tstar)
+
+    if cut.is_infinite:
+        if x == 0:
+            if m != -1:
+                raise ValueError(f"for infinite cutoff X=0 requires m=-1, got m={m}")
+            return (1.0 - p) ** t
+        if not 0 <= m <= t - 1:
+            if m == -1:
+                raise ValueError("m=-1 encodes the unloaded memory, not an active link")
+            return 0.0
+        return p * (1.0 - p) ** (t - m - 1)
+
+    ts = cut.finite_value
+    block = ts + 1
+    if not 0 <= m <= ts:
+        raise ValueError(f"m must be in 0..{ts}, got {m}")
+
+    if p == 0.0:
+        return 1.0 if (x == 0 and m == ts) else 0.0
+    if p == 1.0:
+        # the only sequence is all ones
+        return 1.0 if (x == 1 and m == (t - 1) % block) else 0.0
+
+    if x == 0:
+        if m != ts:
+            return 0.0
+        if t <= ts + 1:
+            return (1.0 - p) ** t
+        total = 0.0
+        for b in range((t - 1) // block + 1):
+            total += _term(t - 1 - b * ts, b, p, b, t - b * block)
+        return total
+
+    # x == 1
+    if t <= ts + 1:
+        return p * (1.0 - p) ** (t - m - 1) if m <= t - 1 else 0.0
+    total = 0.0
+    for b in range((t - 1) // block + 1):
+        fail = t - (m + 1) - b * block
+        if fail < 0:
+            continue
+        total += _term(t - (m + 1) - b * ts, b, p, b + 1, fail)
+    return total
+
+
+def prob_active_lgamma(t: int, tstar: CutoffLike, p: float) -> float:
+    """Pr[X(t) = 1] as the sum of the term-at-a-time joint probabilities."""
+    cut = Cutoff.parse(tstar)
+    if cut.is_infinite or t <= cut.finite_value + 1:
+        return 1.0 - (1.0 - p) ** t
+    return sum(joint_prob_lgamma(t, cut, p, m, 1) for m in range(cut.finite_value + 1))
+
+
+def expected_fidelity_lgamma(t: int, tstar: CutoffLike, p: float,
+                             fcurve: Callable[[int], float]
+                             ) -> tuple[float, Optional[float]]:
+    """(E[F~(t)], E[F(t)]) from the term-at-a-time joint probabilities."""
+    cut = Cutoff.parse(tstar)
+    if cut.is_infinite:
+        ages = range(t)
+    else:
+        ages = range(min(t, cut.finite_value + 1))
+    e_ftilde = sum(fcurve(m) * joint_prob_lgamma(t, cut, p, m, 1) for m in ages)
+    active = prob_active_lgamma(t, cut, p)
+    if active == 0.0:
+        return 0.0, None
+    return e_ftilde, e_ftilde / active
+
+
+def expected_success_rate_lgamma(t: int, tstar: CutoffLike, p: float) -> float:
+    """E[S(t)], every term evaluated on its own."""
+    if t < 1:
+        raise ValueError(f"t must be >= 1, got {t}")
+    _validate_p(p)
+    if p == 0.0:
+        return 0.0
+    if p == 1.0:
+        return 1.0
+    cut = Cutoff.parse(tstar)
+    if cut.is_infinite or t <= cut.finite_value + 1:
+        return sum(p * (1.0 - p) ** j / (j + 1) for j in range(t))
+    ts = cut.finite_value
+    block = ts + 1
+    total = 0.0
+    for b in range((t - 1) // block + 1):
+        if b > 0:
+            # all-trailing-zeros sequences: S = Y1 / (t - t* Y1)
+            total += b / (t - ts * b) * _term(t - 1 - b * ts, b, p, b, t - b * block)
+        for k in range(1, block + 1):
+            fail = t - k - b * block
+            if fail < 0:
+                continue
+            total += (b + 1) / (t - k - ts * b + 1) * _term(t - k - b * ts, b, p,
+                                                           b + 1, fail)
     return total
 
 

@@ -489,3 +489,13 @@ def test_criterion_11_simulate_golden(tmp_path):
     _run_cli(["simulate", "--config", str(GOLDEN_DIR / "simulate.json"),
               "--out", str(out)])
     assert out.read_bytes() == (GOLDEN_DIR / "simulate.csv").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["sweep", "analytic", "optimize"])
+def test_criterion_11_cutoff_series_goldens(mode, tmp_path):
+    """`qlink sweep|analytic|optimize` reproduce their stored tables byte for
+    byte: t* in {0,1,2,7,inf} x t=1..120, a sparse grid at p=0.999999, and
+    the optimizer's cutoff baselines at T=40."""
+    out = tmp_path / f"{mode}.csv"
+    _run_cli([mode, "--config", str(GOLDEN_DIR / f"{mode}.json"), "--out", str(out)])
+    assert out.read_bytes() == (GOLDEN_DIR / f"{mode}.csv").read_bytes()

@@ -312,3 +312,39 @@ def test_cli_ragged_table_is_a_numeric_error(tmp_path, monkeypatch):
     assert main(["analytic", "--config", config,
                  "--out", str(tmp_path / "o.csv")]) == 3
     assert os.listdir(tmp_path) == ["config.json"]
+
+
+def _with(doc, path, value):
+    """A copy of ``doc`` with the field at the dotted ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path.split(".")
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+FIG5_DOC = {"schema_version": 1, "mode": "reproduce", "figure": "fig5",
+            "overrides": {"t_max": 5}}
+
+
+@pytest.mark.parametrize("command, doc, code", [
+    ("analytic", _with(analytic_doc(), "link.fidelity.dim", "a"), 2),
+    ("analytic", _with(analytic_doc(), "link.fidelity.dim", 0), 2),
+    ("analytic", analytic_doc(times={"start": 1, "stop": 5, "step": "a"}), 2),
+    ("reproduce", _with(FIG5_DOC, "overrides.t_max", "x"), 2),
+    ("reproduce", _with(FIG5_DOC, "overrides.tstars", [-1]), 2),
+    ("reproduce", _with(FIG5_DOC, "overrides.p", 2), 2),
+    ("analytic", analytic_doc(optimizer_mod="full"), 2),
+    ("reproduce", _with(FIG5_DOC, "overrides.t_maxx", 300), 2),
+    ("analytic", None, 4),  # --config names a directory
+], ids=["dim-str", "dim-zero", "step-str", "t_max-str", "tstars-negative",
+        "p-above-one", "unknown-top-level", "unknown-override", "config-dir"])
+def test_cli_malformed_input_exit_codes(tmp_path, command, doc, code):
+    """Malformed input ends in its documented exit code, never a traceback,
+    and writes no output."""
+    config = str(tmp_path) if doc is None else write_config(tmp_path, doc)
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", config, "--out", str(out)]) == code
+    assert not out.exists()

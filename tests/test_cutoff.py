@@ -1,14 +1,20 @@
 """Closed-form cutoff-policy analytics against independent oracles."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qlink.cutoff as ca
+from qlink import cli
+from qlink.config import parse_config
 from qlink.cutoff import (
     Cutoff,
+    active_rows,
     count_sequences,
     cutoff_policy,
     expected_fidelity_cutoff,
@@ -29,7 +35,15 @@ from qlink.cutoff import (
 from qlink.engine import History, iter_supported_histories
 from qlink.quantum import FidelityCurve
 
-from oracles import enumerate_supported, exact_joint_prob, exact_success_rate
+from oracles import (
+    enumerate_supported,
+    exact_joint_prob,
+    exact_success_rate,
+    expected_fidelity_lgamma,
+    expected_success_rate_lgamma,
+    joint_prob_lgamma,
+    prob_active_lgamma,
+)
 
 TSTARS = [0, 1, 2, 3, 5, math.inf]
 
@@ -393,3 +407,105 @@ def test_transition_matrix_infinite_powers():
         dist = tm.distribution_at(t)
         assert dist[tm.state_index(0)] == pytest.approx((1 - p) ** t, abs=1e-12)
         assert dist[tm.state_index(1)] == pytest.approx(1 - (1 - p) ** t, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the shared-series kernels against the term-at-a-time evaluation
+# ---------------------------------------------------------------------------
+
+ORACLE_PS = [0.0, 1e-9, 0.3, 1.0 - 1e-9, 1.0]
+ORACLE_TSTARS = [0, 1, 2, 7, 35, math.inf]
+# both sides of t*+1 for every cutoff, then one large t on its own
+ORACLE_TIMES = list(range(1, 41)) + [1500]
+
+
+def _ages(t, tstar):
+    return range(t) if tstar == math.inf else range(min(t, tstar + 1))
+
+
+@pytest.mark.parametrize("tstar", ORACLE_TSTARS)
+@pytest.mark.parametrize("p", ORACLE_PS)
+def test_closed_forms_equal_term_at_a_time_reference(tstar, p):
+    """Every public closed form equals the lgamma-per-term reference under ==."""
+    curve = FidelityCurve.depolarizing(1.0, 0.9, 4)
+    for t in ORACLE_TIMES:
+        for m in _ages(t, tstar):
+            assert joint_prob(t, tstar, p, m, 1) == joint_prob_lgamma(t, tstar, p, m, 1)
+        m0 = -1 if tstar == math.inf else tstar
+        assert joint_prob(t, tstar, p, m0, 0) == joint_prob_lgamma(t, tstar, p, m0, 0)
+        assert prob_active(t, tstar, p) == prob_active_lgamma(t, tstar, p)
+        fid = expected_fidelity_cutoff(t, tstar, p, curve)
+        assert (fid.e_ftilde, fid.e_f) == expected_fidelity_lgamma(t, tstar, p, curve)
+        assert expected_success_rate(t, tstar, p) == expected_success_rate_lgamma(t, tstar, p)
+        if 0.0 < p < 1.0:
+            q = joint_prob_lgamma(t, tstar, p, m0, 0)
+            assert waiting_time(t - 1, tstar, p).expectation == q / (p * (1.0 - p))
+
+
+@pytest.mark.parametrize("tstar", ORACLE_TSTARS)
+@pytest.mark.parametrize("p", ORACLE_PS)
+def test_active_rows_equal_term_at_a_time_reference(tstar, p):
+    """A series in any order, with repeats, equals the per-time reference."""
+    curve = FidelityCurve.depolarizing(1.0, 0.9, 4)
+    times = ORACLE_TIMES[::-1] + [3, 3, 1500]
+    rows = list(active_rows(times, tstar, p, curve))
+    assert [row.t for row in rows] == times
+    for row in rows:
+        t = row.t
+        assert row.joint == tuple(joint_prob_lgamma(t, tstar, p, m, 1)
+                                  for m in _ages(t, tstar))
+        assert row.prob_active == prob_active_lgamma(t, tstar, p)
+        assert (row.fidelity.e_ftilde, row.fidelity.e_f) == \
+            expected_fidelity_lgamma(t, tstar, p, curve)
+    assert all(row.fidelity is None for row in active_rows(times, tstar, p))
+
+
+def test_active_rows_rejects_bad_input():
+    with pytest.raises(ValueError, match="t must be"):
+        list(active_rows([3, 0], 2, 0.3))
+    with pytest.raises(ValueError, match="probability"):
+        list(active_rows([3], 2, 1.5))
+    assert list(active_rows([], 2, 0.3)) == []
+
+
+def test_log_factorial_table_is_thread_safe(monkeypatch):
+    """A sweep on 4 threads grows the shared table from cold without losing
+    or misplacing an entry, and returns the 1-thread rows; so do 4 threads
+    that grow it in lockstep."""
+    config = parse_config({
+        "schema_version": 1, "mode": "sweep",
+        "link": {"p": 0.3, "tstar": 0,
+                 "fidelity": {"kind": "depolarizing", "lam": 0.9}},
+        "times": {"start": 1, "stop": 300},
+        "sweep": {"field": "tstar", "values": [0, 1, 2, 3, 7, 35, "inf"]}})
+    monkeypatch.setattr(ca, "_LOG_FACTORIAL", [0.0])
+    serial = cli.run_sweep(config, 1).rows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            monkeypatch.setattr(ca, "_LOG_FACTORIAL", [0.0])
+            assert cli.run_sweep(config, 4).rows == serial
+            table = ca._LOG_FACTORIAL
+            assert len(table) > 300
+            assert table == [math.lgamma(k + 1) for k in range(len(table))]
+        for _ in range(3):
+            monkeypatch.setattr(ca, "_LOG_FACTORIAL", [0.0])
+            start = threading.Barrier(4)
+
+            def grow():
+                start.wait(timeout=10)
+                for n in range(0, 5000, 7):
+                    ca._log_factorials(n)
+
+            workers = [threading.Thread(target=grow) for _ in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+                assert not worker.is_alive()
+            table = ca._LOG_FACTORIAL
+            assert len(table) > 4990
+            assert table == [math.lgamma(k + 1) for k in range(len(table))]
+    finally:
+        sys.setswitchinterval(interval)
