@@ -5,7 +5,9 @@
 
 All commands read a JSON RunConfig, write one CSV ResultTable with a '#'
 metadata header, and are deterministic given (config, seed).  Exit codes:
-0 success, 2 config error, 3 numeric/limit error, 4 I/O error.
+0 success, 2 config error (an unknown field included), 3 numeric error,
+4 I/O error.  ``optimize`` always runs the reduced (x, m) backward recursion
+and also writes ``<out>.policy.json``.
 """
 
 from __future__ import annotations
@@ -32,10 +34,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-
-class LimitError(RuntimeError):
-    """A requested computation exceeds a documented mode limit."""
 
 
 def _tstar_cell(tstar: ca.Cutoff):
@@ -171,22 +169,12 @@ def run_optimize(config: RunConfig) -> tuple[ResultTable, dict]:
     assert curve is not None
     params = LinkParams.symbolic(link.p, curve)
     T = config.horizon
-    if config.optimizer_mode == "full":
-        if T > opt.FULL_TREE_MAX_T:
-            raise LimitError(
-                f"horizon {T} exceeds the full-tree cap {opt.FULL_TREE_MAX_T}; "
-                f"use optimizer_mode 'reduced'")
-        result = opt.backward_recursion_full(params, T)
-    else:
-        result = opt.backward_recursion_reduced(params, T)
+    result = opt.backward_recursion_reduced(params, T, keep_table=False)
 
     table = ResultTable(columns=list(OPTIMIZE_COLUMNS), rows=[],
                         metadata=_metadata(config))
-    if result.policy is not None and result.policy.decide_state is not None:
-        check = opt.evaluate_state_policy(params, result.policy, T + 1)
-        table.append("optimal", result.optimal_value, check.e_x, check.e_f)
-    else:
-        table.append("optimal", result.optimal_value, None, None)
+    check = opt.evaluate_state_policy(params, result.policy, T + 1)
+    table.append("optimal", result.optimal_value, check.e_x, check.e_f)
 
     greedy = opt.forward_greedy(params)
     ev = opt.evaluate_state_policy(params, greedy, T + 1)
@@ -199,10 +187,11 @@ def run_optimize(config: RunConfig) -> tuple[ResultTable, dict]:
         table.append(f"cutoff({cut})", row.fidelity.e_ftilde, row.prob_active,
                      row.fidelity.e_f)
 
-    policy_dump: dict = {"horizon": T, "mode": result.mode, "actions": []}
-    if result.table is not None and result.mode == "reduced":
-        for (j, x, m), action in sorted(result.table.decisions.items()):
-            policy_dump["actions"].append({"t": j, "x": x, "m": m, "action": action})
+    # the documented order: t ascending, then down, then active by age
+    decide = result.policy.decide_state
+    actions = [{"t": t, "x": x, "m": m, "action": int(decide(t, x, m))}
+               for t in range(1, T + 1) for x, m in opt.state_space(t)]
+    policy_dump = {"horizon": T, "mode": result.mode, "actions": actions}
     return table, policy_dump
 
 
@@ -366,9 +355,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:  # the config file is missing or unreadable
         print(f"qlink: {exc}", file=sys.stderr)
         return EXIT_IO
-    except LimitError as exc:
-        print(f"qlink: limit error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except (ValueError, ArithmeticError) as exc:
         print(f"qlink: numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

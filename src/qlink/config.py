@@ -20,8 +20,7 @@ SCHEMA_VERSION = 1
 MODES = ("analytic", "simulate", "optimize", "sweep", "reproduce")
 FIGURES = ("fig4-left", "fig4-right", "fig5", "fig7", "fig8", "fig9")
 TOP_LEVEL_FIELDS = ("schema_version", "mode", "link", "times", "t_req", "seed",
-                    "trials", "horizon", "optimizer_mode", "sweep", "figure",
-                    "overrides")
+                    "trials", "horizon", "sweep", "figure", "overrides")
 # the overrides each figure reads; any other override is a typo
 FIGURE_OVERRIDES = {
     "fig4-left": ("tstars", "t"),
@@ -71,7 +70,6 @@ class RunConfig:
     seed: Optional[int] = None
     trials: Optional[int] = None
     horizon: Optional[int] = None
-    optimizer_mode: str = "reduced"
     sweep_field: Optional[str] = None
     sweep_values: tuple = ()
     figure: Optional[str] = None
@@ -213,10 +211,6 @@ def parse_config(doc: dict) -> RunConfig:
                                 or not isinstance(horizon, int) or horizon < 1):
         raise ConfigError("field horizon must be an integer >= 1")
 
-    optimizer_mode = doc.get("optimizer_mode", "reduced")
-    if optimizer_mode not in ("reduced", "full"):
-        raise ConfigError('field optimizer_mode must be "reduced" or "full"')
-
     sweep_field: Optional[str] = None
     sweep_values: tuple = ()
     if mode == "sweep":
@@ -276,17 +270,20 @@ def parse_config(doc: dict) -> RunConfig:
 
     return RunConfig(mode=mode, raw=doc, link=link, times=times, t_req=t_req,
                      seed=seed, trials=trials, horizon=horizon,
-                     optimizer_mode=optimizer_mode, sweep_field=sweep_field,
-                     sweep_values=sweep_values, figure=figure,
-                     figure_overrides=figure_overrides)
+                     sweep_field=sweep_field, sweep_values=sweep_values,
+                     figure=figure, figure_overrides=figure_overrides)
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path) as handle:
-        text = handle.read()
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
-        doc = json.loads(text)
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply") from None
     return parse_config(doc)

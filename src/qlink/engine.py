@@ -88,27 +88,6 @@ class History:
                 a_prev = self.actions[j]
         return m
 
-    def memory_time_explicit(self) -> int:
-        """M(t) by the explicit sum over request times (cross-check form).
-
-        M(t) = sum_j A(j-1) (sum_{l=j..t} X(l) - 1) prod_{k=j..t-1} (1 - A(k)),
-        with A(0) = 1.  Exactly one term survives: the most recent request.
-        """
-        t = self.t
-        xs = self.observations
-        total = 0
-        for j in range(1, t + 1):
-            a_prev = 1 if j == 1 else self.actions[j - 2]
-            if a_prev == 0:
-                continue
-            blocker = 1
-            for k in range(j, t):
-                blocker *= 1 - self.actions[k - 1]
-            if blocker == 0:
-                continue
-            total += sum(xs[j - 1:]) - 1
-        return total
-
     def n_req(self) -> int:
         """Number of requests made up to time t (A(0) counts)."""
         return 1 + sum(self.actions)

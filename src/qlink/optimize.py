@@ -9,7 +9,7 @@ Three routes to the optimum are provided and cross-checked in the tests:
 * ``backward_recursion_full`` -- the literal backward recursion over full
   history trees (no state reduction), feasible for small T;
 * ``backward_recursion_reduced`` -- the same recursion keyed on the
-  (x, m) sufficient statistic, feasible for T up to ~10^4;
+  (x, m) sufficient statistic, the one the CLI runs;
 * ``exhaustive_policy_search`` -- brute-force maximum over all deterministic
   (t, x, m) -> action maps, an oracle independent of any Bellman argument.
 
@@ -30,7 +30,6 @@ from .engine import History, LinkParams, Policy, evolve_exhaustive, expected_qua
 FULL_TREE_MAX_T = 14
 FULL_TREE_TABLE_MAX_T = 10
 EXHAUSTIVE_TENSOR_MAX_T = 6
-EXHAUSTIVE_ENGINE_MAX_T = 4
 
 
 @dataclass
@@ -57,6 +56,12 @@ class OptimizationResult:
     policy: Optional[Policy]
     mode: str
     table: Optional[ValueTable]
+
+
+def state_space(j: int) -> list:
+    """Reachable (x, m) states at observation time j: down, or active with
+    age 0..j-1."""
+    return [(0, -1)] + [(1, m) for m in range(j)]
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +219,9 @@ def backward_recursion_reduced(params: LinkParams, T: int,
     The conditional value-to-go of a history depends on it only through the
     current link value and memory age, so the tree recursion collapses to
     O(T^2) states; values over m are held as numpy arrays per time step.
+    The policy keeps one decision byte per state.  ``keep_table=True`` also
+    records every action value and decision in a ValueTable, O(T^2) dict
+    entries, for inspection at small T.
     """
     if T < 0:
         raise ValueError(f"horizon must be >= 0, got {T}")
@@ -233,7 +241,8 @@ def backward_recursion_reduced(params: LinkParams, T: int,
     v_down_next = 0.0
     wait_when_active: dict[int, np.ndarray] = {}
     request_when_down: dict[int, bool] = {}
-    q_tables: dict[int, tuple[np.ndarray, float, float]] = {}
+    table = ValueTable(horizon=T, mode="reduced", values={}, decisions={}) \
+        if keep_table else None
 
     for j in range(T, 0, -1):
         q_request = p * v_active_next[0] + (1.0 - p) * v_down_next
@@ -246,37 +255,25 @@ def backward_recursion_reduced(params: LinkParams, T: int,
         v_down = q_request if request_down else down_wait
         wait_when_active[j] = wait
         request_when_down[j] = request_down
-        q_tables[j] = (q_wait_active.copy(), q_request, down_wait)
+        if table is not None:
+            for m in range(j):
+                table.values[(j, 1, m, 0)] = float(q_wait_active[m])
+                table.values[(j, 1, m, 1)] = q_request
+                table.decisions[(j, 1, m)] = 0 if wait[m] else 1
+            table.values[(j, 0, -1, 0)] = down_wait
+            table.values[(j, 0, -1, 1)] = q_request
+            table.decisions[(j, 0, -1)] = 1 if request_down else 0
         v_active_next = v_active
         v_down_next = v_down
 
     value = p * v_active_next[0] + (1.0 - p) * v_down_next
 
-    table = None
-    if keep_table:
-        values: dict = {}
-        decisions: dict = {}
-        for j in range(1, T + 1):
-            q_wait_active, q_request, down_wait = q_tables[j]
-            for m in range(j):
-                values[(j, 1, m, 0)] = float(q_wait_active[m])
-                values[(j, 1, m, 1)] = q_request
-                decisions[(j, 1, m)] = 0 if wait_when_active[j][m] else 1
-            values[(j, 0, -1, 0)] = down_wait
-            values[(j, 0, -1, 1)] = q_request
-            decisions[(j, 0, -1)] = 1 if request_when_down[j] else 0
-        table = ValueTable(horizon=T, mode="reduced", values=values,
-                           decisions=decisions)
-
-    wait_maps = wait_when_active
-    down_maps = request_when_down
-
     def rule(t: int, x: int, m: int) -> float:
         if t > T:
             return 0.0  # beyond the horizon: wait
         if x == 0:
-            return 1.0 if down_maps[t] else 0.0
-        return 0.0 if wait_maps[t][m] else 1.0
+            return 1.0 if request_when_down[t] else 0.0
+        return 0.0 if wait_when_active[t][m] else 1.0
 
     policy = Policy.from_state_rule(rule, "deterministic", "optimal-reduced")
     return OptimizationResult(optimal_value=float(value), policy=policy,
@@ -287,61 +284,25 @@ def backward_recursion_reduced(params: LinkParams, T: int,
 # exhaustive oracle over (t, x, m) feedback policies
 # ---------------------------------------------------------------------------
 
-def _state_space(j: int) -> list:
-    """Reachable (x, m) states at observation time j: down, or active with
-    age 0..j-1."""
-    return [(0, -1)] + [(1, m) for m in range(j)]
-
-
-def _policy_from_assignment(assignments: dict[int, tuple[int, ...]], T: int) -> Policy:
-    """A Policy from explicit per-time action tuples over _state_space(t)."""
-
-    def rule(t: int, x: int, m: int) -> float:
-        if t > T:
-            return 0.0
-        idx = 0 if x == 0 else 1 + m
-        return float(assignments[t][idx])
-
-    return Policy.from_state_rule(rule, "deterministic", "enumerated")
-
-
-def exhaustive_policy_search(params: LinkParams, T: int,
-                             method: str = "tensor") -> float:
+def exhaustive_policy_search(params: LinkParams, T: int) -> float:
     """Maximum E[F~(T+1)] over every deterministic (t, x, m) -> action map.
 
-    method="engine" evaluates each candidate policy by exhaustive history
-    enumeration (fully independent of any DP machinery) and is capped at
-    T=4 (~1.6e4 candidates).  method="tensor" evaluates all candidates at
-    once by propagating occupation distributions for every decision-table
-    prefix -- still a brute-force maximum over the full policy class, with
-    the evaluation vectorized -- and reaches T=6 (~1.3e8 candidates).
+    All candidates are evaluated at once by propagating occupation
+    distributions for every decision-table prefix -- a brute-force maximum
+    over the full policy class, with the evaluation vectorized -- up to T=6
+    (~1.3e8 candidates).
     """
     if T < 1:
         raise ValueError(f"horizon must be >= 1, got {T}")
+    if T > EXHAUSTIVE_TENSOR_MAX_T:
+        raise ValueError(f"exhaustive search is capped at T={EXHAUSTIVE_TENSOR_MAX_T}")
     p = params.p
     fcurve = params.fcurve
-    if method == "engine":
-        if T > EXHAUSTIVE_ENGINE_MAX_T:
-            raise ValueError(f"engine-mode search is capped at T={EXHAUSTIVE_ENGINE_MAX_T}")
-        import itertools
-        best = -math.inf
-        spaces = [list(itertools.product((0, 1), repeat=j + 1)) for j in range(1, T + 1)]
-        for combo in itertools.product(*spaces):
-            assignments = {j + 1: combo[j] for j in range(T)}
-            policy = _policy_from_assignment(assignments, T)
-            value = evaluate_policy(params, policy, T + 1).e_ftilde
-            if value > best:
-                best = value
-        return best
-    if method != "tensor":
-        raise ValueError(f"unknown search method {method!r}")
-    if T > EXHAUSTIVE_TENSOR_MAX_T:
-        raise ValueError(f"tensor-mode search is capped at T={EXHAUSTIVE_TENSOR_MAX_T}")
 
     def step_tensor(j: int) -> np.ndarray:
         """shape (2^(j+1), j+1, j+2): transition rows for every action
         assignment over the time-j states."""
-        states = _state_space(j)
+        states = state_space(j)
         n_states = len(states)
         rows = np.zeros((2, n_states, n_states + 1))
         for i, (x, m) in enumerate(states):
@@ -359,7 +320,7 @@ def exhaustive_policy_search(params: LinkParams, T: int,
                 out[code, i] = rows[(code >> i) & 1, i]
         return out
 
-    dist = np.array([[1.0 - p, p]])  # over _state_space(1)
+    dist = np.array([[1.0 - p, p]])  # over state_space(1)
     for j in range(1, T):
         tensor = step_tensor(j)
         dist = np.einsum("ns,ast->nat", dist, tensor).reshape(-1, j + 2)
@@ -375,5 +336,5 @@ def exhaustive_policy_search(params: LinkParams, T: int,
 
 
 def _terminal_reward(fcurve: Callable[[int], float], T: int) -> np.ndarray:
-    """Reward at observation time T+1 over _state_space(T+1)."""
+    """Reward at observation time T+1 over state_space(T+1)."""
     return np.array([0.0] + [fcurve(m) for m in range(T + 1)])

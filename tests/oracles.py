@@ -7,11 +7,14 @@ The trial-at-a-time Monte Carlo loop is kept here as the reference for the
 engine's vectorized simulator; it shares only the engine's types and its
 per-trial RNG streams.  The term-at-a-time lgamma evaluation of the cutoff
 binomial sums is kept as the reference the shared-series kernels in
-`qlink.cutoff` must equal under `==`.
+`qlink.cutoff` must equal under `==`.  The explicit-sum form of the memory
+time and the per-policy exhaustive search cross-check the engine's M(t)
+recursion and the optimizer.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Union
@@ -20,6 +23,7 @@ import numpy as np
 
 from qlink.cutoff import Cutoff, CutoffLike
 from qlink.engine import History, LinkParams, Policy, SimulationResult, trial_rng
+from qlink.optimize import evaluate_policy
 
 
 def replay_cutoff_sequence(xs: tuple[int, ...], tstar: Union[int, float]
@@ -351,3 +355,71 @@ def simulate_trajectories_scalar(params: LinkParams, policy: Policy,
         e_s=s_mean, e_s_se=s_se,
         e_f=e_f, e_f_se=e_f_se,
     )
+
+
+# ---------------------------------------------------------------------------
+# the memory time by its explicit sum
+# ---------------------------------------------------------------------------
+
+def memory_time_explicit(history: History) -> int:
+    """M(t) by the explicit sum over request times (cross-check form).
+
+    M(t) = sum_j A(j-1) (sum_{l=j..t} X(l) - 1) prod_{k=j..t-1} (1 - A(k)),
+    with A(0) = 1.  Exactly one term survives: the most recent request.
+    """
+    t = history.t
+    xs = history.observations
+    total = 0
+    for j in range(1, t + 1):
+        a_prev = 1 if j == 1 else history.actions[j - 2]
+        if a_prev == 0:
+            continue
+        blocker = 1
+        for k in range(j, t):
+            blocker *= 1 - history.actions[k - 1]
+        if blocker == 0:
+            continue
+        total += sum(xs[j - 1:]) - 1
+    return total
+
+
+# ---------------------------------------------------------------------------
+# exhaustive search, one history-enumerated policy at a time
+# ---------------------------------------------------------------------------
+
+EXHAUSTIVE_ENGINE_MAX_T = 4
+
+
+def _policy_from_assignment(assignments: dict[int, tuple[int, ...]], T: int) -> Policy:
+    """A Policy from explicit per-time action tuples over
+    qlink.optimize.state_space(t)."""
+
+    def rule(t: int, x: int, m: int) -> float:
+        if t > T:
+            return 0.0
+        idx = 0 if x == 0 else 1 + m
+        return float(assignments[t][idx])
+
+    return Policy.from_state_rule(rule, "deterministic", "enumerated")
+
+
+def exhaustive_policy_search_engine(params: LinkParams, T: int) -> float:
+    """Maximum E[F~(T+1)] over every deterministic (t, x, m) -> action map.
+
+    Each candidate policy is evaluated by exhaustive history enumeration
+    (fully independent of any DP machinery), so the search is capped at
+    T=4 (~1.6e4 candidates).
+    """
+    if T < 1:
+        raise ValueError(f"horizon must be >= 1, got {T}")
+    if T > EXHAUSTIVE_ENGINE_MAX_T:
+        raise ValueError(f"engine-mode search is capped at T={EXHAUSTIVE_ENGINE_MAX_T}")
+    best = -math.inf
+    spaces = [list(itertools.product((0, 1), repeat=j + 1)) for j in range(1, T + 1)]
+    for combo in itertools.product(*spaces):
+        assignments = {j + 1: combo[j] for j in range(T)}
+        policy = _policy_from_assignment(assignments, T)
+        value = evaluate_policy(params, policy, T + 1).e_ftilde
+        if value > best:
+            best = value
+    return best

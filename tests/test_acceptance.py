@@ -50,7 +50,7 @@ from qlink.quantum import (
     preset_state,
 )
 
-from oracles import enumerate_supported
+from oracles import enumerate_supported, exhaustive_policy_search_engine
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -294,13 +294,13 @@ def test_criterion_08b_exhaustive_search_equals_reduced():
         params = _opt_params(p, lam)
         for T in range(1, 7):
             reduced = opt.backward_recursion_reduced(params, T).optimal_value
-            search = opt.exhaustive_policy_search(params, T, method="tensor")
+            search = opt.exhaustive_policy_search(params, T)
             assert abs(search - reduced) <= 1e-10
     # the literal per-policy engine evaluation, where feasible
     params = _opt_params(0.45, 0.7)
     for T in range(1, 5):
         reduced = opt.backward_recursion_reduced(params, T).optimal_value
-        search = opt.exhaustive_policy_search(params, T, method="engine")
+        search = exhaustive_policy_search_engine(params, T)
         assert abs(search - reduced) <= 1e-10
 
 
@@ -499,3 +499,12 @@ def test_criterion_11_cutoff_series_goldens(mode, tmp_path):
     out = tmp_path / f"{mode}.csv"
     _run_cli([mode, "--config", str(GOLDEN_DIR / f"{mode}.json"), "--out", str(out)])
     assert out.read_bytes() == (GOLDEN_DIR / f"{mode}.csv").read_bytes()
+
+
+def test_criterion_11_optimize_policy_golden(tmp_path):
+    """`qlink optimize` reproduces the stored policy dump at T=40 byte for byte."""
+    out = tmp_path / "optimize.csv"
+    _run_cli(["optimize", "--config", str(GOLDEN_DIR / "optimize.json"),
+              "--out", str(out)])
+    policy = GOLDEN_DIR / "optimize.policy.json"
+    assert (tmp_path / "optimize.csv.policy.json").read_bytes() == policy.read_bytes()

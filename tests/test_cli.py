@@ -11,12 +11,18 @@ from qlink.cli import main
 from qlink.config import ConfigError, load_config, parse_config
 from qlink.csvio import ResultTable, config_hash, read_result_table, write_result_table
 from qlink.cutoff import prob_active, waiting_time
+from qlink.engine import LinkParams
+from qlink.optimize import backward_recursion_reduced
+
+
+def write_raw_config(tmp_path, data, name="config.json"):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
 
 
 def write_config(tmp_path, doc, name="config.json"):
-    path = tmp_path / name
-    path.write_text(json.dumps(doc))
-    return str(path)
+    return write_raw_config(tmp_path, json.dumps(doc).encode(), name)
 
 
 def analytic_doc(**extra):
@@ -220,14 +226,37 @@ def test_cli_optimize(tmp_path):
     assert any(a["x"] == 0 and a["action"] == 1 for a in dump["actions"])
 
 
-def test_cli_optimize_full_mode_cap_is_a_limit_error(tmp_path):
-    doc = {"schema_version": 1, "mode": "optimize", "optimizer_mode": "full",
+@pytest.mark.parametrize("T", [1, 2, 7, 40])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("fidelity", [
+    {"kind": "constant", "f0": 0.9},
+    {"kind": "depolarizing", "lam": 0.8},
+    {"kind": "dephasing_bell", "lam": 0.95},
+], ids=["constant", "depolarizing", "dephasing_bell"])
+def test_cli_policy_dump_matches_the_value_table(tmp_path, T, p, fidelity):
+    """The dumped actions are the reduced recursion's table decisions, in
+    (t, x, m) order."""
+    doc = {"schema_version": 1, "mode": "optimize",
+           "link": {"p": p, "tstar": 0, "fidelity": fidelity}, "horizon": T}
+    assert main(["optimize", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "opt.csv")]) == 0
+    dump = json.loads((tmp_path / "opt.csv.policy.json").read_text())
+    params = LinkParams.symbolic(p, parse_config(doc).link.fidelity.curve())
+    decisions = backward_recursion_reduced(params, T).table.decisions
+    assert dump["actions"] == [{"t": t, "x": x, "m": m, "action": action}
+                               for (t, x, m), action in sorted(decisions.items())]
+
+
+@pytest.mark.parametrize("value", ["full", "reduced"])
+def test_cli_optimizer_mode_is_an_unknown_field(tmp_path, value):
+    doc = {"schema_version": 1, "mode": "optimize", "optimizer_mode": value,
            "link": {"p": 0.3, "tstar": 2,
                     "fidelity": {"kind": "depolarizing", "lam": 0.8}},
-           "horizon": 20}
+           "horizon": 4}
     config = write_config(tmp_path, doc)
     assert main(["optimize", "--config", config,
-                 "--out", str(tmp_path / "x.csv")]) == 3
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_cli_exit_codes(tmp_path):
@@ -339,12 +368,20 @@ FIG5_DOC = {"schema_version": 1, "mode": "reproduce", "figure": "fig5",
     ("analytic", analytic_doc(optimizer_mod="full"), 2),
     ("reproduce", _with(FIG5_DOC, "overrides.t_maxx", 300), 2),
     ("analytic", None, 4),  # --config names a directory
+    ("analytic", json.dumps(analytic_doc()).encode("utf-16"), 2),  # not UTF-8
+    ("analytic", b"[" * 200_000, 2),
 ], ids=["dim-str", "dim-zero", "step-str", "t_max-str", "tstars-negative",
-        "p-above-one", "unknown-top-level", "unknown-override", "config-dir"])
+        "p-above-one", "unknown-top-level", "unknown-override", "config-dir",
+        "not-utf8", "deep-nesting"])
 def test_cli_malformed_input_exit_codes(tmp_path, command, doc, code):
     """Malformed input ends in its documented exit code, never a traceback,
     and writes no output."""
-    config = str(tmp_path) if doc is None else write_config(tmp_path, doc)
+    if doc is None:
+        config = str(tmp_path)
+    elif isinstance(doc, bytes):
+        config = write_raw_config(tmp_path, doc)
+    else:
+        config = write_config(tmp_path, doc)
     out = tmp_path / "o.csv"
     assert main([command, "--config", config, "--out", str(out)]) == code
     assert not out.exists()

@@ -22,7 +22,7 @@ from qlink.engine import (
 )
 from qlink.quantum import FidelityCurve, fidelity, preset_channel, preset_state
 
-from oracles import enumerate_supported, simulate_trajectories_scalar
+from oracles import enumerate_supported, memory_time_explicit, simulate_trajectories_scalar
 
 CURVE = FidelityCurve.depolarizing(1.0, 0.9, 4)
 
@@ -62,7 +62,7 @@ def test_history_validation():
 @given(histories())
 @settings(max_examples=300, deadline=None)
 def test_memory_time_recursion_matches_explicit_sum(history):
-    assert history.memory_time() == history.memory_time_explicit()
+    assert history.memory_time() == memory_time_explicit(history)
 
 
 @given(histories())

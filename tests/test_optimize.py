@@ -7,7 +7,6 @@ import pytest
 from qlink.cutoff import cutoff_policy
 from qlink.engine import LinkParams, Policy
 from qlink.optimize import (
-    EXHAUSTIVE_ENGINE_MAX_T,
     EXHAUSTIVE_TENSOR_MAX_T,
     FULL_TREE_MAX_T,
     backward_recursion_full,
@@ -18,6 +17,8 @@ from qlink.optimize import (
     forward_greedy,
 )
 from qlink.quantum import FidelityCurve
+
+from oracles import EXHAUSTIVE_ENGINE_MAX_T, exhaustive_policy_search_engine
 
 CURVE = FidelityCurve.depolarizing(1.0, 0.8, 4)
 
@@ -85,13 +86,13 @@ def test_exhaustive_routes_agree_with_recursion():
     params = params_for(0.45, FidelityCurve.depolarizing(1.0, 0.7, 4))
     for T in range(1, 5):
         value = backward_recursion_reduced(params, T).optimal_value
-        assert exhaustive_policy_search(params, T, method="engine") == \
+        assert exhaustive_policy_search_engine(params, T) == \
             pytest.approx(value, abs=1e-12)
-        assert exhaustive_policy_search(params, T, method="tensor") == \
+        assert exhaustive_policy_search(params, T) == \
             pytest.approx(value, abs=1e-12)
     for T in (5, 6):
         value = backward_recursion_reduced(params, T).optimal_value
-        assert exhaustive_policy_search(params, T, method="tensor") == \
+        assert exhaustive_policy_search(params, T) == \
             pytest.approx(value, abs=1e-12)
 
 
@@ -100,11 +101,9 @@ def test_route_caps_enforced():
     with pytest.raises(ValueError):
         backward_recursion_full(params, FULL_TREE_MAX_T + 1)
     with pytest.raises(ValueError):
-        exhaustive_policy_search(params, EXHAUSTIVE_ENGINE_MAX_T + 1, method="engine")
+        exhaustive_policy_search_engine(params, EXHAUSTIVE_ENGINE_MAX_T + 1)
     with pytest.raises(ValueError):
-        exhaustive_policy_search(params, EXHAUSTIVE_TENSOR_MAX_T + 1, method="tensor")
-    with pytest.raises(ValueError):
-        exhaustive_policy_search(params, 3, method="nope")
+        exhaustive_policy_search(params, EXHAUSTIVE_TENSOR_MAX_T + 1)
 
 
 # ---------------------------------------------------------------------------
