@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TextIO
 
 from . import __version__
 from . import cutoff as ca
@@ -162,7 +162,8 @@ def run_simulate(config: RunConfig, seed_override: Optional[int]) -> ResultTable
 OPTIMIZE_COLUMNS = ["policy", "e_ftilde", "e_x", "e_f"]
 
 
-def run_optimize(config: RunConfig) -> tuple[ResultTable, dict]:
+def run_optimize(config: RunConfig) -> tuple[ResultTable, Callable[[TextIO], None]]:
+    """The optimize table, and a writer of the optimal policy's JSON dump."""
     assert config.link is not None and config.horizon is not None
     link = config.link
     curve = _link_curve(link)
@@ -187,12 +188,31 @@ def run_optimize(config: RunConfig) -> tuple[ResultTable, dict]:
         table.append(f"cutoff({cut})", row.fidelity.e_ftilde, row.prob_active,
                      row.fidelity.e_f)
 
-    # the documented order: t ascending, then down, then active by age
+    return table, lambda handle: write_policy_json(handle, T, result)
+
+
+def write_policy_json(handle: TextIO, horizon: int,
+                      result: opt.OptimizationResult) -> None:
+    """Stream ``result``'s decisions over times 1..horizon to ``handle``.
+
+    The text equals ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``
+    byte for byte, where ``obj = {"horizon": horizon, "mode": result.mode,
+    "actions": [{"t", "x", "m", "action"}, ...]}`` lists the actions in the
+    documented order: t ascending, then down, then active by age.  Every
+    value but ``mode`` is an int, so each record is a fixed template, and
+    one chunk per decision time is written.
+    """
     decide = result.policy.decide_state
-    actions = [{"t": t, "x": x, "m": m, "action": int(decide(t, x, m))}
-               for t in range(1, T + 1) for x, m in opt.state_space(t)]
-    policy_dump = {"horizon": T, "mode": result.mode, "actions": actions}
-    return table, policy_dump
+    handle.write('{\n  "actions": [\n')
+    for t in range(1, horizon + 1):
+        if t > 1:
+            handle.write(",\n")
+        handle.write(",\n".join([
+            '    {\n      "action": %d,\n      "m": %d,\n      "t": %d,\n'
+            '      "x": %d\n    }' % (decide(t, x, m), m, t, x)
+            for x, m in opt.state_space(t)]))
+    handle.write('\n  ],\n  "horizon": %d,\n  "mode": %s\n}\n'
+                 % (horizon, json.dumps(result.mode)))
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +312,10 @@ def _resolve_threads(arg: Optional[int]) -> int:
     return 1
 
 
-def write_outputs(table: ResultTable, policy_dump: Optional[dict], out: str) -> None:
-    """Write the CSV, and the optimizer's ``<out>.policy.json``, atomically.
+def write_outputs(table: ResultTable,
+                  write_policy: Optional[Callable[[TextIO], None]], out: str) -> None:
+    """Write the CSV, and the optimizer's ``<out>.policy.json`` through
+    ``write_policy``, atomically.
 
     Each file is written in full under a temporary name in its own directory
     and then renamed over its target, so a failed run leaves no partial file.
@@ -302,12 +324,11 @@ def write_outputs(table: ResultTable, policy_dump: Optional[dict], out: str) -> 
     pending = [(f"{out}.{os.getpid()}.tmp", out)]
     try:
         write_result_table(table, pending[0][0])
-        if policy_dump is not None:
+        if write_policy is not None:
             policy = out + ".policy.json"
             pending.append((f"{policy}.{os.getpid()}.tmp", policy))
             with open(pending[-1][0], "w") as handle:
-                json.dump(policy_dump, handle, indent=2, sort_keys=True)
-                handle.write("\n")
+                write_policy(handle)
         for tmp, path in reversed(pending):
             os.replace(tmp, path)
     finally:
@@ -338,13 +359,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         threads = _resolve_threads(args.threads)
-        policy_dump = None
+        write_policy = None
         if config.mode == "analytic":
             table = run_analytic(config)
         elif config.mode == "simulate":
             table = run_simulate(config, args.seed)
         elif config.mode == "optimize":
-            table, policy_dump = run_optimize(config)
+            table, write_policy = run_optimize(config)
         elif config.mode == "sweep":
             table = run_sweep(config, threads)
         else:
@@ -360,7 +381,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_NUMERIC
 
     try:
-        write_outputs(table, policy_dump, args.out)
+        write_outputs(table, write_policy, args.out)
     except OSError as exc:
         print(f"qlink: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

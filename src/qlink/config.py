@@ -21,6 +21,8 @@ MODES = ("analytic", "simulate", "optimize", "sweep", "reproduce")
 FIGURES = ("fig4-left", "fig4-right", "fig5", "fig7", "fig8", "fig9")
 TOP_LEVEL_FIELDS = ("schema_version", "mode", "link", "times", "t_req", "seed",
                     "trials", "horizon", "sweep", "figure", "overrides")
+# fields that only one mode reads; any other mode rejects them
+MODE_FIELDS = {"figure": "reproduce", "overrides": "reproduce", "sweep": "sweep"}
 # the overrides each figure reads; any other override is a typo
 FIGURE_OVERRIDES = {
     "fig4-left": ("tstars", "t"),
@@ -185,6 +187,9 @@ def parse_config(doc: dict) -> RunConfig:
     mode = _require(doc, "mode", str)
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    for key, owner in MODE_FIELDS.items():
+        if key in doc and mode != owner:
+            raise ConfigError(f"field {key} is read only in mode {owner!r}")
 
     link = _parse_link(doc["link"]) if "link" in doc else None
     times = _parse_times(doc["times"], "times") if "times" in doc else ()

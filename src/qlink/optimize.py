@@ -72,13 +72,15 @@ def forward_greedy(params: LinkParams) -> Policy:
     """One-step-lookahead policy: request when down; when up, keep the link
     iff its next-step fidelity f_{m+1} still beats a fresh attempt p * f_0."""
     fcurve = params.fcurve
-    p = params.p
-    f0 = fcurve(0)
+    fresh = params.p * fcurve(0)
+    keep: dict[int, bool] = {}  # m -> f_{m+1} >= p * f_0, evaluated once per age
 
     def rule(t: int, x: int, m: int) -> float:
         if x == 0:
             return 1.0
-        return 0.0 if fcurve(m + 1) >= p * f0 else 1.0
+        if m not in keep:
+            keep[m] = fcurve(m + 1) >= fresh
+        return 0.0 if keep[m] else 1.0
 
     return Policy.from_state_rule(rule, "deterministic", "forward-greedy")
 

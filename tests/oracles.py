@@ -9,7 +9,9 @@ per-trial RNG streams.  The term-at-a-time lgamma evaluation of the cutoff
 binomial sums is kept as the reference the shared-series kernels in
 `qlink.cutoff` must equal under `==`.  The explicit-sum form of the memory
 time and the per-policy exhaustive search cross-check the engine's M(t)
-recursion and the optimizer.
+recursion and the optimizer.  The policy dump as a dict of action records
+is the reference the CLI's streamed ``.policy.json`` writer must equal
+once passed through ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from qlink.cutoff import Cutoff, CutoffLike
 from qlink.engine import History, LinkParams, Policy, SimulationResult, trial_rng
-from qlink.optimize import evaluate_policy
+from qlink.optimize import OptimizationResult, evaluate_policy, state_space
 
 
 def replay_cutoff_sequence(xs: tuple[int, ...], tstar: Union[int, float]
@@ -423,3 +425,16 @@ def exhaustive_policy_search_engine(params: LinkParams, T: int) -> float:
         if value > best:
             best = value
     return best
+
+
+# ---------------------------------------------------------------------------
+# the optimizer's policy dump as a dict
+# ---------------------------------------------------------------------------
+
+def policy_dump_dict(result: OptimizationResult, T: int) -> dict:
+    """The ``.policy.json`` object of ``qlink optimize``, one dict per action
+    in the documented order: t ascending, then down, then active by age."""
+    decide = result.policy.decide_state
+    actions = [{"t": t, "x": x, "m": m, "action": int(decide(t, x, m))}
+               for t in range(1, T + 1) for x, m in state_space(t)]
+    return {"horizon": T, "mode": result.mode, "actions": actions}

@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,8 @@ from qlink.csvio import ResultTable, config_hash, read_result_table, write_resul
 from qlink.cutoff import prob_active, waiting_time
 from qlink.engine import LinkParams
 from qlink.optimize import backward_recursion_reduced
+
+from oracles import policy_dump_dict
 
 
 def write_raw_config(tmp_path, data, name="config.json"):
@@ -235,16 +240,35 @@ def test_cli_optimize(tmp_path):
 ], ids=["constant", "depolarizing", "dephasing_bell"])
 def test_cli_policy_dump_matches_the_value_table(tmp_path, T, p, fidelity):
     """The dumped actions are the reduced recursion's table decisions, in
-    (t, x, m) order."""
+    (t, x, m) order, and the file is the oracle dict's ``json.dumps`` text."""
     doc = {"schema_version": 1, "mode": "optimize",
            "link": {"p": p, "tstar": 0, "fidelity": fidelity}, "horizon": T}
     assert main(["optimize", "--config", write_config(tmp_path, doc),
                  "--out", str(tmp_path / "opt.csv")]) == 0
-    dump = json.loads((tmp_path / "opt.csv.policy.json").read_text())
+    data = (tmp_path / "opt.csv.policy.json").read_bytes()
+    dump = json.loads(data)
     params = LinkParams.symbolic(p, parse_config(doc).link.fidelity.curve())
-    decisions = backward_recursion_reduced(params, T).table.decisions
+    result = backward_recursion_reduced(params, T)
     assert dump["actions"] == [{"t": t, "x": x, "m": m, "action": action}
-                               for (t, x, m), action in sorted(decisions.items())]
+                               for (t, x, m), action in sorted(result.table.decisions.items())]
+    oracle = json.dumps(policy_dump_dict(result, T), indent=2, sort_keys=True) + "\n"
+    assert data == oracle.encode()
+
+
+def test_cli_policy_dump_bytes_at_a_long_horizon(tmp_path):
+    """At T=500 the streamed dump is still the oracle dict's ``json.dumps``
+    text, byte for byte."""
+    T = 500
+    doc = {"schema_version": 1, "mode": "optimize",
+           "link": {"p": 0.5, "tstar": 0,
+                    "fidelity": {"kind": "dephasing_bell", "lam": 0.95}},
+           "horizon": T}
+    assert main(["optimize", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "opt.csv")]) == 0
+    params = LinkParams.symbolic(0.5, parse_config(doc).link.fidelity.curve())
+    result = backward_recursion_reduced(params, T, keep_table=False)
+    oracle = json.dumps(policy_dump_dict(result, T), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "opt.csv.policy.json").read_bytes() == oracle.encode()
 
 
 @pytest.mark.parametrize("value", ["full", "reduced"])
@@ -322,11 +346,11 @@ def test_cli_failed_write_keeps_previous_outputs(tmp_path, monkeypatch):
     out.write_text("old table\n")
     policy.write_text("old policy\n")
 
-    def failing_dump(obj, handle, **kwargs):
-        handle.write('{"horizon": ')
+    def failing_writer(handle, horizon, result):
+        handle.write('{\n  "actions": [\n    {\n      "action": ')
         raise OSError("disk full")
 
-    monkeypatch.setattr(cli.json, "dump", failing_dump)
+    monkeypatch.setattr(cli, "write_policy_json", failing_writer)
     assert main(["optimize", "--config", config, "--out", str(out)]) == 4
     assert out.read_text() == "old table\n"
     assert policy.read_text() == "old policy\n"
@@ -356,6 +380,16 @@ def _with(doc, path, value):
 
 FIG5_DOC = {"schema_version": 1, "mode": "reproduce", "figure": "fig5",
             "overrides": {"t_max": 5}}
+SWEEP_DOC = {"schema_version": 1, "mode": "sweep",
+             "link": {"p": 0.3, "tstar": 2}, "times": [1, 2],
+             "sweep": {"field": "p", "values": [0.5]}}
+
+
+def nested_overrides_config(depth):
+    """An ``analytic`` config whose ``overrides`` is ``depth`` nested lists."""
+    head = json.dumps({"schema_version": 1, "mode": "analytic",
+                       "link": {"p": 0.3, "tstar": 2}, "times": [1, 2]})
+    return (head[:-1] + ', "overrides": ' + "[" * depth + "]" * depth + "}").encode()
 
 
 @pytest.mark.parametrize("command, doc, code", [
@@ -370,9 +404,18 @@ FIG5_DOC = {"schema_version": 1, "mode": "reproduce", "figure": "fig5",
     ("analytic", None, 4),  # --config names a directory
     ("analytic", json.dumps(analytic_doc()).encode("utf-16"), 2),  # not UTF-8
     ("analytic", b"[" * 200_000, 2),
+    ("analytic", analytic_doc(figure="fig5"), 2),
+    ("optimize", {"schema_version": 1, "mode": "optimize", "horizon": 3,
+                  "link": {"p": 0.3, "tstar": 2, "fidelity": {"kind": "constant"}},
+                  "overrides": {}}, 2),
+    ("reproduce", dict(FIG5_DOC, sweep=SWEEP_DOC["sweep"]), 2),
+    ("sweep", dict(SWEEP_DOC, overrides={"t_max": 5}), 2),
+    ("analytic", nested_overrides_config(988), 2),
 ], ids=["dim-str", "dim-zero", "step-str", "t_max-str", "tstars-negative",
         "p-above-one", "unknown-top-level", "unknown-override", "config-dir",
-        "not-utf8", "deep-nesting"])
+        "not-utf8", "deep-nesting", "figure-outside-reproduce",
+        "overrides-outside-reproduce", "sweep-outside-sweep",
+        "overrides-in-sweep", "deep-overrides-outside-reproduce"])
 def test_cli_malformed_input_exit_codes(tmp_path, command, doc, code):
     """Malformed input ends in its documented exit code, never a traceback,
     and writes no output."""
@@ -385,3 +428,22 @@ def test_cli_malformed_input_exit_codes(tmp_path, command, doc, code):
     out = tmp_path / "o.csv"
     assert main([command, "--config", config, "--out", str(out)]) == code
     assert not out.exists()
+
+
+@pytest.mark.parametrize("depth", [988, 989])
+def test_cli_deep_stray_overrides_exit_2_in_a_fresh_process(tmp_path, depth):
+    """Overrides nested just shallower than the parser's limit load, but
+    would overflow the stack when hashed; ``analytic`` rejects the field
+    before that.  The window depends on the stack depth at the call, so the
+    CLI runs in its own process, as a user runs it."""
+    config = write_raw_config(tmp_path, nested_overrides_config(depth))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlink.cli", "analytic", "--config", config,
+         "--out", str(tmp_path / "o.csv")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o.csv").exists()

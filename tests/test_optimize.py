@@ -161,13 +161,20 @@ def test_optimum_dominates_baselines(p, lam):
             assert optimal >= value.e_ftilde - 1e-12
 
 
-def test_forward_greedy_rule():
+def test_forward_greedy_rule(monkeypatch):
     params = params_for(0.4)
+    evaluate = FidelityCurve.__call__
+    calls = []
+    monkeypatch.setattr(FidelityCurve, "__call__",
+                        lambda curve, m: calls.append(m) or evaluate(curve, m))
     rule = forward_greedy(params).decide_state
     assert rule(1, 0, -1) == 1.0
-    for m in range(10):
-        keep = CURVE(m + 1) >= 0.4 * CURVE(0)
-        assert rule(1, 1, m) == (0.0 if keep else 1.0)
+    for t in range(1, 12):
+        for m in range(10):
+            keep = evaluate(CURVE, m + 1) >= 0.4 * evaluate(CURVE, 0)
+            assert rule(t, 1, m) == (0.0 if keep else 1.0)
+    # f_0 when the rule is built, then f_{m+1} once per age, whatever t
+    assert sorted(calls) == list(range(11))
 
 
 # ---------------------------------------------------------------------------
