@@ -60,10 +60,7 @@ from .network import (
 from .optimize import (
     OptimizationResult,
     ValueTable,
-    backward_recursion_full,
     backward_recursion_reduced,
-    evaluate_policy,
-    exhaustive_policy_search,
     forward_greedy,
 )
 

@@ -79,7 +79,7 @@ WAITING_COLUMNS = ["p", "tstar", "t_req", "e_wait", "e_wait_limit"]
 def run_analytic(config: RunConfig) -> ResultTable:
     assert config.link is not None
     link = config.link
-    if config.t_req and not config.times:
+    if config.t_req:
         table = ResultTable(columns=list(WAITING_COLUMNS), rows=[],
                             metadata=_metadata(config))
         for t_req in config.t_req:

@@ -21,8 +21,18 @@ MODES = ("analytic", "simulate", "optimize", "sweep", "reproduce")
 FIGURES = ("fig4-left", "fig4-right", "fig5", "fig7", "fig8", "fig9")
 TOP_LEVEL_FIELDS = ("schema_version", "mode", "link", "times", "t_req", "seed",
                     "trials", "horizon", "sweep", "figure", "overrides")
-# fields that only one mode reads; any other mode rejects them
-MODE_FIELDS = {"figure": "reproduce", "overrides": "reproduce", "sweep": "sweep"}
+# the modes that read each optional top-level field; any other mode rejects it
+MODE_FIELDS = {
+    "link": ("analytic", "simulate", "optimize", "sweep"),
+    "times": ("analytic", "sweep"),
+    "t_req": ("analytic",),
+    "seed": ("simulate",),
+    "trials": ("simulate",),
+    "horizon": ("simulate", "optimize"),
+    "sweep": ("sweep",),
+    "figure": ("reproduce",),
+    "overrides": ("reproduce",),
+}
 # the overrides each figure reads; any other override is a typo
 FIGURE_OVERRIDES = {
     "fig4-left": ("tstars", "t"),
@@ -107,10 +117,9 @@ def _parse_int(value: Any, where: str, low: int) -> int:
 def _parse_prob(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field {where} must be a number in [0, 1]")
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
+    if not 0.0 <= value <= 1.0:  # before float(), which overflows on huge ints
         raise ConfigError(f"field {where} must be in [0, 1], got {value}")
-    return value
+    return float(value)
 
 
 def _parse_cutoff(value: Any, where: str) -> Cutoff:
@@ -187,9 +196,9 @@ def parse_config(doc: dict) -> RunConfig:
     mode = _require(doc, "mode", str)
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    for key, owner in MODE_FIELDS.items():
-        if key in doc and mode != owner:
-            raise ConfigError(f"field {key} is read only in mode {owner!r}")
+    for key, readers in MODE_FIELDS.items():
+        if key in doc and mode not in readers:
+            raise ConfigError(f"field {key} is not read in mode {mode!r}")
 
     link = _parse_link(doc["link"]) if "link" in doc else None
     times = _parse_times(doc["times"], "times") if "times" in doc else ()
@@ -258,8 +267,11 @@ def parse_config(doc: dict) -> RunConfig:
     # per-mode requirements
     if mode in ("analytic", "simulate", "optimize", "sweep") and link is None:
         raise ConfigError(f"mode {mode!r} requires a link section")
-    if mode in ("analytic", "sweep") and not times and not t_req:
-        raise ConfigError(f"mode {mode!r} requires a times grid (or t_req list)")
+    if mode == "analytic" and bool(times) == bool(t_req):
+        raise ConfigError("mode 'analytic' requires a times grid or a t_req list, "
+                          "not both")
+    if mode == "sweep" and not times:
+        raise ConfigError("mode 'sweep' requires a times grid")
     if mode == "simulate":
         if seed is None:
             raise ConfigError("mode 'simulate' requires a seed")

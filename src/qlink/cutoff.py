@@ -419,8 +419,6 @@ class SteadyState:
     joint_active_inf: dict[int, float]  # m -> lim Pr[M=m, X=1]
     joint_failed_inf: float             # lim Pr[M=t*, X=0]
     conditional_m_inf: Optional[float]  # lim Pr[M=m | X=1], uniform over m
-    failure_weight_inf: float
-    age_weights_inf: dict[int, float]
 
 
 def steady_state(tstar: CutoffLike, p: float) -> SteadyState:
@@ -430,8 +428,7 @@ def steady_state(tstar: CutoffLike, p: float) -> SteadyState:
         # the first established link is kept forever
         active = 1.0 if p > 0.0 else 0.0
         return SteadyState(prob_active_inf=active, joint_active_inf={},
-                           joint_failed_inf=1.0 - active, conditional_m_inf=None,
-                           failure_weight_inf=1.0 - active, age_weights_inf={})
+                           joint_failed_inf=1.0 - active, conditional_m_inf=None)
     ts = cut.finite_value
     denom = 1.0 + ts * p
     active = (ts + 1) * p / denom
@@ -440,8 +437,7 @@ def steady_state(tstar: CutoffLike, p: float) -> SteadyState:
     failed = (1.0 - p) / denom
     conditional = 1.0 / (ts + 1) if p > 0.0 else None
     return SteadyState(prob_active_inf=active, joint_active_inf=joint_active,
-                       joint_failed_inf=failed, conditional_m_inf=conditional,
-                       failure_weight_inf=failed, age_weights_inf=dict(joint_active))
+                       joint_failed_inf=failed, conditional_m_inf=conditional)
 
 
 def expected_fidelity_cutoff(t: int, tstar: CutoffLike, p: float,
@@ -610,47 +606,6 @@ def waiting_time(t_req: int, tstar: CutoffLike, p: float) -> WaitingTime:
 
     return WaitingTime(t_req=t_req, expectation=q / (p * (1.0 - p)), limit=limit,
                        pmf=pmf, total_mass=q / (1.0 - p))
-
-
-def simulate_waiting_time(t_req: int, tstar: CutoffLike, p: float,
-                          n_trials: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo estimate of the waiting-time expectation; returns (mean, SE).
-
-    Each trial simulates the always-on generation chain through t_req + 1;
-    if the link is down there, it keeps simulating requests until the next
-    success.  The per-trial statistic 1{down} * (attempts) / (1-p) is an
-    unbiased estimator of q * E[attempts] / (1-p) = q / (p (1-p)), the
-    analytic expectation above.
-    """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    _validate_p(p)
-    if p in (0.0, 1.0):
-        raise ValueError("Monte Carlo waiting time requires p in (0, 1)")
-    cut = Cutoff.parse(tstar)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
-    ts = None if cut.is_infinite else cut.finite_value
-
-    # vectorized over trials: one uniform per step of the length-(t_req+1) chain
-    n = n_trials
-    x = (rng.random(n) < p).astype(np.int64)
-    m = np.where(x == 1, 0, ts if ts is not None else -1)
-    for _ in range(t_req):
-        if ts is None:
-            request = x == 0
-        else:
-            request = (x == 0) | (m >= ts)
-        u = rng.random(n)
-        succ = request & (u < p)
-        failr = request & ~succ
-        m = np.where(succ, 0, np.where(failr, ts if ts is not None else -1, m + x))
-        x = np.where(succ, 1, np.where(failr, 0, x))
-    down = x == 0
-    attempts = rng.geometric(p, size=n)  # attempts until the next success
-    z = np.where(down, attempts, 0) / (1.0 - p)
-    mean = float(z.mean())
-    se = float(z.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
-    return mean, se
 
 
 # ---------------------------------------------------------------------------

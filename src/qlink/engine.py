@@ -240,33 +240,40 @@ def history_prob(history: History, policy: Policy, p: float) -> float:
     return prob
 
 
+def _supported_prefixes(p: float, policy: Policy, horizon: int
+                        ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int, int, float]]:
+    """Every history prefix of length 1..horizon with nonzero probability,
+    as (observations, actions, x, M, weight), depth first: each prefix
+    before its extensions, requests before waits, successes before
+    failures."""
+    # children are pushed in reverse, so they pop in the order above
+    stack = [((x1,), (), x1, x1 - 1, x_prob)
+             for x1, x_prob in ((0, 1.0 - p), (1, p)) if x_prob != 0.0]
+    while stack:
+        node = stack.pop()
+        yield node
+        xs, acts, x, m, weight = node
+        t = len(xs)
+        if t == horizon:
+            continue
+        pi1 = policy.action_prob(t, History(xs, acts))
+        if pi1 < 1.0:
+            stack.append((xs + (x,), acts + (0,), x, m + x, weight * (1.0 - pi1)))
+        if pi1 > 0.0:
+            for xn, x_prob in ((0, 1.0 - p), (1, p)):
+                if x_prob != 0.0:
+                    stack.append((xs + (xn,), acts + (1,), xn, xn - 1,
+                                  weight * pi1 * x_prob))
+
+
 def iter_supported_histories(p: float, policy: Policy, horizon: int
                              ) -> Iterator[tuple[History, float]]:
     """All length-`horizon` histories with nonzero probability, with weights."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-
-    def walk(xs: tuple[int, ...], acts: tuple[int, ...], weight: float
-             ) -> Iterator[tuple[History, float]]:
-        t = len(xs)
-        if t == horizon:
+    for xs, acts, _, _, weight in _supported_prefixes(p, policy, horizon):
+        if len(xs) == horizon:
             yield History(xs, acts), weight
-            return
-        pi1 = policy.action_prob(t, History(xs, acts))
-        for a, a_prob in ((1, pi1), (0, 1.0 - pi1)):
-            if a_prob == 0.0:
-                continue
-            if a == 1:
-                for x, x_prob in ((1, p), (0, 1.0 - p)):
-                    if x_prob == 0.0:
-                        continue
-                    yield from walk(xs + (x,), acts + (a,), weight * a_prob * x_prob)
-            else:
-                yield from walk(xs + (xs[-1],), acts + (a,), weight * a_prob)
-
-    for x1, x_prob in ((1, p), (0, 1.0 - p)):
-        if x_prob != 0.0:
-            yield from walk((x1,), (), x_prob)
 
 
 def evolve_exhaustive(params: LinkParams, policy: Policy, horizon: int
@@ -278,33 +285,14 @@ def evolve_exhaustive(params: LinkParams, policy: Policy, horizon: int
         warnings.warn(
             f"exhaustive evolution at horizon {horizon} may enumerate a very "
             f"large history support", RuntimeWarning, stacklevel=2)
-    p = params.p
     failure = [0.0] * (horizon + 1)
     ages: list[dict[int, float]] = [dict() for _ in range(horizon + 1)]
-
-    def record(t: int, x: int, m: int, weight: float) -> None:
+    for xs, _, x, m, weight in _supported_prefixes(params.p, policy, horizon):
+        t = len(xs)
         if x == 1:
             ages[t][m] = ages[t].get(m, 0.0) + weight
         else:
             failure[t] += weight
-
-    def walk(xs: tuple[int, ...], acts: tuple[int, ...], x: int, m: int,
-             weight: float) -> None:
-        t = len(xs)
-        record(t, x, m, weight)
-        if t == horizon:
-            return
-        pi1 = policy.action_prob(t, History(xs, acts))
-        if pi1 > 0.0:
-            for xn, x_prob in ((1, p), (0, 1.0 - p)):
-                if x_prob != 0.0:
-                    walk(xs + (xn,), acts + (1,), xn, xn - 1, weight * pi1 * x_prob)
-        if pi1 < 1.0:
-            walk(xs + (x,), acts + (0,), x, m + x, weight * (1.0 - pi1))
-
-    for x1, x_prob in ((1, p), (0, 1.0 - p)):
-        if x_prob != 0.0:
-            walk((x1,), (), x1, x1 - 1, x_prob)
 
     out = []
     for t in range(1, horizon + 1):

@@ -4,14 +4,12 @@ Horizon convention: ``T`` is the number of decision epochs.  Decisions are
 made at times 1..T and the fidelity reward X(T+1) * f_{M(T+1)} is granted at
 observation time T+1, so the optimized objective is E[F~(T+1)].
 
-Three routes to the optimum are provided and cross-checked in the tests:
-
-* ``backward_recursion_full`` -- the literal backward recursion over full
-  history trees (no state reduction), feasible for small T;
-* ``backward_recursion_reduced`` -- the same recursion keyed on the
-  (x, m) sufficient statistic, the one the CLI runs;
-* ``exhaustive_policy_search`` -- brute-force maximum over all deterministic
-  (t, x, m) -> action maps, an oracle independent of any Bellman argument.
+``backward_recursion_reduced`` finds the optimum by backward recursion keyed
+on the (x, m) sufficient statistic; ``evaluate_state_policy`` gives the exact
+link quantities of any (t, x, m)-feedback policy, such as the optimum or the
+``forward_greedy`` baseline.  The tests cross-check the recursion against the
+literal recursion over full history trees and a brute-force search over all
+deterministic (t, x, m) -> action maps, both kept in ``tests/oracles.py``.
 
 Ties in every argmax are broken toward action 0 (wait) so results are
 reproducible bit-for-bit.
@@ -19,17 +17,12 @@ reproducible bit-for-bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .engine import History, LinkParams, Policy, evolve_exhaustive, expected_quantities
-
-FULL_TREE_MAX_T = 14
-FULL_TREE_TABLE_MAX_T = 10
-EXHAUSTIVE_TENSOR_MAX_T = 6
+from .engine import LinkParams, Policy
 
 
 @dataclass
@@ -38,8 +31,8 @@ class ValueTable:
 
     ``values[key]`` holds the action value q_j(., a); ``decisions[key]``
     holds the chosen action.  Keys are (j, x, m, a) / (j, x, m) in reduced
-    mode and (observations, actions, a) / (observations, actions) in full
-    mode.  Values are conditional expectations of the terminal reward given
+    mode and (observations, actions, a) / (observations, actions) in the
+    full-tree mode of the tests' oracle.  Values are conditional expectations of the terminal reward given
     the keyed situation (the positive history weight common to both actions
     is factored out, which leaves every argmax unchanged).
     """
@@ -96,22 +89,13 @@ class PolicyEvaluation:
     e_f: Optional[float]
 
 
-def evaluate_policy(params: LinkParams, policy: Policy, t: int) -> PolicyEvaluation:
-    """Exact E[F~(t)], E[X(t)], E[F(t)] by exhaustive history enumeration."""
-    mixture = evolve_exhaustive(params, policy, t)[-1]
-    quantities = expected_quantities(mixture, params.fcurve)
-    return PolicyEvaluation(e_ftilde=quantities.e_ftilde,
-                            e_x=quantities.prob_active,
-                            e_f=quantities.e_f)
-
-
 def evaluate_state_policy(params: LinkParams, policy: Policy, t: int) -> PolicyEvaluation:
     """Exact link quantities at time t for a (t, x, m)-feedback policy.
 
     Propagates the occupation distribution over (x, m) states directly, so
     it stays exact at horizons where history enumeration is infeasible.
-    Requires ``policy.decide_state``; cross-checked against evaluate_policy
-    in the tests.
+    Requires ``policy.decide_state``; cross-checked against history
+    enumeration in the tests.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
@@ -140,74 +124,6 @@ def evaluate_state_policy(params: LinkParams, policy: Policy, t: int) -> PolicyE
     e_ftilde = float(sum(params.fcurve(m) * w for m, w in enumerate(active) if w))
     e_f = e_ftilde / e_x if e_x > 0.0 else None
     return PolicyEvaluation(e_ftilde=e_ftilde, e_x=e_x, e_f=e_f)
-
-
-# ---------------------------------------------------------------------------
-# full-history backward recursion
-# ---------------------------------------------------------------------------
-
-def backward_recursion_full(params: LinkParams, T: int,
-                            keep_table: Optional[bool] = None) -> OptimizationResult:
-    """Optimal E[F~(T+1)] by recursion over the full history tree.
-
-    The terminal action values at a history h^T are p * f_0 (request) and
-    x_T * f_{M(T)+1} (wait); interior values propagate by summing over the
-    next observation and maximizing over the next action.  No two histories
-    share state, so the tree is explored in full -- exponential in T, hence
-    the cap.
-    """
-    if T < 0:
-        raise ValueError(f"horizon must be >= 0, got {T}")
-    if T > FULL_TREE_MAX_T:
-        raise ValueError(f"full-tree mode is capped at T={FULL_TREE_MAX_T}, got {T}")
-    p = params.p
-    fcurve = params.fcurve
-    f0 = fcurve(0)
-    if keep_table is None:
-        keep_table = T <= FULL_TREE_TABLE_MAX_T
-    table = ValueTable(horizon=T, mode="full-tree", values={}, decisions={}) \
-        if keep_table else None
-
-    if T == 0:
-        # no decisions: the A(0) request alone
-        return OptimizationResult(optimal_value=p * f0, policy=None,
-                                  mode="full-tree", table=table)
-
-    def best(xs: tuple[int, ...], acts: tuple[int, ...], x: int, m: int
-             ) -> tuple[float, int]:
-        j = len(xs)
-        if j == T:
-            q_wait = fcurve(m + 1) if x == 1 else 0.0
-            q_req = p * f0
-        else:
-            q_wait = best(xs + (x,), acts + (0,), x, m + x)[0]
-            q_req = (p * best(xs + (1,), acts + (1,), 1, 0)[0]
-                     + (1.0 - p) * best(xs + (0,), acts + (1,), 0, -1)[0])
-        action = 0 if q_wait >= q_req else 1
-        value = q_wait if action == 0 else q_req
-        if table is not None:
-            table.values[(xs, acts, 0)] = q_wait
-            table.values[(xs, acts, 1)] = q_req
-            table.decisions[(xs, acts)] = action
-        return value, action
-
-    value = (p * best((1,), (), 1, 0)[0]
-             + (1.0 - p) * best((0,), (), 0, -1)[0])
-
-    policy = None
-    if table is not None:
-        decisions = table.decisions
-
-        def decide(t: int, history: History) -> float:
-            key = (history.observations, history.actions)
-            if key in decisions:
-                return float(decisions[key])
-            return 0.0  # beyond the horizon (or off-tree): wait
-
-        policy = Policy(decide=decide, kind="deterministic", label="optimal-full-tree")
-
-    return OptimizationResult(optimal_value=value, policy=policy,
-                              mode="full-tree", table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -281,62 +197,3 @@ def backward_recursion_reduced(params: LinkParams, T: int,
     return OptimizationResult(optimal_value=float(value), policy=policy,
                               mode="reduced", table=table)
 
-
-# ---------------------------------------------------------------------------
-# exhaustive oracle over (t, x, m) feedback policies
-# ---------------------------------------------------------------------------
-
-def exhaustive_policy_search(params: LinkParams, T: int) -> float:
-    """Maximum E[F~(T+1)] over every deterministic (t, x, m) -> action map.
-
-    All candidates are evaluated at once by propagating occupation
-    distributions for every decision-table prefix -- a brute-force maximum
-    over the full policy class, with the evaluation vectorized -- up to T=6
-    (~1.3e8 candidates).
-    """
-    if T < 1:
-        raise ValueError(f"horizon must be >= 1, got {T}")
-    if T > EXHAUSTIVE_TENSOR_MAX_T:
-        raise ValueError(f"exhaustive search is capped at T={EXHAUSTIVE_TENSOR_MAX_T}")
-    p = params.p
-    fcurve = params.fcurve
-
-    def step_tensor(j: int) -> np.ndarray:
-        """shape (2^(j+1), j+1, j+2): transition rows for every action
-        assignment over the time-j states."""
-        states = state_space(j)
-        n_states = len(states)
-        rows = np.zeros((2, n_states, n_states + 1))
-        for i, (x, m) in enumerate(states):
-            # action 0: wait
-            if x == 0:
-                rows[0, i, 0] = 1.0
-            else:
-                rows[0, i, 2 + m] = 1.0  # (1, m) -> (1, m+1)
-            # action 1: request
-            rows[1, i, 0] = 1.0 - p
-            rows[1, i, 1] = p  # fresh (1, 0)
-        out = np.zeros((2 ** n_states, n_states, n_states + 1))
-        for code in range(2 ** n_states):
-            for i in range(n_states):
-                out[code, i] = rows[(code >> i) & 1, i]
-        return out
-
-    dist = np.array([[1.0 - p, p]])  # over state_space(1)
-    for j in range(1, T):
-        tensor = step_tensor(j)
-        dist = np.einsum("ns,ast->nat", dist, tensor).reshape(-1, j + 2)
-
-    # terminal values per final-step assignment: shape (2^(T+1), T+1)
-    final = np.einsum("ast,t->as", step_tensor(T), _terminal_reward(fcurve, T))
-    best = -math.inf
-    chunk = 1 << 14
-    for start in range(0, dist.shape[0], chunk):
-        block = dist[start: start + chunk] @ final.T
-        best = max(best, float(block.max()))
-    return best
-
-
-def _terminal_reward(fcurve: Callable[[int], float], T: int) -> np.ndarray:
-    """Reward at observation time T+1 over state_space(T+1)."""
-    return np.array([0.0] + [fcurve(m) for m in range(T + 1)])

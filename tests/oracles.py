@@ -8,10 +8,15 @@ engine's vectorized simulator; it shares only the engine's types and its
 per-trial RNG streams.  The term-at-a-time lgamma evaluation of the cutoff
 binomial sums is kept as the reference the shared-series kernels in
 `qlink.cutoff` must equal under `==`.  The explicit-sum form of the memory
-time and the per-policy exhaustive search cross-check the engine's M(t)
-recursion and the optimizer.  The policy dump as a dict of action records
-is the reference the CLI's streamed ``.policy.json`` writer must equal
-once passed through ``json.dumps``.
+time cross-checks the engine's M(t) recursion.  The optimizer's reduced
+(x, m) recursion is cross-checked against policy evaluation by history
+enumeration, the literal recursion over full history trees, and two
+brute-force searches over every deterministic (t, x, m) -> action map: one
+vectorized over all candidates, one evaluating each candidate by history
+enumeration.  A second Monte Carlo chain checks the waiting-time closed
+form.  The policy dump as a dict of action records is the reference the
+CLI's streamed ``.policy.json`` writer must equal once passed through
+``json.dumps``.
 """
 
 from __future__ import annotations
@@ -24,8 +29,10 @@ from typing import Callable, Iterator, Optional, Union
 import numpy as np
 
 from qlink.cutoff import Cutoff, CutoffLike
-from qlink.engine import History, LinkParams, Policy, SimulationResult, trial_rng
-from qlink.optimize import OptimizationResult, evaluate_policy, state_space
+from qlink.engine import (History, LinkParams, Policy, SimulationResult,
+                          evolve_exhaustive, expected_quantities, trial_rng)
+from qlink.optimize import (OptimizationResult, PolicyEvaluation, ValueTable,
+                            state_space)
 
 
 def replay_cutoff_sequence(xs: tuple[int, ...], tstar: Union[int, float]
@@ -383,6 +390,191 @@ def memory_time_explicit(history: History) -> int:
             continue
         total += sum(xs[j - 1:]) - 1
     return total
+
+
+# ---------------------------------------------------------------------------
+# the optimizer's cross-check routes: history enumeration, the full history
+# tree and the brute-force search over (t, x, m) feedback policies
+# ---------------------------------------------------------------------------
+
+FULL_TREE_MAX_T = 14
+FULL_TREE_TABLE_MAX_T = 10
+EXHAUSTIVE_TENSOR_MAX_T = 6
+
+
+def evaluate_policy(params: LinkParams, policy: Policy, t: int) -> PolicyEvaluation:
+    """Exact E[F~(t)], E[X(t)], E[F(t)] by exhaustive history enumeration."""
+    mixture = evolve_exhaustive(params, policy, t)[-1]
+    quantities = expected_quantities(mixture, params.fcurve)
+    return PolicyEvaluation(e_ftilde=quantities.e_ftilde,
+                            e_x=quantities.prob_active,
+                            e_f=quantities.e_f)
+
+
+def backward_recursion_full(params: LinkParams, T: int,
+                            keep_table: Optional[bool] = None) -> OptimizationResult:
+    """Optimal E[F~(T+1)] by recursion over the full history tree.
+
+    The terminal action values at a history h^T are p * f_0 (request) and
+    x_T * f_{M(T)+1} (wait); interior values propagate by summing over the
+    next observation and maximizing over the next action.  No two histories
+    share state, so the tree is explored in full -- exponential in T, hence
+    the cap.
+    """
+    if T < 0:
+        raise ValueError(f"horizon must be >= 0, got {T}")
+    if T > FULL_TREE_MAX_T:
+        raise ValueError(f"full-tree mode is capped at T={FULL_TREE_MAX_T}, got {T}")
+    p = params.p
+    fcurve = params.fcurve
+    f0 = fcurve(0)
+    if keep_table is None:
+        keep_table = T <= FULL_TREE_TABLE_MAX_T
+    table = ValueTable(horizon=T, mode="full-tree", values={}, decisions={}) \
+        if keep_table else None
+
+    if T == 0:
+        # no decisions: the A(0) request alone
+        return OptimizationResult(optimal_value=p * f0, policy=None,
+                                  mode="full-tree", table=table)
+
+    def best(xs: tuple[int, ...], acts: tuple[int, ...], x: int, m: int
+             ) -> tuple[float, int]:
+        j = len(xs)
+        if j == T:
+            q_wait = fcurve(m + 1) if x == 1 else 0.0
+            q_req = p * f0
+        else:
+            q_wait = best(xs + (x,), acts + (0,), x, m + x)[0]
+            q_req = (p * best(xs + (1,), acts + (1,), 1, 0)[0]
+                     + (1.0 - p) * best(xs + (0,), acts + (1,), 0, -1)[0])
+        action = 0 if q_wait >= q_req else 1
+        value = q_wait if action == 0 else q_req
+        if table is not None:
+            table.values[(xs, acts, 0)] = q_wait
+            table.values[(xs, acts, 1)] = q_req
+            table.decisions[(xs, acts)] = action
+        return value, action
+
+    value = (p * best((1,), (), 1, 0)[0]
+             + (1.0 - p) * best((0,), (), 0, -1)[0])
+
+    policy = None
+    if table is not None:
+        decisions = table.decisions
+
+        def decide(t: int, history: History) -> float:
+            key = (history.observations, history.actions)
+            if key in decisions:
+                return float(decisions[key])
+            return 0.0  # beyond the horizon (or off-tree): wait
+
+        policy = Policy(decide=decide, kind="deterministic", label="optimal-full-tree")
+
+    return OptimizationResult(optimal_value=value, policy=policy,
+                              mode="full-tree", table=table)
+
+
+
+def exhaustive_policy_search(params: LinkParams, T: int) -> float:
+    """Maximum E[F~(T+1)] over every deterministic (t, x, m) -> action map.
+
+    All candidates are evaluated at once by propagating occupation
+    distributions for every decision-table prefix -- a brute-force maximum
+    over the full policy class, with the evaluation vectorized -- up to T=6
+    (~1.3e8 candidates).
+    """
+    if T < 1:
+        raise ValueError(f"horizon must be >= 1, got {T}")
+    if T > EXHAUSTIVE_TENSOR_MAX_T:
+        raise ValueError(f"exhaustive search is capped at T={EXHAUSTIVE_TENSOR_MAX_T}")
+    p = params.p
+    fcurve = params.fcurve
+
+    def step_tensor(j: int) -> np.ndarray:
+        """shape (2^(j+1), j+1, j+2): transition rows for every action
+        assignment over the time-j states."""
+        states = state_space(j)
+        n_states = len(states)
+        rows = np.zeros((2, n_states, n_states + 1))
+        for i, (x, m) in enumerate(states):
+            # action 0: wait
+            if x == 0:
+                rows[0, i, 0] = 1.0
+            else:
+                rows[0, i, 2 + m] = 1.0  # (1, m) -> (1, m+1)
+            # action 1: request
+            rows[1, i, 0] = 1.0 - p
+            rows[1, i, 1] = p  # fresh (1, 0)
+        out = np.zeros((2 ** n_states, n_states, n_states + 1))
+        for code in range(2 ** n_states):
+            for i in range(n_states):
+                out[code, i] = rows[(code >> i) & 1, i]
+        return out
+
+    dist = np.array([[1.0 - p, p]])  # over state_space(1)
+    for j in range(1, T):
+        tensor = step_tensor(j)
+        dist = np.einsum("ns,ast->nat", dist, tensor).reshape(-1, j + 2)
+
+    # terminal values per final-step assignment: shape (2^(T+1), T+1)
+    final = np.einsum("ast,t->as", step_tensor(T), _terminal_reward(fcurve, T))
+    best = -math.inf
+    chunk = 1 << 14
+    for start in range(0, dist.shape[0], chunk):
+        block = dist[start: start + chunk] @ final.T
+        best = max(best, float(block.max()))
+    return best
+
+
+def _terminal_reward(fcurve: Callable[[int], float], T: int) -> np.ndarray:
+    """Reward at observation time T+1 over state_space(T+1)."""
+    return np.array([0.0] + [fcurve(m) for m in range(T + 1)])
+
+
+# ---------------------------------------------------------------------------
+# the waiting time by Monte Carlo
+# ---------------------------------------------------------------------------
+
+def simulate_waiting_time(t_req: int, tstar: CutoffLike, p: float,
+                          n_trials: int, seed: int) -> tuple[float, float]:
+    """Monte Carlo estimate of the waiting-time expectation; returns (mean, SE).
+
+    Each trial simulates the always-on generation chain through t_req + 1;
+    if the link is down there, it keeps simulating requests until the next
+    success.  The per-trial statistic 1{down} * (attempts) / (1-p) is an
+    unbiased estimator of q * E[attempts] / (1-p) = q / (p (1-p)), the
+    analytic expectation above.
+    """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    _validate_p(p)
+    if p in (0.0, 1.0):
+        raise ValueError("Monte Carlo waiting time requires p in (0, 1)")
+    cut = Cutoff.parse(tstar)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
+    ts = None if cut.is_infinite else cut.finite_value
+
+    # vectorized over trials: one uniform per step of the length-(t_req+1) chain
+    n = n_trials
+    x = (rng.random(n) < p).astype(np.int64)
+    m = np.where(x == 1, 0, ts if ts is not None else -1)
+    for _ in range(t_req):
+        if ts is None:
+            request = x == 0
+        else:
+            request = (x == 0) | (m >= ts)
+        u = rng.random(n)
+        succ = request & (u < p)
+        failr = request & ~succ
+        m = np.where(succ, 0, np.where(failr, ts if ts is not None else -1, m + x))
+        x = np.where(succ, 1, np.where(failr, 0, x))
+    down = x == 0
+    attempts = rng.geometric(p, size=n)  # attempts until the next success
+    z = np.where(down, attempts, 0) / (1.0 - p)
+    mean = float(z.mean())
+    se = float(z.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
+    return mean, se
 
 
 # ---------------------------------------------------------------------------

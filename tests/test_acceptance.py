@@ -27,7 +27,6 @@ from qlink.cutoff import (
     memory_time_cutoff,
     prob_active,
     sequence_stats,
-    simulate_waiting_time,
     transition_matrix,
     waiting_time,
 )
@@ -50,7 +49,13 @@ from qlink.quantum import (
     preset_state,
 )
 
-from oracles import enumerate_supported, exhaustive_policy_search_engine
+from oracles import (
+    backward_recursion_full,
+    enumerate_supported,
+    exhaustive_policy_search,
+    exhaustive_policy_search_engine,
+    simulate_waiting_time,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -277,14 +282,14 @@ def test_criterion_08a_full_tree_equals_reduced():
         for lam in LAM_GRID:
             params = _opt_params(p, lam)
             for T in range(0, 9):
-                full = opt.backward_recursion_full(params, T).optimal_value
+                full = backward_recursion_full(params, T).optimal_value
                 reduced = opt.backward_recursion_reduced(params, T).optimal_value
                 assert abs(full - reduced) <= 1e-12
     # spot checks at the cap (full grid at T = 14 would blow the time budget)
     for (p, lam) in ((0.3, 0.8), (0.7, 0.95)):
         params = _opt_params(p, lam)
         for T in (12, 14):
-            full = opt.backward_recursion_full(params, T, keep_table=False)
+            full = backward_recursion_full(params, T, keep_table=False)
             reduced = opt.backward_recursion_reduced(params, T, keep_table=False)
             assert abs(full.optimal_value - reduced.optimal_value) <= 1e-12
 
@@ -294,7 +299,7 @@ def test_criterion_08b_exhaustive_search_equals_reduced():
         params = _opt_params(p, lam)
         for T in range(1, 7):
             reduced = opt.backward_recursion_reduced(params, T).optimal_value
-            search = opt.exhaustive_policy_search(params, T)
+            search = exhaustive_policy_search(params, T)
             assert abs(search - reduced) <= 1e-10
     # the literal per-policy engine evaluation, where feasible
     params = _opt_params(0.45, 0.7)

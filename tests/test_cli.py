@@ -5,9 +5,11 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlink import cli
 from qlink.cli import main
@@ -383,6 +385,10 @@ FIG5_DOC = {"schema_version": 1, "mode": "reproduce", "figure": "fig5",
 SWEEP_DOC = {"schema_version": 1, "mode": "sweep",
              "link": {"p": 0.3, "tstar": 2}, "times": [1, 2],
              "sweep": {"field": "p", "values": [0.5]}}
+OPTIMIZE_DOC = {"schema_version": 1, "mode": "optimize", "horizon": 3,
+                "link": {"p": 0.3, "tstar": 2, "fidelity": {"kind": "constant"}}}
+SIMULATE_DOC = {"schema_version": 1, "mode": "simulate", "horizon": 3,
+                "trials": 5, "seed": 1, "link": {"p": 0.3, "tstar": 2}}
 
 
 def nested_overrides_config(depth):
@@ -405,17 +411,36 @@ def nested_overrides_config(depth):
     ("analytic", json.dumps(analytic_doc()).encode("utf-16"), 2),  # not UTF-8
     ("analytic", b"[" * 200_000, 2),
     ("analytic", analytic_doc(figure="fig5"), 2),
-    ("optimize", {"schema_version": 1, "mode": "optimize", "horizon": 3,
-                  "link": {"p": 0.3, "tstar": 2, "fidelity": {"kind": "constant"}},
-                  "overrides": {}}, 2),
+    ("optimize", dict(OPTIMIZE_DOC, overrides={}), 2),
     ("reproduce", dict(FIG5_DOC, sweep=SWEEP_DOC["sweep"]), 2),
     ("sweep", dict(SWEEP_DOC, overrides={"t_max": 5}), 2),
     ("analytic", nested_overrides_config(988), 2),
+    ("optimize", dict(OPTIMIZE_DOC, times=[1, 2]), 2),
+    ("optimize", dict(OPTIMIZE_DOC, seed=1), 2),
+    ("optimize", dict(OPTIMIZE_DOC, trials=5), 2),
+    ("analytic", analytic_doc(horizon=3), 2),
+    ("analytic", analytic_doc(trials=5), 2),
+    ("analytic", analytic_doc(seed=1), 2),
+    ("reproduce", dict(FIG5_DOC, link=SWEEP_DOC["link"]), 2),
+    ("reproduce", dict(FIG5_DOC, times=[1, 2]), 2),
+    ("reproduce", dict(FIG5_DOC, horizon=3), 2),
+    ("simulate", dict(SIMULATE_DOC, times=[1, 2]), 2),
+    ("simulate", dict(SIMULATE_DOC, t_req=[0, 1]), 2),
+    ("analytic", analytic_doc(t_req=[0, 1]), 2),
+    ("sweep", {key: value for key, value in dict(SWEEP_DOC, t_req=[0, 1]).items()
+               if key != "times"}, 2),
+    ("analytic", _with(analytic_doc(), "link.p", 10 ** 400), 2),
+    ("reproduce", _with(FIG5_DOC, "overrides.p", 10 ** 400), 2),
 ], ids=["dim-str", "dim-zero", "step-str", "t_max-str", "tstars-negative",
         "p-above-one", "unknown-top-level", "unknown-override", "config-dir",
         "not-utf8", "deep-nesting", "figure-outside-reproduce",
         "overrides-outside-reproduce", "sweep-outside-sweep",
-        "overrides-in-sweep", "deep-overrides-outside-reproduce"])
+        "overrides-in-sweep", "deep-overrides-outside-reproduce",
+        "times-in-optimize", "seed-in-optimize", "trials-in-optimize",
+        "horizon-in-analytic", "trials-in-analytic", "seed-in-analytic",
+        "link-in-reproduce", "times-in-reproduce", "horizon-in-reproduce",
+        "times-in-simulate", "t_req-in-simulate", "times-and-t_req-in-analytic",
+        "t_req-without-times-in-sweep", "p-huge-int", "override-p-huge-int"])
 def test_cli_malformed_input_exit_codes(tmp_path, command, doc, code):
     """Malformed input ends in its documented exit code, never a traceback,
     and writes no output."""
@@ -447,3 +472,117 @@ def test_cli_deep_stray_overrides_exit_2_in_a_fresh_process(tmp_path, depth):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "o.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under mutated configs
+# ---------------------------------------------------------------------------
+
+def _figure_doc(figure, **overrides):
+    return {"schema_version": 1, "mode": "reproduce", "figure": figure,
+            "overrides": overrides}
+
+
+VALID_DOCS = [
+    analytic_doc(),
+    {"schema_version": 1, "mode": "analytic", "link": {"p": 0.3, "tstar": 5},
+     "t_req": [0, 3, 7]},
+    dict(SIMULATE_DOC, link={"p": 0.4, "tstar": "inf",
+                             "fidelity": {"kind": "dephasing_bell", "lam": 0.9}}),
+    OPTIMIZE_DOC,
+    SWEEP_DOC,
+    dict(SWEEP_DOC, sweep={"field": "tstar", "values": [0, 3, "inf"]}),
+    _figure_doc("fig4-left", t=5, tstars=[0, "inf"]),
+    _figure_doc("fig4-right", t_max=5),
+    FIG5_DOC,
+    _figure_doc("fig7", t_req_max=5, p=0.6),
+    _figure_doc("fig8", t=5, cutoffs=[1, 2]),
+    _figure_doc("fig9", t=5),
+]
+# fields whose size sets the run time, and the largest value a mutation
+# gives them, so that no example runs long or exhausts memory
+SIZE_CAPS = {"horizon": 40, "trials": 20, "times": 200, "start": 200,
+             "stop": 200, "t_req": 200, "t": 200, "t_max": 200, "t_req_max": 200}
+HUGE = [2 ** 31, 2 ** 63, 10 ** 30, 10 ** 400]
+ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.sampled_from(["inf", "Infinity", "soon", "", "fig5", "p", "tstar"]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.integers(-2, 5), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 5), max_size=2))
+
+
+def _paths(node, prefix=()):
+    """The path to every value below ``node``, through keys and indices."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _number_for(path):
+    """Out-of-range or huge numbers, below the cap of a size field."""
+    caps = [SIZE_CAPS[key] for key in path if key in SIZE_CAPS]
+    if caps:
+        return st.one_of(st.integers(-3, min(caps)),
+                         st.sampled_from([-n for n in HUGE]))
+    return st.one_of(st.integers(-3, 50), st.floats(-2.0, 2.0),
+                     st.sampled_from(HUGE + [-n for n in HUGE]),
+                     st.sampled_from([1e308, -1e308, math.inf, -math.inf, math.nan]))
+
+
+def _mutate(doc, data):
+    """Apply one drop, retype, misspelling, stray field or numeric change."""
+    paths = list(_paths(doc))
+    kind = data.draw(st.sampled_from(["drop", "retype", "misspell", "stray",
+                                      "number"]))
+    if kind == "stray":
+        donor = data.draw(st.sampled_from(VALID_DOCS))
+        key = data.draw(st.sampled_from(sorted(donor)))
+        doc[key] = json.loads(json.dumps(donor[key]))
+        return
+    if not paths:
+        return
+    path = data.draw(st.sampled_from(paths))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    last = path[-1]
+    if kind == "drop":
+        del parent[last]
+    elif kind == "retype":
+        parent[last] = data.draw(ODD_VALUES)
+    elif kind == "number":
+        parent[last] = data.draw(_number_for(path))
+    elif isinstance(last, str):  # misspell a key
+        spelling = data.draw(st.sampled_from([last + "s", last[:-1], last.upper(),
+                                              last.replace("_", "-")]))
+        parent[spelling] = parent.pop(last)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_cli_exit_codes_hold_for_mutated_configs(data):
+    """Whatever is dropped, retyped, misspelled, added or pushed out of range,
+    the CLI returns a documented exit code, raises nothing, and leaves no
+    output behind a failure."""
+    base = data.draw(st.sampled_from(VALID_DOCS))
+    doc = json.loads(json.dumps(base))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(doc, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w") as handle:
+            json.dump(doc, handle)
+        out = os.path.join(tmp, "out.csv")
+        code = main([base["mode"], "--config", config, "--out", out])
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            assert os.path.exists(out)
+        else:
+            assert os.listdir(tmp) == ["config.json"]

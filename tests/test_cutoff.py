@@ -25,7 +25,6 @@ from qlink.cutoff import (
     memory_time_cutoff,
     prob_active,
     sequence_stats,
-    simulate_waiting_time,
     steady_fidelity_cutoff,
     steady_state,
     success_rate_limits,
@@ -43,6 +42,7 @@ from oracles import (
     expected_success_rate_lgamma,
     joint_prob_lgamma,
     prob_active_lgamma,
+    simulate_waiting_time,
 )
 
 TSTARS = [0, 1, 2, 3, 5, math.inf]

@@ -7,18 +7,21 @@ import pytest
 from qlink.cutoff import cutoff_policy
 from qlink.engine import LinkParams, Policy
 from qlink.optimize import (
-    EXHAUSTIVE_TENSOR_MAX_T,
-    FULL_TREE_MAX_T,
-    backward_recursion_full,
     backward_recursion_reduced,
-    evaluate_policy,
     evaluate_state_policy,
-    exhaustive_policy_search,
     forward_greedy,
 )
 from qlink.quantum import FidelityCurve
 
-from oracles import EXHAUSTIVE_ENGINE_MAX_T, exhaustive_policy_search_engine
+from oracles import (
+    EXHAUSTIVE_ENGINE_MAX_T,
+    EXHAUSTIVE_TENSOR_MAX_T,
+    FULL_TREE_MAX_T,
+    backward_recursion_full,
+    evaluate_policy,
+    exhaustive_policy_search,
+    exhaustive_policy_search_engine,
+)
 
 CURVE = FidelityCurve.depolarizing(1.0, 0.8, 4)
 
