@@ -33,6 +33,7 @@ from .cutoff import (
     cutoff_policy,
     expected_fidelity_cutoff,
     expected_success_rate,
+    expected_success_rates,
     history_prob_cutoff,
     hyp2f1_series,
     joint_prob,

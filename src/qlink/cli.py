@@ -4,10 +4,12 @@
           [--seed N] [--threads N]
 
 All commands read a JSON RunConfig, write one CSV ResultTable with a '#'
-metadata header, and are deterministic given (config, seed).  Exit codes:
-0 success, 2 config error (an unknown field included), 3 numeric error,
-4 I/O error.  ``optimize`` always runs the reduced (x, m) backward recursion
-and also writes ``<out>.policy.json``.
+metadata header, and are deterministic given (config, seed).  ``--seed`` is
+read by ``simulate`` only; ``--threads``, and the QLINK_THREADS environment
+variable, by ``sweep`` only.  Exit codes: 0 success, 2 config error (an
+unknown field, or a flag the command does not read, included), 3 numeric
+error, 4 I/O error.  ``optimize`` always runs the reduced (x, m) backward
+recursion and also writes ``<out>.policy.json``.
 """
 
 from __future__ import annotations
@@ -63,12 +65,11 @@ def _metadata(config: RunConfig, seed: Optional[int] = None) -> dict[str, str]:
 
 def _analytic_rows(link: LinkSpec, times: Sequence[int]) -> list[tuple]:
     rows = []
-    for row in ca.active_rows(times, link.tstar, link.p, _link_curve(link)):
-        e_s = ca.expected_success_rate(row.t, link.tstar, link.p)
+    for row in ca.active_rows(times, link.tstar, link.p, _link_curve(link), success=True):
         fid = row.fidelity
         e_ftilde, e_f = (fid.e_ftilde, fid.e_f) if fid is not None else (None, None)
         rows.append((link.p, _tstar_cell(link.tstar), row.t, row.prob_active,
-                     e_ftilde, e_f, e_s))
+                     e_ftilde, e_f, row.success_rate))
     return rows
 
 
@@ -255,9 +256,8 @@ def reproduce_figure(figure: str, overrides: Optional[dict] = None) -> ResultTab
         times = range(1, ov.get("t_max", 100) + 1)
         table = ResultTable(columns=["tstar", "t", "e_s"], rows=[])
         for cut in tstars:
-            for t in times:
-                table.append(_tstar_cell(cut), t,
-                             ca.expected_success_rate(t, cut, p))
+            for t, e_s in zip(times, ca.expected_success_rates(times, cut, p)):
+                table.append(_tstar_cell(cut), t, e_s)
         return table
     if figure == "fig7":
         t_reqs = range(0, ov.get("t_req_max", 100) + 1)
@@ -299,6 +299,16 @@ def run_reproduce(config: RunConfig) -> ResultTable:
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+def _check_flags(args: argparse.Namespace, mode: str) -> None:
+    """Reject a flag, or QLINK_THREADS, that ``mode`` does not read."""
+    if args.seed is not None and mode != "simulate":
+        raise ConfigError(f"--seed is read only by simulate, not by {mode}")
+    if args.threads is not None and mode != "sweep":
+        raise ConfigError(f"--threads is read only by sweep, not by {mode}")
+    if os.environ.get("QLINK_THREADS") and mode != "sweep":
+        raise ConfigError(f"QLINK_THREADS is read only by sweep, not by {mode}")
+
 
 def _resolve_threads(arg: Optional[int]) -> int:
     if arg is not None:
@@ -356,9 +366,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if config.mode != args.command:
             raise ConfigError(
                 f"config mode {config.mode!r} does not match command {args.command!r}")
+        _check_flags(args, config.mode)
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
-        threads = _resolve_threads(args.threads)
         write_policy = None
         if config.mode == "analytic":
             table = run_analytic(config)
@@ -367,7 +377,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif config.mode == "optimize":
             table, write_policy = run_optimize(config)
         elif config.mode == "sweep":
-            table = run_sweep(config, threads)
+            table = run_sweep(config, _resolve_threads(args.threads))
         else:
             table = run_reproduce(config)
     except ConfigError as exc:

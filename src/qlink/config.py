@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .cutoff import Cutoff
-from .quantum import FidelityCurve
+from .quantum import MAX_DIM, FidelityCurve
 
 SCHEMA_VERSION = 1
 
@@ -108,9 +108,11 @@ def _check_fields(doc: dict, allowed, where: str = "") -> None:
             raise ConfigError(f"unknown field {where}{key}")
 
 
-def _parse_int(value: Any, where: str, low: int) -> int:
+def _parse_int(value: Any, where: str, low: int, high: Optional[int] = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < low:
         raise ConfigError(f"field {where} must be an integer >= {low}")
+    if high is not None and value > high:
+        raise ConfigError(f"field {where} must be an integer in [{low}, {high}]")
     return value
 
 
@@ -167,7 +169,7 @@ def _parse_fidelity(doc: Any, where: str) -> FidelitySpec:
         kind=kind,
         f0=_parse_prob(doc.get("f0", 1.0), where + ".f0"),
         lam=_parse_prob(doc.get("lam", 1.0), where + ".lam"),
-        dim=_parse_int(doc.get("dim", 4), where + ".dim", 1),
+        dim=_parse_int(doc.get("dim", 4), where + ".dim", 1, MAX_DIM),
     )
     spec.curve()  # validates kind/parameters
     return spec

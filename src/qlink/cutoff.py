@@ -18,24 +18,38 @@ for the single sequence
 
     g(u) = sum_{b=0}^{(u-1)//(t*+1)} C(u-1-b t*, b) p^(b+1) (1-p)^(u-1-b(t*+1)),
 
-and the row at time t is g(t), g(t-1), ..., g(t-t*).  `active_rows`
-evaluates g once per (t*, p) series, only at the u its times need.
+and the row at time t is g(t), g(t-1), ..., g(t-t*).  The k-terms of
+E[S(t)] are g's terms at u = t-k+1 times a weight.  `_binomial_sums`
+evaluates both sums for a whole (t*, p) series in b-rows of terms (b
+counts completed blocks), only at the u and t the series needs, several
+rows per numpy call where the window is narrow.
 
 Summation order.  The values are bit-identical to adding the terms one at a
-time, and the CSV goldens rely on that: each term is exp(log C + succ log p
-+ fail log(1-p)) with log C = lgamma(n+1) - lgamma(b+1) - lgamma(n-b+1),
-added left to right in exactly that order; g(u) and the other binomial sums
-add their terms in increasing b with `+=` from 0.0; a row and E[F~] are
-added with `sum()` in increasing m.  Swapping `+=` and `sum()` changes the
-last bits (from Python 3.12, `sum()` of floats is compensated), and so does
-numpy: `np.exp` is not `math.exp`.
+time, and the CSV goldens rely on that.  Each term is exp(log C + succ log p
++ fail log(1-p)) with log C = lgamma(n+1) - lgamma(b+1) - lgamma(n-b+1).
+numpy forms the logs of the terms with the same IEEE operations in that
+order (adding fail log(1-p) for fail = 0 adds -0.0, which changes nothing);
+`math.exp` is applied to each log on its own, never `np.exp`, whose last
+bit differs.  Each sum starts at 0.0 and takes its terms one addition at a
+time, as a numpy `+=` per row or, down a block with more rows than
+columns, as Python float `+`, the same IEEE addition: b outer; within b,
+E[S]'s trailing-zero term (0.0 for b = 0), then its k = 1..t*+1 terms,
+each weight formed before it multiplies its term.  Adding 0.0 changes no
+sum.  A row of
+the distribution and E[F~] are added with `sum()` in increasing m, and the
+geometric E[S] prefix with `itertools.accumulate`, which adds left to right
+like 3.11's `sum()` on every Python version.  From 3.12, `sum()` of floats
+is compensated, so the `sum()` values, and the goldens, need 3.11.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from functools import reduce
+from itertools import accumulate
+from operator import add
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -245,26 +259,135 @@ def _binomial_term(log_fact: list[float], n: int, b: int, succ: int, fail: int,
     return math.exp(log_val)
 
 
-def _active_series(us: Iterable[int], ts: int, p: float) -> dict[int, float]:
-    """g(u) for each u in ``us``, for a finite cutoff t* and 0 < p < 1.
+def _exp(logs: np.ndarray) -> np.ndarray:
+    """math.exp of every entry; np.exp differs from it in the last bit."""
+    values = map(math.exp, logs.ravel().tolist())
+    return np.fromiter(values, float, logs.size).reshape(logs.shape)
 
-    g(u) = sum_{b=0}^{(u-1)//(t*+1)} C(u-1-b t*, b) p^(b+1) (1-p)^(u-1-b(t*+1))
-    is Pr[M_{t*}(t) = m, X(t) = 1] for u = t - m and any t > t*+1.  Only the
-    requested u are evaluated, so a sparse time grid costs no more than its
-    own rows.
+
+def _diagonal(values: np.ndarray, start: int, step: int, rows: int,
+              width: int) -> np.ndarray:
+    """The view whose row i is values[start - i*step:][:width]; numpy
+    checks that it lies inside ``values``."""
+    size = values.itemsize
+    return np.ndarray((rows, width), float, values, start * size, (-step * size, size))
+
+
+def _accumulate(acc: np.ndarray, rows: np.ndarray) -> None:
+    """acc += rows[0]; acc += rows[1]; ...: one numpy add per row while
+    there are no more rows than columns, else Python float adds, the same
+    IEEE additions, down each column."""
+    if len(rows) <= rows.shape[1]:
+        for row in rows:
+            acc += row
+        return
+    for j, column in enumerate(rows.T.tolist()):
+        acc[j] = reduce(add, column, float(acc[j]))
+
+
+# The most cells of a transient array: the kernel's memory stays
+# O(_CHUNK + the largest u + t*) whatever the times asked for.
+_CHUNK = 4096
+
+Run = tuple[int, int, list[tuple[int, int]]]
+
+
+def _runs(times: Sequence[int], reach: int) -> list[Run]:
+    """The windows t-reach..t of the sorted distinct ``times``, merged where
+    they touch or overlap, as (lo, hi, t_runs) with t_runs the runs of
+    consecutive times in lo..hi."""
+    runs: list[Run] = []
+    for t in times:
+        if runs and t - reach <= runs[-1][1] + 1:
+            lo, _, t_runs = runs.pop()
+            if t == t_runs[-1][1] + 1:
+                t_runs[-1] = (t_runs[-1][0], t)
+            else:
+                t_runs.append((t, t))
+            runs.append((lo, t, t_runs))
+        else:
+            runs.append((t - reach, t, [(t, t)]))
+    return runs
+
+
+def _row_chunks(lo: int, hi: int, block: int) -> Iterator[tuple[int, int, int]]:
+    """(b0, b1, u0) for each group of b-rows b0..b1-1 of the run lo..hi,
+    evaluated from u0 on.  Rows with a term at every u of the run go in
+    groups of up to _CHUNK cells; each later row goes alone, from its first
+    u, b(t*+1) + 1."""
+    full = (lo - 1) // block + 1  # the rows with a term at every u
+    height = max(1, _CHUNK // max(hi - lo + 1, block + 1))
+    for b0 in range(0, full, height):
+        yield b0, min(full, b0 + height), lo
+    for b in range(full, (hi - 1) // block + 1):
+        yield b, b + 1, b * block + 1
+
+
+def _binomial_sums(runs: list[Run], ts: int, p: float,
+                   success: bool) -> tuple[dict[int, float], dict[int, float]]:
+    """g(u) for every u of the ``runs``, and, if ``success``, E[S(t)] for
+    every t of their t_runs, for a finite cutoff t* and 0 < p < 1.
+
+    Every t must be above t*+1, and for E[S] its window t-t*..t must lie in
+    its run, as `_runs(times, t*)` makes them.  The b-rows of terms (b
+    counts completed blocks) are formed in the groups of `_row_chunks`, as
+    (rows, width) arrays from numpy views, and added to the sums in
+    increasing b.  E[S(t)]'s k-terms are g's terms at u = t-k+1 times
+    (b+1)/(u - t* b), so one row serves both sums.
     """
-    wanted = set(us)
     block = ts + 1
-    log_fact = _log_factorials(max(wanted, default=0))
+    top = runs[-1][1]
+    log_fact = np.array(_log_factorials(top)[:top + 1])
+    ks = np.arange(top + 1, dtype=float)  # float(k) * x == k * x exactly
     log_p, log_q = math.log(p), math.log1p(-p)
-    series = {}
-    for u in wanted:
-        total = 0.0
-        for b in range((u - 1) // block + 1):
-            total += _binomial_term(log_fact, u - 1 - b * ts, b, b + 1,
-                                    u - 1 - b * block, log_p, log_q)
-        series[u] = total
-    return series
+    g: dict[int, float] = {}
+    es: dict[int, float] = {}
+    for lo, hi, t_runs in runs:
+        g_run = np.zeros(hi - lo + 1)
+        es_runs = [np.zeros(tb - ta + 1) for ta, tb in t_runs] if success else []
+        for b0, b1, u0 in _row_chunks(lo, hi, block):
+            rows, width = b1 - b0, hi - u0 + 1
+            f0 = u0 - 1 - b0 * block  # F = u-1-b(t*+1) = n-b at (b0, u0)
+            bs = ks[b0:b1, None]
+            # log C(n, b) = lf[n] - lf[b] - lf[n-b], with n = F + b
+            log_c = (_diagonal(log_fact, f0 + b0, ts, rows, width) - log_fact[b0:b1, None]
+                     - _diagonal(log_fact, f0, block, rows, width))
+            terms = _exp(log_c + ks[b0 + 1:b1 + 1, None] * log_p
+                         + _diagonal(ks, f0, block, rows, width) * log_q)
+            _accumulate(g_run[u0 - lo:], terms)
+            if not success:
+                continue
+            weighted = np.zeros((rows, hi - lo + 1))  # E[S]'s k-terms by u
+            weighted[:, u0 - lo:] = (ks[b0 + 1:b1 + 1, None]
+                                     / _diagonal(ks, u0 - ts * b0, ts, rows, width)
+                                     * terms)
+            for (ta, tb), es_run in zip(t_runs, es_runs):
+                # all-trailing-zeros sequences, S = Y1 / (t - t* Y1), for
+                # t >= u0: n - b = F and fail = F + 1 (b = 0 adds 0.0)
+                trailing = np.zeros((rows, tb - ta + 1))
+                a = max(ta, u0)
+                if a <= tb:
+                    cols = slice(a - u0, tb - u0 + 1)
+                    fa, wa = a - 1 - b0 * block, tb - a + 1
+                    trailing[:, a - ta:] = (
+                        bs / _diagonal(ks, a - ts * b0, ts, rows, wa)
+                        * _exp(log_c[:, cols] + bs * log_p
+                               + _diagonal(ks, fa + 1, block, rows, wa) * log_q))
+                # [i, k-1, j] is the k-term of t = ta + j, at u = t - k + 1
+                row_step, col_step = weighted.strides
+                k_terms = np.ndarray((rows, block, tb - ta + 1), float, weighted,
+                                     (ta - lo) * col_step, (row_step, -col_step, col_step))
+                # add trailing, then k = 1..t*+1, for each b in turn, at
+                # most _CHUNK cells at a time
+                step = max(1, _CHUNK // (rows * (block + 1)))
+                for j in range(0, tb - ta + 1, step):
+                    chain = np.concatenate((trailing[:, None, j:j + step],
+                                            k_terms[:, :, j:j + step]), axis=1)
+                    _accumulate(es_run[j:j + step], chain.reshape(-1, chain.shape[2]))
+        g.update(zip(range(lo, hi + 1), g_run.tolist()))
+        for (ta, tb), es_run in zip(t_runs, es_runs):
+            es.update(zip(range(ta, tb + 1), es_run.tolist()))
+    return g, es
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +446,7 @@ def joint_prob(t: int, tstar: CutoffLike, p: float, m: int, x: int) -> float:
     # x == 1
     if t <= ts + 1:
         return p * (1.0 - p) ** (t - m - 1) if m <= t - 1 else 0.0
-    return _active_series((t - m,), ts, p)[t - m]
+    return _binomial_sums(_runs((t - m,), 0), ts, p, False)[0][t - m]
 
 
 @dataclass(frozen=True)
@@ -339,47 +462,79 @@ class ActiveRow:
     ``joint[m]`` is Pr[M_{t*}(t) = m, X(t) = 1] for every age m the link can
     have at t: 0..min(t, t*+1)-1, or 0..t-1 for t* = infinity.
     ``prob_active`` is Pr[X(t) = 1].  ``fidelity`` holds E[F~(t)] and E[F(t)]
-    when the row was built with a fidelity curve.
+    when the row was built with a fidelity curve, and ``success_rate``
+    E[S(t)] when it was asked for.
     """
 
     t: int
     joint: tuple[float, ...]
     prob_active: float
     fidelity: Optional[FidelityExpectations] = None
+    success_rate: Optional[float] = None
 
 
-def active_rows(times: Sequence[int], tstar: CutoffLike, p: float,
-                fcurve: Optional[Callable[[int], float]] = None) -> Iterator[ActiveRow]:
-    """Yield the ActiveRow at each time in ``times``, in the order given.
-
-    The binomial sums behind all rows are evaluated once for the series
-    (see the module docstring), the powers (1-p)^k once, and f_m once per
-    age.  Each value equals what `joint_prob`, `prob_active` and
-    `expected_fidelity_cutoff` return for that time.  Rows are made as they
-    are consumed, so a long series holds one row at a time.
-    """
-    _validate_p(p)
-    cut = Cutoff.parse(tstar)
+def _checked_times(times: Sequence[int]) -> list[int]:
     times = list(times)
     for t in times:
         if t < 1:
             raise ValueError(f"t must be >= 1, got {t}")
-    if cut.is_infinite:
-        ts, block = None, None
-        max_age = max(times, default=0)
-    else:
-        ts = cut.finite_value
-        block = ts + 1
-        max_age = min(max(times, default=0), block)
-    series: dict[int, float] = {}
-    if block is not None and 0.0 < p < 1.0:
-        series = _active_series((t - m for t in times if t > block
-                                 for m in range(block)), ts, p)
+    return times
+
+
+def _block(cut: Cutoff) -> Union[int, float]:
+    """t*+1, the length of a held link's life; infinity for t* = infinity."""
+    return math.inf if cut.is_infinite else cut.finite_value + 1
+
+
+def _long_sums(times: list[int], cut: Cutoff, p: float,
+               success: bool) -> tuple[dict[int, float], dict[int, float]]:
+    """`_binomial_sums` over the times above t*+1, where it applies."""
+    long = sorted({t for t in times if t > _block(cut)})
+    if not long or not 0.0 < p < 1.0:
+        return {}, {}
+    ts = cut.finite_value
+    return _binomial_sums(_runs(long, ts), ts, p, success)
+
+
+def _success_rates(times: list[int], block: Union[int, float], p: float,
+                   sums: dict[int, float]) -> list[float]:
+    """E[S(t)] at each of ``times``, given `_long_sums`' E[S] for t > t*+1.
+
+    For t <= t*+1 it is the geometric prefix sum of p (1-p)^j / (j+1) over
+    j < t."""
+    if p == 0.0 or p == 1.0:
+        return [float(p)] * len(times)
+    short = {t for t in times if t <= block}
+    prefix = accumulate(p * (1.0 - p) ** j / (j + 1)
+                        for j in range(max(short, default=0)))
+    values = {t: total for t, total in enumerate(prefix, start=1) if t in short}
+    return [values[t] if t <= block else sums[t] for t in times]
+
+
+def active_rows(times: Sequence[int], tstar: CutoffLike, p: float,
+                fcurve: Optional[Callable[[int], float]] = None,
+                success: bool = False) -> Iterator[ActiveRow]:
+    """Yield the ActiveRow at each time in ``times``, in the order given.
+
+    The binomial sums behind all rows, and behind E[S(t)] when ``success``
+    is set, are evaluated in one pass for the series (see the module
+    docstring), the powers (1-p)^k once, and f_m once per age.  Each value
+    equals what `joint_prob`, `prob_active`, `expected_fidelity_cutoff` and
+    `expected_success_rate` return for that time.  Rows are made as they
+    are consumed, so a long series holds one row at a time.
+    """
+    _validate_p(p)
+    cut = Cutoff.parse(tstar)
+    times = _checked_times(times)
+    block = _block(cut)
+    series, sums = _long_sums(times, cut, p, success)  # g by u, E[S] by t
+    rates = _success_rates(times, block, p, sums) if success else [None] * len(times)
+    max_age = min(max(times, default=0), block)
     powers = [(1.0 - p) ** k for k in range(max_age)]
     fvals = [fcurve(m) for m in range(max_age)] if fcurve is not None else None
 
-    for t in times:
-        if block is None or t <= block:
+    for t, rate in zip(times, rates):
+        if t <= block:
             joint = tuple(p * powers[t - m - 1] for m in range(t))
             active = 1.0 - (1.0 - p) ** t
         else:
@@ -397,7 +552,8 @@ def active_rows(times: Sequence[int], tstar: CutoffLike, p: float,
                 fidelity = FidelityExpectations(e_ftilde=0.0, e_f=None)
             else:
                 fidelity = FidelityExpectations(e_ftilde=e_ftilde, e_f=e_ftilde / active)
-        yield ActiveRow(t=t, joint=joint, prob_active=active, fidelity=fidelity)
+        yield ActiveRow(t=t, joint=joint, prob_active=active, fidelity=fidelity,
+                        success_rate=rate)
 
 
 def prob_active(t: int, tstar: CutoffLike, p: float) -> float:
@@ -465,35 +621,25 @@ def steady_fidelity_cutoff(tstar: CutoffLike, p: float,
 # success rate
 # ---------------------------------------------------------------------------
 
+def expected_success_rates(times: Sequence[int], tstar: CutoffLike,
+                           p: float) -> list[float]:
+    """E[S(t)], the expected fraction of link requests that succeeded by
+    time t, at each time in ``times``, in the order given.
+
+    For t <= t*+1, and for t* = infinity, E[S(t)] is the geometric prefix
+    sum of p (1-p)^j / (j+1) over j < t.  The later times share one
+    `_binomial_sums` pass.
+    """
+    times = _checked_times(times)
+    _validate_p(p)
+    cut = Cutoff.parse(tstar)
+    _, sums = _long_sums(times, cut, p, True)
+    return _success_rates(times, _block(cut), p, sums)
+
+
 def expected_success_rate(t: int, tstar: CutoffLike, p: float) -> float:
     """E[S(t)]: expected fraction of link requests that succeeded by time t."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    _validate_p(p)
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    cut = Cutoff.parse(tstar)
-    if cut.is_infinite or t <= cut.finite_value + 1:
-        return sum(p * (1.0 - p) ** j / (j + 1) for j in range(t))
-    ts = cut.finite_value
-    block = ts + 1
-    log_fact = _log_factorials(t)
-    log_p, log_q = math.log(p), math.log1p(-p)
-    total = 0.0
-    for b in range((t - 1) // block + 1):
-        if b > 0:
-            # all-trailing-zeros sequences: S = Y1 / (t - t* Y1)
-            total += b / (t - ts * b) * _binomial_term(
-                log_fact, t - 1 - b * ts, b, b, t - b * block, log_p, log_q)
-        for k in range(1, block + 1):
-            fail = t - k - b * block
-            if fail < 0:
-                continue
-            total += (b + 1) / (t - k - ts * b + 1) * _binomial_term(
-                log_fact, t - k - b * ts, b, b + 1, fail, log_p, log_q)
-    return total
+    return expected_success_rates((t,), tstar, p)[0]
 
 
 @dataclass(frozen=True)

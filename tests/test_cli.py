@@ -431,6 +431,20 @@ def nested_overrides_config(depth):
                if key != "times"}, 2),
     ("analytic", _with(analytic_doc(), "link.p", 10 ** 400), 2),
     ("reproduce", _with(FIG5_DOC, "overrides.p", 10 ** 400), 2),
+    ("analytic", _with(analytic_doc(), "link.fidelity.dim", 10 ** 400), 2),
+    ("optimize", _with(OPTIMIZE_DOC, "link.fidelity",
+                       {"kind": "depolarizing", "dim": 65}), 2),
+    ("analytic --seed 5", analytic_doc(), 2),
+    ("optimize --seed 1", OPTIMIZE_DOC, 2),
+    ("sweep --seed 1", SWEEP_DOC, 2),
+    ("reproduce --seed 1", FIG5_DOC, 2),
+    ("analytic --threads 2", analytic_doc(), 2),
+    ("simulate --threads 2", SIMULATE_DOC, 2),
+    ("reproduce --threads 1", FIG5_DOC, 2),
+    ("QLINK_THREADS=2 analytic", analytic_doc(), 2),
+    ("QLINK_THREADS=2 simulate", SIMULATE_DOC, 2),
+    ("QLINK_THREADS=2 optimize", OPTIMIZE_DOC, 2),
+    ("QLINK_THREADS=many sweep", SWEEP_DOC, 2),
 ], ids=["dim-str", "dim-zero", "step-str", "t_max-str", "tstars-negative",
         "p-above-one", "unknown-top-level", "unknown-override", "config-dir",
         "not-utf8", "deep-nesting", "figure-outside-reproduce",
@@ -440,10 +454,21 @@ def nested_overrides_config(depth):
         "horizon-in-analytic", "trials-in-analytic", "seed-in-analytic",
         "link-in-reproduce", "times-in-reproduce", "horizon-in-reproduce",
         "times-in-simulate", "t_req-in-simulate", "times-and-t_req-in-analytic",
-        "t_req-without-times-in-sweep", "p-huge-int", "override-p-huge-int"])
-def test_cli_malformed_input_exit_codes(tmp_path, command, doc, code):
+        "t_req-without-times-in-sweep", "p-huge-int", "override-p-huge-int",
+        "dim-huge-int", "dim-above-cap", "seed-flag-in-analytic",
+        "seed-flag-in-optimize", "seed-flag-in-sweep", "seed-flag-in-reproduce",
+        "threads-flag-in-analytic", "threads-flag-in-simulate",
+        "threads-flag-in-reproduce", "threads-env-in-analytic",
+        "threads-env-in-simulate", "threads-env-in-optimize",
+        "threads-env-not-an-int"])
+def test_cli_malformed_input_exit_codes(tmp_path, monkeypatch, command, doc, code):
     """Malformed input ends in its documented exit code, never a traceback,
-    and writes no output."""
+    and writes no output.  ``command`` reads as a shell line: leading
+    NAME=value words set the environment, and words after the command are
+    passed after --config and --out."""
+    words = command.split()
+    while "=" in words[0]:
+        monkeypatch.setenv(*words.pop(0).split("="))
     if doc is None:
         config = str(tmp_path)
     elif isinstance(doc, bytes):
@@ -451,7 +476,7 @@ def test_cli_malformed_input_exit_codes(tmp_path, command, doc, code):
     else:
         config = write_config(tmp_path, doc)
     out = tmp_path / "o.csv"
-    assert main([command, "--config", config, "--out", str(out)]) == code
+    assert main([words[0], "--config", config, "--out", str(out), *words[1:]]) == code
     assert not out.exists()
 
 

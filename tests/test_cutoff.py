@@ -19,6 +19,7 @@ from qlink.cutoff import (
     cutoff_policy,
     expected_fidelity_cutoff,
     expected_success_rate,
+    expected_success_rates,
     history_prob_cutoff,
     hyp2f1_series,
     joint_prob,
@@ -466,6 +467,85 @@ def test_active_rows_rejects_bad_input():
     with pytest.raises(ValueError, match="probability"):
         list(active_rows([3], 2, 1.5))
     assert list(active_rows([], 2, 0.3)) == []
+
+
+# the cutoffs of the sweep benchmark, and p on both sides of 1/2
+SERIES_TSTARS = [0, 1, 2, 3, 5, 8, 10, 20, 35, math.inf]
+SERIES_PS = ORACLE_PS + [0.5, 0.9]
+SERIES_TIMES = list(range(1, 401))
+# unsorted, repeated, on both sides of each t*+1, and far beyond the dense grid
+SPARSE_TIMES = [[1500], [1, 2, 8, 9, 500], [37, 3, 1500, 3, 36, 1, 37, 11, 2]]
+
+
+@pytest.mark.parametrize("tstar", SERIES_TSTARS)
+@pytest.mark.parametrize("p", SERIES_PS)
+def test_success_rate_series_equals_term_at_a_time_reference(tstar, p):
+    """E[S(t)] over a dense series, and over sparse, unsorted or repeated
+    times, equals the lgamma-per-term reference at every t under ==."""
+    for times in [SERIES_TIMES] + SPARSE_TIMES:
+        assert expected_success_rates(times, tstar, p) == \
+            [expected_success_rate_lgamma(t, tstar, p) for t in times]
+
+
+@pytest.mark.parametrize("tstar", SERIES_TSTARS)
+@pytest.mark.parametrize("p", SERIES_PS)
+def test_active_rows_series_equal_term_at_a_time_reference(tstar, p):
+    """The rows of a dense series, and of sparse, unsorted or repeated
+    times, equal the lgamma-per-term joint probabilities under ==."""
+    for times in [SERIES_TIMES] + SPARSE_TIMES:
+        rows = list(active_rows(times, tstar, p))
+        assert [row.t for row in rows] == times
+        for row in rows:
+            assert row.joint == tuple(joint_prob_lgamma(row.t, tstar, p, m, 1)
+                                      for m in _ages(row.t, tstar))
+            assert row.success_rate is None
+
+
+@pytest.mark.parametrize("tstar", [0, 3, 35, math.inf])
+@pytest.mark.parametrize("p", [0.01, 0.3, 0.9])
+def test_rows_with_success_rate_share_one_pass(tstar, p):
+    """Rows asked for E[S(t)] carry the same joint row and the same E[S(t)]
+    as the two series functions called on their own."""
+    for times in [SERIES_TIMES] + SPARSE_TIMES:
+        rows = list(active_rows(times, tstar, p, success=True))
+        assert [row.joint for row in rows] == \
+            [row.joint for row in active_rows(times, tstar, p)]
+        assert [row.success_rate for row in rows] == \
+            expected_success_rates(times, tstar, p)
+
+
+def test_runs_merge_windows_that_touch_or_overlap():
+    # windows 8..10 and 11..13 touch, 12..14 overlaps, 18..20 stands apart
+    assert ca._runs([10, 13, 14, 20], 2) == [
+        (8, 14, [(10, 10), (13, 14)]), (18, 20, [(20, 20)])]
+    # 8..10 and 12..14 leave u = 11 out, so they stay apart
+    assert ca._runs([10, 14], 2) == [(8, 10, [(10, 10)]), (12, 14, [(14, 14)])]
+    assert ca._runs([5], 0) == [(5, 5, [(5, 5)])]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 100])
+def test_binomial_sums_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    """Grouping b-rows, and splitting E[S]'s rows by columns, changes no
+    bit: a single far time is a tall narrow group, a dense series one row
+    at a time."""
+    monkeypatch.setattr(ca, "_CHUNK", chunk)
+    for tstar in [0, 1, 3, 8]:
+        for p in [0.01, 0.3, 0.9]:
+            for times in [list(range(1, 120)), [150], [37, 3, 90, 3, 36, 95, 99]]:
+                rows = list(active_rows(times, tstar, p, success=True))
+                for row in rows:
+                    assert row.joint == tuple(joint_prob_lgamma(row.t, tstar, p, m, 1)
+                                              for m in _ages(row.t, tstar))
+                    assert row.success_rate == expected_success_rate_lgamma(row.t, tstar, p)
+
+
+def test_success_rate_series_rejects_bad_input():
+    with pytest.raises(ValueError, match="t must be"):
+        expected_success_rates([3, 0], 2, 0.3)
+    with pytest.raises(ValueError, match="probability"):
+        expected_success_rates([3], 2, 1.5)
+    assert expected_success_rates([], 2, 0.3) == []
+    assert expected_success_rates([1, 50], 2, 0) == [0.0, 0.0]
 
 
 def test_log_factorial_table_is_thread_safe(monkeypatch):
