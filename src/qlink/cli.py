@@ -5,11 +5,11 @@
 
 All commands read a JSON RunConfig, write one CSV ResultTable with a '#'
 metadata header, and are deterministic given (config, seed).  ``--seed`` is
-read by ``simulate`` only; ``--threads``, and the QLINK_THREADS environment
-variable, by ``sweep`` only.  Exit codes: 0 success, 2 config error (an
-unknown field, or a flag the command does not read, included), 3 numeric
-error, 4 I/O error.  ``optimize`` always runs the reduced (x, m) backward
-recursion and also writes ``<out>.policy.json``.
+read by ``simulate`` only, and ``--threads`` (default 1) by ``sweep`` only.
+Exit codes: 0 success, 2 config error (an unknown field, or a flag the
+command does not read, included), 3 numeric error, 4 I/O error.
+``optimize`` always runs the reduced (x, m) backward recursion and also
+writes ``<out>.policy.json``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from . import __version__
 from . import cutoff as ca
 from . import network as net
 from . import optimize as opt
-from .config import ConfigError, FIGURES, LinkSpec, RunConfig, load_config, parse_config
+from .config import ConfigError, LinkSpec, RunConfig, load_config, parse_config
 from .csvio import ResultTable, config_hash, write_result_table
 from .engine import LinkParams, simulate_trajectories
 from .quantum import FidelityCurve
@@ -220,57 +220,48 @@ def write_policy_json(handle: TextIO, horizon: int,
 # figure reproduction
 # ---------------------------------------------------------------------------
 
-DEFAULT_TSTARS = (0, 5, 10, 35, "inf")
-FIG8_CUTOFFS = (5, 15, 10, 20)
-
-
 def _p_grid(n: int = 50, include_zero: bool = False) -> list[float]:
     start = 0 if include_zero else 1
     return [i / n for i in range(start, n + 1)]
 
 
-def reproduce_figure(figure: str, overrides: Optional[dict] = None) -> ResultTable:
-    """The exact data grids behind the paper-style figures."""
-    if figure not in FIGURES:
-        raise ConfigError(f"unknown figure {figure!r}")
-    ov = overrides or {}
-    tstars = [ca.Cutoff.parse(v) for v in ov.get("tstars", DEFAULT_TSTARS)]
-    p = ov.get("p", 0.3)
+def reproduce_figure(figure: str, ov: dict) -> ResultTable:
+    """The exact data grids behind the paper-style figures.
 
+    ``ov`` holds every override ``figure`` reads, parsed, with the defaults
+    of ``config.FIGURE_OVERRIDES`` filled in."""
     if figure == "fig4-left":
         # E[X(t)] against p at a fixed time, one curve per cutoff
-        t = ov.get("t", 10)
+        t = ov["t"]
         table = ResultTable(columns=["tstar", "t", "p", "e_x"], rows=[])
-        for cut in tstars:
+        for cut in ov["tstars"]:
             for pv in _p_grid(include_zero=True):
                 table.append(_tstar_cell(cut), t, pv, ca.prob_active(t, cut, pv))
         return table
     if figure == "fig4-right":
-        times = range(1, ov.get("t_max", 60) + 1)
+        times = range(1, ov["t_max"] + 1)
         table = ResultTable(columns=["tstar", "t", "e_x"], rows=[])
-        for cut in tstars:
-            for row in ca.active_rows(times, cut, p):
+        for cut in ov["tstars"]:
+            for row in ca.active_rows(times, cut, ov["p"]):
                 table.append(_tstar_cell(cut), row.t, row.prob_active)
         return table
     if figure == "fig5":
-        times = range(1, ov.get("t_max", 100) + 1)
+        times = range(1, ov["t_max"] + 1)
         table = ResultTable(columns=["tstar", "t", "e_s"], rows=[])
-        for cut in tstars:
-            for t, e_s in zip(times, ca.expected_success_rates(times, cut, p)):
+        for cut in ov["tstars"]:
+            for t, e_s in zip(times, ca.expected_success_rates(times, cut, ov["p"])):
                 table.append(_tstar_cell(cut), t, e_s)
         return table
     if figure == "fig7":
-        t_reqs = range(0, ov.get("t_req_max", 100) + 1)
         table = ResultTable(columns=["tstar", "t_req", "e_wait"], rows=[])
-        for cut in tstars:
-            for t_req in t_reqs:
+        for cut in ov["tstars"]:
+            for t_req in range(0, ov["t_req_max"] + 1):
                 table.append(_tstar_cell(cut), t_req,
-                             ca.waiting_time(t_req, cut, p).expectation)
+                             ca.waiting_time(t_req, cut, ov["p"]).expectation)
         return table
 
     # fig8 / fig9: four parallel links with the captioned cutoffs at t = 50
-    t = ov.get("t", 50)
-    cutoffs = [ca.Cutoff.parse(v) for v in ov.get("cutoffs", FIG8_CUTOFFS)]
+    t, cutoffs = ov["t"], ov["cutoffs"]
     if figure == "fig8":
         table = ResultTable(columns=["p", "t", "e_total"], rows=[])
         for pv in _p_grid(include_zero=True):
@@ -301,25 +292,11 @@ def run_reproduce(config: RunConfig) -> ResultTable:
 # ---------------------------------------------------------------------------
 
 def _check_flags(args: argparse.Namespace, mode: str) -> None:
-    """Reject a flag, or QLINK_THREADS, that ``mode`` does not read."""
+    """Reject a flag that ``mode`` does not read."""
     if args.seed is not None and mode != "simulate":
         raise ConfigError(f"--seed is read only by simulate, not by {mode}")
     if args.threads is not None and mode != "sweep":
         raise ConfigError(f"--threads is read only by sweep, not by {mode}")
-    if os.environ.get("QLINK_THREADS") and mode != "sweep":
-        raise ConfigError(f"QLINK_THREADS is read only by sweep, not by {mode}")
-
-
-def _resolve_threads(arg: Optional[int]) -> int:
-    if arg is not None:
-        return arg
-    env = os.environ.get("QLINK_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"QLINK_THREADS must be an integer, got {env!r}") from exc
-    return 1
 
 
 def write_outputs(table: ResultTable,
@@ -377,7 +354,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif config.mode == "optimize":
             table, write_policy = run_optimize(config)
         elif config.mode == "sweep":
-            table = run_sweep(config, _resolve_threads(args.threads))
+            table = run_sweep(config, args.threads or 1)
         else:
             table = run_reproduce(config)
     except ConfigError as exc:

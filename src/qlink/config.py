@@ -2,7 +2,10 @@
 
 Cutoffs are non-negative integers or the string "inf".  Schema errors raise
 ConfigError with a message naming the offending field; JSON syntax errors
-keep the parser's line/column information.
+keep the parser's line/column information.  Three tables hold the schema's
+choices: ``FIELDS`` (which modes read and require each top-level field),
+``FIGURE_OVERRIDES`` (the overrides each figure reads, with their defaults)
+and ``FIDELITY_FIELDS`` (the parameters each fidelity kind reads).
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .cutoff import Cutoff
 from .quantum import MAX_DIM, FidelityCurve
@@ -18,29 +21,39 @@ from .quantum import MAX_DIM, FidelityCurve
 SCHEMA_VERSION = 1
 
 MODES = ("analytic", "simulate", "optimize", "sweep", "reproduce")
-FIGURES = ("fig4-left", "fig4-right", "fig5", "fig7", "fig8", "fig9")
-TOP_LEVEL_FIELDS = ("schema_version", "mode", "link", "times", "t_req", "seed",
-                    "trials", "horizon", "sweep", "figure", "overrides")
-# the modes that read each optional top-level field; any other mode rejects it
-MODE_FIELDS = {
-    "link": ("analytic", "simulate", "optimize", "sweep"),
-    "times": ("analytic", "sweep"),
-    "t_req": ("analytic",),
-    "seed": ("simulate",),
-    "trials": ("simulate",),
-    "horizon": ("simulate", "optimize"),
-    "sweep": ("sweep",),
-    "figure": ("reproduce",),
-    "overrides": ("reproduce",),
+# each top-level field: (the modes that read it, the modes that require it);
+# a mode rejects every field it does not read
+FIELDS = {
+    "schema_version": (MODES, MODES),
+    "mode": (MODES, MODES),
+    "link": (("analytic", "simulate", "optimize", "sweep"),
+             ("analytic", "simulate", "optimize", "sweep")),
+    "times": (("analytic", "sweep"), ("sweep",)),
+    "t_req": (("analytic",), ()),
+    "seed": (("simulate",), ("simulate",)),
+    "trials": (("simulate",), ("simulate",)),
+    "horizon": (("simulate", "optimize"), ("simulate", "optimize")),
+    "sweep": (("sweep",), ("sweep",)),
+    "figure": (("reproduce",), ("reproduce",)),
+    "overrides": (("reproduce",), ()),
 }
-# the overrides each figure reads; any other override is a typo
+_TSTARS = tuple(map(Cutoff.parse, (0, 5, 10, 35, "inf")))
+_FIG8_CUTOFFS = tuple(map(Cutoff, (5, 15, 10, 20)))
+# the overrides each figure reads, with their defaults; any other is a typo
 FIGURE_OVERRIDES = {
-    "fig4-left": ("tstars", "t"),
-    "fig4-right": ("tstars", "p", "t_max"),
-    "fig5": ("tstars", "p", "t_max"),
-    "fig7": ("tstars", "p", "t_req_max"),
-    "fig8": ("cutoffs", "t"),
-    "fig9": ("cutoffs", "t"),
+    "fig4-left": {"tstars": _TSTARS, "t": 10},
+    "fig4-right": {"tstars": _TSTARS, "p": 0.3, "t_max": 60},
+    "fig5": {"tstars": _TSTARS, "p": 0.3, "t_max": 100},
+    "fig7": {"tstars": _TSTARS, "p": 0.3, "t_req_max": 100},
+    "fig8": {"cutoffs": _FIG8_CUTOFFS, "t": 50},
+    "fig9": {"cutoffs": _FIG8_CUTOFFS, "t": 50},
+}
+FIGURES = tuple(FIGURE_OVERRIDES)
+# the parameters each fidelity kind reads; any other is rejected
+FIDELITY_FIELDS = {
+    "constant": ("f0",),
+    "depolarizing": ("f0", "lam", "dim"),
+    "dephasing_bell": ("lam",),
 }
 
 
@@ -85,27 +98,27 @@ class RunConfig:
     sweep_field: Optional[str] = None
     sweep_values: tuple = ()
     figure: Optional[str] = None
+    # every override the figure reads, parsed, defaults filled in
     figure_overrides: dict = field(default_factory=dict)
 
     def hash_source(self) -> dict:
         return self.raw
 
 
-def _require(doc: dict, key: str, kind, where: str = "") -> Any:
+def _require(doc: dict, key: str, kind: type = object, where: str = "") -> Any:
     if key not in doc:
         raise ConfigError(f"missing required field {where}{key}")
     value = doc[key]
-    if kind is float and isinstance(value, int):
-        value = float(value)
     if not isinstance(value, kind):
-        raise ConfigError(f"field {where}{key} must be {kind}, got {type(value).__name__}")
+        raise ConfigError(f"field {where}{key} must be {kind.__name__}, "
+                          f"got {type(value).__name__}")
     return value
 
 
-def _check_fields(doc: dict, allowed, where: str = "") -> None:
+def _check_fields(doc: dict, allowed, where: str = "", reader: str = "") -> None:
     for key in doc:
         if key not in allowed:
-            raise ConfigError(f"unknown field {where}{key}")
+            raise ConfigError(f"unknown field {where}{key}{reader}")
 
 
 def _parse_int(value: Any, where: str, low: int, high: Optional[int] = None) -> int:
@@ -139,39 +152,41 @@ def _parse_cutoff(value: Any, where: str) -> Cutoff:
         ) from None
 
 
+def _parse_list(value: Any, where: str, parse: Callable, *args) -> tuple:
+    """A nonempty list, each entry parsed by ``parse(entry, where, *args)``."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"field {where} must be a nonempty list")
+    return tuple(parse(entry, f"{where}[{i}]", *args) for i, entry in enumerate(value))
+
+
 def _parse_times(value: Any, where: str) -> tuple[int, ...]:
-    if isinstance(value, dict):
-        _check_fields(value, ("start", "stop", "step"), where + ".")
-        start = _require(value, "start", int, where + ".")
-        stop = _require(value, "stop", int, where + ".")
-        step = _parse_int(value.get("step", 1), where + ".step", 1)
-        if start < 1 or stop < start:
-            raise ConfigError(f"field {where}: invalid range {value}")
-        return tuple(range(start, stop + 1, step))
-    if isinstance(value, list):
-        times = []
-        for entry in value:
-            if isinstance(entry, bool) or not isinstance(entry, int) or entry < 1:
-                raise ConfigError(f"field {where} entries must be integers >= 1")
-            times.append(entry)
-        if not times:
-            raise ConfigError(f"field {where} must be a nonempty time grid")
-        return tuple(times)
-    raise ConfigError(f"field {where} must be a list or {{start, stop}} range")
+    if not isinstance(value, dict):
+        return _parse_list(value, where, _parse_int, 1)
+    _check_fields(value, ("start", "stop", "step"), where + ".")
+    start, stop = (_parse_int(_require(value, key, where=where + "."),
+                              f"{where}.{key}", 1) for key in ("start", "stop"))
+    step = _parse_int(value.get("step", 1), where + ".step", 1)
+    if stop < start:
+        raise ConfigError(f"field {where}: invalid range {value}")
+    return tuple(range(start, stop + 1, step))
 
 
 def _parse_fidelity(doc: Any, where: str) -> FidelitySpec:
     if not isinstance(doc, dict):
         raise ConfigError(f"field {where} must be an object")
-    _check_fields(doc, ("kind", "f0", "lam", "dim"), where + ".")
     kind = _require(doc, "kind", str, where + ".")
+    if kind not in FIDELITY_FIELDS:
+        raise ConfigError(f"field {where}.kind must be one of "
+                          f"{tuple(FIDELITY_FIELDS)}, got {kind!r}")
+    _check_fields(doc, ("kind", *FIDELITY_FIELDS[kind]), where + ".",
+                  f" for kind {kind!r}")
     spec = FidelitySpec(
         kind=kind,
         f0=_parse_prob(doc.get("f0", 1.0), where + ".f0"),
         lam=_parse_prob(doc.get("lam", 1.0), where + ".lam"),
         dim=_parse_int(doc.get("dim", 4), where + ".dim", 1, MAX_DIM),
     )
-    spec.curve()  # validates kind/parameters
+    spec.curve()  # validates the parameters
     return spec
 
 
@@ -179,53 +194,50 @@ def _parse_link(doc: Any, where: str = "link") -> LinkSpec:
     if not isinstance(doc, dict):
         raise ConfigError(f"field {where} must be an object")
     _check_fields(doc, ("p", "tstar", "fidelity"), where + ".")
-    p = _parse_prob(_require(doc, "p", (int, float), where + "."), where + ".p")
-    tstar = _parse_cutoff(_require(doc, "tstar", (int, float, str), where + "."),
-                          where + ".tstar")
+    p = _parse_prob(_require(doc, "p", where=where + "."), where + ".p")
+    tstar = _parse_cutoff(_require(doc, "tstar", where=where + "."), where + ".tstar")
     fidelity = None
     if "fidelity" in doc:
         fidelity = _parse_fidelity(doc["fidelity"], where + ".fidelity")
     return LinkSpec(p=p, tstar=tstar, fidelity=fidelity)
 
 
+def _parse_override(value: Any, where: str, key: str):
+    if key in ("tstars", "cutoffs"):
+        return _parse_list(value, where, _parse_cutoff)
+    if key == "p":
+        return _parse_prob(value, where)
+    return _parse_int(value, where, 0 if key == "t_req_max" else 1)
+
+
 def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("configuration root must be a JSON object")
-    _check_fields(doc, TOP_LEVEL_FIELDS)
-    version = _require(doc, "schema_version", int)
+    _check_fields(doc, FIELDS)
+    version = _parse_int(_require(doc, "schema_version"), "schema_version", 0)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version} (expected {SCHEMA_VERSION})")
     mode = _require(doc, "mode", str)
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    for key, readers in MODE_FIELDS.items():
+    # every field against FIELDS before any is parsed: a field the mode does
+    # not read never reaches a parser or the config hash
+    for key, (readers, required) in FIELDS.items():
         if key in doc and mode not in readers:
             raise ConfigError(f"field {key} is not read in mode {mode!r}")
+        if key not in doc and mode in required:
+            raise ConfigError(f"mode {mode!r} requires field {key}")
+    if mode == "analytic" and ("times" in doc) == ("t_req" in doc):
+        raise ConfigError("mode 'analytic' requires a times grid or a t_req list, "
+                          "not both")
 
     link = _parse_link(doc["link"]) if "link" in doc else None
+    if mode == "optimize" and link.fidelity is None:
+        raise ConfigError("mode 'optimize' requires link.fidelity")
     times = _parse_times(doc["times"], "times") if "times" in doc else ()
-    t_req = ()
-    if "t_req" in doc:
-        entries = doc["t_req"]
-        if not isinstance(entries, list) or not entries:
-            raise ConfigError("field t_req must be a nonempty list")
-        for entry in entries:
-            if isinstance(entry, bool) or not isinstance(entry, int) or entry < 0:
-                raise ConfigError("field t_req entries must be integers >= 0")
-        t_req = tuple(entries)
-
-    seed = doc.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)
-                             or seed < 0):
-        raise ConfigError("field seed must be a non-negative integer")
-    trials = doc.get("trials")
-    if trials is not None and (isinstance(trials, bool)
-                               or not isinstance(trials, int) or trials < 1):
-        raise ConfigError("field trials must be an integer >= 1")
-    horizon = doc.get("horizon")
-    if horizon is not None and (isinstance(horizon, bool)
-                                or not isinstance(horizon, int) or horizon < 1):
-        raise ConfigError("field horizon must be an integer >= 1")
+    t_req = _parse_list(doc["t_req"], "t_req", _parse_int, 0) if "t_req" in doc else ()
+    seed, trials, horizon = (_parse_int(doc[key], key, low) if key in doc else None
+                             for key, low in (("seed", 0), ("trials", 1), ("horizon", 1)))
 
     sweep_field: Optional[str] = None
     sweep_values: tuple = ()
@@ -235,13 +247,9 @@ def parse_config(doc: dict) -> RunConfig:
         sweep_field = _require(sweep, "field", str, "sweep.")
         if sweep_field not in ("p", "tstar"):
             raise ConfigError('field sweep.field must be "p" or "tstar"')
-        raw_values = _require(sweep, "values", list, "sweep.")
-        if not raw_values:
-            raise ConfigError("field sweep.values must be nonempty")
-        if sweep_field == "p":
-            sweep_values = tuple(_parse_prob(v, "sweep.values") for v in raw_values)
-        else:
-            sweep_values = tuple(_parse_cutoff(v, "sweep.values") for v in raw_values)
+        parse = _parse_prob if sweep_field == "p" else _parse_cutoff
+        sweep_values = _parse_list(_require(sweep, "values", where="sweep."),
+                                   "sweep.values", parse)
 
     figure = None
     figure_overrides: dict = {}
@@ -252,40 +260,11 @@ def parse_config(doc: dict) -> RunConfig:
         overrides = doc.get("overrides", {})
         if not isinstance(overrides, dict):
             raise ConfigError("field overrides must be an object")
-        _check_fields(overrides, FIGURE_OVERRIDES[figure], "overrides.")
+        _check_fields(overrides, FIGURE_OVERRIDES[figure], "overrides.",
+                      f" for figure {figure!r}")
+        figure_overrides = dict(FIGURE_OVERRIDES[figure])
         for key, value in overrides.items():
-            where = f"overrides.{key}"
-            if key in ("tstars", "cutoffs"):
-                if not isinstance(value, list) or not value:
-                    raise ConfigError(f"field {where} must be a nonempty list")
-                for entry in value:
-                    _parse_cutoff(entry, where)
-            elif key == "p":
-                _parse_prob(value, where)
-            else:
-                _parse_int(value, where, 0 if key == "t_req_max" else 1)
-        figure_overrides = overrides
-
-    # per-mode requirements
-    if mode in ("analytic", "simulate", "optimize", "sweep") and link is None:
-        raise ConfigError(f"mode {mode!r} requires a link section")
-    if mode == "analytic" and bool(times) == bool(t_req):
-        raise ConfigError("mode 'analytic' requires a times grid or a t_req list, "
-                          "not both")
-    if mode == "sweep" and not times:
-        raise ConfigError("mode 'sweep' requires a times grid")
-    if mode == "simulate":
-        if seed is None:
-            raise ConfigError("mode 'simulate' requires a seed")
-        if trials is None:
-            raise ConfigError("mode 'simulate' requires trials")
-        if horizon is None:
-            raise ConfigError("mode 'simulate' requires horizon")
-    if mode == "optimize":
-        if horizon is None:
-            raise ConfigError("mode 'optimize' requires horizon")
-        if link is not None and link.fidelity is None:
-            raise ConfigError("mode 'optimize' requires link.fidelity")
+            figure_overrides[key] = _parse_override(value, f"overrides.{key}", key)
 
     return RunConfig(mode=mode, raw=doc, link=link, times=times, t_req=t_req,
                      seed=seed, trials=trials, horizon=horizon,

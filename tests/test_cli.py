@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,13 +14,15 @@ from hypothesis import given, settings, strategies as st
 
 from qlink import cli
 from qlink.cli import main
-from qlink.config import ConfigError, load_config, parse_config
+from qlink.config import FIELDS, MODES, ConfigError, load_config, parse_config
 from qlink.csvio import ResultTable, config_hash, read_result_table, write_result_table
 from qlink.cutoff import prob_active, waiting_time
 from qlink.engine import LinkParams
 from qlink.optimize import backward_recursion_reduced
 
 from oracles import policy_dump_dict
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_raw_config(tmp_path, data, name="config.json"):
@@ -74,6 +77,10 @@ def test_parse_infinite_cutoff_and_range_times():
     (lambda d: d.update(times=[]), "times"),
     (lambda d: d.update(times=[0]), "times"),
     (lambda d: d["link"]["fidelity"].update(kind="magic"), "kind"),
+    (lambda d: d.update(schema_version=1.0), "schema_version must be an integer"),
+    (lambda d: d["link"]["fidelity"].update(kind=3), "kind must be str, got int"),
+    (lambda d: d["link"]["fidelity"].update(kind="dephasing_bell"),
+     "link.fidelity.f0 for kind 'dephasing_bell'"),
 ])
 def test_parse_rejects_invalid_fields(mutate, fragment):
     doc = analytic_doc()
@@ -96,6 +103,29 @@ def test_mode_specific_requirements():
         parse_config({"schema_version": 1, "mode": "reproduce"})
     with pytest.raises(ConfigError, match="figure"):
         parse_config({"schema_version": 1, "mode": "reproduce", "figure": "fig99"})
+
+
+def test_readme_example_configs_parse():
+    examples = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    assert len(examples) == 5
+    modes = [parse_config(json.loads(text)).mode for text in examples]
+    assert sorted(modes) == sorted(MODES)
+
+
+def test_readme_field_table_is_config_fields():
+    """The README's table of which modes read and require each top-level
+    field says what ``config.FIELDS`` says."""
+    def modes(cell):
+        return set(MODES) if cell == "every mode" else set(re.findall(r"`(\w+)`", cell))
+
+    table = {}
+    for line in README.read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 3:
+            for name in re.findall(r"`(\w+)`", cells[0]):
+                table[name] = (modes(cells[1]), modes(cells[2]))
+    assert table == {key: (set(read), set(required))
+                     for key, (read, required) in FIELDS.items()}
 
 
 def test_load_config_reports_json_position(tmp_path):
@@ -167,15 +197,14 @@ def test_cli_analytic_waiting_table(tmp_path):
     assert row["e_wait"] == pytest.approx(waiting_time(0, 5, 0.3).expectation, abs=0)
 
 
-def test_cli_sweep_is_thread_count_invariant(tmp_path, monkeypatch):
+def test_cli_sweep_is_thread_count_invariant(tmp_path):
     doc = {"schema_version": 1, "mode": "sweep",
            "link": {"p": 0.3, "tstar": 2}, "times": [1, 5, 9],
            "sweep": {"field": "tstar", "values": [5, 0, "inf", 2]}}
     config = write_config(tmp_path, doc)
     out1, out2 = str(tmp_path / "s1.csv"), str(tmp_path / "s2.csv")
     assert main(["sweep", "--config", config, "--out", out1, "--threads", "1"]) == 0
-    monkeypatch.setenv("QLINK_THREADS", "4")
-    assert main(["sweep", "--config", config, "--out", out2]) == 0
+    assert main(["sweep", "--config", config, "--out", out2, "--threads", "4"]) == 0
     assert open(out1).read() == open(out2).read()
     # rows are ordered by sweep value (finite ascending, then inf)
     table = read_result_table(out1)
@@ -298,13 +327,24 @@ def test_cli_exit_codes(tmp_path):
     # unwritable output
     assert main(["analytic", "--config", good,
                  "--out", str(tmp_path / "no_dir" / "o.csv")]) == 4
-    # bad thread count from the environment
-    os.environ["QLINK_THREADS"] = "many"
-    try:
-        assert main(["analytic", "--config", good,
-                     "--out", str(tmp_path / "o.csv")]) == 2
-    finally:
-        del os.environ["QLINK_THREADS"]
+
+
+@pytest.mark.parametrize("value", ["2", "many"])
+def test_cli_ignores_the_environment_for_threads(tmp_path, monkeypatch, value):
+    """An exported QLINK_THREADS, which no command reads, changes neither
+    the exit code nor the output bytes of analytic or sweep."""
+    runs = [("analytic", write_config(tmp_path, analytic_doc(), "a.json")),
+            ("sweep", write_config(tmp_path, SWEEP_DOC, "s.json"))]
+    plain = []
+    for command, config in runs:
+        out = tmp_path / f"{command}-plain.csv"
+        assert main([command, "--config", config, "--out", str(out)]) == 0
+        plain.append(out.read_bytes())
+    monkeypatch.setenv("QLINK_THREADS", value)
+    for (command, config), expected in zip(runs, plain):
+        out = tmp_path / f"{command}-env.csv"
+        assert main([command, "--config", config, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected
 
 
 def test_cli_reproduce_figure(tmp_path):
@@ -441,10 +481,14 @@ def nested_overrides_config(depth):
     ("analytic --threads 2", analytic_doc(), 2),
     ("simulate --threads 2", SIMULATE_DOC, 2),
     ("reproduce --threads 1", FIG5_DOC, 2),
-    ("QLINK_THREADS=2 analytic", analytic_doc(), 2),
-    ("QLINK_THREADS=2 simulate", SIMULATE_DOC, 2),
-    ("QLINK_THREADS=2 optimize", OPTIMIZE_DOC, 2),
-    ("QLINK_THREADS=many sweep", SWEEP_DOC, 2),
+    ("analytic", analytic_doc(schema_version=True), 2),
+    ("analytic", analytic_doc(times={"start": True, "stop": 3}), 2),
+    ("analytic", analytic_doc(times={"start": 1, "stop": True}), 2),
+    ("analytic", _with(analytic_doc(), "link.fidelity",
+                       {"kind": "dephasing_bell", "lam": 0.9, "dim": 3, "f0": 0.5}), 2),
+    ("analytic", _with(analytic_doc(), "link.fidelity",
+                       {"kind": "constant", "lam": 0.9}), 2),
+    ("optimize", _with(OPTIMIZE_DOC, "link.fidelity", {"kind": "constant", "dim": 2}), 2),
 ], ids=["dim-str", "dim-zero", "step-str", "t_max-str", "tstars-negative",
         "p-above-one", "unknown-top-level", "unknown-override", "config-dir",
         "not-utf8", "deep-nesting", "figure-outside-reproduce",
@@ -458,17 +502,14 @@ def nested_overrides_config(depth):
         "dim-huge-int", "dim-above-cap", "seed-flag-in-analytic",
         "seed-flag-in-optimize", "seed-flag-in-sweep", "seed-flag-in-reproduce",
         "threads-flag-in-analytic", "threads-flag-in-simulate",
-        "threads-flag-in-reproduce", "threads-env-in-analytic",
-        "threads-env-in-simulate", "threads-env-in-optimize",
-        "threads-env-not-an-int"])
-def test_cli_malformed_input_exit_codes(tmp_path, monkeypatch, command, doc, code):
+        "threads-flag-in-reproduce", "schema_version-bool", "times-start-bool",
+        "times-stop-bool", "dephasing-with-dim-and-f0", "constant-with-lam",
+        "constant-with-dim-in-optimize"])
+def test_cli_malformed_input_exit_codes(tmp_path, command, doc, code):
     """Malformed input ends in its documented exit code, never a traceback,
-    and writes no output.  ``command`` reads as a shell line: leading
-    NAME=value words set the environment, and words after the command are
-    passed after --config and --out."""
+    and writes no output.  Words of ``command`` after the first are passed
+    after --config and --out."""
     words = command.split()
-    while "=" in words[0]:
-        monkeypatch.setenv(*words.pop(0).split("="))
     if doc is None:
         config = str(tmp_path)
     elif isinstance(doc, bytes):
