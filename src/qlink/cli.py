@@ -23,6 +23,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence, TextIO
 
+import numpy as np
+
 from . import __version__
 from . import cutoff as ca
 from . import network as net
@@ -183,11 +185,8 @@ def run_optimize(config: RunConfig) -> tuple[ResultTable, Callable[[TextIO], Non
     table.append("greedy", ev.e_ftilde, ev.e_x, ev.e_f)
 
     cutoffs = [ca.Cutoff(v) for v in range(T + 1)] + [ca.Cutoff(math.inf)]
-    fvals = [curve(m) for m in range(T + 1)]  # f_m once for every cutoff
-    for cut in cutoffs:
-        row = next(ca.active_rows((T + 1,), cut, link.p, fvals.__getitem__))
-        table.append(f"cutoff({cut})", row.fidelity.e_ftilde, row.prob_active,
-                     row.fidelity.e_f)
+    for cut, row in zip(cutoffs, ca.cutoff_table(T + 1, cutoffs, link.p, curve)):
+        table.append(f"cutoff({cut})", *row)
 
     return table, lambda handle: write_policy_json(handle, T, result)
 
@@ -200,18 +199,25 @@ def write_policy_json(handle: TextIO, horizon: int,
     byte for byte, where ``obj = {"horizon": horizon, "mode": result.mode,
     "actions": [{"t", "x", "m", "action"}, ...]}`` lists the actions in the
     documented order: t ascending, then down, then active by age.  Every
-    value but ``mode`` is an int, so each record is a fixed template, and
-    one chunk per decision time is written.
+    value but ``mode`` is an int, so each record is a fixed template.  The
+    text from each ``"action"`` value to its ``"m"`` value is made once per
+    (action, age), picked by the policy's decisions at time t
+    (``decide_ages``), and joined with the rest of t's records, one chunk
+    per decision time.
     """
-    decide = result.policy.decide_state
+    ages = result.policy.decide_ages
+    head = '    {\n      "action": '
+    by_action = np.array([['%d,\n      "m": %d' % (a, m) for m in range(horizon)]
+                          for a in (0, 1)], dtype=object)
     handle.write('{\n  "actions": [\n')
     for t in range(1, horizon + 1):
-        if t > 1:
-            handle.write(",\n")
-        handle.write(",\n".join([
-            '    {\n      "action": %d,\n      "m": %d,\n      "t": %d,\n'
-            '      "x": %d\n    }' % (decide(t, x, m), m, t, x)
-            for x, m in opt.state_space(t)]))
+        pi_down, pi = ages(t)
+        down_tail = ',\n      "t": %d,\n      "x": 0\n    }' % t
+        active_tail = ',\n      "t": %d,\n      "x": 1\n    }' % t
+        active = np.where(pi == 1.0, by_action[1, :t], by_action[0, :t]).tolist()
+        handle.write((",\n" if t > 1 else "")
+                     + head + '%d,\n      "m": -1' % pi_down + down_tail + ",\n"
+                     + head + (active_tail + ",\n" + head).join(active) + active_tail)
     handle.write('\n  ],\n  "horizon": %d,\n  "mode": %s\n}\n'
                  % (horizon, json.dumps(result.mode)))
 

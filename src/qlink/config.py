@@ -19,6 +19,8 @@ from .cutoff import Cutoff
 from .quantum import MAX_DIM, FidelityCurve
 
 SCHEMA_VERSION = 1
+# the most times a {start, stop, step} range may hold
+MAX_TIMES = 10 ** 6
 
 MODES = ("analytic", "simulate", "optimize", "sweep", "reproduce")
 # each top-level field: (the modes that read it, the modes that require it);
@@ -147,8 +149,12 @@ def _parse_cutoff(value: Any, where: str) -> Cutoff:
             raise ValueError(value)
         return Cutoff(value)
     except ValueError:
+        # a list or an object is named by its type: its repr can run to
+        # thousands of characters
+        scalar = isinstance(value, (str, int, float)) or value is None
+        shown = repr(value) if scalar else type(value).__name__
         raise ConfigError(
-            f'field {where} must be a non-negative integer or "inf", got {value!r}'
+            f'field {where} must be a non-negative integer or "inf", got {shown}'
         ) from None
 
 
@@ -168,7 +174,11 @@ def _parse_times(value: Any, where: str) -> tuple[int, ...]:
     step = _parse_int(value.get("step", 1), where + ".step", 1)
     if stop < start:
         raise ConfigError(f"field {where}: invalid range {value}")
-    return tuple(range(start, stop + 1, step))
+    times = range(start, stop + 1, step)
+    if len(times) > MAX_TIMES:
+        raise ConfigError(f"field {where}: the range holds {len(times)} times, "
+                          f"more than {MAX_TIMES}")
+    return tuple(times)
 
 
 def _parse_fidelity(doc: Any, where: str) -> FidelitySpec:

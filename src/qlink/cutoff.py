@@ -121,12 +121,14 @@ def cutoff_policy(tstar: CutoffLike) -> Policy:
     cut = Cutoff.parse(tstar)
     if cut.is_infinite:
         rule = lambda t, x, m: 1.0 if x == 0 else 0.0
+        ages = lambda t: (1.0, np.zeros(t))
         label = "cutoff(inf)"
     else:
         ts = cut.finite_value
         rule = lambda t, x, m: 1.0 if (m == -1 or m >= ts) else 0.0
+        ages = lambda t: (1.0, np.where(np.arange(t) >= ts, 1.0, 0.0))
         label = f"cutoff({ts})"
-    return Policy.from_state_rule(rule, "deterministic", label)
+    return Policy.from_state_rule(rule, "deterministic", label, ages)
 
 
 def memory_time_cutoff(history: Union[History, Sequence[int]], tstar: CutoffLike) -> int:
@@ -554,6 +556,64 @@ def active_rows(times: Sequence[int], tstar: CutoffLike, p: float,
                 fidelity = FidelityExpectations(e_ftilde=e_ftilde, e_f=e_ftilde / active)
         yield ActiveRow(t=t, joint=joint, prob_active=active, fidelity=fidelity,
                         success_rate=rate)
+
+
+def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
+                 fcurve: Callable[[int], float]
+                 ) -> list[tuple[float, float, Optional[float]]]:
+    """(E[F~(t)], Pr[X(t) = 1], E[F(t)]) at one time t for each cutoff in
+    ``tstars``, in order, each equal bit for bit to the values of
+    ``next(active_rows((t,), t*, p, fcurve))``; f_m is evaluated once.
+
+    For t > t*+1 and 0 < p < 1, g(t-m) for m = 0..t* is the column sums,
+    in increasing b, of a (b, m) array of terms formed as `_binomial_sums`
+    forms them.  Its cell k = b(t*+1) + m has F = t-1-k failures, so the
+    terms fill its first t cells and depend on (k, b) alone.  Terms with
+    b < sqrt(t/2) are shared by every cutoff and evaluated once, which
+    takes the `math.exp` calls from O(t^2) to O(t^1.5).  The row's sums are
+    in-order cumsums, as 3.11's `sum()` adds.  Other cutoffs go through
+    `active_rows`.
+    """
+    _validate_p(p)
+    if t < 1:
+        raise ValueError(f"t must be >= 1, got {t}")
+    fvals = [fcurve(m) for m in range(t)]
+    f = np.array(fvals)
+    if 0.0 < p < 1.0:
+        log_fact = np.array(_log_factorials(t)[:t + 1])
+        ks = np.arange(t + 1, dtype=float)  # float(k) * x == k * x exactly
+        log_p, log_q = math.log(p), math.log1p(-p)
+
+        def terms_at(k, b):
+            """The terms at cells k with b completed blocks, n = F + b."""
+            fail = t - 1 - k
+            return _exp(log_fact[fail + b] - log_fact[b] - log_fact[fail]
+                        + ks[b + 1] * log_p + ks[fail] * log_q)
+
+        cells = np.arange(t)
+        low = math.isqrt(t // 2) + 1
+        shared = np.zeros((low, t))  # [b, k]: the term, for k >= b
+        for b in range(low):
+            shared[b, b:] = terms_at(cells[b:], b)
+    table = []
+    for tstar in tstars:
+        cut = Cutoff.parse(tstar)
+        if t <= _block(cut) or not 0.0 < p < 1.0:
+            row = next(active_rows((t,), cut, p, fvals.__getitem__))
+            table.append((row.fidelity.e_ftilde, row.prob_active, row.fidelity.e_f))
+            continue
+        block = cut.finite_value + 1
+        b = cells // block
+        split = min(t, low * block)
+        terms = np.zeros(-(-t // block) * block)
+        terms[:split] = shared[b[:split], cells[:split]]
+        terms[split:t] = terms_at(cells[split:], b[split:])
+        joint = np.cumsum(terms.reshape(-1, block), axis=0)[-1]  # g(t - m)
+        active = float(np.cumsum(joint)[-1])
+        e_ftilde = float(np.cumsum(f[:block] * joint)[-1])
+        table.append((e_ftilde, active, e_ftilde / active) if active != 0.0
+                     else (0.0, active, None))
+    return table
 
 
 def prob_active(t: int, tstar: CutoffLike, p: float) -> float:

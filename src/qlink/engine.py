@@ -111,12 +111,16 @@ class Policy:
     ``decide`` consumes the full history; ``decide_state`` is an optional
     fast path for policies that only look at (t, x_t, M(t)) -- the simulator
     uses it when present to avoid building History objects per step.
+    ``decide_ages(t)`` gives the same rule's decisions at time t at once:
+    the request probability when down, and an array of them when active at
+    ages 0..t-1.
     """
 
     decide: Callable[[int, History], float]
     kind: str  # "deterministic" | "stochastic"
     label: str = ""
     decide_state: Optional[Callable[[int, int, int], float]] = None
+    decide_ages: Optional[Callable[[int], tuple[float, np.ndarray]]] = None
 
     def action_prob(self, t: int, history: History) -> float:
         val = float(self.decide(t, history))
@@ -128,13 +132,22 @@ class Policy:
 
     @classmethod
     def from_state_rule(cls, rule: Callable[[int, int, int], float], kind: str,
-                        label: str = "") -> "Policy":
-        """Build a policy from a rule on (t, x_t, M(t))."""
+                        label: str = "",
+                        ages: Optional[Callable[[int], tuple[float, np.ndarray]]] = None
+                        ) -> "Policy":
+        """Build a policy from a rule on (t, x_t, M(t)).  ``ages`` is the
+        same rule as ``decide_ages``; without it, the rule is read one age
+        at a time."""
 
         def decide(t: int, history: History) -> float:
             return rule(t, history.observations[-1], history.memory_time())
 
-        return cls(decide=decide, kind=kind, label=label, decide_state=rule)
+        if ages is None:
+            ages = lambda t: (rule(t, 0, -1),
+                              np.array([rule(t, 1, m) for m in range(t)], float))
+
+        return cls(decide=decide, kind=kind, label=label, decide_state=rule,
+                   decide_ages=ages)
 
     @classmethod
     def always_request(cls) -> "Policy":

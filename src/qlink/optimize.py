@@ -13,6 +13,16 @@ deterministic (t, x, m) -> action maps, both kept in ``tests/oracles.py``.
 
 Ties in every argmax are broken toward action 0 (wait) so results are
 reproducible bit-for-bit.
+
+Propagator bits.  ``evaluate_state_policy`` moves the whole active row
+a_m = Pr[X=1, M=m] at once, given the request probabilities pi_m of every
+age (``Policy.decide_ages``).  Its results equal, under ``==``, those of
+the loop over states in ``tests/oracles.py``, because it makes the same
+IEEE operations in the same order: each mass is multiplied by pi or by
+1 - pi (a zero mass gives 0.0, which adds nothing), and the request mass
+is the in-order ``np.cumsum`` of [down * pi_down, a_0 pi_0, a_1 pi_1, ...],
+never the pairwise ``sum``.  E[F~] is the in-order cumsum of f_m a_m, and
+E[X] the row's ``ndarray.sum``, as in the loop.
 """
 
 from __future__ import annotations
@@ -66,16 +76,21 @@ def forward_greedy(params: LinkParams) -> Policy:
     iff its next-step fidelity f_{m+1} still beats a fresh attempt p * f_0."""
     fcurve = params.fcurve
     fresh = params.p * fcurve(0)
-    keep: dict[int, bool] = {}  # m -> f_{m+1} >= p * f_0, evaluated once per age
+    requests = np.empty(0)  # age m -> 1.0 iff f_{m+1} < p * f_0
+
+    def upto(ages: int) -> np.ndarray:
+        """``requests`` for ages 0..ages-1 at least, f_{m+1} evaluated once per age."""
+        nonlocal requests
+        if len(requests) < ages:
+            requests = np.append(requests, [0.0 if fcurve(m + 1) >= fresh else 1.0
+                                            for m in range(len(requests), ages)])
+        return requests
 
     def rule(t: int, x: int, m: int) -> float:
-        if x == 0:
-            return 1.0
-        if m not in keep:
-            keep[m] = fcurve(m + 1) >= fresh
-        return 0.0 if keep[m] else 1.0
+        return 1.0 if x == 0 else float(upto(m + 1)[m])
 
-    return Policy.from_state_rule(rule, "deterministic", "forward-greedy")
+    return Policy.from_state_rule(rule, "deterministic", "forward-greedy",
+                                  lambda t: (1.0, upto(t)[:t]))
 
 
 # ---------------------------------------------------------------------------
@@ -94,34 +109,28 @@ def evaluate_state_policy(params: LinkParams, policy: Policy, t: int) -> PolicyE
 
     Propagates the occupation distribution over (x, m) states directly, so
     it stays exact at horizons where history enumeration is infeasible.
-    Requires ``policy.decide_state``; cross-checked against history
-    enumeration in the tests.
+    Each step reads the policy's decisions at all ages at once from
+    ``policy.decide_ages`` (see the module docstring for the order of the
+    sums).  Cross-checked against history enumeration, and under ``==``
+    against the state-at-a-time loop, in the tests.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    rule = policy.decide_state
-    if rule is None:
+    ages = policy.decide_ages
+    if ages is None:
         raise ValueError("evaluate_state_policy needs a policy with a state rule")
     p = params.p
-    active = np.zeros(t)  # m -> Pr[X=1, M=m]
+    active = np.array([p])  # m -> Pr[X=1, M=m]
     down = 1.0 - p
-    active[0] = p
     for j in range(1, t):
-        pi_down = rule(j, 0, -1)
-        request_mass = down * pi_down
-        stay_down = down * (1.0 - pi_down)
-        new_active = np.zeros(t)
-        for m in range(j):
-            if active[m] == 0.0:
-                continue
-            pi1 = rule(j, 1, m)
-            request_mass += active[m] * pi1
-            new_active[m + 1] += active[m] * (1.0 - pi1)
-        new_active[0] += p * request_mass
-        down = stay_down + (1.0 - p) * request_mass
-        active = new_active
+        pi_down, pi = ages(j)
+        request_mass = np.cumsum(np.concatenate(([down * pi_down], active * pi)))[-1]
+        down_kept = down * (1.0 - pi_down)
+        active = np.concatenate(([p * request_mass], active * (1.0 - pi)))
+        down = down_kept + (1.0 - p) * request_mass
     e_x = float(active.sum())
-    e_ftilde = float(sum(params.fcurve(m) * w for m, w in enumerate(active) if w))
+    fvals = np.array([params.fcurve(m) for m in range(t)])
+    e_ftilde = float(np.cumsum(fvals * active)[-1])
     e_f = e_ftilde / e_x if e_x > 0.0 else None
     return PolicyEvaluation(e_ftilde=e_ftilde, e_x=e_x, e_f=e_f)
 
@@ -193,7 +202,13 @@ def backward_recursion_reduced(params: LinkParams, T: int,
             return 1.0 if request_when_down[t] else 0.0
         return 0.0 if wait_when_active[t][m] else 1.0
 
-    policy = Policy.from_state_rule(rule, "deterministic", "optimal-reduced")
+    def ages(t: int) -> tuple[float, np.ndarray]:
+        if t > T:
+            return 0.0, np.zeros(t)
+        return (1.0 if request_when_down[t] else 0.0,
+                np.where(wait_when_active[t], 0.0, 1.0))
+
+    policy = Policy.from_state_rule(rule, "deterministic", "optimal-reduced", ages)
     return OptimizationResult(optimal_value=float(value), policy=policy,
                               mode="reduced", table=table)
 

@@ -16,18 +16,22 @@ vectorized over all candidates, one evaluating each candidate by history
 enumeration.  A second Monte Carlo chain checks the waiting-time closed
 form.  The policy dump as a dict of action records is the reference the
 CLI's streamed ``.policy.json`` writer must equal once passed through
-``json.dumps``.
+``json.dumps``.  The optimizer's state-at-a-time policy evaluation loop and
+its record-at-a-time dump writer are the references the numpy propagator
+and the array-fed writer must equal under ``==`` and byte for byte.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, TextIO, Union
 
 import numpy as np
 
+from qlink import optimize as opt
 from qlink.cutoff import Cutoff, CutoffLike
 from qlink.engine import (History, LinkParams, Policy, SimulationResult,
                           evolve_exhaustive, expected_quantities, trial_rng)
@@ -630,3 +634,68 @@ def policy_dump_dict(result: OptimizationResult, T: int) -> dict:
     actions = [{"t": t, "x": x, "m": m, "action": int(decide(t, x, m))}
                for t in range(1, T + 1) for x, m in state_space(t)]
     return {"horizon": T, "mode": result.mode, "actions": actions}
+
+
+# ---------------------------------------------------------------------------
+# the optimizer's policy evaluation and dump, one state at a time
+# ---------------------------------------------------------------------------
+
+def evaluate_state_policy(params: LinkParams, policy: Policy, t: int) -> PolicyEvaluation:
+    """Exact link quantities at time t for a (t, x, m)-feedback policy.
+
+    Propagates the occupation distribution over (x, m) states directly, so
+    it stays exact at horizons where history enumeration is infeasible.
+    Requires ``policy.decide_state``; cross-checked against history
+    enumeration in the tests.
+    """
+    if t < 1:
+        raise ValueError(f"t must be >= 1, got {t}")
+    rule = policy.decide_state
+    if rule is None:
+        raise ValueError("evaluate_state_policy needs a policy with a state rule")
+    p = params.p
+    active = np.zeros(t)  # m -> Pr[X=1, M=m]
+    down = 1.0 - p
+    active[0] = p
+    for j in range(1, t):
+        pi_down = rule(j, 0, -1)
+        request_mass = down * pi_down
+        stay_down = down * (1.0 - pi_down)
+        new_active = np.zeros(t)
+        for m in range(j):
+            if active[m] == 0.0:
+                continue
+            pi1 = rule(j, 1, m)
+            request_mass += active[m] * pi1
+            new_active[m + 1] += active[m] * (1.0 - pi1)
+        new_active[0] += p * request_mass
+        down = stay_down + (1.0 - p) * request_mass
+        active = new_active
+    e_x = float(active.sum())
+    e_ftilde = float(sum(params.fcurve(m) * w for m, w in enumerate(active) if w))
+    e_f = e_ftilde / e_x if e_x > 0.0 else None
+    return PolicyEvaluation(e_ftilde=e_ftilde, e_x=e_x, e_f=e_f)
+
+
+def write_policy_json(handle: TextIO, horizon: int,
+                      result: opt.OptimizationResult) -> None:
+    """Stream ``result``'s decisions over times 1..horizon to ``handle``.
+
+    The text equals ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``
+    byte for byte, where ``obj = {"horizon": horizon, "mode": result.mode,
+    "actions": [{"t", "x", "m", "action"}, ...]}`` lists the actions in the
+    documented order: t ascending, then down, then active by age.  Every
+    value but ``mode`` is an int, so each record is a fixed template, and
+    one chunk per decision time is written.
+    """
+    decide = result.policy.decide_state
+    handle.write('{\n  "actions": [\n')
+    for t in range(1, horizon + 1):
+        if t > 1:
+            handle.write(",\n")
+        handle.write(",\n".join([
+            '    {\n      "action": %d,\n      "m": %d,\n      "t": %d,\n'
+            '      "x": %d\n    }' % (decide(t, x, m), m, t, x)
+            for x, m in opt.state_space(t)]))
+    handle.write('\n  ],\n  "horizon": %d,\n  "mode": %s\n}\n'
+                 % (horizon, json.dumps(result.mode)))

@@ -1,5 +1,6 @@
 """Configuration parsing, CSV round-trips, and the command-line front end."""
 
+import io
 import json
 import math
 import os
@@ -14,12 +15,15 @@ from hypothesis import given, settings, strategies as st
 
 from qlink import cli
 from qlink.cli import main
-from qlink.config import FIELDS, MODES, ConfigError, load_config, parse_config
+from qlink.config import (FIELDS, MAX_TIMES, MODES, ConfigError, load_config,
+                          parse_config)
 from qlink.csvio import ResultTable, config_hash, read_result_table, write_result_table
 from qlink.cutoff import prob_active, waiting_time
 from qlink.engine import LinkParams
 from qlink.optimize import backward_recursion_reduced
+from qlink.quantum import FidelityCurve
 
+import oracles
 from oracles import policy_dump_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -302,6 +306,24 @@ def test_cli_policy_dump_bytes_at_a_long_horizon(tmp_path):
     assert (tmp_path / "opt.csv.policy.json").read_bytes() == oracle.encode()
 
 
+@pytest.mark.parametrize("curve", [
+    FidelityCurve.constant(0.9),
+    FidelityCurve.depolarizing(1.0, 0.8, 4),
+    FidelityCurve.dephasing_bell(0.95),
+], ids=["constant", "depolarizing", "dephasing_bell"])
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 1.0])
+def test_cli_policy_dump_equals_the_record_at_a_time_writer(p, curve):
+    """The dump written from the decision arrays is the oracle writer's
+    text, byte for byte."""
+    for T in (1, 2, 7, 40, 300):
+        result = backward_recursion_reduced(LinkParams.symbolic(p, curve), T,
+                                            keep_table=False)
+        new, old = io.StringIO(), io.StringIO()
+        cli.write_policy_json(new, T, result)
+        oracles.write_policy_json(old, T, result)
+        assert new.getvalue() == old.getvalue()
+
+
 @pytest.mark.parametrize("value", ["full", "reduced"])
 def test_cli_optimizer_mode_is_an_unknown_field(tmp_path, value):
     doc = {"schema_version": 1, "mode": "optimize", "optimizer_mode": value,
@@ -489,6 +511,8 @@ def nested_overrides_config(depth):
     ("analytic", _with(analytic_doc(), "link.fidelity",
                        {"kind": "constant", "lam": 0.9}), 2),
     ("optimize", _with(OPTIMIZE_DOC, "link.fidelity", {"kind": "constant", "dim": 2}), 2),
+    ("analytic", analytic_doc(times={"start": 1, "stop": 10 ** 15}), 2),
+    ("sweep", dict(SWEEP_DOC, times={"start": 1, "stop": MAX_TIMES + 1}), 2),
 ], ids=["dim-str", "dim-zero", "step-str", "t_max-str", "tstars-negative",
         "p-above-one", "unknown-top-level", "unknown-override", "config-dir",
         "not-utf8", "deep-nesting", "figure-outside-reproduce",
@@ -504,7 +528,8 @@ def nested_overrides_config(depth):
         "threads-flag-in-analytic", "threads-flag-in-simulate",
         "threads-flag-in-reproduce", "schema_version-bool", "times-start-bool",
         "times-stop-bool", "dephasing-with-dim-and-f0", "constant-with-lam",
-        "constant-with-dim-in-optimize"])
+        "constant-with-dim-in-optimize", "times-range-huge",
+        "times-range-above-cap"])
 def test_cli_malformed_input_exit_codes(tmp_path, command, doc, code):
     """Malformed input ends in its documented exit code, never a traceback,
     and writes no output.  Words of ``command`` after the first are passed
@@ -519,6 +544,21 @@ def test_cli_malformed_input_exit_codes(tmp_path, command, doc, code):
     out = tmp_path / "o.csv"
     assert main([words[0], "--config", config, "--out", str(out), *words[1:]]) == code
     assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [
+    dict(SWEEP_DOC, sweep={"field": "tstar", "values": [json.loads("[" * 500 + "]" * 500)]}),
+    _with(SWEEP_DOC, "link.tstar", list(range(1000))),
+    _with(FIG5_DOC, "overrides.tstars", [{"t": list(range(1000))}]),
+], ids=["deep-list-in-sweep-values", "long-list-tstar", "object-in-tstars"])
+def test_cli_cutoff_error_names_a_list_or_object_by_type(tmp_path, capsys, doc):
+    """A list or an object where a cutoff belongs exits 2 with a message of
+    one short line, naming its type instead of printing it."""
+    config = write_config(tmp_path, doc)
+    assert main([doc["mode"], "--config", config, "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"got (list|dict)$", err.strip()), err
+    assert len(err) < 200
 
 
 @pytest.mark.parametrize("depth", [988, 989])

@@ -17,6 +17,7 @@ from qlink.cutoff import (
     active_rows,
     count_sequences,
     cutoff_policy,
+    cutoff_table,
     expected_fidelity_cutoff,
     expected_success_rate,
     expected_success_rates,
@@ -459,6 +460,24 @@ def test_active_rows_equal_term_at_a_time_reference(tstar, p):
         assert (row.fidelity.e_ftilde, row.fidelity.e_f) == \
             expected_fidelity_lgamma(t, tstar, p, curve)
     assert all(row.fidelity is None for row in active_rows(times, tstar, p))
+
+
+@pytest.mark.parametrize("curve", [
+    FidelityCurve.constant(0.9),
+    FidelityCurve.depolarizing(1.0, 0.8, 4),
+    FidelityCurve.dephasing_bell(0.95),
+], ids=["constant", "depolarizing", "dephasing_bell"])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+def test_cutoff_table_equals_active_rows(p, curve):
+    """The one-time table of every cutoff, at the optimizer's T+1, equals
+    each cutoff's own `active_rows` row, t* >= T and infinity included."""
+    for T in (1, 2, 3, 40, 500):
+        tstars = list(range(T + 3)) + [math.inf]
+        table = cutoff_table(T + 1, tstars, p, curve)
+        assert len(table) == len(tstars)
+        for tstar, values in zip(tstars, table):
+            row = next(active_rows((T + 1,), tstar, p, curve))
+            assert values == (row.fidelity.e_ftilde, row.prob_active, row.fidelity.e_f)
 
 
 def test_active_rows_rejects_bad_input():

@@ -13,6 +13,7 @@ from qlink.optimize import (
 )
 from qlink.quantum import FidelityCurve
 
+import oracles
 from oracles import (
     EXHAUSTIVE_ENGINE_MAX_T,
     EXHAUSTIVE_TENSOR_MAX_T,
@@ -126,6 +127,29 @@ def test_state_evaluation_matches_history_enumeration(policy_factory):
         by_state = evaluate_state_policy(params, policy, t)
         assert by_state.e_ftilde == pytest.approx(by_history.e_ftilde, abs=1e-12)
         assert by_state.e_x == pytest.approx(by_history.e_x, abs=1e-12)
+
+
+CURVES = {"constant": FidelityCurve.constant(0.9),
+          "depolarizing": FidelityCurve.depolarizing(1.0, 0.8, 4),
+          "dephasing_bell": FidelityCurve.dephasing_bell(0.95)}
+
+
+@pytest.mark.parametrize("kind", CURVES)
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.5, 0.9, 1.0])
+def test_state_evaluation_equals_the_state_at_a_time_loop(p, kind):
+    """The numpy propagator gives the oracle loop's floats under ``==``, for
+    the optimum (also past its horizon), greedy, cutoffs and a stochastic
+    rule, whose per-age decisions come from the rule itself."""
+    params = params_for(p, CURVES[kind])
+    stochastic = Policy.from_state_rule(lambda t, x, m: 0.25 + 0.5 * x, "stochastic")
+    for T in (1, 2, 7, 40, 300):
+        optimal = backward_recursion_reduced(params, T, keep_table=False).policy
+        cases = [(optimal, T + 1), (optimal, T + 3), (forward_greedy(params), T + 1),
+                 (stochastic, T + 1)]
+        cases += [(cutoff_policy(tstar), T + 1) for tstar in (0, 3, T, math.inf)]
+        for policy, t in cases:
+            assert evaluate_state_policy(params, policy, t) == \
+                oracles.evaluate_state_policy(params, policy, t)
 
 
 def test_state_evaluation_requires_state_rule():
