@@ -16,11 +16,17 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from .cutoff import Cutoff
+from .engine import MAX_TRIALS
 from .quantum import MAX_DIM, FidelityCurve
 
 SCHEMA_VERSION = 1
-# the most times a {start, stop, step} range may hold
-MAX_TIMES = 10 ** 6
+# The largest time t, t_req, or figure t, t_max or t_req_max; it also caps
+# how many times a {start, stop, step} range holds.  The closed forms hold
+# O(t) lists at one time, so a larger bound lets a config end in
+# MemoryError (README "Command line" has the measurements).
+MAX_TIME = 10 ** 6
+# The largest horizon: optimize's work, memory and policy dump grow as T**2.
+MAX_HORIZON = 10 ** 4
 
 MODES = ("analytic", "simulate", "optimize", "sweep", "reproduce")
 # each top-level field: (the modes that read it, the modes that require it);
@@ -167,18 +173,15 @@ def _parse_list(value: Any, where: str, parse: Callable, *args) -> tuple:
 
 def _parse_times(value: Any, where: str) -> tuple[int, ...]:
     if not isinstance(value, dict):
-        return _parse_list(value, where, _parse_int, 1)
+        return _parse_list(value, where, _parse_int, 1, MAX_TIME)
     _check_fields(value, ("start", "stop", "step"), where + ".")
     start, stop = (_parse_int(_require(value, key, where=where + "."),
-                              f"{where}.{key}", 1) for key in ("start", "stop"))
+                              f"{where}.{key}", 1, MAX_TIME)
+                   for key in ("start", "stop"))
     step = _parse_int(value.get("step", 1), where + ".step", 1)
     if stop < start:
         raise ConfigError(f"field {where}: invalid range {value}")
-    times = range(start, stop + 1, step)
-    if len(times) > MAX_TIMES:
-        raise ConfigError(f"field {where}: the range holds {len(times)} times, "
-                          f"more than {MAX_TIMES}")
-    return tuple(times)
+    return tuple(range(start, stop + 1, step))
 
 
 def _parse_fidelity(doc: Any, where: str) -> FidelitySpec:
@@ -217,7 +220,7 @@ def _parse_override(value: Any, where: str, key: str):
         return _parse_list(value, where, _parse_cutoff)
     if key == "p":
         return _parse_prob(value, where)
-    return _parse_int(value, where, 0 if key == "t_req_max" else 1)
+    return _parse_int(value, where, 0 if key == "t_req_max" else 1, MAX_TIME)
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -245,9 +248,12 @@ def parse_config(doc: dict) -> RunConfig:
     if mode == "optimize" and link.fidelity is None:
         raise ConfigError("mode 'optimize' requires link.fidelity")
     times = _parse_times(doc["times"], "times") if "times" in doc else ()
-    t_req = _parse_list(doc["t_req"], "t_req", _parse_int, 0) if "t_req" in doc else ()
-    seed, trials, horizon = (_parse_int(doc[key], key, low) if key in doc else None
-                             for key, low in (("seed", 0), ("trials", 1), ("horizon", 1)))
+    t_req = (_parse_list(doc["t_req"], "t_req", _parse_int, 0, MAX_TIME)
+             if "t_req" in doc else ())
+    seed, trials, horizon = (
+        _parse_int(doc[key], key, low, high) if key in doc else None
+        for key, low, high in (("seed", 0, None), ("trials", 1, MAX_TRIALS),
+                               ("horizon", 1, MAX_HORIZON)))
 
     sweep_field: Optional[str] = None
     sweep_values: tuple = ()

@@ -563,7 +563,7 @@ def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
                  ) -> list[tuple[float, float, Optional[float]]]:
     """(E[F~(t)], Pr[X(t) = 1], E[F(t)]) at one time t for each cutoff in
     ``tstars``, in order, each equal bit for bit to the values of
-    ``next(active_rows((t,), t*, p, fcurve))``; f_m is evaluated once.
+    ``next(active_rows((t,), t*, p, fcurve))``; f_m is evaluated at most once.
 
     For t > t*+1 and 0 < p < 1, g(t-m) for m = 0..t* is the column sums,
     in increasing b, of a (b, m) array of terms formed as `_binomial_sums`
@@ -571,34 +571,40 @@ def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
     terms fill its first t cells and depend on (k, b) alone.  Terms with
     b < sqrt(t/2) are shared by every cutoff and evaluated once, which
     takes the `math.exp` calls from O(t^2) to O(t^1.5).  The row's sums are
-    in-order cumsums, as 3.11's `sum()` adds.  Other cutoffs go through
-    `active_rows`.
+    in-order cumsums, as 3.11's `sum()` adds.  At p = 0 the link is never
+    active, and at p = 1 it is active at age (t-1) mod (t*+1) with
+    probability 1.  Other cutoffs go through `active_rows`.
     """
     _validate_p(p)
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
+    if p == 0.0:
+        return [(0.0, 0.0, None)] * len(tstars)
     fvals = [fcurve(m) for m in range(t)]
+    if p == 1.0:
+        ages = ((t - 1) % block if t > block else t - 1
+                for block in map(_block, map(Cutoff.parse, tstars)))
+        return [(fvals[m], 1.0, fvals[m]) for m in ages]
     f = np.array(fvals)
-    if 0.0 < p < 1.0:
-        log_fact = np.array(_log_factorials(t)[:t + 1])
-        ks = np.arange(t + 1, dtype=float)  # float(k) * x == k * x exactly
-        log_p, log_q = math.log(p), math.log1p(-p)
+    log_fact = np.array(_log_factorials(t)[:t + 1])
+    ks = np.arange(t + 1, dtype=float)  # float(k) * x == k * x exactly
+    log_p, log_q = math.log(p), math.log1p(-p)
 
-        def terms_at(k, b):
-            """The terms at cells k with b completed blocks, n = F + b."""
-            fail = t - 1 - k
-            return _exp(log_fact[fail + b] - log_fact[b] - log_fact[fail]
-                        + ks[b + 1] * log_p + ks[fail] * log_q)
+    def terms_at(k, b):
+        """The terms at cells k with b completed blocks, n = F + b."""
+        fail = t - 1 - k
+        return _exp(log_fact[fail + b] - log_fact[b] - log_fact[fail]
+                    + ks[b + 1] * log_p + ks[fail] * log_q)
 
-        cells = np.arange(t)
-        low = math.isqrt(t // 2) + 1
-        shared = np.zeros((low, t))  # [b, k]: the term, for k >= b
-        for b in range(low):
-            shared[b, b:] = terms_at(cells[b:], b)
+    cells = np.arange(t)
+    low = math.isqrt(t // 2) + 1
+    shared = np.zeros((low, t))  # [b, k]: the term, for k >= b
+    for b in range(low):
+        shared[b, b:] = terms_at(cells[b:], b)
     table = []
     for tstar in tstars:
         cut = Cutoff.parse(tstar)
-        if t <= _block(cut) or not 0.0 < p < 1.0:
+        if t <= _block(cut):
             row = next(active_rows((t,), cut, p, fvals.__getitem__))
             table.append((row.fidelity.e_ftilde, row.prob_active, row.fidelity.e_f))
             continue

@@ -20,11 +20,15 @@ random number from its own stream `trial_rng(s, i)`, in this order: one
 uniform for the outcome of the initial request A(0), then for each
 t = 1..H-1 one uniform for the decision A(t) and, if A(t) is a request, one
 more for its outcome.  That is at most 2H - 1 uniforms per trial.  An event
-of probability q happens when its uniform is below q.
+of probability q happens when its uniform is below q.  The simulator does
+not call `trial_rng`: it builds a block of trials' streams at once, with
+the same bits, from numpy's SeedSequence hash and PCG64 seeding, which
+NEP 19 keeps stable (see `_fill_trial_draws`).
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
@@ -48,6 +52,17 @@ WEIGHT_SUM_TOL = 1e-12
 # cost more than a trial-at-a-time loop.
 DRAW_BLOCK_BYTES = 1 << 18
 MIN_BLOCK_TRIALS = 64
+# Trial indices 0..MAX_TRIALS-1 are one 32-bit word of the SeedSequence
+# spawn key, the case `_fill_trial_draws` reproduces.
+MAX_TRIALS = 1 << 32
+
+# numpy's SeedSequence hash (pool size 4) and PCG64's LCG multiplier
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +123,12 @@ class History:
 class Policy:
     """A decision-function family d_t: histories -> Pr[A(t) = 1].
 
-    ``decide`` consumes the full history; ``decide_state`` is an optional
-    fast path for policies that only look at (t, x_t, M(t)) -- the simulator
-    uses it when present to avoid building History objects per step.
-    ``decide_ages(t)`` gives the same rule's decisions at time t at once:
-    the request probability when down, and an array of them when active at
-    ages 0..t-1.
+    ``decide`` consumes the full history; ``decide_state`` is the same
+    decision for policies that only look at (t, x_t, M(t)).
+    ``decide_ages(t)`` gives that rule's decisions at time t at once: the
+    request probability when down, and an array of them when active at ages
+    0..t-1.  The simulator and `evaluate_state_policy` read a state rule
+    through it, with no History objects per step.
     """
 
     decide: Callable[[int, History], float]
@@ -400,6 +415,78 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(trial,))))
 
 
+def _hash_constants(init: int, mult: int) -> Iterator[tuple[int, int]]:
+    """The (xor, multiplier) pair of each successive SeedSequence hash."""
+    const = init
+    while True:
+        step = const * mult & _MASK32
+        yield const, step
+        const = step
+
+
+def _hash(value, consts: Iterator[tuple[int, int]]):
+    """One SeedSequence hash of a 32-bit word, or of each of a uint32 array."""
+    xor, mult = next(consts)
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool word x with a hashed word y."""
+    r = ((_MIX_MULT_L * x & _MASK32) - _MIX_MULT_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _fill_trial_draws(seed: int, start: int, out: np.ndarray) -> None:
+    """Fill row i of ``out`` with the uniforms that
+    ``trial_rng(seed, start + i).random(out.shape[1])`` draws, bit for bit.
+
+    `trial_rng` seeds PCG64 from ``SeedSequence(entropy=seed,
+    spawn_key=(trial,))``.  That hashes the seed's 32-bit words, padded with
+    zeros to the pool's 4, into the pool, then the trial's one word, then
+    hashes the pool into four 64-bit words.  Only the trial's round and the
+    output hash depend on the trial, and the hash constants advance the same
+    way for every trial, so the seed's rounds run once, on Python ints, and
+    the rest on uint32 arrays over the block.  PCG64's seeding is then two
+    128-bit LCG steps per trial, and one reused generator draws each row from
+    the state it is set to.
+    """
+    seed = operator.index(seed)  # numpy integers become exact Python ints
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if start < 0 or start + len(out) > MAX_TRIALS:
+        raise ValueError(f"trials {start}..{start + len(out) - 1} are outside "
+                         f"0..{MAX_TRIALS - 1}")
+    words = [seed >> shift & _MASK32
+             for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hash(word, consts) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], consts))
+    trials = np.arange(len(out), dtype=np.uint32) + start
+    for word in words[4:] + [trials]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hash(word, consts))
+    consts = _hash_constants(_INIT_B, _MULT_B)
+    state = [_hash(pool[k % 4], consts).astype(np.uint64) for k in range(8)]
+    # the 64-bit words, little-endian pairs: initstate's high and low
+    # halves, then the stream's
+    halves = [(state[k] | state[k + 1] << 32).tolist() for k in range(0, 8, 2)]
+
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    for row, high, low, seq_high, seq_low in zip(out, *halves):
+        inc = (seq_high << 65 | seq_low << 1 | 1) & _MASK128
+        lcg = ((high << 64 | low) + inc) * _PCG64_MULT + inc & _MASK128
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": lcg, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        generator.random(out=row)
+
+
 def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense ids 0..k-1 for the distinct small non-negative ``keys``, in key
     order, and for each id one position holding it."""
@@ -417,24 +504,29 @@ def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
     Trials run in blocks as one state machine over (x, M, N_req, N_succ),
     advanced a time step at a time.  Each trial's 2H - 1 uniforms (see the
     module docstring) are drawn up front as one row, and a per-trial cursor
-    consumes them in the order a trial-at-a-time loop would.  Sums over
+    consumes them in the order a trial-at-a-time loop would.  A state rule
+    is read through ``policy.decide_ages``, at every age at once.  Sums over
     trials accumulate in trial order, so the result does not depend on the
     block size.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    if not 1 <= n_trials <= MAX_TRIALS:
+        raise ValueError(f"n_trials must be in [1, {MAX_TRIALS}], got {n_trials}")
     p = params.p
     fcurve = params.fcurve
-    rule = policy.decide_state
+    ages = policy.decide_ages
     width = 2 * horizon - 1
     block = max(MIN_BLOCK_TRIALS, DRAW_BLOCK_BYTES // (8 * width))
 
     # ftable[m + 1] = f_m for every age reached so far; ftable[0] = 0.0 stands
     # for the unloaded memory, since x = 0 exactly when M = -1
     ftable = np.zeros(1)
-    state_probs: dict[tuple[int, int], float] = {}  # (t, m) -> decide_state
+    # decisions[t][m + 1] = Pr[A(t) = 1] in state m, up to the oldest age
+    # reached at t; [0] is the down state.  Kept across blocks until the
+    # rows made take as much memory as the draws.
+    decisions: dict[int, np.ndarray] = {}
+    kept_bytes = 0
     n_active = np.zeros(horizon, dtype=np.int64)
     sums = np.zeros((4, horizon))  # per t: sum of Ftilde, Ftilde^2, S, S^2
 
@@ -442,8 +534,7 @@ def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
     draws = np.empty((min(block, n_trials), width))
     for start in range(0, n_trials, block):
         n = min(block, n_trials - start)
-        for i in range(n):
-            trial_rng(seed, start + i).random(out=draws[i])
+        _fill_trial_draws(seed, start, draws[:n])
         flat = draws[:n].ravel()
         cursor = np.arange(0, n * width, width)  # flat index of the next draw
         x = flat[cursor] < p  # A(0) = 1
@@ -451,7 +542,7 @@ def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
         n_req = np.ones(n, dtype=np.int64)
         n_succ = x.astype(np.int64)
         m = n_succ - 1
-        if rule is None:
+        if ages is None:
             xs = np.empty((n, horizon), dtype=np.int8)
             acts = np.empty((n, horizon - 1), dtype=np.int8)
             xs[:, 0] = x
@@ -476,21 +567,21 @@ def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
             if t == horizon:
                 break
 
-            # one decision per distinct state (or history) present
-            if rule is None:
-                ids = hist_ids
+            if ages is None:  # one decision per distinct history present
                 probs = [policy.action_prob(t, History(tuple(xs[r, :t].tolist()),
                                                        tuple(acts[r, :idx].tolist())))
                          for r in hist_reps.tolist()]
+                pi1 = np.array(probs, dtype=float)[hist_ids]
             else:
-                ids, reps = _distinct(m + 1)
-                probs = []
-                for age in m[reps].tolist():
-                    key = (t, age)
-                    if key not in state_probs:
-                        state_probs[key] = rule(t, int(age >= 0), age)
-                    probs.append(state_probs[key])
-            request = flat[cursor] < np.array(probs, dtype=float)[ids]
+                row = decisions.get(t)
+                if row is None or len(row) < top + 2:
+                    down, active = ages(t)
+                    row = np.concatenate(([down], active[:top + 1]))
+                    if kept_bytes + row.nbytes <= draws.nbytes:
+                        decisions[t] = row
+                        kept_bytes += row.nbytes
+                pi1 = row[m + 1]
+            request = flat[cursor] < pi1
             cursor += 1
             success = flat[cursor] < p
             cursor += request
@@ -498,7 +589,7 @@ def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
             m = np.where(request, x - 1, m + x)
             n_req += request
             n_succ += request & success
-            if rule is None:
+            if ages is None:
                 xs[:, t] = x
                 acts[:, idx] = request
                 hist_ids, hist_reps = _distinct(hist_ids * 4 + request * 2 + x)

@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from qlink import cli
 from qlink.cli import main
-from qlink.config import (FIELDS, MAX_TIMES, MODES, ConfigError, load_config,
-                          parse_config)
+from qlink.config import (FIELDS, MAX_HORIZON, MAX_TIME, MODES, ConfigError,
+                          load_config, parse_config)
 from qlink.csvio import ResultTable, config_hash, read_result_table, write_result_table
 from qlink.cutoff import prob_active, waiting_time
 from qlink.engine import LinkParams
@@ -512,7 +512,18 @@ def nested_overrides_config(depth):
                        {"kind": "constant", "lam": 0.9}), 2),
     ("optimize", _with(OPTIMIZE_DOC, "link.fidelity", {"kind": "constant", "dim": 2}), 2),
     ("analytic", analytic_doc(times={"start": 1, "stop": 10 ** 15}), 2),
-    ("sweep", dict(SWEEP_DOC, times={"start": 1, "stop": MAX_TIMES + 1}), 2),
+    ("sweep", dict(SWEEP_DOC, times={"start": 1, "stop": MAX_TIME + 1}), 2),
+    ("analytic", analytic_doc(times=[10 ** 12]), 2),
+    ("sweep", dict(SWEEP_DOC, times=[1, MAX_TIME + 1]), 2),
+    ("analytic", analytic_doc(times={"start": 10 ** 12, "stop": 10 ** 12}), 2),
+    ("analytic", {key: value for key, value in analytic_doc(t_req=[10 ** 12]).items()
+                  if key != "times"}, 2),
+    ("reproduce", _with(FIG5_DOC, "overrides.t_max", MAX_TIME + 1), 2),
+    ("reproduce", dict(FIG5_DOC, figure="fig4-left", overrides={"t": 10 ** 12}), 2),
+    ("reproduce", dict(FIG5_DOC, figure="fig7", overrides={"t_req_max": 10 ** 12}), 2),
+    ("optimize", dict(OPTIMIZE_DOC, horizon=10 ** 12), 2),
+    ("simulate", dict(SIMULATE_DOC, horizon=MAX_HORIZON + 1), 2),
+    ("simulate", dict(SIMULATE_DOC, trials=2 ** 32 + 1), 2),
 ], ids=["dim-str", "dim-zero", "step-str", "t_max-str", "tstars-negative",
         "p-above-one", "unknown-top-level", "unknown-override", "config-dir",
         "not-utf8", "deep-nesting", "figure-outside-reproduce",
@@ -529,7 +540,10 @@ def nested_overrides_config(depth):
         "threads-flag-in-reproduce", "schema_version-bool", "times-start-bool",
         "times-stop-bool", "dephasing-with-dim-and-f0", "constant-with-lam",
         "constant-with-dim-in-optimize", "times-range-huge",
-        "times-range-above-cap"])
+        "times-range-above-cap", "time-huge", "time-above-cap",
+        "times-range-start-huge", "t_req-huge", "override-t_max-above-cap",
+        "override-t-huge", "override-t_req_max-huge", "horizon-huge-in-optimize",
+        "horizon-above-cap-in-simulate", "trials-above-cap"])
 def test_cli_malformed_input_exit_codes(tmp_path, command, doc, code):
     """Malformed input ends in its documented exit code, never a traceback,
     and writes no output.  Words of ``command`` after the first are passed

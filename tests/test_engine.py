@@ -218,6 +218,45 @@ def test_trial_rng_streams_are_stable_and_distinct():
     assert not np.array_equal(a1, c)
 
 
+STREAM_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 130 + 3,
+                12345678901234567890123456789012345678901234567890]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_trial_block_streams_equal_trial_rng(seed):
+    """The simulator's block builder draws each trial's stream bit for bit,
+    for seeds of one to six 32-bit words and trial indices up to the last
+    one-word spawn key."""
+    rows = 64
+    for start in (0, 1, 331, engine.MAX_TRIALS - rows):
+        for width in (1, 2, 99):
+            out = np.empty((rows, width))
+            engine._fill_trial_draws(seed, start, out)
+            expected = np.array([trial_rng(seed, start + i).random(width)
+                                 for i in range(rows)])
+            assert (out == expected).all(), (start, width)
+
+
+def test_trial_block_builder_rejects_keys_it_does_not_reproduce():
+    out = np.empty((2, 3))
+    with pytest.raises(ValueError, match="outside"):
+        engine._fill_trial_draws(0, engine.MAX_TRIALS - 1, out)
+    with pytest.raises(ValueError, match="seed"):
+        engine._fill_trial_draws(-1, 0, out)
+    params = LinkParams.symbolic(0.3, CURVE)
+    with pytest.raises(ValueError, match="n_trials"):
+        simulate_trajectories(params, cutoff_policy(2), 5, engine.MAX_TRIALS + 1, seed=0)
+
+
+def test_simulation_builds_streams_without_trial_rng(monkeypatch):
+    def unused(seed, trial):
+        raise AssertionError("simulate_trajectories called trial_rng")
+
+    monkeypatch.setattr(engine, "trial_rng", unused)
+    params = LinkParams.symbolic(0.3, CURVE)
+    simulate_trajectories(params, cutoff_policy(2), 5, 100, seed=0)
+
+
 def test_simulation_is_deterministic_given_seed():
     params = LinkParams.symbolic(0.3, CURVE)
     policy = cutoff_policy(2)
