@@ -45,6 +45,7 @@ from .cutoff import (
     success_rate_limits,
     transition_matrix,
     waiting_time,
+    waiting_times,
 )
 from .network import (
     EdgeConfig,

@@ -85,9 +85,8 @@ def run_analytic(config: RunConfig) -> ResultTable:
     if config.t_req:
         table = ResultTable(columns=list(WAITING_COLUMNS), rows=[],
                             metadata=_metadata(config))
-        for t_req in config.t_req:
-            wait = ca.waiting_time(t_req, link.tstar, link.p)
-            table.append(link.p, _tstar_cell(link.tstar), t_req,
+        for wait in ca.waiting_times(config.t_req, link.tstar, link.p):
+            table.append(link.p, _tstar_cell(link.tstar), wait.t_req,
                          wait.expectation, wait.limit)
         return table
     table = ResultTable(columns=list(ANALYTIC_COLUMNS), rows=[],
@@ -261,9 +260,8 @@ def reproduce_figure(figure: str, ov: dict) -> ResultTable:
     if figure == "fig7":
         table = ResultTable(columns=["tstar", "t_req", "e_wait"], rows=[])
         for cut in ov["tstars"]:
-            for t_req in range(0, ov["t_req_max"] + 1):
-                table.append(_tstar_cell(cut), t_req,
-                             ca.waiting_time(t_req, cut, ov["p"]).expectation)
+            for wait in ca.waiting_times(range(ov["t_req_max"] + 1), cut, ov["p"]):
+                table.append(_tstar_cell(cut), wait.t_req, wait.expectation)
         return table
 
     # fig8 / fig9: four parallel links with the captioned cutoffs at t = 50

@@ -18,28 +18,31 @@ for the single sequence
 
     g(u) = sum_{b=0}^{(u-1)//(t*+1)} C(u-1-b t*, b) p^(b+1) (1-p)^(u-1-b(t*+1)),
 
-and the row at time t is g(t), g(t-1), ..., g(t-t*).  The k-terms of
-E[S(t)] are g's terms at u = t-k+1 times a weight.  `_binomial_sums`
-evaluates both sums for a whole (t*, p) series in b-rows of terms (b
-counts completed blocks), only at the u and t the series needs, several
-rows per numpy call where the window is narrow.
+and the row at time t is g(t), g(t-1), ..., g(t-t*).  Beside each term of
+g(t) lies a term of the down family, C(t-1-b t*, b) p^b (1-p)^(t-b(t*+1)),
+whose sum is Pr[M_{t*}(t) = t*, X(t) = 0] and so the waiting time.  The
+k-terms of E[S(t)] are g's terms at u = t-k+1 times a weight, and its
+trailing-zero terms the down terms times another.  `_binomial_sums`
+evaluates the sums a series asks for in b-rows of terms (b counts
+completed blocks), only at the u and t the series needs, several rows per
+numpy call.  `_terms` is the one place a term is formed.
 
 Summation order.  The values are bit-identical to adding the terms one at a
 time, and the CSV goldens rely on that.  Each term is exp(log C + succ log p
 + fail log(1-p)) with log C = lgamma(n+1) - lgamma(b+1) - lgamma(n-b+1).
 numpy forms the logs of the terms with the same IEEE operations in that
-order (adding fail log(1-p) for fail = 0 adds -0.0, which changes nothing);
-`math.exp` is applied to each log on its own, never `np.exp`, whose last
-bit differs.  Each sum starts at 0.0 and takes its terms one addition at a
-time, as a numpy `+=` per row or, down a block with more rows than
-columns, as Python float `+`, the same IEEE addition: b outer; within b,
-E[S]'s trailing-zero term (0.0 for b = 0), then its k = 1..t*+1 terms,
-each weight formed before it multiplies its term.  Adding 0.0 changes no
-sum.  A row of
-the distribution and E[F~] are added with `sum()` in increasing m, and the
-geometric E[S] prefix with `itertools.accumulate`, which adds left to right
-like 3.11's `sum()` on every Python version.  From 3.12, `sum()` of floats
-is compensated, so the `sum()` values, and the goldens, need 3.11.
+order (adding succ log p or fail log(1-p) for a zero count adds -0.0, which
+changes nothing); `math.exp` is applied to each log on its own, never
+`np.exp`, whose last bit differs.  Each sum starts at 0.0 and takes its
+terms one addition at a time, as a numpy `+=` per row or a cumulative sum
+down the columns, the same IEEE additions: b outer; within b, E[S]'s
+trailing-zero term (0.0 for b = 0), then its k = 1..t*+1 terms, each
+weight formed before it multiplies its term.  Adding 0.0 changes no sum.
+A row of the distribution and E[F~] are added in increasing m with
+`reduce(add, ..., 0.0)` or `np.cumsum`, and the geometric E[S] prefix with
+`itertools.accumulate`.  No float sum in the package uses the built-in
+`sum()`, which adds floats with compensation from Python 3.12, so the
+values do not depend on the Python version.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
-from operator import add
+from operator import add, mul
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -231,60 +234,48 @@ def count_sequences(t: int, tstar: CutoffLike) -> int:
 # ---------------------------------------------------------------------------
 
 # Entry k is math.lgamma(k + 1).  Sweeps read the table from several threads,
-# so it is never changed in place: `_log_factorials` builds a longer list and
-# rebinds the name, and every reader keeps the complete list it fetched.
-_LOG_FACTORIAL: list[float] = [0.0]
+# so it is never changed in place: `_log_factorials` builds a longer, read-only
+# array and rebinds the name, and every reader keeps the array it fetched.
+_LOG_FACTORIAL = np.zeros(1)
+_LOG_FACTORIAL.flags.writeable = False
 
 
-def _log_factorials(n: int) -> list[float]:
+def _log_factorials(n: int) -> np.ndarray:
     """The log-factorial table, grown first if it does not reach k = n."""
     global _LOG_FACTORIAL
     table = _LOG_FACTORIAL
     if n >= len(table):
         size = max(n + 1, 2 * len(table))
-        table = table + [math.lgamma(k + 1) for k in range(len(table), size)]
+        more = np.fromiter(map(math.lgamma, range(len(table) + 1, size + 1)), float)
+        table = np.concatenate((table, more))
+        table.flags.writeable = False
         _LOG_FACTORIAL = table
     return table
 
 
-def _binomial_term(log_fact: list[float], n: int, b: int, succ: int, fail: int,
-                   log_p: float, log_q: float) -> float:
-    """C(n, b) * p^succ * (1-p)^fail in log space, given log p and log(1-p).
-
-    Log evaluation keeps huge binomials times tiny probability powers finite.
-    """
-    log_val = log_fact[n] - log_fact[b] - log_fact[n - b]
-    if succ:
-        log_val += succ * log_p
-    if fail:
-        log_val += fail * log_q
-    return math.exp(log_val)
-
-
-def _exp(logs: np.ndarray) -> np.ndarray:
-    """math.exp of every entry; np.exp differs from it in the last bit."""
+def _terms(log_fact: np.ndarray, n, b, succ, fail, log_p: float,
+           log_q: float) -> np.ndarray:
+    """C(n, b) p^succ (1-p)^fail for integer arrays that broadcast to n's
+    shape, given log p and log(1-p), and 0.0 where n < b: math.exp of each
+    lf[n] - lf[b] - lf[n-b] + succ log p + fail log(1-p).  Log evaluation
+    keeps huge binomials times tiny probability powers finite; np.exp
+    differs from math.exp in the last bit."""
+    logs = (log_fact.take(n, mode="clip") - log_fact[b] - log_fact.take(n - b, mode="clip")
+            + succ * log_p + fail * log_q)
+    logs[n < b] = -math.inf  # math.exp(-inf) == 0.0
     values = map(math.exp, logs.ravel().tolist())
     return np.fromiter(values, float, logs.size).reshape(logs.shape)
 
 
-def _diagonal(values: np.ndarray, start: int, step: int, rows: int,
-              width: int) -> np.ndarray:
-    """The view whose row i is values[start - i*step:][:width]; numpy
-    checks that it lies inside ``values``."""
-    size = values.itemsize
-    return np.ndarray((rows, width), float, values, start * size, (-step * size, size))
-
-
 def _accumulate(acc: np.ndarray, rows: np.ndarray) -> None:
     """acc += rows[0]; acc += rows[1]; ...: one numpy add per row while
-    there are no more rows than columns, else Python float adds, the same
-    IEEE additions, down each column."""
+    there are no more rows than columns, else one cumulative sum down the
+    columns, the same IEEE additions in the same order."""
     if len(rows) <= rows.shape[1]:
         for row in rows:
             acc += row
-        return
-    for j, column in enumerate(rows.T.tolist()):
-        acc[j] = reduce(add, column, float(acc[j]))
+    else:
+        acc[:] = np.cumsum(np.concatenate((acc[None], rows)), axis=0)[-1]
 
 
 # The most cells of a transient array: the kernel's memory stays
@@ -313,83 +304,84 @@ def _runs(times: Sequence[int], reach: int) -> list[Run]:
 
 
 def _row_chunks(lo: int, hi: int, block: int) -> Iterator[tuple[int, int, int]]:
-    """(b0, b1, u0) for each group of b-rows b0..b1-1 of the run lo..hi,
-    evaluated from u0 on.  Rows with a term at every u of the run go in
-    groups of up to _CHUNK cells; each later row goes alone, from its first
-    u, b(t*+1) + 1."""
-    full = (lo - 1) // block + 1  # the rows with a term at every u
+    """(b0, b1, u0) for each group of up to _CHUNK cells of the b-rows of
+    the run lo..hi, evaluated from u0, the first u with a term in row b0.
+    Row b has terms from u = b(t*+1) + 1 on."""
+    rows = (hi - 1) // block + 1
     height = max(1, _CHUNK // max(hi - lo + 1, block + 1))
-    for b0 in range(0, full, height):
-        yield b0, min(full, b0 + height), lo
-    for b in range(full, (hi - 1) // block + 1):
-        yield b, b + 1, b * block + 1
+    for b0 in range(0, rows, height):
+        yield b0, min(rows, b0 + height), max(lo, b0 * block + 1)
 
 
 def _binomial_sums(runs: list[Run], ts: int, p: float,
-                   success: bool) -> tuple[dict[int, float], dict[int, float]]:
-    """g(u) for every u of the ``runs``, and, if ``success``, E[S(t)] for
-    every t of their t_runs, for a finite cutoff t* and 0 < p < 1.
+                   want: set[str]) -> dict[str, dict[int, float]]:
+    """The sums named in ``want``, for a finite cutoff t* and 0 < p < 1:
+    "g", g(u) at every u of the ``runs``; "down", Pr[M_{t*}(t) = t*,
+    X(t) = 0], and "es", E[S(t)], at every t of their t_runs.
 
     Every t must be above t*+1, and for E[S] its window t-t*..t must lie in
     its run, as `_runs(times, t*)` makes them.  The b-rows of terms (b
-    counts completed blocks) are formed in the groups of `_row_chunks`, as
-    (rows, width) arrays from numpy views, and added to the sums in
-    increasing b.  E[S(t)]'s k-terms are g's terms at u = t-k+1 times
-    (b+1)/(u - t* b), so one row serves both sums.
+    counts completed blocks) are formed in the groups of `_row_chunks`, only
+    for the families the asked sums need, and added in increasing b.  With
+    n = t-1-b t* and F = n-b, g's term at u = t has p^(b+1) (1-p)^F and the
+    down term p^b (1-p)^(F+1).  E[S(t)] takes, for each b, the down term
+    times b/(t - t* b), then g's terms at u = t-k+1, k = 1..t*+1, times
+    (b+1)/(u - t* b).
     """
     block = ts + 1
-    top = runs[-1][1]
-    log_fact = np.array(_log_factorials(top)[:top + 1])
-    ks = np.arange(top + 1, dtype=float)  # float(k) * x == k * x exactly
+    log_fact = _log_factorials(runs[-1][1])
     log_p, log_q = math.log(p), math.log1p(-p)
-    g: dict[int, float] = {}
-    es: dict[int, float] = {}
+    with_g, with_es = bool(want & {"g", "es"}), "es" in want
+    with_down = bool(want & {"down", "es"})
+    sums: dict[str, dict[int, float]] = {name: {} for name in want}
     for lo, hi, t_runs in runs:
         g_run = np.zeros(hi - lo + 1)
-        es_runs = [np.zeros(tb - ta + 1) for ta, tb in t_runs] if success else []
+        by_t = {name: [np.zeros(tb - ta + 1) for ta, tb in t_runs]
+                for name in ("down", "es") if name in want}
         for b0, b1, u0 in _row_chunks(lo, hi, block):
-            rows, width = b1 - b0, hi - u0 + 1
-            f0 = u0 - 1 - b0 * block  # F = u-1-b(t*+1) = n-b at (b0, u0)
-            bs = ks[b0:b1, None]
-            # log C(n, b) = lf[n] - lf[b] - lf[n-b], with n = F + b
-            log_c = (_diagonal(log_fact, f0 + b0, ts, rows, width) - log_fact[b0:b1, None]
-                     - _diagonal(log_fact, f0, block, rows, width))
-            terms = _exp(log_c + ks[b0 + 1:b1 + 1, None] * log_p
-                         + _diagonal(ks, f0, block, rows, width) * log_q)
-            _accumulate(g_run[u0 - lo:], terms)
-            if not success:
+            # cells before a row's first u hold 0.0, which adds nothing; their
+            # weights only need to be finite (n + 1 >= b+1 >= 1 on the others)
+            b = np.arange(b0, b1)[:, None]
+            fail = np.arange(u0 - 1, hi) - b * block  # F at (b, u)
+            n = fail + b  # and n + 1 = u - t* b
+            if with_g:
+                terms = _terms(log_fact, n, b, b + 1, fail, log_p, log_q)
+                _accumulate(g_run[u0 - lo:], terms)
+            if with_es:
+                weighted = np.zeros((b1 - b0, hi - lo + 1))  # E[S]'s k-terms by u
+                weighted[:, u0 - lo:] = (b + 1) / np.maximum(n + 1, 1) * terms
+            if not with_down:
                 continue
-            weighted = np.zeros((rows, hi - lo + 1))  # E[S]'s k-terms by u
-            weighted[:, u0 - lo:] = (ks[b0 + 1:b1 + 1, None]
-                                     / _diagonal(ks, u0 - ts * b0, ts, rows, width)
-                                     * terms)
-            for (ta, tb), es_run in zip(t_runs, es_runs):
-                # all-trailing-zeros sequences, S = Y1 / (t - t* Y1), for
-                # t >= u0: n - b = F and fail = F + 1 (b = 0 adds 0.0)
-                trailing = np.zeros((rows, tb - ta + 1))
-                a = max(ta, u0)
-                if a <= tb:
-                    cols = slice(a - u0, tb - u0 + 1)
-                    fa, wa = a - 1 - b0 * block, tb - a + 1
-                    trailing[:, a - ta:] = (
-                        bs / _diagonal(ks, a - ts * b0, ts, rows, wa)
-                        * _exp(log_c[:, cols] + bs * log_p
-                               + _diagonal(ks, fa + 1, block, rows, wa) * log_q))
+            for i, (ta, tb) in enumerate(t_runs):
+                if tb < u0:  # these rows add nothing to these times
+                    continue
+                first = max(ta, u0)
+                at_t = np.s_[:, first - u0:tb - u0 + 1]
+                down = _terms(log_fact, n[at_t], b, b, fail[at_t] + 1, log_p, log_q)
+                if "down" in want:
+                    _accumulate(by_t["down"][i][first - ta:], down)
+                if not with_es:
+                    continue
+                # S = Y1 / (t - t* Y1) on the all-trailing-zeros sequences
+                trailing = np.zeros((b1 - b0, tb - ta + 1))
+                trailing[:, first - ta:] = b / np.maximum(n[at_t] + 1, 1) * down
                 # [i, k-1, j] is the k-term of t = ta + j, at u = t - k + 1
                 row_step, col_step = weighted.strides
-                k_terms = np.ndarray((rows, block, tb - ta + 1), float, weighted,
+                k_terms = np.ndarray((b1 - b0, block, tb - ta + 1), float, weighted,
                                      (ta - lo) * col_step, (row_step, -col_step, col_step))
                 # add trailing, then k = 1..t*+1, for each b in turn, at
                 # most _CHUNK cells at a time
-                step = max(1, _CHUNK // (rows * (block + 1)))
+                step = max(1, _CHUNK // ((b1 - b0) * (block + 1)))
                 for j in range(0, tb - ta + 1, step):
                     chain = np.concatenate((trailing[:, None, j:j + step],
                                             k_terms[:, :, j:j + step]), axis=1)
-                    _accumulate(es_run[j:j + step], chain.reshape(-1, chain.shape[2]))
-        g.update(zip(range(lo, hi + 1), g_run.tolist()))
-        for (ta, tb), es_run in zip(t_runs, es_runs):
-            es.update(zip(range(ta, tb + 1), es_run.tolist()))
-    return g, es
+                    _accumulate(by_t["es"][i][j:j + step], chain.reshape(-1, chain.shape[2]))
+        if "g" in want:
+            sums["g"].update(zip(range(lo, hi + 1), g_run.tolist()))
+        for name, t_sums in by_t.items():
+            for (ta, tb), values in zip(t_runs, t_sums):
+                sums[name].update(zip(range(ta, tb + 1), values.tolist()))
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -437,18 +429,12 @@ def joint_prob(t: int, tstar: CutoffLike, p: float, m: int, x: int) -> float:
             return 0.0
         if t <= ts + 1:
             return (1.0 - p) ** t
-        log_fact = _log_factorials(t)
-        log_p, log_q = math.log(p), math.log1p(-p)
-        total = 0.0
-        for b in range((t - 1) // block + 1):
-            total += _binomial_term(log_fact, t - 1 - b * ts, b, b, t - b * block,
-                                    log_p, log_q)
-        return total
+        return _binomial_sums(_runs((t,), 0), ts, p, {"down"})["down"][t]
 
     # x == 1
     if t <= ts + 1:
         return p * (1.0 - p) ** (t - m - 1) if m <= t - 1 else 0.0
-    return _binomial_sums(_runs((t - m,), 0), ts, p, False)[0][t - m]
+    return _binomial_sums(_runs((t - m,), 0), ts, p, {"g"})["g"][t - m]
 
 
 @dataclass(frozen=True)
@@ -489,13 +475,14 @@ def _block(cut: Cutoff) -> Union[int, float]:
 
 
 def _long_sums(times: list[int], cut: Cutoff, p: float,
-               success: bool) -> tuple[dict[int, float], dict[int, float]]:
-    """`_binomial_sums` over the times above t*+1, where it applies."""
+               want: set[str]) -> dict[str, dict[int, float]]:
+    """`_binomial_sums` over the times above t*+1, where it applies; g and
+    E[S] at t read g over t-t*..t, the down family only at t."""
     long = sorted({t for t in times if t > _block(cut)})
     if not long or not 0.0 < p < 1.0:
-        return {}, {}
+        return {name: {} for name in want}
     ts = cut.finite_value
-    return _binomial_sums(_runs(long, ts), ts, p, success)
+    return _binomial_sums(_runs(long, ts if want & {"g", "es"} else 0), ts, p, want)
 
 
 def _success_rates(times: list[int], block: Union[int, float], p: float,
@@ -529,8 +516,9 @@ def active_rows(times: Sequence[int], tstar: CutoffLike, p: float,
     cut = Cutoff.parse(tstar)
     times = _checked_times(times)
     block = _block(cut)
-    series, sums = _long_sums(times, cut, p, success)  # g by u, E[S] by t
-    rates = _success_rates(times, block, p, sums) if success else [None] * len(times)
+    sums = _long_sums(times, cut, p, {"g", "es"} if success else {"g"})
+    series = sums["g"]
+    rates = _success_rates(times, block, p, sums["es"]) if success else [None] * len(times)
     max_age = min(max(times, default=0), block)
     powers = [(1.0 - p) ** k for k in range(max_age)]
     fvals = [fcurve(m) for m in range(max_age)] if fcurve is not None else None
@@ -546,10 +534,10 @@ def active_rows(times: Sequence[int], tstar: CutoffLike, p: float,
                 joint = tuple(1.0 if m == (t - 1) % block else 0.0 for m in range(block))
             else:
                 joint = tuple(series[t - m] for m in range(block))
-            active = sum(joint)
+            active = reduce(add, joint, 0.0)
         fidelity = None
         if fvals is not None:
-            e_ftilde = sum(fvals[m] * w for m, w in enumerate(joint))
+            e_ftilde = reduce(add, map(mul, fvals, joint), 0.0)
             if active == 0.0:
                 fidelity = FidelityExpectations(e_ftilde=0.0, e_f=None)
             else:
@@ -571,9 +559,9 @@ def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
     terms fill its first t cells and depend on (k, b) alone.  Terms with
     b < sqrt(t/2) are shared by every cutoff and evaluated once, which
     takes the `math.exp` calls from O(t^2) to O(t^1.5).  The row's sums are
-    in-order cumsums, as 3.11's `sum()` adds.  At p = 0 the link is never
-    active, and at p = 1 it is active at age (t-1) mod (t*+1) with
-    probability 1.  Other cutoffs go through `active_rows`.
+    in-order cumsums.  At p = 0 the link is never active, and at p = 1 it
+    is active at age (t-1) mod (t*+1) with probability 1.  Other cutoffs go
+    through `active_rows`.
     """
     _validate_p(p)
     if t < 1:
@@ -586,15 +574,13 @@ def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
                 for block in map(_block, map(Cutoff.parse, tstars)))
         return [(fvals[m], 1.0, fvals[m]) for m in ages]
     f = np.array(fvals)
-    log_fact = np.array(_log_factorials(t)[:t + 1])
-    ks = np.arange(t + 1, dtype=float)  # float(k) * x == k * x exactly
+    log_fact = _log_factorials(t)
     log_p, log_q = math.log(p), math.log1p(-p)
 
     def terms_at(k, b):
-        """The terms at cells k with b completed blocks, n = F + b."""
+        """g's terms at cells k with b completed blocks: F = t-1-k."""
         fail = t - 1 - k
-        return _exp(log_fact[fail + b] - log_fact[b] - log_fact[fail]
-                    + ks[b + 1] * log_p + ks[fail] * log_q)
+        return _terms(log_fact, fail + b, b, b + 1, fail, log_p, log_q)
 
     cells = np.arange(t)
     low = math.isqrt(t // 2) + 1
@@ -676,7 +662,7 @@ def steady_fidelity_cutoff(tstar: CutoffLike, p: float,
     if cut.is_infinite:
         raise ValueError("steady-state fidelity sums require a finite cutoff")
     ts = cut.finite_value
-    f_sum = sum(fcurve(m) for m in range(ts + 1))
+    f_sum = reduce(add, (fcurve(m) for m in range(ts + 1)), 0.0)
     e_ftilde = p / (1.0 + ts * p) * f_sum
     if p == 0.0:
         return FidelityExpectations(e_ftilde=0.0, e_f=None)
@@ -699,7 +685,7 @@ def expected_success_rates(times: Sequence[int], tstar: CutoffLike,
     times = _checked_times(times)
     _validate_p(p)
     cut = Cutoff.parse(tstar)
-    _, sums = _long_sums(times, cut, p, True)
+    sums = _long_sums(times, cut, p, {"es"})["es"]
     return _success_rates(times, _block(cut), p, sums)
 
 
@@ -792,32 +778,40 @@ class WaitingTime:
         return self.pmf(t) / mass
 
 
-def waiting_time(t_req: int, tstar: CutoffLike, p: float) -> WaitingTime:
-    if t_req < 0:
-        raise ValueError(f"t_req must be >= 0, got {t_req}")
+def _waiting_time(t_req: int, q: float, p: float, limit: float) -> WaitingTime:
+    return WaitingTime(t_req=t_req, expectation=q / (p * (1.0 - p)), limit=limit,
+                       pmf=lambda t: q * p * (1.0 - p) ** (t - 2) if t >= 1 else 0.0,
+                       total_mass=q / (1.0 - p))
+
+
+def waiting_times(t_reqs: Sequence[int], tstar: CutoffLike,
+                  p: float) -> list[WaitingTime]:
+    """The WaitingTime at each t_req in ``t_reqs``, in the order given.
+
+    q = Pr[M = t*, X = 0 at t_req + 1] is (1-p)^(t_req+1) up to t* and for
+    t* = infinity; the later requests share one `_binomial_sums` pass.
+    """
+    t_reqs = list(t_reqs)
+    for t_req in t_reqs:
+        if t_req < 0:
+            raise ValueError(f"t_req must be >= 0, got {t_req}")
     _validate_p(p)
     cut = Cutoff.parse(tstar)
-    if p == 1.0:
-        # a request never fails: the link is re-established instantly
-        return WaitingTime(t_req=t_req, expectation=1.0, limit=1.0,
-                           pmf=lambda t: 1.0 if t == 1 else 0.0, total_mass=1.0)
-    if p == 0.0:
-        return WaitingTime(t_req=t_req, expectation=math.inf, limit=math.inf,
-                           pmf=lambda t: 0.0, total_mass=0.0)
-    if cut.is_infinite:
-        q = (1.0 - p) ** (t_req + 1)
-        limit = 0.0
-    else:
-        q = joint_prob(t_req + 1, cut, p, cut.finite_value, 0)
-        limit = 1.0 / (p * (1.0 + cut.finite_value * p))
+    if p in (0.0, 1.0):  # a request always fails, or never does
+        wait, mass = (1.0, 1.0) if p == 1.0 else (math.inf, 0.0)
+        return [WaitingTime(t_req=t_req, expectation=wait, limit=wait, total_mass=mass,
+                            pmf=lambda t: mass if t == 1 else 0.0) for t_req in t_reqs]
+    block = _block(cut)
+    down = _long_sums([t_req + 1 for t_req in t_reqs], cut, p, {"down"})["down"]
+    limit = 0.0 if cut.is_infinite else 1.0 / (p * (1.0 + cut.finite_value * p))
+    return [_waiting_time(t_req, down[t_req + 1] if t_req + 1 > block
+                          else (1.0 - p) ** (t_req + 1), p, limit)
+            for t_req in t_reqs]
 
-    def pmf(t: int) -> float:
-        if t < 1:
-            return 0.0
-        return q * p * (1.0 - p) ** (t - 2)
 
-    return WaitingTime(t_req=t_req, expectation=q / (p * (1.0 - p)), limit=limit,
-                       pmf=pmf, total_mass=q / (1.0 - p))
+def waiting_time(t_req: int, tstar: CutoffLike, p: float) -> WaitingTime:
+    """The waiting-time law for an end-user request at time t_req."""
+    return waiting_times((t_req,), tstar, p)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from __future__ import annotations
 import operator
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -237,7 +238,7 @@ class LinkStateMixture:
     age_weights: dict[int, float]
 
     def check_normalized(self, tol: float = WEIGHT_SUM_TOL) -> None:
-        total = self.failure_weight + sum(self.age_weights.values())
+        total = self.failure_weight + self.prob_active
         if abs(total - 1.0) > tol:
             raise ValueError(f"mixture weights at t={self.t} sum to {total}")
         if self.failure_weight < -tol or any(w < -tol for w in self.age_weights.values()):
@@ -245,7 +246,7 @@ class LinkStateMixture:
 
     @property
     def prob_active(self) -> float:
-        return sum(self.age_weights.values())
+        return reduce(operator.add, self.age_weights.values(), 0.0)
 
 
 def history_prob(history: History, policy: Policy, p: float) -> float:
@@ -352,7 +353,8 @@ class LinkQuantities:
 def expected_quantities(mixture: LinkStateMixture, fcurve: FidelityCurve
                         ) -> LinkQuantities:
     prob_active = mixture.prob_active
-    e_ftilde = sum(fcurve(m) * w for m, w in mixture.age_weights.items())
+    e_ftilde = reduce(operator.add,
+                      (fcurve(m) * w for m, w in mixture.age_weights.items()), 0.0)
     if prob_active == 0.0:
         return LinkQuantities(prob_active=0.0, e_ftilde=0.0, e_f=None,
                               conditional_ages=None)

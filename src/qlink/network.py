@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -87,7 +89,7 @@ def prob_at_least_one(edge: EdgeConfig, t: TimeLike) -> float:
 def expected_flow(edge: EdgeConfig, t: TimeLike) -> float:
     """E[N_e(t)] = sum_j Pr[X_j(t) = 1]."""
     _check_time(t)
-    return sum(link.prob_active(t) for link in edge.links)
+    return reduce(add, (link.prob_active(t) for link in edge.links), 0.0)
 
 
 def flow_distribution(edge: EdgeConfig, t: TimeLike) -> np.ndarray:
@@ -111,7 +113,7 @@ def expected_rate_limit(edge: EdgeConfig) -> float:
 def expected_total_links(net: NetworkConfig, t: TimeLike) -> float:
     """E[L_E(t)] = sum over all links of Pr[X(t) = 1]."""
     _check_time(t)
-    return sum(expected_flow(edge, t) for edge in net.edges)
+    return reduce(add, (expected_flow(edge, t) for edge in net.edges), 0.0)
 
 
 def collective_status(net: NetworkConfig, t: TimeLike) -> float:

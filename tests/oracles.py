@@ -7,7 +7,8 @@ The trial-at-a-time Monte Carlo loop is kept here as the reference for the
 engine's vectorized simulator; it shares only the engine's types and its
 per-trial RNG streams.  The term-at-a-time lgamma evaluation of the cutoff
 binomial sums is kept as the reference the shared-series kernels in
-`qlink.cutoff` must equal under `==`.  The explicit-sum form of the memory
+`qlink.cutoff` must equal under `==`; like the package, it adds floats in
+order, never with the built-in `sum()`.  The explicit-sum form of the memory
 time cross-checks the engine's M(t) recursion.  The optimizer's reduced
 (x, m) recursion is cross-checked against policy evaluation by history
 enumeration, the literal recursion over full history trees, and two
@@ -27,6 +28,8 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Callable, Iterator, Optional, TextIO, Union
 
 import numpy as np
@@ -215,7 +218,8 @@ def prob_active_lgamma(t: int, tstar: CutoffLike, p: float) -> float:
     cut = Cutoff.parse(tstar)
     if cut.is_infinite or t <= cut.finite_value + 1:
         return 1.0 - (1.0 - p) ** t
-    return sum(joint_prob_lgamma(t, cut, p, m, 1) for m in range(cut.finite_value + 1))
+    return reduce(add, (joint_prob_lgamma(t, cut, p, m, 1)
+                        for m in range(cut.finite_value + 1)), 0.0)
 
 
 def expected_fidelity_lgamma(t: int, tstar: CutoffLike, p: float,
@@ -227,7 +231,7 @@ def expected_fidelity_lgamma(t: int, tstar: CutoffLike, p: float,
         ages = range(t)
     else:
         ages = range(min(t, cut.finite_value + 1))
-    e_ftilde = sum(fcurve(m) * joint_prob_lgamma(t, cut, p, m, 1) for m in ages)
+    e_ftilde = reduce(add, (fcurve(m) * joint_prob_lgamma(t, cut, p, m, 1) for m in ages), 0.0)
     active = prob_active_lgamma(t, cut, p)
     if active == 0.0:
         return 0.0, None
@@ -245,7 +249,7 @@ def expected_success_rate_lgamma(t: int, tstar: CutoffLike, p: float) -> float:
         return 1.0
     cut = Cutoff.parse(tstar)
     if cut.is_infinite or t <= cut.finite_value + 1:
-        return sum(p * (1.0 - p) ** j / (j + 1) for j in range(t))
+        return reduce(add, (p * (1.0 - p) ** j / (j + 1) for j in range(t)), 0.0)
     ts = cut.finite_value
     block = ts + 1
     total = 0.0
@@ -672,7 +676,7 @@ def evaluate_state_policy(params: LinkParams, policy: Policy, t: int) -> PolicyE
         down = stay_down + (1.0 - p) * request_mass
         active = new_active
     e_x = float(active.sum())
-    e_ftilde = float(sum(params.fcurve(m) * w for m, w in enumerate(active) if w))
+    e_ftilde = float(reduce(add, (params.fcurve(m) * w for m, w in enumerate(active) if w), 0.0))
     e_f = e_ftilde / e_x if e_x > 0.0 else None
     return PolicyEvaluation(e_ftilde=e_ftilde, e_x=e_x, e_f=e_f)
 

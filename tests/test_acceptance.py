@@ -6,6 +6,7 @@ bitstring replay of the cutoff rules, exact rational arithmetic, channel
 powers, and hand-derived constants -- never from the code under test.
 """
 
+import builtins
 import json
 import math
 import subprocess
@@ -18,6 +19,7 @@ import pytest
 
 import qlink.cutoff as ca
 import qlink.optimize as opt
+from qlink import cli
 from qlink.cutoff import (
     Cutoff,
     count_sequences,
@@ -513,3 +515,55 @@ def test_criterion_11_optimize_policy_golden(tmp_path):
               "--out", str(out)])
     policy = GOLDEN_DIR / "optimize.policy.json"
     assert (tmp_path / "optimize.csv.policy.json").read_bytes() == policy.read_bytes()
+
+
+_BUILTIN_SUM = builtins.sum
+
+
+def _sum_from_python_312(iterable, start=0):
+    """`sum` as CPython 3.12 and later add: ints exactly, and, once the
+    total is a float, float items with Neumaier's compensation, which is
+    folded in at the end.  Other items fall back to plain `+`."""
+    items = iter(iterable)
+    total = start
+    while type(total) is not float:
+        item = next(items, items)
+        if item is items:
+            return total
+        total = total + item
+    comp = 0.0
+    for item in items:
+        if type(item) is int:
+            total += float(item)
+        elif type(item) is float:
+            new = total + item
+            if abs(total) >= abs(item):
+                comp += (total - new) + item
+            else:
+                comp += (item - new) + total
+            total = new
+        else:
+            if comp and math.isfinite(comp):
+                total += comp
+            return _BUILTIN_SUM(items, total + item)
+    if comp and math.isfinite(comp):
+        total += comp
+    return total
+
+
+def test_criterion_11_goldens_do_not_depend_on_how_sum_adds_floats(monkeypatch, tmp_path):
+    """Every golden, the policy dump included, is written in process byte for
+    byte while the built-in `sum` adds floats as Python 3.12 and later do."""
+    assert _sum_from_python_312([0.1] * 10) == 1.0
+    assert _sum_from_python_312([1e16, 1.0, -1e16]) == 1.0
+    assert _sum_from_python_312([2, 3], 1) == 6
+    monkeypatch.setattr(builtins, "sum", _sum_from_python_312)
+    configs = sorted(set(GOLDEN_DIR.glob("*.json")) - set(GOLDEN_DIR.glob("*.policy.json")))
+    assert len(configs) == 7
+    for config in configs:
+        out = tmp_path / f"{config.stem}.csv"
+        mode = json.loads(config.read_text())["mode"]
+        assert cli.main([mode, "--config", str(config), "--out", str(out)]) == 0
+        assert out.read_bytes() == config.with_suffix(".csv").read_bytes(), config.name
+    policy = tmp_path / "optimize.csv.policy.json"
+    assert policy.read_bytes() == (GOLDEN_DIR / "optimize.policy.json").read_bytes()

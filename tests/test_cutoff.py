@@ -32,6 +32,7 @@ from qlink.cutoff import (
     success_rate_limits,
     transition_matrix,
     waiting_time,
+    waiting_times,
 )
 from qlink.engine import History, iter_supported_histories
 from qlink.quantum import FidelityCurve
@@ -354,6 +355,9 @@ def test_waiting_time_edge_probabilities():
     assert never.expectation == math.inf
     with pytest.raises(ValueError):
         waiting_time(-1, 3, 0.5)
+    with pytest.raises(ValueError, match="t_req"):
+        waiting_times([4, -1], 3, 0.5)
+    assert waiting_times([], 3, 0.5) == []
 
 
 def test_simulated_waiting_time_matches_formula():
@@ -496,14 +500,28 @@ SERIES_TIMES = list(range(1, 401))
 SPARSE_TIMES = [[1500], [1, 2, 8, 9, 500], [37, 3, 1500, 3, 36, 1, 37, 11, 2]]
 
 
+def _expected_wait(t, tstar, p):
+    """E[W] of a request at t_req = t-1 from the term-at-a-time Pr[M = t*,
+    X(t) = 0]."""
+    if p in (0.0, 1.0):
+        return math.inf if p == 0.0 else 1.0
+    q = joint_prob_lgamma(t, tstar, p, -1 if tstar == math.inf else tstar, 0)
+    return q / (p * (1.0 - p))
+
+
 @pytest.mark.parametrize("tstar", SERIES_TSTARS)
 @pytest.mark.parametrize("p", SERIES_PS)
 def test_success_rate_series_equals_term_at_a_time_reference(tstar, p):
     """E[S(t)] over a dense series, and over sparse, unsorted or repeated
-    times, equals the lgamma-per-term reference at every t under ==."""
+    times, equals the lgamma-per-term reference at every t under ==; so do
+    the waiting times of requests at t_req = t-1, 0 included."""
     for times in [SERIES_TIMES] + SPARSE_TIMES:
         assert expected_success_rates(times, tstar, p) == \
             [expected_success_rate_lgamma(t, tstar, p) for t in times]
+        waits = waiting_times([t - 1 for t in times], tstar, p)
+        assert [wait.t_req for wait in waits] == [t - 1 for t in times]
+        assert [wait.expectation for wait in waits] == [_expected_wait(t, tstar, p)
+                                                        for t in times]
 
 
 @pytest.mark.parametrize("tstar", SERIES_TSTARS)
@@ -546,7 +564,7 @@ def test_runs_merge_windows_that_touch_or_overlap():
 def test_binomial_sums_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
     """Grouping b-rows, and splitting E[S]'s rows by columns, changes no
     bit: a single far time is a tall narrow group, a dense series one row
-    at a time."""
+    at a time.  The same holds for the waiting times' down family."""
     monkeypatch.setattr(ca, "_CHUNK", chunk)
     for tstar in [0, 1, 3, 8]:
         for p in [0.01, 0.3, 0.9]:
@@ -556,6 +574,9 @@ def test_binomial_sums_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
                     assert row.joint == tuple(joint_prob_lgamma(row.t, tstar, p, m, 1)
                                               for m in _ages(row.t, tstar))
                     assert row.success_rate == expected_success_rate_lgamma(row.t, tstar, p)
+                waits = waiting_times([t - 1 for t in times], tstar, p)
+                assert [wait.expectation for wait in waits] == [_expected_wait(t, tstar, p)
+                                                                for t in times]
 
 
 def test_success_rate_series_rejects_bad_input():
@@ -577,19 +598,19 @@ def test_log_factorial_table_is_thread_safe(monkeypatch):
                  "fidelity": {"kind": "depolarizing", "lam": 0.9}},
         "times": {"start": 1, "stop": 300},
         "sweep": {"field": "tstar", "values": [0, 1, 2, 3, 7, 35, "inf"]}})
-    monkeypatch.setattr(ca, "_LOG_FACTORIAL", [0.0])
+    monkeypatch.setattr(ca, "_LOG_FACTORIAL", np.zeros(1))
     serial = cli.run_sweep(config, 1).rows
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            monkeypatch.setattr(ca, "_LOG_FACTORIAL", [0.0])
+            monkeypatch.setattr(ca, "_LOG_FACTORIAL", np.zeros(1))
             assert cli.run_sweep(config, 4).rows == serial
             table = ca._LOG_FACTORIAL
             assert len(table) > 300
-            assert table == [math.lgamma(k + 1) for k in range(len(table))]
+            assert table.tolist() == [math.lgamma(k + 1) for k in range(len(table))]
         for _ in range(3):
-            monkeypatch.setattr(ca, "_LOG_FACTORIAL", [0.0])
+            monkeypatch.setattr(ca, "_LOG_FACTORIAL", np.zeros(1))
             start = threading.Barrier(4)
 
             def grow():
@@ -605,6 +626,7 @@ def test_log_factorial_table_is_thread_safe(monkeypatch):
                 assert not worker.is_alive()
             table = ca._LOG_FACTORIAL
             assert len(table) > 4990
-            assert table == [math.lgamma(k + 1) for k in range(len(table))]
+            assert table.tolist() == [math.lgamma(k + 1) for k in range(len(table))]
+            assert not table.flags.writeable
     finally:
         sys.setswitchinterval(interval)
