@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence, TextIO
 
 import numpy as np
@@ -109,6 +108,7 @@ def run_sweep(config: RunConfig, threads: int) -> ResultTable:
             return (0, value)
         return (1, 0) if value.is_infinite else (0, value.finite_value)
 
+    from concurrent.futures import ThreadPoolExecutor  # only sweep uses a pool
     values = sorted(config.sweep_values, key=sort_key)
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         blocks = list(pool.map(
@@ -192,33 +192,25 @@ def run_optimize(config: RunConfig) -> tuple[ResultTable, Callable[[TextIO], Non
 
 def write_policy_json(handle: TextIO, horizon: int,
                       result: opt.OptimizationResult) -> None:
-    """Stream ``result``'s decisions over times 1..horizon to ``handle``.
-
-    The text equals ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``
-    byte for byte, where ``obj = {"horizon": horizon, "mode": result.mode,
-    "actions": [{"t", "x", "m", "action"}, ...]}`` lists the actions in the
-    documented order: t ascending, then down, then active by age.  Every
-    value but ``mode`` is an int, so each record is a fixed template.  The
-    text from each ``"action"`` value to its ``"m"`` value is made once per
-    (action, age), picked by the policy's decisions at time t
-    (``decide_ages``), and joined with the rest of t's records, one chunk
-    per decision time.
-    """
+    """Write ``result``'s decisions over times 1..horizon to ``handle`` in
+    format 2: ``json.dump(obj, sort_keys=True, separators=(",", ":"))`` and
+    a newline, with ``obj = {"active", "down", "format_version": 2,
+    "horizon", "mode"}``.  ``down[t-1]`` is the action when down at time t;
+    ``active[t-1]`` lists the maximal runs ``[m, a]`` of the action over
+    active ages 0..t-1 (``decide_ages(t)``): ``a`` holds from age ``m`` to
+    the age before the next run's start, the last run to age t-1."""
     ages = result.policy.decide_ages
-    head = '    {\n      "action": '
-    by_action = np.array([['%d,\n      "m": %d' % (a, m) for m in range(horizon)]
-                          for a in (0, 1)], dtype=object)
-    handle.write('{\n  "actions": [\n')
+    down, active = [], []
     for t in range(1, horizon + 1):
         pi_down, pi = ages(t)
-        down_tail = ',\n      "t": %d,\n      "x": 0\n    }' % t
-        active_tail = ',\n      "t": %d,\n      "x": 1\n    }' % t
-        active = np.where(pi == 1.0, by_action[1, :t], by_action[0, :t]).tolist()
-        handle.write((",\n" if t > 1 else "")
-                     + head + '%d,\n      "m": -1' % pi_down + down_tail + ",\n"
-                     + head + (active_tail + ",\n" + head).join(active) + active_tail)
-    handle.write('\n  ],\n  "horizon": %d,\n  "mode": %s\n}\n'
-                 % (horizon, json.dumps(result.mode)))
+        acts = pi == 1.0
+        starts = [0, *(np.flatnonzero(acts[1:] != acts[:-1]) + 1).tolist()]
+        down.append(int(pi_down == 1.0))
+        active.append([[m, int(acts[m])] for m in starts])
+    obj = {"active": active, "down": down, "format_version": 2,
+           "horizon": horizon, "mode": result.mode}
+    json.dump(obj, handle, sort_keys=True, separators=(",", ":"))
+    handle.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ SCHEMA_VERSION = 1
 # O(t) lists at one time, so a larger bound lets a config end in
 # MemoryError (README "Command line" has the measurements).
 MAX_TIME = 10 ** 6
-# The largest horizon: optimize's work, memory and policy dump grow as T**2.
+# The largest horizon: optimize's work and memory grow as T**2.
 MAX_HORIZON = 10 ** 4
 
 MODES = ("analytic", "simulate", "optimize", "sweep", "reproduce")

@@ -55,6 +55,7 @@ from operator import add, mul
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .engine import History, Policy
 
@@ -558,10 +559,11 @@ def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
     forms them.  Its cell k = b(t*+1) + m has F = t-1-k failures, so the
     terms fill its first t cells and depend on (k, b) alone.  Terms with
     b < sqrt(t/2) are shared by every cutoff and evaluated once, which
-    takes the `math.exp` calls from O(t^2) to O(t^1.5).  The row's sums are
-    in-order cumsums.  At p = 0 the link is never active, and at p = 1 it
-    is active at age (t-1) mod (t*+1) with probability 1.  Other cutoffs go
-    through `active_rows`.
+    takes the `math.exp` calls from O(t^2) to O(t^1.5); a cutoff reads
+    them as one strided (b, m) view of a table zero-padded to width 2t.
+    The sums add rows in order (`_accumulate`).  At p = 0 the link is never
+    active, and at p = 1 it is active at age (t-1) mod (t*+1) with
+    probability 1.  Other cutoffs go through `active_rows`.
     """
     _validate_p(p)
     if t < 1:
@@ -584,9 +586,10 @@ def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
 
     cells = np.arange(t)
     low = math.isqrt(t // 2) + 1
-    shared = np.zeros((low, t))  # [b, k]: the term, for k >= b
+    width, step = 2 * t, 8  # float64 bytes; width >= t + block for every block < t
+    shared = np.zeros((low, width))  # [b, k]: the term, for b <= k < t; 0 past t
     for b in range(low):
-        shared[b, b:] = terms_at(cells[b:], b)
+        shared[b, b:t] = terms_at(cells[b:], b)
     table = []
     for tstar in tstars:
         cut = Cutoff.parse(tstar)
@@ -595,12 +598,16 @@ def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
             table.append((row.fidelity.e_ftilde, row.prob_active, row.fidelity.e_f))
             continue
         block = cut.finite_value + 1
-        b = cells // block
-        split = min(t, low * block)
-        terms = np.zeros(-(-t // block) * block)
-        terms[:split] = shared[b[:split], cells[:split]]
-        terms[split:t] = terms_at(cells[split:], b[split:])
-        joint = np.cumsum(terms.reshape(-1, block), axis=0)[-1]  # g(t - m)
+        rows = min(low, -(-t // block))
+        joint = np.zeros(block)  # g(t - m)
+        # shared's cell (b, b*block + m) sits at flat offset b*(width + block) + m
+        _accumulate(joint, as_strided(shared, (rows, block), ((width + block) * step, step),
+                                      writeable=False))
+        if rows * block < t:  # rows b >= low
+            k = cells[rows * block:]
+            terms = np.zeros(-(-len(k) // block) * block)
+            terms[:len(k)] = terms_at(k, k // block)
+            _accumulate(joint, terms.reshape(-1, block))
         active = float(np.cumsum(joint)[-1])
         e_ftilde = float(np.cumsum(f[:block] * joint)[-1])
         table.append((e_ftilde, active, e_ftilde / active) if active != 0.0

@@ -15,11 +15,13 @@ enumeration, the literal recursion over full history trees, and two
 brute-force searches over every deterministic (t, x, m) -> action map: one
 vectorized over all candidates, one evaluating each candidate by history
 enumeration.  A second Monte Carlo chain checks the waiting-time closed
-form.  The policy dump as a dict of action records is the reference the
-CLI's streamed ``.policy.json`` writer must equal once passed through
-``json.dumps``.  The optimizer's state-at-a-time policy evaluation loop and
-its record-at-a-time dump writer are the references the numpy propagator
-and the array-fed writer must equal under ``==`` and byte for byte.
+form.  The policy dump as a dict of action records (format 1) is the
+reference the CLI's run-length ``.policy.json`` (format 2) must equal once
+expanded back to records and passed through ``json.dumps``.  The
+optimizer's state-at-a-time policy evaluation loop and its record-at-a-time
+format-1 dump writer are the references the numpy propagator and the
+CLI's writer must equal under ``==`` and, after the expansion, byte for
+byte.
 """
 
 from __future__ import annotations
@@ -640,6 +642,31 @@ def policy_dump_dict(result: OptimizationResult, T: int) -> dict:
     return {"horizon": T, "mode": result.mode, "actions": actions}
 
 
+def expand_policy_dump(obj: dict) -> dict:
+    """The format-1 object of a format-2 ``.policy.json`` object: every run
+    ``[m, a]`` of ``active[t-1]`` becomes one record per age from m up to
+    the next run's start, or t-1 for the last run.  Checks that the runs of
+    each time start at age 0, rise, stay below t and are maximal."""
+    assert obj["format_version"] == 2
+    T = obj["horizon"]
+    assert len(obj["down"]) == len(obj["active"]) == T
+    actions = []
+    for t, (down, runs) in enumerate(zip(obj["down"], obj["active"]), start=1):
+        actions.append({"t": t, "x": 0, "m": -1, "action": down})
+        starts = [m for m, _ in runs]
+        assert starts[0] == 0 and starts == sorted(set(starts)) and starts[-1] < t
+        assert all(a != b for (_, a), (_, b) in zip(runs, runs[1:]))
+        for (start, action), end in zip(runs, starts[1:] + [t]):
+            actions.extend({"t": t, "x": 1, "m": m, "action": action}
+                           for m in range(start, end))
+    return {"horizon": T, "mode": obj["mode"], "actions": actions}
+
+
+def expanded_policy_text(text: str) -> str:
+    """The format-1 ``.policy.json`` text of a format-2 dump's text."""
+    return json.dumps(expand_policy_dump(json.loads(text)), indent=2, sort_keys=True) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # the optimizer's policy evaluation and dump, one state at a time
 # ---------------------------------------------------------------------------
@@ -683,7 +710,8 @@ def evaluate_state_policy(params: LinkParams, policy: Policy, t: int) -> PolicyE
 
 def write_policy_json(handle: TextIO, horizon: int,
                       result: opt.OptimizationResult) -> None:
-    """Stream ``result``'s decisions over times 1..horizon to ``handle``.
+    """Stream ``result``'s decisions over times 1..horizon to ``handle`` as
+    the format-1 ``.policy.json``, one record per (t, x, m).
 
     The text equals ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``
     byte for byte, where ``obj = {"horizon": horizon, "mode": result.mode,

@@ -56,6 +56,7 @@ from oracles import (
     enumerate_supported,
     exhaustive_policy_search,
     exhaustive_policy_search_engine,
+    expanded_policy_text,
     simulate_waiting_time,
 )
 
@@ -509,12 +510,15 @@ def test_criterion_11_cutoff_series_goldens(mode, tmp_path):
 
 
 def test_criterion_11_optimize_policy_golden(tmp_path):
-    """`qlink optimize` reproduces the stored policy dump at T=40 byte for byte."""
+    """`qlink optimize` reproduces the stored format-2 policy dump at T=40
+    byte for byte, and its expansion the stored format-1 dump."""
     out = tmp_path / "optimize.csv"
     _run_cli(["optimize", "--config", str(GOLDEN_DIR / "optimize.json"),
               "--out", str(out)])
-    policy = GOLDEN_DIR / "optimize.policy.json"
-    assert (tmp_path / "optimize.csv.policy.json").read_bytes() == policy.read_bytes()
+    dump = (tmp_path / "optimize.csv.policy.json").read_bytes()
+    assert dump == (GOLDEN_DIR / "optimize.v2.policy.json").read_bytes()
+    v1 = (GOLDEN_DIR / "optimize.policy.json").read_bytes()
+    assert expanded_policy_text(dump.decode()).encode() == v1
 
 
 _BUILTIN_SUM = builtins.sum
@@ -565,5 +569,6 @@ def test_criterion_11_goldens_do_not_depend_on_how_sum_adds_floats(monkeypatch, 
         mode = json.loads(config.read_text())["mode"]
         assert cli.main([mode, "--config", str(config), "--out", str(out)]) == 0
         assert out.read_bytes() == config.with_suffix(".csv").read_bytes(), config.name
-    policy = tmp_path / "optimize.csv.policy.json"
-    assert policy.read_bytes() == (GOLDEN_DIR / "optimize.policy.json").read_bytes()
+    policy = (tmp_path / "optimize.csv.policy.json").read_text()
+    v1 = (GOLDEN_DIR / "optimize.policy.json").read_bytes()
+    assert expanded_policy_text(policy).encode() == v1

@@ -24,7 +24,7 @@ from qlink.optimize import backward_recursion_reduced
 from qlink.quantum import FidelityCurve
 
 import oracles
-from oracles import policy_dump_dict
+from oracles import expand_policy_dump, expanded_policy_text, policy_dump_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -262,8 +262,10 @@ def test_cli_optimize(tmp_path):
         assert best >= row["e_ftilde"] - 1e-12
     # the policy dump sits next to the table
     dump = json.load(open(out + ".policy.json"))
+    assert dump["format_version"] == 2
     assert dump["horizon"] == 8 and dump["mode"] == "reduced"
-    assert any(a["x"] == 0 and a["action"] == 1 for a in dump["actions"])
+    assert any(a["x"] == 0 and a["action"] == 1
+               for a in expand_policy_dump(dump)["actions"])
 
 
 @pytest.mark.parametrize("T", [1, 2, 7, 40])
@@ -274,24 +276,25 @@ def test_cli_optimize(tmp_path):
     {"kind": "dephasing_bell", "lam": 0.95},
 ], ids=["constant", "depolarizing", "dephasing_bell"])
 def test_cli_policy_dump_matches_the_value_table(tmp_path, T, p, fidelity):
-    """The dumped actions are the reduced recursion's table decisions, in
-    (t, x, m) order, and the file is the oracle dict's ``json.dumps`` text."""
+    """The dumped actions, expanded from their runs, are the reduced
+    recursion's table decisions in (t, x, m) order, and the expansion is
+    the oracle dict's ``json.dumps`` text."""
     doc = {"schema_version": 1, "mode": "optimize",
            "link": {"p": p, "tstar": 0, "fidelity": fidelity}, "horizon": T}
     assert main(["optimize", "--config", write_config(tmp_path, doc),
                  "--out", str(tmp_path / "opt.csv")]) == 0
-    data = (tmp_path / "opt.csv.policy.json").read_bytes()
-    dump = json.loads(data)
+    data = (tmp_path / "opt.csv.policy.json").read_text()
+    dump = expand_policy_dump(json.loads(data))
     params = LinkParams.symbolic(p, parse_config(doc).link.fidelity.curve())
     result = backward_recursion_reduced(params, T)
     assert dump["actions"] == [{"t": t, "x": x, "m": m, "action": action}
                                for (t, x, m), action in sorted(result.table.decisions.items())]
     oracle = json.dumps(policy_dump_dict(result, T), indent=2, sort_keys=True) + "\n"
-    assert data == oracle.encode()
+    assert expanded_policy_text(data) == oracle
 
 
 def test_cli_policy_dump_bytes_at_a_long_horizon(tmp_path):
-    """At T=500 the streamed dump is still the oracle dict's ``json.dumps``
+    """At T=500 the dump, expanded, is still the oracle dict's ``json.dumps``
     text, byte for byte."""
     T = 500
     doc = {"schema_version": 1, "mode": "optimize",
@@ -303,25 +306,37 @@ def test_cli_policy_dump_bytes_at_a_long_horizon(tmp_path):
     params = LinkParams.symbolic(0.5, parse_config(doc).link.fidelity.curve())
     result = backward_recursion_reduced(params, T, keep_table=False)
     oracle = json.dumps(policy_dump_dict(result, T), indent=2, sort_keys=True) + "\n"
-    assert (tmp_path / "opt.csv.policy.json").read_bytes() == oracle.encode()
+    assert expanded_policy_text((tmp_path / "opt.csv.policy.json").read_text()) == oracle
+
+
+# a fidelity that revives with age: the optimum keeps and discards in turns
+REVIVING = FidelityCurve(
+    evaluator=lambda m: 0.5 + 0.45 * math.cos(2 * math.pi * m / 5) * 0.97 ** m,
+    kind="closed-form", label="reviving")
 
 
 @pytest.mark.parametrize("curve", [
     FidelityCurve.constant(0.9),
     FidelityCurve.depolarizing(1.0, 0.8, 4),
     FidelityCurve.dephasing_bell(0.95),
-], ids=["constant", "depolarizing", "dephasing_bell"])
+    REVIVING,
+], ids=["constant", "depolarizing", "dephasing_bell", "reviving"])
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 1.0])
 def test_cli_policy_dump_equals_the_record_at_a_time_writer(p, curve):
-    """The dump written from the decision arrays is the oracle writer's
-    text, byte for byte."""
+    """The dump written from the decision arrays, expanded, is the oracle
+    writer's text, byte for byte.  The presets decrease with age, so each
+    time has at most two runs; the reviving curve has three or more at
+    some time when 0 < p < 1."""
+    most = 0
     for T in (1, 2, 7, 40, 300):
         result = backward_recursion_reduced(LinkParams.symbolic(p, curve), T,
                                             keep_table=False)
         new, old = io.StringIO(), io.StringIO()
         cli.write_policy_json(new, T, result)
         oracles.write_policy_json(old, T, result)
-        assert new.getvalue() == old.getvalue()
+        assert expanded_policy_text(new.getvalue()) == old.getvalue()
+        most = max(most, *map(len, json.loads(new.getvalue())["active"]))
+    assert (most >= 3) == (curve is REVIVING and 0.0 < p < 1.0)
 
 
 @pytest.mark.parametrize("value", ["full", "reduced"])
