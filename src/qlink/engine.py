@@ -21,9 +21,11 @@ uniform for the outcome of the initial request A(0), then for each
 t = 1..H-1 one uniform for the decision A(t) and, if A(t) is a request, one
 more for its outcome.  That is at most 2H - 1 uniforms per trial.  An event
 of probability q happens when its uniform is below q.  The simulator does
-not call `trial_rng`: it builds a block of trials' streams at once, with
-the same bits, from numpy's SeedSequence hash and PCG64 seeding, which
-NEP 19 keeps stable (see `_fill_trial_draws`).
+not call `trial_rng`: it holds a block of trials' PCG64 states on uint64
+arrays, seeded with the same bits from numpy's SeedSequence hash, and runs
+PCG64's step, XSL-RR output and 53-bit double conversion on them (see
+`_trial_streams` and `_draw`).  NEP 19 keeps these streams stable, and a
+test compares them bit for bit with `trial_rng`.
 """
 
 from __future__ import annotations
@@ -47,24 +49,30 @@ from .quantum import (
 
 EXHAUSTIVE_WARN_HORIZON = 20
 WEIGHT_SUM_TOL = 1e-12
-# Memory for one block of Monte Carlo trials' uniforms: the (block, 2H - 1)
-# draw array dominates the simulator's footprint, so it sets the block size.
-# Below MIN_BLOCK_TRIALS (long horizons) numpy's per-step overhead would
-# cost more than a trial-at-a-time loop.
-DRAW_BLOCK_BYTES = 1 << 18
-MIN_BLOCK_TRIALS = 64
+# Trials the simulator advances together.  A state-rule block holds a few
+# hundred bytes per trial whatever the horizon; the history path's
+# (block, H) int8 observations and actions are held to HISTORY_BLOCK_BYTES.
+BLOCK_TRIALS = 8192
+HISTORY_BLOCK_BYTES = 1 << 20
 # Trial indices 0..MAX_TRIALS-1 are one 32-bit word of the SeedSequence
-# spawn key, the case `_fill_trial_draws` reproduces.
+# spawn key, the case `_trial_streams` reproduces.  `_draw` runs the trials'
+# PCG64 steps, XSL-RR outputs and 53-bit doubles on uint64 arrays, and a
+# test compares them bit for bit with `trial_rng`.
 MAX_TRIALS = 1 << 32
 
-# numpy's SeedSequence hash (pool size 4) and PCG64's LCG multiplier
+# numpy's SeedSequence hash (pool size 4)
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's LCG multiplier as 64-bit words, its low word as 32-bit halves,
+# and the shifts of its step and output, all np.uint64 so that every
+# operation stays on uint64 under either of numpy's promotion rules
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
+_MULT_HI, _MULT_LO = (np.uint64(_PCG64_MULT >> k & (1 << 64) - 1) for k in (64, 0))
+_MULT_LO_1, _MULT_LO_0 = (np.uint64(_PCG64_MULT >> k & _MASK32) for k in (32, 0))
+_LOW32 = np.uint64(_MASK32)
+_U1, _U11, _U32, _U58, _U63 = (np.uint64(k) for k in (1, 11, 32, 58, 63))
 
 # ---------------------------------------------------------------------------
 # histories
@@ -439,25 +447,26 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _fill_trial_draws(seed: int, start: int, out: np.ndarray) -> None:
-    """Fill row i of ``out`` with the uniforms that
-    ``trial_rng(seed, start + i).random(out.shape[1])`` draws, bit for bit.
+def _trial_streams(seed: int, start: int, n: int) -> np.ndarray:
+    """The PCG64 states of ``trial_rng(seed, start + i)`` for i < n, as a
+    (4, n) uint64 array: the state's high and low words, then the
+    increment's.  `_draw` advances them.
 
     `trial_rng` seeds PCG64 from ``SeedSequence(entropy=seed,
     spawn_key=(trial,))``.  That hashes the seed's 32-bit words, padded with
     zeros to the pool's 4, into the pool, then the trial's one word, then
-    hashes the pool into four 64-bit words.  Only the trial's round and the
-    output hash depend on the trial, and the hash constants advance the same
-    way for every trial, so the seed's rounds run once, on Python ints, and
-    the rest on uint32 arrays over the block.  PCG64's seeding is then two
-    128-bit LCG steps per trial, and one reused generator draws each row from
-    the state it is set to.
+    hashes the pool into four 64-bit words: initstate and initseq, high word
+    first.  Only the trial's round and the output hash depend on the trial,
+    and the hash constants advance the same way for every trial, so the
+    seed's rounds run once, on Python ints, and the rest on uint32 arrays
+    over the block.  PCG64 then sets inc = 2 initseq + 1 and the state to
+    one LCG step from initstate + inc.
     """
     seed = operator.index(seed)  # numpy integers become exact Python ints
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    if start < 0 or start + len(out) > MAX_TRIALS:
-        raise ValueError(f"trials {start}..{start + len(out) - 1} are outside "
+    if start < 0 or start + n > MAX_TRIALS:
+        raise ValueError(f"trials {start}..{start + n - 1} are outside "
                          f"0..{MAX_TRIALS - 1}")
     words = [seed >> shift & _MASK32
              for shift in range(0, max(seed.bit_length(), 1), 32)]
@@ -468,25 +477,48 @@ def _fill_trial_draws(seed: int, start: int, out: np.ndarray) -> None:
         for dst in range(4):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hash(pool[src], consts))
-    trials = np.arange(len(out), dtype=np.uint32) + start
+    trials = np.arange(n, dtype=np.uint32) + np.uint32(start)
     for word in words[4:] + [trials]:
         for dst in range(4):
             pool[dst] = _mix(pool[dst], _hash(word, consts))
     consts = _hash_constants(_INIT_B, _MULT_B)
     state = [_hash(pool[k % 4], consts).astype(np.uint64) for k in range(8)]
-    # the 64-bit words, little-endian pairs: initstate's high and low
-    # halves, then the stream's
-    halves = [(state[k] | state[k + 1] << 32).tolist() for k in range(0, 8, 2)]
+    # the 64-bit words, little-endian pairs of the hash's 32-bit outputs
+    init_hi, init_lo, seq_hi, seq_lo = (state[k] | state[k + 1] << _U32
+                                        for k in range(0, 8, 2))
+    streams = np.empty((4, n), dtype=np.uint64)
+    streams[2] = seq_hi << _U1 | seq_lo >> _U63
+    streams[3] = seq_lo << _U1 | _U1
+    streams[1] = init_lo + streams[3]
+    streams[0] = init_hi + streams[2] + (streams[1] < init_lo)
+    _draw(streams)  # the seeding step; its output is not a draw
+    return streams
 
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    for row, high, low, seq_high, seq_low in zip(out, *halves):
-        inc = (seq_high << 65 | seq_low << 1 | 1) & _MASK128
-        lcg = ((high << 64 | low) + inc) * _PCG64_MULT + inc & _MASK128
-        bit_generator.state = {"bit_generator": "PCG64",
-                               "state": {"state": lcg, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        generator.random(out=row)
+
+def _draw(streams: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
+    """Advance each stream by one draw and return its uniforms, bit for bit
+    numpy's ``random()``: the LCG step state * MULT + inc mod 2**128, then
+    the new state's XSL-RR output, whose top 53 bits times 2**-53 are the
+    double.  The high word of low * MULT's low word comes from 32-bit
+    partial products; every other product wraps mod 2**64 as it should.
+    Streams where ``mask`` is False keep their state, and their uniforms are
+    to be ignored."""
+    hi, lo, inc_hi, inc_lo = streams
+    lo_0 = lo & _LOW32
+    lo_1 = lo >> _U32
+    mid = lo_1 * _MULT_LO_0 + (lo_0 * _MULT_LO_0 >> _U32)
+    mid_0 = lo_0 * _MULT_LO_1 + (mid & _LOW32)
+    new_lo = lo * _MULT_LO + inc_lo
+    hi = (lo_1 * _MULT_LO_1 + (mid >> _U32) + (mid_0 >> _U32)
+          + hi * _MULT_LO + lo * _MULT_HI + inc_hi + (new_lo < inc_lo))
+    if mask is None:
+        streams[0], streams[1] = hi, new_lo
+    else:
+        np.putmask(streams[0], mask, hi)
+        np.putmask(streams[1], mask, new_lo)
+    out = hi ^ new_lo
+    rot = hi >> _U58
+    return ((out >> rot | out << (-rot & _U63)) >> _U11) * 2.0 ** -53
 
 
 def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -504,12 +536,13 @@ def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
     """Sample n_trials trajectories and estimate the tracked link quantities.
 
     Trials run in blocks as one state machine over (x, M, N_req, N_succ),
-    advanced a time step at a time.  Each trial's 2H - 1 uniforms (see the
-    module docstring) are drawn up front as one row, and a per-trial cursor
-    consumes them in the order a trial-at-a-time loop would.  A state rule
-    is read through ``policy.decide_ages``, at every age at once.  Sums over
-    trials accumulate in trial order, so the result does not depend on the
-    block size.
+    advanced a time step at a time.  Each step draws every trial's decision
+    uniform, then the outcome uniform of the trials that request, from the
+    block's streams (see the module docstring), so each trial consumes its
+    stream in the order a trial-at-a-time loop would.  A state rule is read
+    through ``policy.decide_ages``, at every age at once.  Sums over trials
+    accumulate in trial order, so the result does not depend on the block
+    size.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -518,29 +551,20 @@ def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
     p = params.p
     fcurve = params.fcurve
     ages = policy.decide_ages
-    width = 2 * horizon - 1
-    block = max(MIN_BLOCK_TRIALS, DRAW_BLOCK_BYTES // (8 * width))
+    block = BLOCK_TRIALS
+    if ages is None:
+        block = max(1, min(block, HISTORY_BLOCK_BYTES // (2 * horizon)))
 
     # ftable[m + 1] = f_m for every age reached so far; ftable[0] = 0.0 stands
     # for the unloaded memory, since x = 0 exactly when M = -1
     ftable = np.zeros(1)
-    # decisions[t][m + 1] = Pr[A(t) = 1] in state m, up to the oldest age
-    # reached at t; [0] is the down state.  Kept across blocks until the
-    # rows made take as much memory as the draws.
-    decisions: dict[int, np.ndarray] = {}
-    kept_bytes = 0
     n_active = np.zeros(horizon, dtype=np.int64)
     sums = np.zeros((4, horizon))  # per t: sum of Ftilde, Ftilde^2, S, S^2
 
-    # one buffer for every block: a second would double the peak memory
-    draws = np.empty((min(block, n_trials), width))
     for start in range(0, n_trials, block):
         n = min(block, n_trials - start)
-        _fill_trial_draws(seed, start, draws[:n])
-        flat = draws[:n].ravel()
-        cursor = np.arange(0, n * width, width)  # flat index of the next draw
-        x = flat[cursor] < p  # A(0) = 1
-        cursor += 1
+        streams = _trial_streams(seed, start, n)
+        x = _draw(streams) < p  # A(0) = 1
         n_req = np.ones(n, dtype=np.int64)
         n_succ = x.astype(np.int64)
         m = n_succ - 1
@@ -575,18 +599,10 @@ def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
                          for r in hist_reps.tolist()]
                 pi1 = np.array(probs, dtype=float)[hist_ids]
             else:
-                row = decisions.get(t)
-                if row is None or len(row) < top + 2:
-                    down, active = ages(t)
-                    row = np.concatenate(([down], active[:top + 1]))
-                    if kept_bytes + row.nbytes <= draws.nbytes:
-                        decisions[t] = row
-                        kept_bytes += row.nbytes
-                pi1 = row[m + 1]
-            request = flat[cursor] < pi1
-            cursor += 1
-            success = flat[cursor] < p
-            cursor += request
+                down, active = ages(t)
+                pi1 = np.concatenate(([down], active[:top + 1]))[m + 1]
+            request = _draw(streams) < pi1
+            success = _draw(streams, request) < p
             x = np.where(request, success, x)
             m = np.where(request, x - 1, m + x)
             n_req += request
@@ -596,43 +612,26 @@ def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
                 acts[:, idx] = request
                 hist_ids, hist_reps = _distinct(hist_ids * 4 + request * 2 + x)
 
-    def mean_se(total: np.ndarray, total_sq: np.ndarray, n: int
-                ) -> tuple[list[float], list[Optional[float]]]:
+    def mean_se(total: np.ndarray, total_sq: np.ndarray, counts: list[int]
+                ) -> tuple[list, list]:
+        """Per t: the mean over that t's count of samples, None without
+        any, and its standard error, None with fewer than two."""
         means, ses = [], []
-        for tot, tot_sq in zip(total, total_sq):
-            mean = tot / n
-            if n > 1:
-                var = max(0.0, (tot_sq - n * mean * mean) / (n - 1))
-                ses.append(float(np.sqrt(var / n)))
-            else:
-                ses.append(None)
-            means.append(float(mean))
+        for tot, tot_sq, k in zip(total, total_sq, counts):
+            mean = tot / max(k, 1)
+            var = max(0.0, (tot_sq - k * mean * mean) / max(k - 1, 1))
+            means.append(float(mean) if k else None)
+            ses.append(float(np.sqrt(var / k)) if k > 1 else None)
         return means, ses
 
-    n = n_trials
+    trials = [n_trials] * horizon
     sum_x = n_active.astype(float)
-    pa_mean, pa_se = mean_se(sum_x, sum_x, n)  # x^2 = x for bits
-    ft_mean, ft_se = mean_se(sums[0], sums[1], n)
-    s_mean, s_se = mean_se(sums[2], sums[3], n)
-
+    pa_mean, pa_se = mean_se(sum_x, sum_x, trials)  # x^2 = x for bits
+    ft_mean, ft_se = mean_se(sums[0], sums[1], trials)
+    s_mean, s_se = mean_se(sums[2], sums[3], trials)
     # Ftilde is 0.0 on inactive trials, so its sums are also the sums over
     # active trials alone
-    e_f: list[Optional[float]] = []
-    e_f_se: list[Optional[float]] = []
-    for idx in range(horizon):
-        k = int(n_active[idx])
-        if k == 0:
-            e_f.append(None)
-            e_f_se.append(None)
-            continue
-        mean = sums[0, idx] / k
-        e_f.append(float(mean))
-        if k > 1:
-            var = max(0.0, (sums[1, idx] - k * mean * mean) / (k - 1))
-            e_f_se.append(float(np.sqrt(var / k)))
-        else:
-            e_f_se.append(None)
-
+    e_f, e_f_se = mean_se(sums[0], sums[1], n_active.tolist())
     return SimulationResult(
         horizon=horizon, n_trials=n_trials, seed=seed,
         prob_active=pa_mean, prob_active_se=pa_se,

@@ -1,6 +1,7 @@
 """Histories, policies, exact evolution, and the trajectory simulator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,25 +225,44 @@ STREAM_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 130 + 3,
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
 def test_trial_block_streams_equal_trial_rng(seed):
-    """The simulator's block builder draws each trial's stream bit for bit,
+    """The simulator's block streams draw each trial's stream bit for bit,
     for seeds of one to six 32-bit words and trial indices up to the last
     one-word spawn key."""
     rows = 64
     for start in (0, 1, 331, engine.MAX_TRIALS - rows):
         for width in (1, 2, 99):
-            out = np.empty((rows, width))
-            engine._fill_trial_draws(seed, start, out)
+            streams = engine._trial_streams(seed, start, rows)
+            out = np.array([engine._draw(streams) for _ in range(width)]).T
             expected = np.array([trial_rng(seed, start + i).random(width)
                                  for i in range(rows)])
             assert (out == expected).all(), (start, width)
 
 
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_masked_draws_hold_streams_back(seed):
+    """A trial the mask leaves out keeps its state: its next draw is its
+    stream's next unused uniform, as `trial_rng` gives it."""
+    rows, rounds = 64, 12
+    masks = np.random.default_rng(5).random((rounds, rows)) < 0.5
+    masks[0], masks[1] = False, True
+    for start in (0, 1, 331, engine.MAX_TRIALS - rows):
+        expected = np.array([trial_rng(seed, start + i).random(rounds + 1)
+                             for i in range(rows)])
+        streams = engine._trial_streams(seed, start, rows)
+        used = np.zeros(rows, dtype=np.int64)
+        for mask in masks:
+            out = engine._draw(streams, mask)
+            assert (out[mask] == expected[mask, used[mask]]).all(), start
+            used += mask
+        out = engine._draw(streams)
+        assert (out == expected[np.arange(rows), used]).all(), start
+
+
 def test_trial_block_builder_rejects_keys_it_does_not_reproduce():
-    out = np.empty((2, 3))
     with pytest.raises(ValueError, match="outside"):
-        engine._fill_trial_draws(0, engine.MAX_TRIALS - 1, out)
+        engine._trial_streams(0, engine.MAX_TRIALS - 1, 2)
     with pytest.raises(ValueError, match="seed"):
-        engine._fill_trial_draws(-1, 0, out)
+        engine._trial_streams(-1, 0, 2)
     params = LinkParams.symbolic(0.3, CURVE)
     with pytest.raises(ValueError, match="n_trials"):
         simulate_trajectories(params, cutoff_policy(2), 5, engine.MAX_TRIALS + 1, seed=0)
@@ -297,8 +317,7 @@ def test_simulation_matches_scalar_oracle(horizon, policy_name, monkeypatch):
     """The vectorized simulator returns exactly the trial-at-a-time loop's
     result, for trial counts on both sides of the block boundaries."""
     block = 16
-    monkeypatch.setattr(engine, "MIN_BLOCK_TRIALS", 1)
-    monkeypatch.setattr(engine, "DRAW_BLOCK_BYTES", 8 * (2 * horizon - 1) * block)
+    monkeypatch.setattr(engine, "BLOCK_TRIALS", block)
     policy = SIM_POLICIES[policy_name]()
     for p in (0.0, 0.3, 1.0):
         params = LinkParams.symbolic(p, CURVE)
@@ -310,12 +329,53 @@ def test_simulation_matches_scalar_oracle(horizon, policy_name, monkeypatch):
 
 def test_simulation_matches_scalar_oracle_at_default_block_size():
     horizon = 50
-    block = max(engine.MIN_BLOCK_TRIALS,
-                engine.DRAW_BLOCK_BYTES // (8 * (2 * horizon - 1)))
+    block = engine.BLOCK_TRIALS
     params = LinkParams.symbolic(0.3, CURVE)
     policy = cutoff_policy(5)
     assert (simulate_trajectories(params, policy, horizon, block + 1, seed=9)
             == simulate_trajectories_scalar(params, policy, horizon, block + 1, seed=9))
+
+
+# Working memory that may grow with the horizon: the per-t sums, the age
+# table and one decision row, about 130 KB at H = 2000 (measured with
+# tracemalloc)
+HORIZON_SLACK_BYTES = 1 << 18
+
+
+def traced_extra_bytes(params: LinkParams, policy: Policy, horizon: int,
+                       n: int) -> int:
+    """Peak memory of one simulation beyond the result it returns."""
+    # a first call keeps one-time imports and caches out of the measurement
+    simulate_trajectories(params, policy, 2, 2, seed=1)
+    tracemalloc.start()
+    try:
+        result = simulate_trajectories(params, policy, horizon, n, seed=1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.n_trials == n
+    return peak - held
+
+
+def test_state_rule_simulation_memory_does_not_grow_with_horizon():
+    """No per-trial buffer scales with the horizon: a block holds each
+    trial's state and PCG64 stream, not its draws."""
+    params = LinkParams.symbolic(0.3, CURVE)
+    short, long = (traced_extra_bytes(params, cutoff_policy(5), horizon, 200)
+                   for horizon in (50, 2000))
+    assert long < short + HORIZON_SLACK_BYTES, (short, long)
+
+
+def test_history_simulation_memory_stays_within_its_budget():
+    """The history path's (block, H) int8 observations and actions are held
+    to HISTORY_BLOCK_BYTES at a long horizon, over more than one block."""
+    horizon = 2000
+    block = engine.HISTORY_BLOCK_BYTES // (2 * horizon)
+    policy = Policy(decide=lambda t, h: 1.0, kind="deterministic")
+    # p = 0: every trial has the one history, so one decision per step
+    params = LinkParams.symbolic(0.0, CURVE)
+    extra = traced_extra_bytes(params, policy, horizon, block + 1)
+    assert extra < engine.HISTORY_BLOCK_BYTES + HORIZON_SLACK_BYTES, extra
 
 
 def test_simulation_evaluates_each_visited_age_once():
