@@ -60,6 +60,7 @@ from .network import (
     prob_at_least_one,
 )
 from .optimize import (
+    DecisionRuns,
     OptimizationResult,
     ValueTable,
     backward_recursion_reduced,

@@ -22,8 +22,6 @@ import os
 import sys
 from typing import Callable, Optional, Sequence, TextIO
 
-import numpy as np
-
 from . import __version__
 from . import cutoff as ca
 from . import network as net
@@ -197,18 +195,11 @@ def write_policy_json(handle: TextIO, horizon: int,
     a newline, with ``obj = {"active", "down", "format_version": 2,
     "horizon", "mode"}``.  ``down[t-1]`` is the action when down at time t;
     ``active[t-1]`` lists the maximal runs ``[m, a]`` of the action over
-    active ages 0..t-1 (``decide_ages(t)``): ``a`` holds from age ``m`` to
-    the age before the next run's start, the last run to age t-1."""
-    ages = result.policy.decide_ages
-    down, active = [], []
-    for t in range(1, horizon + 1):
-        pi_down, pi = ages(t)
-        acts = pi == 1.0
-        starts = [0, *(np.flatnonzero(acts[1:] != acts[:-1]) + 1).tolist()]
-        down.append(int(pi_down == 1.0))
-        active.append([[m, int(acts[m])] for m in starts])
-    obj = {"active": active, "down": down, "format_version": 2,
-           "horizon": horizon, "mode": result.mode}
+    active ages 0..t-1: ``a`` holds from age ``m`` to the age before the
+    next run's start, the last run to age t-1.  Both are the recursion's
+    ``result.runs`` as it holds them."""
+    obj = {"active": result.runs.active_runs(), "down": result.runs.down.tolist(),
+           "format_version": 2, "horizon": horizon, "mode": result.mode}
     json.dump(obj, handle, sort_keys=True, separators=(",", ":"))
     handle.write("\n")
 

@@ -8,18 +8,28 @@ table bit-for-bit.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
+
+# The interpreter's own SHA-256: hashlib would load OpenSSL's libcrypto,
+# about 3.5 MB of every run's peak RSS, for one digest of a short string.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # built without it
+        from hashlib import sha256
 
 Cell = Union[int, float, str, None]
 
 
 def config_hash(config: dict) -> str:
-    """Stable hash of the semantic config content (key order ignored)."""
+    """Stable hash of the semantic config content (key order ignored): the
+    hex SHA-256 of its canonical JSON, the digest ``hashlib`` gives."""
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return sha256(canonical.encode()).hexdigest()
 
 
 @dataclass
@@ -60,16 +70,15 @@ def _parse_cell(text: str) -> Cell:
 
 
 def write_result_table(table: ResultTable, path: str) -> None:
-    lines = []
-    for key, value in table.metadata.items():
-        lines.append(f"# {key} = {value}")
-    lines.append(",".join(table.columns))
-    for row in table.rows:
-        if len(row) != len(table.columns):
-            raise ValueError("ragged row in result table")
-        lines.append(",".join(_format_cell(c) for c in row))
+    """Write ``table`` to ``path``, one line at a time.  A ragged row raises
+    before the file is opened."""
+    width = len(table.columns)
+    if any(len(row) != width for row in table.rows):
+        raise ValueError("ragged row in result table")
     with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.writelines(f"# {key} = {value}\n" for key, value in table.metadata.items())
+        handle.write(",".join(table.columns) + "\n")
+        handle.writelines(",".join(map(_format_cell, row)) + "\n" for row in table.rows)
 
 
 def read_result_table(path: str) -> ResultTable:

@@ -125,13 +125,21 @@ def cutoff_policy(tstar: CutoffLike) -> Policy:
     cut = Cutoff.parse(tstar)
     if cut.is_infinite:
         rule = lambda t, x, m: 1.0 if x == 0 else 0.0
-        ages = lambda t: (1.0, np.zeros(t))
-        label = "cutoff(inf)"
+        ts, label = math.inf, "cutoff(inf)"
     else:
         ts = cut.finite_value
         rule = lambda t, x, m: 1.0 if (m == -1 or m >= ts) else 0.0
-        ages = lambda t: (1.0, np.where(np.arange(t) >= ts, 1.0, 0.0))
         label = f"cutoff({ts})"
+    row = np.empty(0)  # the active decision by age; at least doubles when it grows
+
+    def ages(t: int) -> tuple[float, np.ndarray]:
+        """Read-only view of the first t ages of the shared row."""
+        nonlocal row
+        if len(row) < t:
+            row = np.where(np.arange(max(t, 2 * len(row))) >= ts, 1.0, 0.0)
+            row.flags.writeable = False
+        return 1.0, row[:t]
+
     return Policy.from_state_rule(rule, "deterministic", label, ages)
 
 

@@ -53,12 +53,62 @@ class ValueTable:
     decisions: dict
 
 
+@dataclass(frozen=True)
+class DecisionRuns:
+    """The decisions at times 1..T in run-length form, as ``.policy.json``
+    format 2 writes them.
+
+    At time t the action when down is ``down[t-1]``; over the active ages
+    0..t-1 it is ``action[k]`` from age ``start[k]`` up to the age before the
+    next run's start, the last run to age t-1, for runs k in
+    ``bounds[t-1]:bounds[t]``.  Runs are maximal, so the actions of one time
+    alternate.  A nonincreasing fidelity curve gives at most two runs per
+    time, so the whole horizon is held in O(T) bytes.
+    """
+
+    down: np.ndarray    # int8 per time: 1 request, 0 wait
+    start: np.ndarray   # int64 per run: the age it starts at
+    action: np.ndarray  # int8 per run
+    bounds: np.ndarray  # int64, T + 1 offsets into start and action
+
+    def at(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """The starts and actions of the runs at time t."""
+        lo, hi = self.bounds[t - 1], self.bounds[t]
+        return self.start[lo:hi], self.action[lo:hi]
+
+    def rule(self, t: int, x: int, m: int) -> float:
+        if t > len(self.down):
+            return 0.0  # beyond the horizon: wait
+        if x == 0:
+            return float(self.down[t - 1])
+        start, action = self.at(t)
+        return float(action[np.searchsorted(start, m, side="right") - 1])
+
+    def ages(self, t: int) -> tuple[float, np.ndarray]:
+        if t > len(self.down):
+            return 0.0, np.zeros(t)
+        start, action = self.at(t)
+        start = start.tolist()
+        row = np.zeros(t)
+        for lo, hi, a in zip(start, start[1:] + [t], action.tolist()):
+            if a:
+                row[lo:hi] = 1.0
+        return float(self.down[t - 1]), row
+
+    def active_runs(self) -> list[list[list[int]]]:
+        """Per time, the runs ``[m, a]`` as nested lists."""
+        pairs = [[m, a] for m, a in zip(self.start.tolist(), self.action.tolist())]
+        bounds = self.bounds.tolist()
+        return [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 @dataclass
 class OptimizationResult:
     optimal_value: float
     policy: Optional[Policy]
     mode: str
     table: Optional[ValueTable]
+    runs: Optional[DecisionRuns] = None
 
 
 def state_space(j: int) -> list:
@@ -146,9 +196,10 @@ def backward_recursion_reduced(params: LinkParams, T: int,
     The conditional value-to-go of a history depends on it only through the
     current link value and memory age, so the tree recursion collapses to
     O(T^2) states; values over m are held as numpy arrays per time step.
-    The policy keeps one decision byte per state.  ``keep_table=True`` also
-    records every action value and decision in a ValueTable, O(T^2) dict
-    entries, for inspection at small T.
+    The policy keeps each time's decisions as runs over m (``DecisionRuns``),
+    O(T) bytes for the presets.  ``keep_table=True`` also records every
+    action value and decision in a ValueTable, O(T^2) dict entries, for
+    inspection at small T.
     """
     if T < 0:
         raise ValueError(f"horizon must be >= 0, got {T}")
@@ -166,8 +217,8 @@ def backward_recursion_reduced(params: LinkParams, T: int,
     # terminal (time T+1): reward f_m when active, 0 when down
     v_active_next = f_vals[: T + 1].copy()
     v_down_next = 0.0
-    wait_when_active: dict[int, np.ndarray] = {}
-    request_when_down: dict[int, bool] = {}
+    # per time, from T down to 1: the down action, and the runs (m, a) over m
+    down, runs = [], []
     table = ValueTable(horizon=T, mode="reduced", values={}, decisions={}) \
         if keep_table else None
 
@@ -180,8 +231,11 @@ def backward_recursion_reduced(params: LinkParams, T: int,
         down_wait = v_down_next
         request_down = bool(q_request > down_wait)  # tie -> wait
         v_down = q_request if request_down else down_wait
-        wait_when_active[j] = wait
-        request_when_down[j] = request_down
+        # a run starts at age 0 and wherever the decision changes
+        start = [0, *(np.flatnonzero(wait[1:] != wait[:-1]) + 1).tolist()]
+        first = 0 if wait[0] else 1
+        down.append(request_down)
+        runs.append([(m, first ^ (k & 1)) for k, m in enumerate(start)])
         if table is not None:
             for m in range(j):
                 table.values[(j, 1, m, 0)] = float(q_wait_active[m])
@@ -194,21 +248,14 @@ def backward_recursion_reduced(params: LinkParams, T: int,
         v_down_next = v_down
 
     value = p * v_active_next[0] + (1.0 - p) * v_down_next
-
-    def rule(t: int, x: int, m: int) -> float:
-        if t > T:
-            return 0.0  # beyond the horizon: wait
-        if x == 0:
-            return 1.0 if request_when_down[t] else 0.0
-        return 0.0 if wait_when_active[t][m] else 1.0
-
-    def ages(t: int) -> tuple[float, np.ndarray]:
-        if t > T:
-            return 0.0, np.zeros(t)
-        return (1.0 if request_when_down[t] else 0.0,
-                np.where(wait_when_active[t], 0.0, 1.0))
-
-    policy = Policy.from_state_rule(rule, "deterministic", "optimal-reduced", ages)
+    runs.reverse()
+    pairs = [pair for time_runs in runs for pair in time_runs]
+    decisions = DecisionRuns(
+        down=np.array(down[::-1], dtype=np.int8),
+        start=np.array([m for m, _ in pairs], dtype=np.int64),
+        action=np.array([a for _, a in pairs], dtype=np.int8),
+        bounds=np.cumsum([0, *map(len, runs)]))
+    policy = Policy.from_state_rule(decisions.rule, "deterministic",
+                                    "optimal-reduced", decisions.ages)
     return OptimizationResult(optimal_value=float(value), policy=policy,
-                              mode="reduced", table=table)
-
+                              mode="reduced", table=table, runs=decisions)

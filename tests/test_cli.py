@@ -1,5 +1,7 @@
 """Configuration parsing, CSV round-trips, and the command-line front end."""
 
+import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -27,6 +29,8 @@ import oracles
 from oracles import expand_policy_dump, expanded_policy_text, policy_dump_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_CONFIGS = sorted(set(GOLDEN_DIR.glob("*.json")) - set(GOLDEN_DIR.glob("*.policy.json")))
 
 
 def write_raw_config(tmp_path, data, name="config.json"):
@@ -151,6 +155,61 @@ def test_config_hash_ignores_key_order_but_not_values():
     assert config_hash(a) != config_hash(c)
 
 
+def hashlib_config_hash(config: dict) -> str:
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("path", GOLDEN_CONFIGS, ids=lambda path: path.stem)
+def test_config_hash_is_hashlib_sha256_on_golden_configs(path):
+    """The built-in SHA-256 gives ``hashlib``'s digest, and the golden CSV's
+    ``config-hash`` line."""
+    digest = config_hash(load_config(str(path)).hash_source())
+    assert digest == hashlib_config_hash(json.loads(path.read_text()))
+    golden = read_result_table(str(path.with_suffix(".csv")))
+    assert golden.metadata["config-hash"] == digest
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=4)),
+    max_leaves=12)
+
+
+@given(st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=5))
+def test_config_hash_is_hashlib_sha256(config):
+    assert config_hash(config) == hashlib_config_hash(config)
+
+
+@pytest.mark.skipif(not (importlib.util.find_spec("_sha2")
+                         or importlib.util.find_spec("_sha256")),
+                    reason="the interpreter has no built-in SHA-256 module")
+def test_cli_never_imports_hashlib(tmp_path):
+    """``hashlib`` loads OpenSSL's libcrypto (``_hashlib``), ~3.5 MB of peak
+    RSS: neither is imported by ``import qlink.cli``, nor by any command."""
+    runs = []
+    for doc in (analytic_doc(), SIMULATE_DOC, OPTIMIZE_DOC, SWEEP_DOC, FIG5_DOC):
+        mode = doc["mode"]
+        runs.append([mode, "--config", write_config(tmp_path, doc, f"{mode}.json"),
+                     "--out", str(tmp_path / f"{mode}.csv")])
+    child = (
+        "import json, sys\n"
+        "from qlink import cli\n"
+        "loaded = lambda: sorted({'hashlib', '_hashlib'} & set(sys.modules))\n"
+        "assert not loaded(), ('import qlink.cli', loaded())\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "    assert not loaded(), (argv[0], loaded())\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", child, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert all((tmp_path / f"{argv[0]}.csv").exists() for argv in runs)
+
+
 def test_result_table_round_trip(tmp_path):
     table = ResultTable(columns=["a", "b", "c"], rows=[],
                         metadata={"mode": "analytic", "seed": "7"})
@@ -168,6 +227,7 @@ def test_result_table_rejects_ragged_rows(tmp_path):
     table = ResultTable(columns=["a", "b"], rows=[(1,)])
     with pytest.raises(ValueError):
         write_result_table(table, str(tmp_path / "bad.csv"))
+    assert not (tmp_path / "bad.csv").exists()  # refused before opening
     with pytest.raises(ValueError):
         table.append(1, 2, 3)
 

@@ -81,6 +81,20 @@ def test_cutoff_policy_decisions():
     assert inf_rule(1, 1, 99) == 0.0
 
 
+@pytest.mark.parametrize("tstar", [0, 3, "inf"])
+def test_cutoff_policy_ages_are_read_only_views_of_one_row(tstar):
+    """``decide_ages(t)`` gives the rule's row at every t, in any order of
+    calls, as read-only slices of one row that only grows."""
+    ages = cutoff_policy(tstar).decide_ages
+    ts = math.inf if tstar == "inf" else tstar
+    for t in (1, 5, 2, 40, 7, 41, 300, 3):
+        down, pi = ages(t)
+        assert down == 1.0 and pi.dtype == float
+        assert pi.tolist() == np.where(np.arange(t) >= ts, 1.0, 0.0).tolist()
+        assert not pi.flags.writeable
+    assert np.shares_memory(ages(2)[1], ages(299)[1])
+
+
 @pytest.mark.parametrize("tstar", TSTARS)
 def test_memory_time_cutoff_matches_engine_on_support(tstar):
     """On supported sequences the mod-convention memory time agrees with the

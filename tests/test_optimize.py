@@ -1,6 +1,7 @@
 """Finite-horizon policy optimization: the three routes and their tables."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -265,6 +266,46 @@ def test_full_table_is_bellman_consistent():
     # the root combines the two first observations
     assert result.optimal_value == pytest.approx(
         p * node_value((1,), ()) + (1 - p) * node_value((0,), ()), abs=1e-13)
+
+
+# a fidelity that revives with age: the optimum keeps and discards in turns
+REVIVING = FidelityCurve(
+    evaluator=lambda m: 0.5 + 0.45 * math.cos(2 * math.pi * m / 5) * 0.97 ** m,
+    kind="closed-form", label="reviving")
+
+
+def test_state_rule_and_decide_ages_agree_with_the_table_over_many_runs():
+    """Both views of the run-length decisions give the recursion's own
+    table decisions, at times with three or more runs over m, and wait
+    everywhere past the horizon."""
+    T = 60
+    result = backward_recursion_reduced(params_for(0.3, REVIVING), T)
+    rule, ages = result.policy.decide_state, result.policy.decide_ages
+    decisions = result.table.decisions
+    for t in range(1, T + 2):
+        pi_down, pi = ages(t)
+        assert pi.dtype == float and len(pi) == t
+        assert pi_down == rule(t, 0, -1) == decisions.get((t, 0, -1), 0)
+        assert pi.tolist() == [rule(t, 1, m) for m in range(t)] \
+            == [decisions.get((t, 1, m), 0) for m in range(t)]
+    assert max(len(result.runs.at(t)[0]) for t in range(1, T + 1)) > 2
+
+
+def test_reduced_result_holds_o_of_t_bytes():
+    """Without the table, the result keeps each time's decisions as runs
+    over m: ~76 KB at T=4000, where one decision array per time held
+    ~8.9 MB."""
+    params = params_for(0.5, FidelityCurve.dephasing_bell(0.95))
+    backward_recursion_reduced(params, 2, keep_table=False)  # one-time caches
+    T = 4000
+    tracemalloc.start()
+    try:
+        result = backward_recursion_reduced(params, T, keep_table=False)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.runs.down) == T
+    assert held < 64 * T, held
 
 
 def test_reduced_recursion_is_deterministic():
