@@ -5,11 +5,15 @@
 
 All commands read a JSON RunConfig, write one CSV ResultTable with a '#'
 metadata header, and are deterministic given (config, seed).  ``--seed`` is
-read by ``simulate`` only, and ``--threads`` (default 1) by ``sweep`` only.
-Exit codes: 0 success, 2 config error (an unknown field, or a flag the
-command does not read, included), 3 numeric error, 4 I/O error.
-``optimize`` always runs the reduced (x, m) backward recursion and also
-writes ``<out>.policy.json``.
+read by ``simulate`` only, and ``--threads`` (an integer N >= 1, default 1)
+by ``sweep`` only.  Exit codes: 0 success, 2 config error (an unknown field,
+or a flag the command does not read, included), 3 numeric error, 4 I/O
+error.  ``optimize`` always runs the reduced (x, m) backward recursion and
+also writes ``<out>.policy.json``.
+
+Each command imports only the modules it runs: ``config``, ``csvio`` and
+``cutoff`` here, and ``engine``, ``quantum``, ``optimize`` and ``network``
+where a command first uses them.
 """
 
 from __future__ import annotations
@@ -20,16 +24,16 @@ import json
 import math
 import os
 import sys
-from typing import Callable, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TextIO
 
 from . import __version__
 from . import cutoff as ca
-from . import network as net
-from . import optimize as opt
 from .config import ConfigError, LinkSpec, RunConfig, load_config, parse_config
 from .csvio import ResultTable, config_hash, write_result_table
-from .engine import LinkParams, simulate_trajectories
-from .quantum import FidelityCurve
+
+if TYPE_CHECKING:
+    from .optimize import OptimizationResult
+    from .quantum import FidelityCurve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -108,7 +112,7 @@ def run_sweep(config: RunConfig, threads: int) -> ResultTable:
 
     from concurrent.futures import ThreadPoolExecutor  # only sweep uses a pool
     values = sorted(config.sweep_values, key=sort_key)
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         blocks = list(pool.map(
             lambda v: _analytic_rows(link_for(v), config.times), values))
     table = ResultTable(columns=list(ANALYTIC_COLUMNS), rows=[],
@@ -128,7 +132,17 @@ SIMULATE_COLUMNS = [
 ]
 
 
+def simulate_trajectories(*args, **kwargs):
+    """``engine.simulate_trajectories``, importing ``engine`` on first use;
+    ``run_simulate`` calls it by this module's name (perfbench's tracer
+    wraps that name)."""
+    from .engine import simulate_trajectories
+    return simulate_trajectories(*args, **kwargs)
+
+
 def run_simulate(config: RunConfig, seed_override: Optional[int]) -> ResultTable:
+    from .engine import LinkParams
+    from .quantum import FidelityCurve
     assert config.link is not None and config.horizon is not None
     assert config.trials is not None
     seed = seed_override if seed_override is not None else config.seed
@@ -164,6 +178,8 @@ OPTIMIZE_COLUMNS = ["policy", "e_ftilde", "e_x", "e_f"]
 
 def run_optimize(config: RunConfig) -> tuple[ResultTable, Callable[[TextIO], None]]:
     """The optimize table, and a writer of the optimal policy's JSON dump."""
+    from . import optimize as opt
+    from .engine import LinkParams
     assert config.link is not None and config.horizon is not None
     link = config.link
     curve = _link_curve(link)
@@ -189,7 +205,7 @@ def run_optimize(config: RunConfig) -> tuple[ResultTable, Callable[[TextIO], Non
 
 
 def write_policy_json(handle: TextIO, horizon: int,
-                      result: opt.OptimizationResult) -> None:
+                      result: OptimizationResult) -> None:
     """Write ``result``'s decisions over times 1..horizon to ``handle`` in
     format 2: ``json.dump(obj, sort_keys=True, separators=(",", ":"))`` and
     a newline, with ``obj = {"active", "down", "format_version": 2,
@@ -248,6 +264,7 @@ def reproduce_figure(figure: str, ov: dict) -> ResultTable:
         return table
 
     # fig8 / fig9: four parallel links with the captioned cutoffs at t = 50
+    from . import network as net
     t, cutoffs = ov["t"], ov["cutoffs"]
     if figure == "fig8":
         table = ResultTable(columns=["p", "t", "e_total"], rows=[])
@@ -333,6 +350,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _check_flags(args, config.mode)
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError(f"--threads must be a positive integer, got {args.threads}")
         write_policy = None
         if config.mode == "analytic":
             table = run_analytic(config)

@@ -13,11 +13,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .cutoff import Cutoff
-from .engine import MAX_TRIALS
-from .quantum import MAX_DIM, FidelityCurve
+
+if TYPE_CHECKING:
+    from .quantum import FidelityCurve
 
 SCHEMA_VERSION = 1
 # The largest time t, t_req, or figure t, t_max or t_req_max; it also caps
@@ -27,6 +28,12 @@ SCHEMA_VERSION = 1
 MAX_TIME = 10 ** 6
 # The largest horizon: optimize's work and memory grow as T**2.
 MAX_HORIZON = 10 ** 4
+# The most trials: the simulator's trial indices 0..MAX_TRIALS-1 are one
+# 32-bit word of its SeedSequence spawn key.
+MAX_TRIALS = 1 << 32
+# The largest dimension of a dense state or channel, and of the depolarizing
+# curve's ``dim``: enough for 6 qubit-like subsystems.
+MAX_DIM = 64
 
 MODES = ("analytic", "simulate", "optimize", "sweep", "reproduce")
 # each top-level field: (the modes that read it, the modes that require it);
@@ -77,6 +84,7 @@ class FidelitySpec:
     dim: int = 4
 
     def curve(self) -> FidelityCurve:
+        from .quantum import FidelityCurve
         if self.kind == "constant":
             return FidelityCurve.constant(self.f0)
         if self.kind == "depolarizing":

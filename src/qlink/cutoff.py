@@ -52,12 +52,13 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from operator import add, mul
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .engine import History, Policy
+if TYPE_CHECKING:
+    from .engine import History, Policy
 
 HYP2F1_REL_TOL = 1e-14
 HYP2F1_MAX_TERMS = 10 ** 6
@@ -122,6 +123,7 @@ def cutoff_policy(tstar: CutoffLike) -> Policy:
     In engine state terms (x, M(t) with -1 for unloaded): request iff the
     memory is unloaded or has been held for t* steps.
     """
+    from .engine import Policy
     cut = Cutoff.parse(tstar)
     if cut.is_infinite:
         rule = lambda t, x, m: 1.0 if x == 0 else 0.0
@@ -149,6 +151,7 @@ def memory_time_cutoff(history: Union[History, Sequence[int]], tstar: CutoffLike
     Equals the engine's general M(t) whenever that is >= 0, and t* when the
     general M(t) is -1 (unloaded).  For t* = infinity it is sum_j x_j - 1.
     """
+    from .engine import History
     xs = history.observations if isinstance(history, History) else tuple(history)
     cut = Cutoff.parse(tstar)
     total = sum(xs)

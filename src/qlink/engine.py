@@ -38,6 +38,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
+from .config import MAX_TRIALS
 from .quantum import (
     DensityOperator,
     FidelityCurve,
@@ -54,11 +55,10 @@ WEIGHT_SUM_TOL = 1e-12
 # (block, H) int8 observations and actions are held to HISTORY_BLOCK_BYTES.
 BLOCK_TRIALS = 8192
 HISTORY_BLOCK_BYTES = 1 << 20
-# Trial indices 0..MAX_TRIALS-1 are one 32-bit word of the SeedSequence
-# spawn key, the case `_trial_streams` reproduces.  `_draw` runs the trials'
-# PCG64 steps, XSL-RR outputs and 53-bit doubles on uint64 arrays, and a
-# test compares them bit for bit with `trial_rng`.
-MAX_TRIALS = 1 << 32
+# Trial indices 0..MAX_TRIALS-1 (config.MAX_TRIALS) are one 32-bit word of
+# the SeedSequence spawn key, the case `_trial_streams` reproduces.  `_draw`
+# runs the trials' PCG64 steps, XSL-RR outputs and 53-bit doubles on uint64
+# arrays, and a test compares them bit for bit with `trial_rng`.
 
 # numpy's SeedSequence hash (pool size 4)
 _MASK32 = 0xFFFFFFFF

@@ -12,13 +12,15 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
 from . import cutoff as ca
-from .engine import LinkParams, LinkStateMixture, materialize_average_state
-from .quantum import DensityOperator, FidelityCurve
+
+if TYPE_CHECKING:
+    from .engine import LinkParams, LinkStateMixture
+    from .quantum import DensityOperator, FidelityCurve
 
 MATERIALIZE_DIM_CAP = 2 ** 12
 
@@ -161,6 +163,8 @@ def joint_state_descriptor(specs: Sequence[ParallelLinkSpec], t: int,
     LinkParams (rho0/channel/target) for every link and the tensor-product
     average state is returned alongside; total dimension is capped.
     """
+    from .engine import LinkStateMixture, materialize_average_state
+    from .quantum import DensityOperator
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     mixtures = []

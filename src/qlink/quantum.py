@@ -14,14 +14,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import MAX_DIM
+
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = -1e-10
 NORM_TOL = 1e-12
 TRACE_PRESERVING_TOL = 1e-12
-
-# Dense matrices only; enough for 6 qubit-like subsystems.
-MAX_DIM = 64
 
 
 # ---------------------------------------------------------------------------

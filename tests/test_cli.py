@@ -201,13 +201,20 @@ def test_cli_never_imports_hashlib(tmp_path):
         "for argv in json.loads(sys.argv[1]):\n"
         "    assert cli.main(argv) == 0, argv\n"
         "    assert not loaded(), (argv[0], loaded())\n")
+    run_python(child, json.dumps(runs))
+    assert all((tmp_path / f"{argv[0]}.csv").exists() for argv in runs)
+
+
+def run_python(code: str, *args: str) -> str:
+    """Run ``code`` in a fresh interpreter on this checkout's ``src``; its
+    standard output."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", child, json.dumps(runs)],
+    proc = subprocess.run([sys.executable, "-c", code, *args],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert all((tmp_path / f"{argv[0]}.csv").exists() for argv in runs)
+    return proc.stdout
 
 
 def test_result_table_round_trip(tmp_path):
@@ -578,6 +585,8 @@ def nested_overrides_config(depth):
     ("analytic --threads 2", analytic_doc(), 2),
     ("simulate --threads 2", SIMULATE_DOC, 2),
     ("reproduce --threads 1", FIG5_DOC, 2),
+    ("sweep --threads 0", SWEEP_DOC, 2),
+    ("sweep --threads -5", SWEEP_DOC, 2),
     ("analytic", analytic_doc(schema_version=True), 2),
     ("analytic", analytic_doc(times={"start": True, "stop": 3}), 2),
     ("analytic", analytic_doc(times={"start": 1, "stop": True}), 2),
@@ -612,7 +621,8 @@ def nested_overrides_config(depth):
         "dim-huge-int", "dim-above-cap", "seed-flag-in-analytic",
         "seed-flag-in-optimize", "seed-flag-in-sweep", "seed-flag-in-reproduce",
         "threads-flag-in-analytic", "threads-flag-in-simulate",
-        "threads-flag-in-reproduce", "schema_version-bool", "times-start-bool",
+        "threads-flag-in-reproduce", "threads-zero", "threads-negative",
+        "schema_version-bool", "times-start-bool",
         "times-stop-bool", "dephasing-with-dim-and-f0", "constant-with-lam",
         "constant-with-dim-in-optimize", "times-range-huge",
         "times-range-above-cap", "time-huge", "time-above-cap",
@@ -781,3 +791,99 @@ def test_cli_exit_codes_hold_for_mutated_configs(data):
             assert os.path.exists(out)
         else:
             assert os.listdir(tmp) == ["config.json"]
+
+
+BASE_MODULES = {"cli", "config", "csvio", "cutoff"}
+FIG8_DOC = {"schema_version": 1, "mode": "reproduce", "figure": "fig8"}
+
+
+@pytest.mark.parametrize("doc, extra", [
+    (analytic_doc(), {"quantum"}),
+    (SWEEP_DOC, set()),
+    (SIMULATE_DOC, {"engine", "quantum"}),
+    (OPTIMIZE_DOC, {"engine", "quantum", "optimize"}),
+    (FIG5_DOC, set()),
+    (FIG8_DOC, {"network"}),
+], ids=["analytic-fidelity", "sweep", "simulate", "optimize", "fig5", "fig8"])
+def test_each_command_loads_only_its_modules(tmp_path, doc, extra):
+    """A fresh ``qlink`` process imports ``config``, ``csvio`` and ``cutoff``
+    with ``cli``, and only the modules its command runs besides."""
+    out = tmp_path / "o.csv"
+    argv = [doc["mode"], "--config", write_config(tmp_path, doc), "--out", str(out)]
+    child = (
+        "import json, sys\n"
+        "from qlink import cli\n"
+        "code = cli.main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([code, sorted(name[6:] for name in sys.modules\n"
+        "                               if name.startswith('qlink.'))]))\n")
+    code, loaded = json.loads(run_python(child, json.dumps(argv)))
+    assert code == 0 and out.exists()
+    assert set(loaded) == BASE_MODULES | extra
+
+
+def test_import_qlink_loads_no_submodule_and_no_numpy():
+    child = ("import json, sys, qlink\n"
+             "print(json.dumps(sorted(name for name in sys.modules\n"
+             "                        if name.startswith('qlink.') or name == 'numpy')))\n")
+    assert json.loads(run_python(child)) == []
+
+
+# every name the package exported from its submodules before it loaded them
+# on first use, by submodule
+PACKAGE_NAMES = {
+    "quantum": ["DensityOperator", "FidelityCurve", "KrausChannel", "PureState",
+                "apply_channel", "fidelity", "memory_evolve", "preset_channel",
+                "preset_state", "tensor_channel"],
+    "engine": ["History", "LinkParams", "LinkStateMixture", "Policy",
+               "evolve_exhaustive", "expected_quantities", "history_prob",
+               "iter_supported_histories", "materialize_average_state",
+               "simulate_trajectories"],
+    "cutoff": ["ActiveRow", "Cutoff", "SequenceStats", "active_rows",
+               "count_sequences", "cutoff_policy", "expected_fidelity_cutoff",
+               "expected_success_rate", "expected_success_rates",
+               "history_prob_cutoff", "hyp2f1_series", "joint_prob",
+               "memory_time_cutoff", "prob_active", "sequence_stats",
+               "steady_fidelity_cutoff", "steady_state", "success_rate_limits",
+               "transition_matrix", "waiting_time", "waiting_times"],
+    "network": ["EdgeConfig", "NetworkConfig", "ParallelLinkSpec",
+                "collective_status", "expected_flow", "expected_rate_limit",
+                "expected_total_links", "flow_distribution",
+                "joint_state_descriptor", "prob_at_least_one"],
+    "optimize": ["DecisionRuns", "OptimizationResult", "ValueTable",
+                 "backward_recursion_reduced", "forward_greedy"],
+}
+
+
+def test_package_namespace_loads_each_name_from_its_submodule():
+    import importlib
+    import qlink
+    names = [name for names in PACKAGE_NAMES.values() for name in names]
+    assert set(qlink.__all__) == {*names, "__version__"}
+    assert set(names) <= set(dir(qlink))
+    for module, names in PACKAGE_NAMES.items():
+        submodule = importlib.import_module(f"qlink.{module}")
+        for name in names:
+            assert getattr(qlink, name) is getattr(submodule, name), name
+    assert qlink.config is importlib.import_module("qlink.config")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qlink.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        from qlink import no_such_name  # noqa: F401
+
+
+def test_config_bounds_are_the_simulator_bounds():
+    """``trials`` and ``link.fidelity.dim`` are bounded by the one definition
+    the simulator and the states use; the parser admits each bound and
+    refuses one more."""
+    import qlink.engine
+    import qlink.quantum
+    from qlink import config
+    assert config.MAX_TRIALS == 2 ** 32 and qlink.engine.MAX_TRIALS is config.MAX_TRIALS
+    assert config.MAX_DIM == 64 and qlink.quantum.MAX_DIM is config.MAX_DIM
+    assert parse_config(dict(SIMULATE_DOC, trials=2 ** 32)).trials == 2 ** 32
+    with pytest.raises(ConfigError, match="trials"):
+        parse_config(dict(SIMULATE_DOC, trials=2 ** 32 + 1))
+    fidelity = {"kind": "depolarizing", "dim": 64}
+    assert parse_config(_with(OPTIMIZE_DOC, "link.fidelity", fidelity)).link.fidelity.dim == 64
+    with pytest.raises(ConfigError, match="dim"):
+        parse_config(_with(OPTIMIZE_DOC, "link.fidelity", dict(fidelity, dim=65)))
