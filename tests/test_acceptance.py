@@ -12,6 +12,8 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ import pytest
 import qlink.cutoff as ca
 import qlink.optimize as opt
 from qlink import cli
+from qlink.csvio import read_result_table
 from qlink.cutoff import (
     Cutoff,
     count_sequences,
@@ -57,6 +60,8 @@ from oracles import (
     exhaustive_policy_search,
     exhaustive_policy_search_engine,
     expanded_policy_text,
+    joint_prob_lgamma,
+    prob_active_lgamma,
     simulate_waiting_time,
 )
 
@@ -464,7 +469,7 @@ def _run_cli(args):
     return proc
 
 
-@pytest.mark.parametrize("figure", ["fig4-right", "fig5", "fig7"])
+@pytest.mark.parametrize("figure", ["fig4-left", "fig4-right", "fig5", "fig7", "fig8", "fig9"])
 def test_criterion_11_cli_determinism_and_golden_figures(figure, tmp_path):
     config = GOLDEN_DIR / f"{figure}.json"
     out1 = tmp_path / "run1.csv"
@@ -499,14 +504,47 @@ def test_criterion_11_simulate_golden(tmp_path):
     assert out.read_bytes() == (GOLDEN_DIR / "simulate.csv").read_bytes()
 
 
-@pytest.mark.parametrize("mode", ["sweep", "analytic", "optimize"])
-def test_criterion_11_cutoff_series_goldens(mode, tmp_path):
+@pytest.mark.parametrize("name", ["sweep", "analytic", "analytic-wait", "optimize"])
+def test_criterion_11_cutoff_series_goldens(name, tmp_path):
     """`qlink sweep|analytic|optimize` reproduce their stored tables byte for
-    byte: t* in {0,1,2,7,inf} x t=1..120, a sparse grid at p=0.999999, and
-    the optimizer's cutoff baselines at T=40."""
-    out = tmp_path / f"{mode}.csv"
-    _run_cli([mode, "--config", str(GOLDEN_DIR / f"{mode}.json"), "--out", str(out)])
-    assert out.read_bytes() == (GOLDEN_DIR / f"{mode}.csv").read_bytes()
+    byte: t* in {0,1,2,7,inf} x t=1..120, a sparse grid at p=0.999999, the
+    waiting times at t_req on both sides of t*+1, and the optimizer's cutoff
+    baselines at T=40."""
+    config = GOLDEN_DIR / f"{name}.json"
+    mode = json.loads(config.read_text())["mode"]
+    out = tmp_path / f"{name}.csv"
+    _run_cli([mode, "--config", str(config), "--out", str(out)])
+    assert out.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()
+
+
+def test_criterion_11_single_time_goldens_equal_the_term_at_a_time_oracle():
+    """The goldens of the single-time accessors hold, under ==, the values
+    of the lgamma-per-term reference: fig4-left Pr[X(t) = 1], fig8 its sum
+    and fig9 its product over the links, and the waiting times
+    q / (p (1-p)) with q = Pr[M = t*, X = 0 at t_req + 1]."""
+    def rows(name):
+        return read_result_table(str(GOLDEN_DIR / f"{name}.csv")).rows
+
+    fig4 = rows("fig4-left")
+    assert len(fig4) == 5 * 51
+    for tstar, t, p, e_x in fig4:
+        assert e_x == prob_active_lgamma(t, tstar, p)
+    cutoffs = (5, 15, 10, 20)
+    fig8, fig9 = rows("fig8"), rows("fig9")
+    assert [row[0] for row in fig8] == [row[0] for row in fig9] == [i / 50 for i in range(51)]
+    for (p, t, e_total), (_, _, collective) in zip(fig8, fig9):
+        actives = [prob_active_lgamma(t, c, p) for c in cutoffs]
+        assert e_total == reduce(add, actives, 0.0)
+        assert collective == reduce(mul, (1.0 - (1.0 - a) for a in actives), 1.0)
+    config = json.loads((GOLDEN_DIR / "analytic-wait.json").read_text())
+    p, tstar = config["link"]["p"], config["link"]["tstar"]
+    waits = rows("analytic-wait")
+    assert [row[2] for row in waits] == config["t_req"]
+    assert {t_req + 1 > tstar + 1 for t_req in config["t_req"]} == {False, True}
+    for _, _, t_req, e_wait, limit in waits:
+        q = joint_prob_lgamma(t_req + 1, tstar, p, tstar, 0)
+        assert e_wait == q / (p * (1.0 - p))
+        assert limit == 1.0 / (p * (1.0 + tstar * p))
 
 
 def test_criterion_11_optimize_policy_golden(tmp_path):
@@ -563,7 +601,7 @@ def test_criterion_11_goldens_do_not_depend_on_how_sum_adds_floats(monkeypatch, 
     assert _sum_from_python_312([2, 3], 1) == 6
     monkeypatch.setattr(builtins, "sum", _sum_from_python_312)
     configs = sorted(set(GOLDEN_DIR.glob("*.json")) - set(GOLDEN_DIR.glob("*.policy.json")))
-    assert len(configs) == 7
+    assert len(configs) == 11
     for config in configs:
         out = tmp_path / f"{config.stem}.csv"
         mode = json.loads(config.read_text())["mode"]

@@ -464,6 +464,48 @@ def test_closed_forms_equal_term_at_a_time_reference(tstar, p):
 
 @pytest.mark.parametrize("tstar", ORACLE_TSTARS)
 @pytest.mark.parametrize("p", ORACLE_PS)
+def test_joint_prob_is_zero_off_the_support(tstar, p):
+    """Pr[M = m, X = 1] is 0.0 at the ages m >= t a link cannot have yet,
+    and Pr[M = m, X = 0] is 0.0 at every m but t* (the unloaded memory)."""
+    for t in ORACLE_TIMES:
+        top = t + 3 if tstar == math.inf else tstar
+        for m in range(t, top + 1):
+            assert joint_prob(t, tstar, p, m, 1) == 0.0
+        if tstar != math.inf:
+            for m in range(tstar):
+                assert joint_prob(t, tstar, p, m, 0) == 0.0
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("args", [
+    (5, math.inf, -1, 1),  # m = -1 is the unloaded memory, not an age
+    (5, math.inf, 0, 0),   # X = 0 at t* = inf needs m = -1
+    (5, math.inf, 7, 0),
+    (5, 3, -1, 1),         # m outside 0..t*
+    (5, 3, 4, 1),
+    (5, 3, -1, 0),
+    (5, 3, 4, 0),
+    (5, 3, 1, 2),          # x not a bit
+    (5, math.inf, 1, -1),
+    (0, 3, 1, 1),          # t < 1
+    (-2, math.inf, 0, 1),
+], ids=repr)
+def test_joint_prob_rejects_states_outside_its_domain(args, p):
+    t, tstar, m, x = args
+    with pytest.raises(ValueError):
+        joint_prob(t, tstar, p, m, x)
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+@pytest.mark.parametrize("tstar", [3, math.inf])
+def test_joint_prob_rejects_probabilities_outside_0_1(tstar, p):
+    for x in (0, 1):
+        with pytest.raises(ValueError, match="probability"):
+            joint_prob(5, tstar, p, -1 if tstar == math.inf and x == 0 else 0, x)
+
+
+@pytest.mark.parametrize("tstar", ORACLE_TSTARS)
+@pytest.mark.parametrize("p", ORACLE_PS)
 def test_active_rows_equal_term_at_a_time_reference(tstar, p):
     """A series in any order, with repeats, equals the per-time reference."""
     curve = FidelityCurve.depolarizing(1.0, 0.9, 4)
