@@ -224,9 +224,7 @@ def write_policy_json(handle: TextIO, horizon: int,
 # figure reproduction
 # ---------------------------------------------------------------------------
 
-def _p_grid(n: int = 50, include_zero: bool = False) -> list[float]:
-    start = 0 if include_zero else 1
-    return [i / n for i in range(start, n + 1)]
+_P_GRID = tuple(i / 50 for i in range(51))  # the p axis of fig4-left, fig8 and fig9
 
 
 def reproduce_figure(figure: str, ov: dict) -> ResultTable:
@@ -239,7 +237,7 @@ def reproduce_figure(figure: str, ov: dict) -> ResultTable:
         t = ov["t"]
         table = ResultTable(columns=["tstar", "t", "p", "e_x"], rows=[])
         for cut in ov["tstars"]:
-            for pv in _p_grid(include_zero=True):
+            for pv in _P_GRID:
                 table.append(_tstar_cell(cut), t, pv, ca.prob_active(t, cut, pv))
         return table
     if figure == "fig4-right":
@@ -268,14 +266,14 @@ def reproduce_figure(figure: str, ov: dict) -> ResultTable:
     t, cutoffs = ov["t"], ov["cutoffs"]
     if figure == "fig8":
         table = ResultTable(columns=["p", "t", "e_total"], rows=[])
-        for pv in _p_grid(include_zero=True):
+        for pv in _P_GRID:
             links = tuple(net.ParallelLinkSpec(p=pv, tstar=c) for c in cutoffs)
             edge = net.EdgeConfig(edge_id="e", links=links)
             table.append(pv, t, net.expected_flow(edge, t))
         return table
     # fig9: collective status of the same links placed on separate edges
     table = ResultTable(columns=["p", "t", "collective"], rows=[])
-    for pv in _p_grid(include_zero=True):
+    for pv in _P_GRID:
         edges = tuple(
             net.EdgeConfig(edge_id=f"e{i}",
                            links=(net.ParallelLinkSpec(p=pv, tstar=c),))

@@ -125,13 +125,8 @@ def cutoff_policy(tstar: CutoffLike) -> Policy:
     """
     from .engine import Policy
     cut = Cutoff.parse(tstar)
-    if cut.is_infinite:
-        rule = lambda t, x, m: 1.0 if x == 0 else 0.0
-        ts, label = math.inf, "cutoff(inf)"
-    else:
-        ts = cut.finite_value
-        rule = lambda t, x, m: 1.0 if (m == -1 or m >= ts) else 0.0
-        label = f"cutoff({ts})"
+    ts = cut.value  # no age reaches t* = infinity
+    rule = lambda t, x, m: 1.0 if (m == -1 or m >= ts) else 0.0
     row = np.empty(0)  # the active decision by age; at least doubles when it grows
 
     def ages(t: int) -> tuple[float, np.ndarray]:
@@ -142,7 +137,7 @@ def cutoff_policy(tstar: CutoffLike) -> Policy:
             row.flags.writeable = False
         return 1.0, row[:t]
 
-    return Policy.from_state_rule(rule, "deterministic", label, ages)
+    return Policy.from_state_rule(rule, "deterministic", f"cutoff({cut})", ages)
 
 
 def memory_time_cutoff(history: Union[History, Sequence[int]], tstar: CutoffLike) -> int:
@@ -405,7 +400,8 @@ def joint_prob(t: int, tstar: CutoffLike, p: float, m: int, x: int) -> float:
 
     For finite t* the memory time is the mod convention value in {0..t*};
     for t* = infinity, m = -1 encodes the unloaded memory (only state with
-    X = 0) and m in {0..t-1} indexes ages of the kept link.
+    X = 0) and m in {0..t-1} indexes ages of the kept link.  It reads the
+    `active_rows` row at x = 1, 0.0 past it, and `_down_probs` at x = 0.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
@@ -413,40 +409,16 @@ def joint_prob(t: int, tstar: CutoffLike, p: float, m: int, x: int) -> float:
         raise ValueError(f"x must be a bit, got {x}")
     _validate_p(p)
     cut = Cutoff.parse(tstar)
-
-    if cut.is_infinite:
-        if x == 0:
-            if m != -1:
-                raise ValueError(f"for infinite cutoff X=0 requires m=-1, got m={m}")
-            return (1.0 - p) ** t
-        if not 0 <= m <= t - 1:
-            if m == -1:
-                raise ValueError("m=-1 encodes the unloaded memory, not an active link")
-            return 0.0
-        return p * (1.0 - p) ** (t - m - 1)
-
-    ts = cut.finite_value
-    block = ts + 1
-    if not 0 <= m <= ts:
-        raise ValueError(f"m must be in 0..{ts}, got {m}")
-
-    if p == 0.0:
-        return 1.0 if (x == 0 and m == ts) else 0.0
-    if p == 1.0:
-        # the only sequence is all ones
-        return 1.0 if (x == 1 and m == (t - 1) % block) else 0.0
-
+    unloaded = -1 if cut.is_infinite else cut.finite_value
+    if cut.is_infinite and (m == unloaded) != (x == 0):
+        raise ValueError("for infinite cutoff m=-1 encodes the unloaded memory, the only "
+                         f"state with X=0, got m={m}, x={x}")
+    if not cut.is_infinite and not 0 <= m <= unloaded:
+        raise ValueError(f"m must be in 0..{unloaded}, got {m}")
     if x == 0:
-        if m != ts:
-            return 0.0
-        if t <= ts + 1:
-            return (1.0 - p) ** t
-        return _binomial_sums(_runs((t,), 0), ts, p, {"down"})["down"][t]
-
-    # x == 1
-    if t <= ts + 1:
-        return p * (1.0 - p) ** (t - m - 1) if m <= t - 1 else 0.0
-    return _binomial_sums(_runs((t - m,), 0), ts, p, {"g"})["g"][t - m]
+        return _down_probs([t], cut, p)[0] if m == unloaded else 0.0
+    joint = next(active_rows((t,), cut, p)).joint
+    return joint[m] if 0 <= m < len(joint) else 0.0
 
 
 @dataclass(frozen=True)
@@ -495,6 +467,13 @@ def _long_sums(times: list[int], cut: Cutoff, p: float,
         return {name: {} for name in want}
     ts = cut.finite_value
     return _binomial_sums(_runs(long, ts if want & {"g", "es"} else 0), ts, p, want)
+
+
+def _down_probs(times: list[int], cut: Cutoff, p: float) -> list[float]:
+    """Pr[M_{t*}(t) = t*, X(t) = 0] at each of ``times``: the down family
+    of `_long_sums` where it applies, else (1-p)^t, the all-fail sequence."""
+    down = _long_sums(times, cut, p, {"down"})["down"]
+    return [down[t] if t in down else (1.0 - p) ** t for t in times]
 
 
 def _success_rates(times: list[int], block: Union[int, float], p: float,
@@ -628,13 +607,7 @@ def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
 
 def prob_active(t: int, tstar: CutoffLike, p: float) -> float:
     """Pr[X(t) = 1] under the cutoff policy."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    _validate_p(p)
-    cut = Cutoff.parse(tstar)
-    if cut.is_infinite or t <= cut.finite_value + 1:
-        return 1.0 - (1.0 - p) ** t
-    return next(active_rows((t,), cut, p)).prob_active
+    return next(active_rows((t,), tstar, p)).prob_active
 
 
 @dataclass(frozen=True)
@@ -806,8 +779,8 @@ def waiting_times(t_reqs: Sequence[int], tstar: CutoffLike,
                   p: float) -> list[WaitingTime]:
     """The WaitingTime at each t_req in ``t_reqs``, in the order given.
 
-    q = Pr[M = t*, X = 0 at t_req + 1] is (1-p)^(t_req+1) up to t* and for
-    t* = infinity; the later requests share one `_binomial_sums` pass.
+    q = Pr[M = t*, X = 0 at t_req + 1] comes from `_down_probs`, so the
+    requests after t* share one `_binomial_sums` pass.
     """
     t_reqs = list(t_reqs)
     for t_req in t_reqs:
@@ -819,12 +792,9 @@ def waiting_times(t_reqs: Sequence[int], tstar: CutoffLike,
         wait, mass = (1.0, 1.0) if p == 1.0 else (math.inf, 0.0)
         return [WaitingTime(t_req=t_req, expectation=wait, limit=wait, total_mass=mass,
                             pmf=lambda t: mass if t == 1 else 0.0) for t_req in t_reqs]
-    block = _block(cut)
-    down = _long_sums([t_req + 1 for t_req in t_reqs], cut, p, {"down"})["down"]
+    downs = _down_probs([t_req + 1 for t_req in t_reqs], cut, p)
     limit = 0.0 if cut.is_infinite else 1.0 / (p * (1.0 + cut.finite_value * p))
-    return [_waiting_time(t_req, down[t_req + 1] if t_req + 1 > block
-                          else (1.0 - p) ** (t_req + 1), p, limit)
-            for t_req in t_reqs]
+    return [_waiting_time(t_req, q, p, limit) for t_req, q in zip(t_reqs, downs)]
 
 
 def waiting_time(t_req: int, tstar: CutoffLike, p: float) -> WaitingTime:

@@ -128,6 +128,15 @@ class History:
 # policies
 # ---------------------------------------------------------------------------
 
+def _checked_prob(val: float, kind: str) -> float:
+    """``val`` if it is a probability, and 0 or 1 for a deterministic ``kind``."""
+    if not 0.0 <= val <= 1.0:
+        raise ValueError(f"policy returned probability {val} outside [0, 1]")
+    if kind == "deterministic" and val not in (0.0, 1.0):
+        raise ValueError(f"deterministic policy returned {val}")
+    return val
+
+
 @dataclass(frozen=True)
 class Policy:
     """A decision-function family d_t: histories -> Pr[A(t) = 1].
@@ -147,12 +156,7 @@ class Policy:
     decide_ages: Optional[Callable[[int], tuple[float, np.ndarray]]] = None
 
     def action_prob(self, t: int, history: History) -> float:
-        val = float(self.decide(t, history))
-        if not 0.0 <= val <= 1.0:
-            raise ValueError(f"policy returned probability {val} outside [0, 1]")
-        if self.kind == "deterministic" and val not in (0.0, 1.0):
-            raise ValueError(f"deterministic policy returned {val}")
-        return val
+        return _checked_prob(float(self.decide(t, history)), self.kind)
 
     @classmethod
     def from_state_rule(cls, rule: Callable[[int, int, int], float], kind: str,
@@ -160,15 +164,17 @@ class Policy:
                         ages: Optional[Callable[[int], tuple[float, np.ndarray]]] = None
                         ) -> "Policy":
         """Build a policy from a rule on (t, x_t, M(t)).  ``ages`` is the
-        same rule as ``decide_ages``; without it, the rule is read one age
-        at a time."""
+        same rule as ``decide_ages`` and must return probabilities, 0 or 1
+        if ``kind`` is deterministic; without it, the rule is read and
+        checked one age at a time."""
 
         def decide(t: int, history: History) -> float:
             return rule(t, history.observations[-1], history.memory_time())
 
         if ages is None:
-            ages = lambda t: (rule(t, 0, -1),
-                              np.array([rule(t, 1, m) for m in range(t)], float))
+            prob = lambda t, x, m: _checked_prob(float(rule(t, x, m)), kind)
+            ages = lambda t: (prob(t, 0, -1),
+                              np.array([prob(t, 1, m) for m in range(t)], float))
 
         return cls(decide=decide, kind=kind, label=label, decide_state=rule,
                    decide_ages=ages)

@@ -21,6 +21,7 @@ from qlink.engine import (
     simulate_trajectories,
     trial_rng,
 )
+from qlink.optimize import evaluate_state_policy
 from qlink.quantum import FidelityCurve, fidelity, preset_channel, preset_state
 
 from oracles import enumerate_supported, memory_time_explicit, simulate_trajectories_scalar
@@ -151,6 +152,31 @@ def test_evolve_first_step():
     mx = evolve_exhaustive(params, Policy.always_request(), 1)[0]
     assert mx.failure_weight == pytest.approx(0.75)
     assert mx.age_weights == {0: pytest.approx(0.25)}
+
+
+BAD_STATE_RULES = {
+    "stochastic-1.5": ("stochastic", lambda t, x, m: 1.5),
+    "deterministic-0.5": ("deterministic", lambda t, x, m: 0.5),
+    "stochastic-negative-at-age-1": ("stochastic", lambda t, x, m: -0.5 if m == 1 else 0.5),
+    "deterministic-0.5-at-age-1": ("deterministic",
+                                   lambda t, x, m: 0.5 if m == 1 else float(x == 0)),
+}
+
+
+@pytest.mark.parametrize("rule", BAD_STATE_RULES)
+@pytest.mark.parametrize("reader", ["evolve_exhaustive", "evaluate_state_policy",
+                                    "simulate_trajectories"])
+def test_every_reader_rejects_a_state_rule_that_is_not_a_probability(reader, rule):
+    """A rule value outside [0, 1], or not 0 or 1 for a deterministic rule,
+    is a ValueError whether the rule is read per history or per age row."""
+    kind, decide = BAD_STATE_RULES[rule]
+    policy = Policy.from_state_rule(decide, kind)
+    params = LinkParams.symbolic(0.3, CURVE)
+    run = {"evolve_exhaustive": lambda: evolve_exhaustive(params, policy, 4),
+           "evaluate_state_policy": lambda: evaluate_state_policy(params, policy, 4),
+           "simulate_trajectories": lambda: simulate_trajectories(params, policy, 4, 50, 1)}
+    with pytest.raises(ValueError, match="policy returned"):
+        run[reader]()
 
 
 def test_expected_quantities_degenerate():
