@@ -13,7 +13,9 @@ also writes ``<out>.policy.json``.
 
 Each command imports only the modules it runs: ``config``, ``csvio`` and
 ``cutoff`` here, and ``engine``, ``quantum``, ``optimize`` and ``network``
-where a command first uses them.
+where a command first uses them.  numpy comes with ``engine``, ``quantum``
+(a fidelity curve) and the cutoff series longer than ``cutoff._SHORT``, so
+``reproduce`` at its default sizes runs without it.
 """
 
 from __future__ import annotations

@@ -23,21 +23,28 @@ g(t) lies a term of the down family, C(t-1-b t*, b) p^b (1-p)^(t-b(t*+1)),
 whose sum is Pr[M_{t*}(t) = t*, X(t) = 0] and so the waiting time.  The
 k-terms of E[S(t)] are g's terms at u = t-k+1 times a weight, and its
 trailing-zero terms the down terms times another.  `_binomial_sums`
-evaluates the sums a series asks for in b-rows of terms (b counts
-completed blocks), only at the u and t the series needs, several rows per
-numpy call.  `_terms` is the one place a term is formed.
+evaluates the sums a series asks for, only at the u and t the series
+needs, by one of two routes.  A series whose times all lie within `_SHORT`
+is summed term by term in Python (`_term_sums`), which needs no numpy: the
+paper's figures are all such series, and `qlink reproduce` never imports
+numpy.  A longer series is evaluated in b-rows of terms (b counts
+completed blocks), several rows per numpy call; `_terms` is the one place
+that route forms a term.  Both read the one log-factorial table.
 
 Summation order.  The values are bit-identical to adding the terms one at a
-time, and the CSV goldens rely on that.  Each term is exp(log C + succ log p
-+ fail log(1-p)) with log C = lgamma(n+1) - lgamma(b+1) - lgamma(n-b+1).
-numpy forms the logs of the terms with the same IEEE operations in that
-order (adding succ log p or fail log(1-p) for a zero count adds -0.0, which
-changes nothing); `math.exp` is applied to each log on its own, never
+time, on either route, and the CSV goldens rely on that.  Each term is
+exp(log C + succ log p + fail log(1-p)) with log C = lgamma(n+1) -
+lgamma(b+1) - lgamma(n-b+1).  Python and numpy both form the log with the
+same IEEE double operations in that order (an integer count times log p is
+the count converted exactly, then one multiply; a zero count adds -0.0,
+which changes nothing); `math.exp` is applied to each log on its own, never
 `np.exp`, whose last bit differs.  Each sum starts at 0.0 and takes its
-terms one addition at a time, as a numpy `+=` per row or a cumulative sum
-down the columns, the same IEEE additions: b outer; within b, E[S]'s
+terms one addition at a time, as a Python `+=` or `reduce(add, ..., 0.0)`
+on the short route and a numpy `+=` per row or a cumulative sum down the
+columns on the long one, the same IEEE additions: b outer; within b, E[S]'s
 trailing-zero term (0.0 for b = 0), then its k = 1..t*+1 terms, each
-weight formed before it multiplies its term.  Adding 0.0 changes no sum.
+weight formed before it multiplies its term.  Adding 0.0 changes no sum,
+so the short route skips the cells where the long one adds a 0.0 term.
 A row of the distribution and E[F~] are added in increasing m with
 `reduce(add, ..., 0.0)` or `np.cumsum`, and the geometric E[S] prefix with
 `itertools.accumulate`.  No float sum in the package uses the built-in
@@ -48,16 +55,16 @@ values do not depend on the Python version.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from operator import add, mul
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
 
-import numpy as np
-from numpy.lib.stride_tricks import as_strided
-
 if TYPE_CHECKING:
+    import numpy as np
+
     from .engine import History, Policy
 
 HYP2F1_REL_TOL = 1e-14
@@ -123,6 +130,8 @@ def cutoff_policy(tstar: CutoffLike) -> Policy:
     In engine state terms (x, M(t) with -1 for unloaded): request iff the
     memory is unloaded or has been held for t* steps.
     """
+    import numpy as np
+
     from .engine import Policy
     cut = Cutoff.parse(tstar)
     ts = cut.value  # no age reaches t* = infinity
@@ -241,21 +250,18 @@ def count_sequences(t: int, tstar: CutoffLike) -> int:
 # ---------------------------------------------------------------------------
 
 # Entry k is math.lgamma(k + 1).  Sweeps read the table from several threads,
-# so it is never changed in place: `_log_factorials` builds a longer, read-only
-# array and rebinds the name, and every reader keeps the array it fetched.
-_LOG_FACTORIAL = np.zeros(1)
-_LOG_FACTORIAL.flags.writeable = False
+# so it is never changed in place: `_log_factorials` builds a longer array and
+# rebinds the name, and every reader keeps the array it fetched.
+_LOG_FACTORIAL = array("d", [0.0])
 
 
-def _log_factorials(n: int) -> np.ndarray:
+def _log_factorials(n: int) -> array:
     """The log-factorial table, grown first if it does not reach k = n."""
     global _LOG_FACTORIAL
     table = _LOG_FACTORIAL
     if n >= len(table):
         size = max(n + 1, 2 * len(table))
-        more = np.fromiter(map(math.lgamma, range(len(table) + 1, size + 1)), float)
-        table = np.concatenate((table, more))
-        table.flags.writeable = False
+        table = table + array("d", map(math.lgamma, range(len(table) + 1, size + 1)))
         _LOG_FACTORIAL = table
     return table
 
@@ -267,6 +273,7 @@ def _terms(log_fact: np.ndarray, n, b, succ, fail, log_p: float,
     lf[n] - lf[b] - lf[n-b] + succ log p + fail log(1-p).  Log evaluation
     keeps huge binomials times tiny probability powers finite; np.exp
     differs from math.exp in the last bit."""
+    import numpy as np
     logs = (log_fact.take(n, mode="clip") - log_fact[b] - log_fact.take(n - b, mode="clip")
             + succ * log_p + fail * log_q)
     logs[n < b] = -math.inf  # math.exp(-inf) == 0.0
@@ -278,6 +285,7 @@ def _accumulate(acc: np.ndarray, rows: np.ndarray) -> None:
     """acc += rows[0]; acc += rows[1]; ...: one numpy add per row while
     there are no more rows than columns, else one cumulative sum down the
     columns, the same IEEE additions in the same order."""
+    import numpy as np
     if len(rows) <= rows.shape[1]:
         for row in rows:
             acc += row
@@ -320,6 +328,51 @@ def _row_chunks(lo: int, hi: int, block: int) -> Iterator[tuple[int, int, int]]:
         yield b0, min(rows, b0 + height), max(lo, b0 * block + 1)
 
 
+# The largest time of a series that `_binomial_sums` sums term by term in
+# Python.  Up to it the Python loop costs a few ms at most, less than numpy's
+# import (~0.1 s and 13 MB) in a process that needs numpy for nothing else;
+# above it the loop falls well behind the numpy route (g and E[S] at t* = 0
+# over t = 1..128 already take ~9 ms against ~3 ms).
+_SHORT = 128
+
+
+def _term_sums(runs: list[Run], ts: int, p: float,
+               want: set[str]) -> dict[str, dict[int, float]]:
+    """`_binomial_sums` one term at a time: each term formed by `_terms`'
+    expression, each sum added from 0.0 in the kernel's order, leaving out
+    the cells where the kernel adds 0.0.  The same bits."""
+    block, top = ts + 1, runs[-1][1]
+    lf = _log_factorials(top)[:top + 1].tolist()
+    log_p, log_q = math.log(p), math.log1p(-p)
+
+    def term(n: int, b: int, succ: int, fail: int) -> float:
+        return math.exp(lf[n] - lf[b] - lf[n - b] + succ * log_p + fail * log_q)
+
+    sums: dict[str, dict[int, float]] = {name: {} for name in want}
+    for lo, hi, t_runs in runs:
+        # g's terms at each u, by b up to the last row with a term at u
+        g_terms = {u: [term(u - 1 - b * ts, b, b + 1, u - 1 - b * block)
+                       for b in range((u - 1) // block + 1)]
+                   for u in range(lo, hi + 1)} if want & {"g", "es"} else {}
+        if "g" in want:
+            sums["g"].update((u, reduce(add, terms, 0.0)) for u, terms in g_terms.items())
+        if not want & {"down", "es"}:
+            continue
+        for t in (t for ta, tb in t_runs for t in range(ta, tb + 1)):
+            down = [term(t - 1 - b * ts, b, b, t - b * block)
+                    for b in range((t - 1) // block + 1)]
+            if "down" in want:
+                sums["down"][t] = reduce(add, down, 0.0)
+            if "es" in want:
+                total = 0.0
+                for b, term_b in enumerate(down):
+                    total += b / (t - b * ts) * term_b
+                    for u in range(t, max(t - block, b * block), -1):  # k = t-u+1
+                        total += (b + 1) / (u - b * ts) * g_terms[u][b]
+                sums["es"][t] = total
+    return sums
+
+
 def _binomial_sums(runs: list[Run], ts: int, p: float,
                    want: set[str]) -> dict[str, dict[int, float]]:
     """The sums named in ``want``, for a finite cutoff t* and 0 < p < 1:
@@ -334,9 +387,15 @@ def _binomial_sums(runs: list[Run], ts: int, p: float,
     down term p^b (1-p)^(F+1).  E[S(t)] takes, for each b, the down term
     times b/(t - t* b), then g's terms at u = t-k+1, k = 1..t*+1, times
     (b+1)/(u - t* b).
+
+    Series whose times all lie within `_SHORT` are summed term by term in
+    Python (`_term_sums`), longer ones with numpy.
     """
+    if runs[-1][1] <= _SHORT:
+        return _term_sums(runs, ts, p, want)
+    import numpy as np
     block = ts + 1
-    log_fact = _log_factorials(runs[-1][1])
+    log_fact = np.frombuffer(_log_factorials(runs[-1][1]), float)  # a view, no copy
     log_p, log_q = math.log(p), math.log1p(-p)
     with_g, with_es = bool(want & {"g", "es"}), "es" in want
     with_down = bool(want & {"down", "es"})
@@ -400,8 +459,9 @@ def joint_prob(t: int, tstar: CutoffLike, p: float, m: int, x: int) -> float:
 
     For finite t* the memory time is the mod convention value in {0..t*};
     for t* = infinity, m = -1 encodes the unloaded memory (only state with
-    X = 0) and m in {0..t-1} indexes ages of the kept link.  It reads the
-    `active_rows` row at x = 1, 0.0 past it, and `_down_probs` at x = 0.
+    X = 0) and m in {0..t-1} indexes ages of the kept link; any other m
+    raises ValueError.  It reads the `active_rows` row at x = 1, 0.0 past
+    it, and `_down_probs` at x = 0.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
@@ -413,6 +473,8 @@ def joint_prob(t: int, tstar: CutoffLike, p: float, m: int, x: int) -> float:
     if cut.is_infinite and (m == unloaded) != (x == 0):
         raise ValueError("for infinite cutoff m=-1 encodes the unloaded memory, the only "
                          f"state with X=0, got m={m}, x={x}")
+    if cut.is_infinite and m < -1:
+        raise ValueError(f"m must be -1 or an age m >= 0, got {m}")
     if not cut.is_infinite and not 0 <= m <= unloaded:
         raise ValueError(f"m must be in 0..{unloaded}, got {m}")
     if x == 0:
@@ -565,8 +627,10 @@ def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
         ages = ((t - 1) % block if t > block else t - 1
                 for block in map(_block, map(Cutoff.parse, tstars)))
         return [(fvals[m], 1.0, fvals[m]) for m in ages]
+    import numpy as np
+    from numpy.lib.stride_tricks import as_strided
     f = np.array(fvals)
-    log_fact = _log_factorials(t)
+    log_fact = np.frombuffer(_log_factorials(t), float)  # a view, no copy
     log_p, log_q = math.log(p), math.log1p(-p)
 
     def terms_at(k, b):
@@ -825,6 +889,7 @@ class TransitionMatrix:
 
     def initial_distribution(self) -> np.ndarray:
         """The t = 1 distribution (the A(0) = 1 request)."""
+        import numpy as np
         dist = np.zeros(len(self.states))
         if self.tstar.is_infinite:
             dist[self.state_index(1)] = self.p
@@ -837,10 +902,12 @@ class TransitionMatrix:
     def distribution_at(self, t: int) -> np.ndarray:
         if t < 1:
             raise ValueError(f"t must be >= 1, got {t}")
+        import numpy as np
         return np.linalg.matrix_power(self.matrix, t - 1) @ self.initial_distribution()
 
 
 def transition_matrix(tstar: CutoffLike, p: float) -> TransitionMatrix:
+    import numpy as np
     _validate_p(p)
     cut = Cutoff.parse(tstar)
     if cut.is_infinite:

@@ -14,11 +14,11 @@ from functools import reduce
 from operator import add
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-import numpy as np
-
 from . import cutoff as ca
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .engine import LinkParams, LinkStateMixture
     from .quantum import DensityOperator, FidelityCurve
 
@@ -96,6 +96,7 @@ def expected_flow(edge: EdgeConfig, t: TimeLike) -> float:
 
 def flow_distribution(edge: EdgeConfig, t: TimeLike) -> np.ndarray:
     """Exact distribution of N_e(t) (Poisson binomial, by convolution)."""
+    import numpy as np
     _check_time(t)
     dist = np.array([1.0])
     for link in edge.links:
@@ -163,6 +164,8 @@ def joint_state_descriptor(specs: Sequence[ParallelLinkSpec], t: int,
     LinkParams (rho0/channel/target) for every link and the tensor-product
     average state is returned alongside; total dimension is capped.
     """
+    import numpy as np
+
     from .engine import LinkStateMixture, materialize_average_state
     from .quantum import DensityOperator
     if t < 1:

@@ -22,6 +22,7 @@ import pytest
 import qlink.cutoff as ca
 import qlink.optimize as opt
 from qlink import cli
+from qlink.config import MAX_TIME
 from qlink.csvio import read_result_table
 from qlink.cutoff import (
     Cutoff,
@@ -545,6 +546,29 @@ def test_criterion_11_single_time_goldens_equal_the_term_at_a_time_oracle():
         q = joint_prob_lgamma(t_req + 1, tstar, p, tstar, 0)
         assert e_wait == q / (p * (1.0 - p))
         assert limit == 1.0 / (p * (1.0 + tstar * p))
+
+
+SERIES_GOLDENS = ["fig4-left", "fig4-right", "fig5", "fig7", "fig8", "fig9",
+                  "analytic", "analytic-wait", "sweep", "simulate"]
+
+
+@pytest.mark.parametrize("name", SERIES_GOLDENS)
+def test_criterion_11_goldens_are_equal_on_both_series_routes(name, monkeypatch, tmp_path):
+    """Every golden whose path sums cutoff series is written byte for byte
+    with all series on the numpy route, and again with all on the
+    term-at-a-time route."""
+    config = GOLDEN_DIR / f"{name}.json"
+    mode = json.loads(config.read_text())["mode"]
+    by_terms = []
+    term_sums = ca._term_sums
+    monkeypatch.setattr(ca, "_term_sums", lambda *args: by_terms.append(1) or term_sums(*args))
+    for short in (0, MAX_TIME):
+        monkeypatch.setattr(ca, "_SHORT", short)
+        out = tmp_path / f"{name}-{short}.csv"
+        assert cli.main([mode, "--config", str(config), "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()
+        assert bool(by_terms) == bool(short)  # the route asked for ran
+        by_terms.clear()
 
 
 def test_criterion_11_optimize_policy_golden(tmp_path):

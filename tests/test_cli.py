@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from qlink import cli
 from qlink.cli import main
-from qlink.config import (FIELDS, MAX_HORIZON, MAX_TIME, MODES, ConfigError,
+from qlink.config import (FIELDS, FIGURES, MAX_HORIZON, MAX_TIME, MODES, ConfigError,
                           load_config, parse_config)
 from qlink.csvio import ResultTable, config_hash, read_result_table, write_result_table
 from qlink.cutoff import prob_active, waiting_time
@@ -797,17 +797,20 @@ BASE_MODULES = {"cli", "config", "csvio", "cutoff"}
 FIG8_DOC = {"schema_version": 1, "mode": "reproduce", "figure": "fig8"}
 
 
-@pytest.mark.parametrize("doc, extra", [
-    (analytic_doc(), {"quantum"}),
-    (SWEEP_DOC, set()),
-    (SIMULATE_DOC, {"engine", "quantum"}),
-    (OPTIMIZE_DOC, {"engine", "quantum", "optimize"}),
-    (FIG5_DOC, set()),
-    (FIG8_DOC, {"network"}),
-], ids=["analytic-fidelity", "sweep", "simulate", "optimize", "fig5", "fig8"])
-def test_each_command_loads_only_its_modules(tmp_path, doc, extra):
+@pytest.mark.parametrize("doc, extra, numpy", [
+    (analytic_doc(), {"quantum"}, True),
+    (SWEEP_DOC, set(), False),
+    (dict(SWEEP_DOC, times={"start": 1, "stop": 200}), set(), True),
+    (SIMULATE_DOC, {"engine", "quantum"}, True),
+    (OPTIMIZE_DOC, {"engine", "quantum", "optimize"}, True),
+    (FIG5_DOC, set(), False),
+    (FIG8_DOC, {"network"}, False),
+], ids=["analytic-fidelity", "sweep", "sweep-long", "simulate", "optimize", "fig5", "fig8"])
+def test_each_command_loads_only_its_modules(tmp_path, doc, extra, numpy):
     """A fresh ``qlink`` process imports ``config``, ``csvio`` and ``cutoff``
-    with ``cli``, and only the modules its command runs besides."""
+    with ``cli``, and only the modules its command runs besides.  numpy is
+    loaded by the fidelity curves, the engine, and cutoff series longer
+    than the term-at-a-time route takes; never by ``reproduce``."""
     out = tmp_path / "o.csv"
     argv = [doc["mode"], "--config", write_config(tmp_path, doc), "--out", str(out)]
     child = (
@@ -815,10 +818,41 @@ def test_each_command_loads_only_its_modules(tmp_path, doc, extra):
         "from qlink import cli\n"
         "code = cli.main(json.loads(sys.argv[1]))\n"
         "print(json.dumps([code, sorted(name[6:] for name in sys.modules\n"
-        "                               if name.startswith('qlink.'))]))\n")
-    code, loaded = json.loads(run_python(child, json.dumps(argv)))
+        "                               if name.startswith('qlink.')),\n"
+        "                  'numpy' in sys.modules]))\n")
+    code, loaded, numpy_loaded = json.loads(run_python(child, json.dumps(argv)))
     assert code == 0 and out.exists()
     assert set(loaded) == BASE_MODULES | extra
+    assert numpy_loaded == numpy
+
+
+# makes ``import numpy`` raise ImportError in the process that runs it
+WITHOUT_NUMPY = "import sys\nsys.modules['numpy'] = None\nfrom qlink import cli\n"
+
+
+@pytest.mark.parametrize("figure", FIGURES)
+def test_reproduce_writes_every_golden_figure_without_numpy(tmp_path, figure):
+    """Each default figure comes out byte for byte as its golden from a
+    process in which numpy cannot be imported."""
+    out = tmp_path / "o.csv"
+    child = WITHOUT_NUMPY + "print(cli.main(sys.argv[1:]))\n"
+    config = str(GOLDEN_DIR / f"{figure}.json")
+    assert run_python(child, "reproduce", "--config", config, "--out", str(out)) == "0\n"
+    assert out.read_bytes() == (GOLDEN_DIR / f"{figure}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("doc", [
+    {"schema_version": 1, "mode": "reproduce", "figure": "fig6"},
+    {"schema_version": 1, "mode": "reproduce", "figure": "fig8", "overrides": {"t": 0}},
+    {"schema_version": 1, "mode": "reproduce", "figure": "fig5",
+     "overrides": {"tstars": [1, -1]}},
+], ids=["unknown-figure", "time-0", "negative-tstar"])
+def test_reproduce_config_errors_exit_2_without_numpy(tmp_path, doc):
+    out = tmp_path / "o.csv"
+    child = WITHOUT_NUMPY + "print(cli.main(sys.argv[1:]))\n"
+    argv = ["reproduce", "--config", write_config(tmp_path, doc), "--out", str(out)]
+    assert run_python(child, *argv) == "2\n"
+    assert not out.exists()
 
 
 def test_import_qlink_loads_no_submodule_and_no_numpy():

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import qlink.cutoff as ca
 from qlink import cli
-from qlink.config import parse_config
+from qlink.config import MAX_TIME, parse_config
 from qlink.cutoff import (
     Cutoff,
     active_rows,
@@ -479,6 +480,8 @@ def test_joint_prob_is_zero_off_the_support(tstar, p):
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("args", [
     (5, math.inf, -1, 1),  # m = -1 is the unloaded memory, not an age
+    (5, math.inf, -2, 1),  # no m below -1
+    (5, math.inf, -5, 1),
     (5, math.inf, 0, 0),   # X = 0 at t* = inf needs m = -1
     (5, math.inf, 7, 0),
     (5, 3, -1, 1),         # m outside 0..t*
@@ -494,6 +497,14 @@ def test_joint_prob_rejects_states_outside_its_domain(args, p):
     t, tstar, m, x = args
     with pytest.raises(ValueError):
         joint_prob(t, tstar, p, m, x)
+
+
+def test_joint_prob_at_infinite_cutoff_keeps_the_unloaded_state():
+    """m = -1 with x = 0 is the down probability (1-p)^t at t* = inf; the
+    ages a link cannot have yet read 0.0."""
+    for t, p in [(1, 0.3), (5, 0.3), (40, 0.77)]:
+        assert joint_prob(t, math.inf, p, -1, 0) == (1.0 - p) ** t
+        assert joint_prob(t, math.inf, p, t, 1) == 0.0
 
 
 @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
@@ -620,8 +631,10 @@ def test_runs_merge_windows_that_touch_or_overlap():
 def test_binomial_sums_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
     """Grouping b-rows, and splitting E[S]'s rows by columns, changes no
     bit: a single far time is a tall narrow group, a dense series one row
-    at a time.  The same holds for the waiting times' down family."""
+    at a time.  The same holds for the waiting times' down family.  All
+    series take the numpy route, which alone reads the chunk size."""
     monkeypatch.setattr(ca, "_CHUNK", chunk)
+    monkeypatch.setattr(ca, "_SHORT", 0)
     for tstar in [0, 1, 3, 8]:
         for p in [0.01, 0.3, 0.9]:
             for times in [list(range(1, 120)), [150], [37, 3, 90, 3, 36, 95, 99]]:
@@ -633,6 +646,26 @@ def test_binomial_sums_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
                 waits = waiting_times([t - 1 for t in times], tstar, p)
                 assert [wait.expectation for wait in waits] == [_expected_wait(t, tstar, p)
                                                                 for t in times]
+
+
+@pytest.mark.parametrize("tstar", [0, 1, 2, 5, 35])
+@pytest.mark.parametrize("p", [0.01, 0.3, 0.77, 0.999999])
+def test_binomial_sums_are_equal_on_both_routes(monkeypatch, tstar, p):
+    """The term-at-a-time route and the numpy route give the same bits for
+    g, the down family and E[S], on dense, sparse and single-time series
+    that end at the route threshold and one above it."""
+    top = ca._SHORT
+    for times in [range(1, top + 1), range(1, top + 2), [top], [top + 1],
+                  [3, 40, 41, top - 7, top]]:
+        long = sorted({t for t in times if t > tstar + 1})
+        for want in [{"g"}, {"down"}, {"es"}, {"g", "es"}, {"g", "down", "es"}]:
+            runs = ca._runs(long, tstar if want & {"g", "es"} else 0)
+            monkeypatch.setattr(ca, "_SHORT", 0)
+            by_numpy = ca._binomial_sums(runs, tstar, p, want)
+            monkeypatch.setattr(ca, "_SHORT", MAX_TIME)
+            by_terms = ca._binomial_sums(runs, tstar, p, want)
+            assert by_terms == by_numpy
+            assert all(by_terms[name] for name in want)
 
 
 def test_success_rate_series_rejects_bad_input():
@@ -654,19 +687,20 @@ def test_log_factorial_table_is_thread_safe(monkeypatch):
                  "fidelity": {"kind": "depolarizing", "lam": 0.9}},
         "times": {"start": 1, "stop": 300},
         "sweep": {"field": "tstar", "values": [0, 1, 2, 3, 7, 35, "inf"]}})
-    monkeypatch.setattr(ca, "_LOG_FACTORIAL", np.zeros(1))
+    cold = array("d", [0.0])
+    monkeypatch.setattr(ca, "_LOG_FACTORIAL", cold)
     serial = cli.run_sweep(config, 1).rows
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            monkeypatch.setattr(ca, "_LOG_FACTORIAL", np.zeros(1))
+            monkeypatch.setattr(ca, "_LOG_FACTORIAL", array("d", [0.0]))
             assert cli.run_sweep(config, 4).rows == serial
             table = ca._LOG_FACTORIAL
             assert len(table) > 300
             assert table.tolist() == [math.lgamma(k + 1) for k in range(len(table))]
         for _ in range(3):
-            monkeypatch.setattr(ca, "_LOG_FACTORIAL", np.zeros(1))
+            monkeypatch.setattr(ca, "_LOG_FACTORIAL", array("d", [0.0]))
             start = threading.Barrier(4)
 
             def grow():
@@ -683,6 +717,6 @@ def test_log_factorial_table_is_thread_safe(monkeypatch):
             table = ca._LOG_FACTORIAL
             assert len(table) > 4990
             assert table.tolist() == [math.lgamma(k + 1) for k in range(len(table))]
-            assert not table.flags.writeable
+        assert cold.tolist() == [0.0]  # grown by rebinding, never in place
     finally:
         sys.setswitchinterval(interval)
