@@ -22,7 +22,7 @@ import pytest
 import qlink.cutoff as ca
 import qlink.optimize as opt
 from qlink import cli
-from qlink.config import MAX_TIME
+from qlink.config import MAX_TIME, load_config
 from qlink.csvio import read_result_table
 from qlink.cutoff import (
     Cutoff,
@@ -36,7 +36,7 @@ from qlink.cutoff import (
     transition_matrix,
     waiting_time,
 )
-from qlink.engine import LinkParams, simulate_trajectories
+from qlink.engine import BLOCK_TRIALS, LinkParams, simulate_trajectories
 from qlink.network import (
     EdgeConfig,
     NetworkConfig,
@@ -61,8 +61,11 @@ from oracles import (
     exhaustive_policy_search,
     exhaustive_policy_search_engine,
     expanded_policy_text,
+    expected_fidelity_lgamma,
+    expected_success_rate_lgamma,
     joint_prob_lgamma,
     prob_active_lgamma,
+    simulate_trajectories_scalar,
     simulate_waiting_time,
 )
 
@@ -548,8 +551,38 @@ def test_criterion_11_single_time_goldens_equal_the_term_at_a_time_oracle():
         assert limit == 1.0 / (p * (1.0 + tstar * p))
 
 
+def test_criterion_11_sweep_p_and_multi_block_simulate_goldens_equal_their_oracles():
+    """The sweep over p holds, under ==, the term-at-a-time Pr[X(t) = 1],
+    E[S(t)] and fidelities, and the simulate golden with more than two
+    blocks of trials at t* = inf holds the trial-at-a-time loop's estimates
+    and the exact Pr[X(t) = 1]."""
+    def load(name):
+        config = load_config(str(GOLDEN_DIR / f"{name}.json"))
+        rows = read_result_table(str(GOLDEN_DIR / f"{name}.csv")).rows
+        return config, config.link.fidelity.curve(), rows
+
+    config, curve, rows = load("sweep-p")
+    assert {row[0] for row in rows} == set(config.sweep_values)
+    assert len(rows) == len(config.sweep_values) * len(config.times)
+    for p, tstar, t, e_x, e_ftilde, e_f, e_s in rows:
+        assert e_x == prob_active_lgamma(t, tstar, p)
+        assert e_s == expected_success_rate_lgamma(t, tstar, p)
+        assert (e_ftilde, e_f) == expected_fidelity_lgamma(t, tstar, p, curve)
+    config, curve, rows = load("simulate-blocks")
+    assert config.trials == 2 * BLOCK_TRIALS + 1 and config.link.tstar.is_infinite
+    ref = simulate_trajectories_scalar(LinkParams.symbolic(config.link.p, curve),
+                                       ca.cutoff_policy("inf"), config.horizon,
+                                       config.trials, config.seed)
+    assert [row[0] for row in rows] == list(range(1, config.horizon + 1))
+    columns = [list(column) for column in zip(*rows)]
+    assert columns[1] == [prob_active_lgamma(t, "inf", config.link.p)
+                          for t in range(1, config.horizon + 1)]
+    assert columns[2:] == [ref.prob_active, ref.prob_active_se, ref.e_ftilde,
+                           ref.e_ftilde_se, ref.e_s, ref.e_s_se, ref.e_f, ref.e_f_se]
+
+
 SERIES_GOLDENS = ["fig4-left", "fig4-right", "fig5", "fig7", "fig8", "fig9",
-                  "analytic", "analytic-wait", "sweep", "simulate"]
+                  "analytic", "analytic-wait", "sweep", "sweep-p", "simulate"]
 
 
 @pytest.mark.parametrize("name", SERIES_GOLDENS)
@@ -625,7 +658,7 @@ def test_criterion_11_goldens_do_not_depend_on_how_sum_adds_floats(monkeypatch, 
     assert _sum_from_python_312([2, 3], 1) == 6
     monkeypatch.setattr(builtins, "sum", _sum_from_python_312)
     configs = sorted(set(GOLDEN_DIR.glob("*.json")) - set(GOLDEN_DIR.glob("*.policy.json")))
-    assert len(configs) == 11
+    assert len(configs) == 13
     for config in configs:
         out = tmp_path / f"{config.stem}.csv"
         mode = json.loads(config.read_text())["mode"]
