@@ -128,25 +128,16 @@ def cutoff_policy(tstar: CutoffLike) -> Policy:
     """The deterministic memory-cutoff policy as an engine Policy.
 
     In engine state terms (x, M(t) with -1 for unloaded): request iff the
-    memory is unloaded or has been held for t* steps.
-    """
-    import numpy as np
-
+    memory is unloaded or has been held for t* steps: one hold run over
+    age while t <= t*, then a request run from t*."""
     from .engine import Policy
     cut = Cutoff.parse(tstar)
     ts = cut.value  # no age reaches t* = infinity
     rule = lambda t, x, m: 1.0 if (m == -1 or m >= ts) else 0.0
-    row = np.empty(0)  # the active decision by age; at least doubles when it grows
-
-    def ages(t: int) -> tuple[float, np.ndarray]:
-        """Read-only view of the first t ages of the shared row."""
-        nonlocal row
-        if len(row) < t:
-            row = np.where(np.arange(max(t, 2 * len(row))) >= ts, 1.0, 0.0)
-            row.flags.writeable = False
-        return 1.0, row[:t]
-
-    return Policy.from_state_rule(rule, "deterministic", f"cutoff({cut})", ages)
+    hold = (1.0, (0,), (0.0,))
+    discard = (1.0, (0, ts), (0.0, 1.0)) if ts else (1.0, (0,), (1.0,))
+    return Policy.from_state_rule(rule, "deterministic", f"cutoff({cut})",
+                                  lambda t: hold if t <= ts else discard)
 
 
 def memory_time_cutoff(history: Union[History, Sequence[int]], tstar: CutoffLike) -> int:
@@ -573,12 +564,12 @@ def active_rows(times: Sequence[int], tstar: CutoffLike, p: float,
     series = sums["g"]
     rates = _success_rates(times, block, p, sums["es"]) if success else [None] * len(times)
     max_age = min(max(times, default=0), block)
-    powers = [(1.0 - p) ** k for k in range(max_age)]
+    heads = [p * (1.0 - p) ** k for k in range(max_age)]  # Pr[M = t-1-k, X = 1], t <= t*+1
     fvals = [fcurve(m) for m in range(max_age)] if fcurve is not None else None
 
     for t, rate in zip(times, rates):
         if t <= block:
-            joint = tuple(p * powers[t - m - 1] for m in range(t))
+            joint = tuple(heads[t - 1::-1])
             active = 1.0 - (1.0 - p) ** t
         else:
             if p == 0.0:

@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from .quantum import (
     FidelityCurve,
     KrausChannel,
     PureState,
-    fidelity,
     memory_evolve,
 )
 
@@ -142,42 +142,45 @@ class Policy:
     """A decision-function family d_t: histories -> Pr[A(t) = 1].
 
     ``decide`` consumes the full history; ``decide_state`` is the same
-    decision for policies that only look at (t, x_t, M(t)).
-    ``decide_ages(t)`` gives that rule's decisions at time t at once: the
-    request probability when down, and an array of them when active at ages
-    0..t-1.  The simulator and `evaluate_state_policy` read a state rule
-    through it, with no History objects per step.
+    decision for policies that only look at (t, x_t, M(t)), and
+    ``decide_runs(t)`` all its decisions at time t as ``(down, starts,
+    probs)``: Pr[request] when down, and at active age m < t the ``probs``
+    entry of the last run starting at or below m (``starts`` ascend from 0).
+    The simulator and `evaluate_state_policy` read state rules through it.
     """
 
     decide: Callable[[int, History], float]
     kind: str  # "deterministic" | "stochastic"
     label: str = ""
     decide_state: Optional[Callable[[int, int, int], float]] = None
-    decide_ages: Optional[Callable[[int], tuple[float, np.ndarray]]] = None
+    decide_runs: Optional[Callable[[int], tuple[float, Sequence[int], Sequence[float]]]] = None
 
     def action_prob(self, t: int, history: History) -> float:
         return _checked_prob(float(self.decide(t, history)), self.kind)
 
     @classmethod
-    def from_state_rule(cls, rule: Callable[[int, int, int], float], kind: str,
-                        label: str = "",
-                        ages: Optional[Callable[[int], tuple[float, np.ndarray]]] = None
-                        ) -> "Policy":
-        """Build a policy from a rule on (t, x_t, M(t)).  ``ages`` is the
-        same rule as ``decide_ages`` and must return probabilities, 0 or 1
-        if ``kind`` is deterministic; without it, the rule is read and
-        checked one age at a time."""
+    def from_state_rule(cls, rule: Optional[Callable[[int, int, int], float]], kind: str,
+                        label: str = "", runs: Optional[Callable] = None) -> "Policy":
+        """Build a policy from a rule on (t, x_t, M(t)), ``runs`` as
+        ``decide_runs`` giving probabilities, 0 or 1 if ``kind`` is
+        deterministic.  Either may be None: runs are then built from the
+        rule one checked age at a time, or the rule reads the runs."""
+        if rule is None:
+            def rule(t: int, x: int, m: int) -> float:
+                down, starts, probs = runs(t)
+                return down if x == 0 else float(probs[bisect_right(starts, m) - 1])
 
         def decide(t: int, history: History) -> float:
             return rule(t, history.observations[-1], history.memory_time())
 
-        if ages is None:
-            prob = lambda t, x, m: _checked_prob(float(rule(t, x, m)), kind)
-            ages = lambda t: (prob(t, 0, -1),
-                              np.array([prob(t, 1, m) for m in range(t)], float))
+        if runs is None:
+            def runs(t: int) -> tuple[float, list[int], list[float]]:
+                row = [_checked_prob(float(rule(t, 1, m)), kind) for m in range(t)]
+                starts = [m for m in range(t) if m == 0 or row[m] != row[m - 1]]
+                return _checked_prob(float(rule(t, 0, -1)), kind), starts, [row[m] for m in starts]
 
         return cls(decide=decide, kind=kind, label=label, decide_state=rule,
-                   decide_ages=ages)
+                   decide_runs=runs)
 
     @classmethod
     def always_request(cls) -> "Policy":
@@ -546,9 +549,9 @@ def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
     uniform, then the outcome uniform of the trials that request, from the
     block's streams (see the module docstring), so each trial consumes its
     stream in the order a trial-at-a-time loop would.  A state rule is read
-    through ``policy.decide_ages``, at every age at once.  Sums over trials
-    accumulate in trial order, so the result does not depend on the block
-    size.
+    through ``policy.decide_runs``, expanded over the ages present.  Sums
+    over trials accumulate in trial order, so the result does not depend on
+    the block size.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -556,9 +559,9 @@ def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
         raise ValueError(f"n_trials must be in [1, {MAX_TRIALS}], got {n_trials}")
     p = params.p
     fcurve = params.fcurve
-    ages = policy.decide_ages
+    runs = policy.decide_runs
     block = BLOCK_TRIALS
-    if ages is None:
+    if runs is None:
         block = max(1, min(block, HISTORY_BLOCK_BYTES // (2 * horizon)))
 
     # ftable[m + 1] = f_m for every age reached so far; ftable[0] = 0.0 stands
@@ -574,7 +577,7 @@ def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
         n_req = np.ones(n, dtype=np.int64)
         n_succ = x.astype(np.int64)
         m = n_succ - 1
-        if ages is None:
+        if runs is None:
             xs = np.empty((n, horizon), dtype=np.int8)
             acts = np.empty((n, horizon - 1), dtype=np.int8)
             xs[:, 0] = x
@@ -599,21 +602,25 @@ def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
             if t == horizon:
                 break
 
-            if ages is None:  # one decision per distinct history present
+            if runs is None:  # one decision per distinct history present
                 probs = [policy.action_prob(t, History(tuple(xs[r, :t].tolist()),
                                                        tuple(acts[r, :idx].tolist())))
                          for r in hist_reps.tolist()]
                 pi1 = np.array(probs, dtype=float)[hist_ids]
-            else:
-                down, active = ages(t)
-                pi1 = np.concatenate(([down], active[:top + 1]))[m + 1]
+            else:  # [down, the runs over the ages present], read at m + 1
+                down, starts, probs = runs(t)
+                pi = np.empty(top + 2)
+                pi[0] = down
+                for lo, hi, prob in zip(starts, [*starts[1:], top + 1], probs):
+                    pi[lo + 1:hi + 1] = prob
+                pi1 = pi[m + 1]
             request = _draw(streams) < pi1
             success = _draw(streams, request) < p
             x = np.where(request, success, x)
             m = np.where(request, x - 1, m + x)
             n_req += request
             n_succ += request & success
-            if ages is None:
+            if runs is None:
                 xs[:, t] = x
                 acts[:, idx] = request
                 hist_ids, hist_reps = _distinct(hist_ids * 4 + request * 2 + x)

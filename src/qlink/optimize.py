@@ -15,20 +15,21 @@ Ties in every argmax are broken toward action 0 (wait) so results are
 reproducible bit-for-bit.
 
 Propagator bits.  ``evaluate_state_policy`` moves the whole active row
-a_m = Pr[X=1, M=m] at once, given the request probabilities pi_m of every
-age (``Policy.decide_ages``).  Its results equal, under ``==``, those of
-the loop over states in ``tests/oracles.py``, because it makes the same
-IEEE operations in the same order: each mass is multiplied by pi or by
-1 - pi (a zero mass gives 0.0, which adds nothing), and the request mass
-is the in-order ``np.cumsum`` of [down * pi_down, a_0 pi_0, a_1 pi_1, ...],
-never the pairwise ``sum``.  E[F~] is the in-order cumsum of f_m a_m, and
-E[X] the row's ``ndarray.sum``, as in the loop.
+a_m = Pr[X=1, M=m] at once, one run of ages at a time, given the request
+probabilities pi_m as runs over m (``Policy.decide_runs``).  Its results
+equal, under ``==``, those of the loop over states in ``tests/oracles.py``,
+because it makes the same IEEE operations in the same order: each mass is
+multiplied by pi and by 1 - pi (a zero mass gives 0.0, which adds nothing),
+and the request mass is the in-order ``np.cumsum`` of [down * pi_down,
+a_0 pi_0, a_1 pi_1, ...], never the pairwise ``sum``.  E[F~] is the
+in-order cumsum of f_m a_m, and E[X] the row's ``ndarray.sum``, as in the loop.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -56,44 +57,22 @@ class ValueTable:
 @dataclass(frozen=True)
 class DecisionRuns:
     """The decisions at times 1..T in run-length form, as ``.policy.json``
-    format 2 writes them.
-
-    At time t the action when down is ``down[t-1]``; over the active ages
-    0..t-1 it is ``action[k]`` from age ``start[k]`` up to the age before the
-    next run's start, the last run to age t-1, for runs k in
-    ``bounds[t-1]:bounds[t]``.  Runs are maximal, so the actions of one time
-    alternate.  A nonincreasing fidelity curve gives at most two runs per
-    time, so the whole horizon is held in O(T) bytes.
-    """
+    format 2 writes them: at time t, ``down[t-1]`` when down and, over the
+    active ages, ``action[k]`` from age ``start[k]`` on for the runs k in
+    ``bounds[t-1]:bounds[t]`` (``runs(t)`` is ``Policy.decide_runs``).
+    Runs are maximal, so one time's actions alternate; a nonincreasing
+    fidelity curve gives at most two per time, O(T) bytes in all."""
 
     down: np.ndarray    # int8 per time: 1 request, 0 wait
     start: np.ndarray   # int64 per run: the age it starts at
     action: np.ndarray  # int8 per run
     bounds: np.ndarray  # int64, T + 1 offsets into start and action
 
-    def at(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """The starts and actions of the runs at time t."""
+    def runs(self, t: int) -> tuple[float, Sequence[int], Sequence[int]]:
+        if t > len(self.down):  # past the horizon: wait
+            return 0.0, (0,), (0,)
         lo, hi = self.bounds[t - 1], self.bounds[t]
-        return self.start[lo:hi], self.action[lo:hi]
-
-    def rule(self, t: int, x: int, m: int) -> float:
-        if t > len(self.down):
-            return 0.0  # beyond the horizon: wait
-        if x == 0:
-            return float(self.down[t - 1])
-        start, action = self.at(t)
-        return float(action[np.searchsorted(start, m, side="right") - 1])
-
-    def ages(self, t: int) -> tuple[float, np.ndarray]:
-        if t > len(self.down):
-            return 0.0, np.zeros(t)
-        start, action = self.at(t)
-        start = start.tolist()
-        row = np.zeros(t)
-        for lo, hi, a in zip(start, start[1:] + [t], action.tolist()):
-            if a:
-                row[lo:hi] = 1.0
-        return float(self.down[t - 1]), row
+        return float(self.down[t - 1]), self.start[lo:hi], self.action[lo:hi]
 
     def active_runs(self) -> list[list[list[int]]]:
         """Per time, the runs ``[m, a]`` as nested lists."""
@@ -126,21 +105,23 @@ def forward_greedy(params: LinkParams) -> Policy:
     iff its next-step fidelity f_{m+1} still beats a fresh attempt p * f_0."""
     fcurve = params.fcurve
     fresh = params.p * fcurve(0)
-    requests = np.empty(0)  # age m -> 1.0 iff f_{m+1} < p * f_0
+    starts, probs, decided = [], [], 0  # runs over ages < decided: request iff f_{m+1} < p f_0
 
-    def upto(ages: int) -> np.ndarray:
-        """``requests`` for ages 0..ages-1 at least, f_{m+1} evaluated once per age."""
-        nonlocal requests
-        if len(requests) < ages:
-            requests = np.append(requests, [0.0 if fcurve(m + 1) >= fresh else 1.0
-                                            for m in range(len(requests), ages)])
-        return requests
+    def runs(t: int) -> tuple[float, list[int], list[float]]:
+        """The runs over ages 0..t-1 at least; each f_{m+1} is evaluated once."""
+        nonlocal decided
+        for m in range(decided, t):
+            prob = 0.0 if fcurve(m + 1) >= fresh else 1.0
+            if not probs or prob != probs[-1]:
+                starts.append(m)
+                probs.append(prob)
+        decided = max(decided, t)
+        return 1.0, starts, probs
 
     def rule(t: int, x: int, m: int) -> float:
-        return 1.0 if x == 0 else float(upto(m + 1)[m])
+        return 1.0 if x == 0 else runs(m + 1)[2][bisect_right(starts, m) - 1]
 
-    return Policy.from_state_rule(rule, "deterministic", "forward-greedy",
-                                  lambda t: (1.0, upto(t)[:t]))
+    return Policy.from_state_rule(rule, "deterministic", "forward-greedy", runs)
 
 
 # ---------------------------------------------------------------------------
@@ -159,25 +140,32 @@ def evaluate_state_policy(params: LinkParams, policy: Policy, t: int) -> PolicyE
 
     Propagates the occupation distribution over (x, m) states directly, so
     it stays exact at horizons where history enumeration is infeasible.
-    Each step reads the policy's decisions at all ages at once from
-    ``policy.decide_ages`` (see the module docstring for the order of the
-    sums).  Cross-checked against history enumeration, and under ``==``
-    against the state-at-a-time loop, in the tests.
+    Each step reads the policy's decisions at all ages at once, as runs
+    over m, from ``policy.decide_runs`` (see the module docstring for the
+    order of the sums).  Cross-checked against history enumeration, and
+    under ``==`` against the state-at-a-time loop, in the tests.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    ages = policy.decide_ages
-    if ages is None:
+    runs = policy.decide_runs
+    if runs is None:
         raise ValueError("evaluate_state_policy needs a policy with a state rule")
     p = params.p
     active = np.array([p])  # m -> Pr[X=1, M=m]
     down = 1.0 - p
     for j in range(1, t):
-        pi_down, pi = ages(j)
-        request_mass = np.cumsum(np.concatenate(([down * pi_down], active * pi)))[-1]
-        down_kept = down * (1.0 - pi_down)
-        active = np.concatenate(([p * request_mass], active * (1.0 - pi)))
-        down = down_kept + (1.0 - p) * request_mass
+        pi_down, starts, probs = runs(j)
+        moved = np.zeros(j + 1)  # [down pi_down, a_0 pi_0, a_1 pi_1, ...]
+        kept = np.empty(j + 1)   # [the new link, a_0 (1 - pi_0), ...]
+        moved[0] = down * pi_down
+        for lo, hi, prob in zip(starts, [*starts[1:], j], probs):
+            if prob:  # a waiting run's a_m * 0.0 is the 0.0 already there
+                np.multiply(active[lo:hi], prob, out=moved[lo + 1:hi + 1])
+            np.multiply(active[lo:hi], 1.0 - prob, out=kept[lo + 1:hi + 1])
+        request_mass = np.cumsum(moved, out=moved)[-1]
+        kept[0] = p * request_mass
+        down = down * (1.0 - pi_down) + (1.0 - p) * request_mass
+        active = kept
     e_x = float(active.sum())
     fvals = np.array([params.fcurve(m) for m in range(t)])
     e_ftilde = float(np.cumsum(fvals * active)[-1])
@@ -190,7 +178,7 @@ def evaluate_state_policy(params: LinkParams, policy: Policy, t: int) -> PolicyE
 # ---------------------------------------------------------------------------
 
 def backward_recursion_reduced(params: LinkParams, T: int,
-                               keep_table: bool = True) -> OptimizationResult:
+                               keep_table: bool = False) -> OptimizationResult:
     """Optimal E[F~(T+1)] keyed on the state (X(t), M(t)).
 
     The conditional value-to-go of a history depends on it only through the
@@ -255,7 +243,7 @@ def backward_recursion_reduced(params: LinkParams, T: int,
         start=np.array([m for m, _ in pairs], dtype=np.int64),
         action=np.array([a for _, a in pairs], dtype=np.int8),
         bounds=np.cumsum([0, *map(len, runs)]))
-    policy = Policy.from_state_rule(decisions.rule, "deterministic",
-                                    "optimal-reduced", decisions.ages)
+    policy = Policy.from_state_rule(None, "deterministic", "optimal-reduced",
+                                    decisions.runs)
     return OptimizationResult(optimal_value=float(value), policy=policy,
                               mode="reduced", table=table, runs=decisions)

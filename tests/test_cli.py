@@ -353,7 +353,7 @@ def test_cli_policy_dump_matches_the_value_table(tmp_path, T, p, fidelity):
     data = (tmp_path / "opt.csv.policy.json").read_text()
     dump = expand_policy_dump(json.loads(data))
     params = LinkParams.symbolic(p, parse_config(doc).link.fidelity.curve())
-    result = backward_recursion_reduced(params, T)
+    result = backward_recursion_reduced(params, T, keep_table=True)
     assert dump["actions"] == [{"t": t, "x": x, "m": m, "action": action}
                                for (t, x, m), action in sorted(result.table.decisions.items())]
     oracle = json.dumps(policy_dump_dict(result, T), indent=2, sort_keys=True) + "\n"

@@ -5,6 +5,8 @@ import sys
 import threading
 from array import array
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -83,17 +85,22 @@ def test_cutoff_policy_decisions():
 
 
 @pytest.mark.parametrize("tstar", [0, 3, "inf"])
-def test_cutoff_policy_ages_are_read_only_views_of_one_row(tstar):
-    """``decide_ages(t)`` gives the rule's row at every t, in any order of
-    calls, as read-only slices of one row that only grows."""
-    ages = cutoff_policy(tstar).decide_ages
-    ts = math.inf if tstar == "inf" else tstar
-    for t in (1, 5, 2, 40, 7, 41, 300, 3):
-        down, pi = ages(t)
-        assert down == 1.0 and pi.dtype == float
-        assert pi.tolist() == np.where(np.arange(t) >= ts, 1.0, 0.0).tolist()
-        assert not pi.flags.writeable
-    assert np.shares_memory(ages(2)[1], ages(299)[1])
+def test_cutoff_policy_runs_are_the_run_length_encoded_rule(tstar):
+    """``decide_runs(t)`` is the run-length encoding of the scalar rule over
+    ages 0..t-1, at every t, in any order of calls."""
+    policy = cutoff_policy(tstar)
+    rule = policy.decide_state
+    for t in (1, 5, 2, 40, 7, 41, 300, 3, 4):
+        down, starts, probs = policy.decide_runs(t)
+        assert down == rule(t, 0, -1) == 1.0
+        expected_starts, expected_probs = [], []
+        for m in range(t):
+            if not expected_probs or rule(t, 1, m) != expected_probs[-1]:
+                expected_starts.append(m)
+                expected_probs.append(rule(t, 1, m))
+        assert list(starts) == expected_starts
+        assert list(probs) == expected_probs
+        assert all(type(prob) is float for prob in probs)
 
 
 @pytest.mark.parametrize("tstar", TSTARS)
@@ -549,6 +556,27 @@ def test_cutoff_table_equals_active_rows(p, curve):
         for tstar, values in zip(tstars, table):
             row = next(active_rows((T + 1,), tstar, p, curve))
             assert values == (row.fidelity.e_ftilde, row.prob_active, row.fidelity.e_f)
+
+
+@pytest.mark.parametrize("tstar", [0, 3, 10, 200, "inf"])
+def test_active_rows_short_rows_equal_the_per_age_products(tstar):
+    """Rows at t <= t*+1 hold p (1-p)^(t-m-1) at every age m, the product
+    formed per age, and the fidelity and E[S] sums over them."""
+    curve = FidelityCurve.depolarizing(1.0, 0.9, 4)
+    times = range(1, 260)
+    block = math.inf if tstar == "inf" else tstar + 1
+    for p in (0.0, 1e-9, 0.01, 0.3, 0.5, 0.999, 1.0):
+        rows = list(active_rows(times, tstar, p, curve, success=True))
+        assert [row.success_rate for row in rows] == \
+            ca.expected_success_rates(times, tstar, p)
+        for row in rows:
+            if row.t > block:
+                continue
+            joint = tuple(p * (1.0 - p) ** (row.t - m - 1) for m in range(row.t))
+            assert row.joint == joint
+            assert row.prob_active == 1.0 - (1.0 - p) ** row.t
+            e_ftilde = reduce(add, map(mul, map(curve, range(row.t)), joint), 0.0)
+            assert row.fidelity.e_ftilde == e_ftilde
 
 
 def test_active_rows_rejects_bad_input():

@@ -214,7 +214,7 @@ def test_reduced_table_is_bellman_consistent():
     curve = FidelityCurve.depolarizing(1.0, 0.8, 4)
     params = params_for(p, curve)
     T = 7
-    table = backward_recursion_reduced(params, T).table
+    table = backward_recursion_reduced(params, T, keep_table=True).table
 
     def value(j, x, m):
         if j == T + 1:
@@ -274,21 +274,26 @@ REVIVING = FidelityCurve(
     kind="closed-form", label="reviving")
 
 
-def test_state_rule_and_decide_ages_agree_with_the_table_over_many_runs():
-    """Both views of the run-length decisions give the recursion's own
-    table decisions, at times with three or more runs over m, and wait
-    everywhere past the horizon."""
+def test_state_rule_and_decide_runs_agree_with_the_table_over_many_runs():
+    """The scalar rule and the runs, expanded age by age, give the
+    recursion's own table decisions, at times with three or more runs over
+    m, and wait everywhere past the horizon."""
     T = 60
-    result = backward_recursion_reduced(params_for(0.3, REVIVING), T)
-    rule, ages = result.policy.decide_state, result.policy.decide_ages
+    result = backward_recursion_reduced(params_for(0.3, REVIVING), T, keep_table=True)
+    rule, runs = result.policy.decide_state, result.policy.decide_runs
     decisions = result.table.decisions
-    for t in range(1, T + 2):
-        pi_down, pi = ages(t)
-        assert pi.dtype == float and len(pi) == t
-        assert pi_down == rule(t, 0, -1) == decisions.get((t, 0, -1), 0)
-        assert pi.tolist() == [rule(t, 1, m) for m in range(t)] \
+    most = 0
+    for t in range(1, T + 3):
+        down, starts, probs = runs(t)
+        assert list(starts) == sorted(starts) and starts[0] == 0
+        ends = [*starts[1:], t]
+        expanded = [float(prob) for lo, hi, prob in zip(starts, ends, probs)
+                    for _ in range(lo, hi)]
+        assert down == rule(t, 0, -1) == decisions.get((t, 0, -1), 0)
+        assert expanded == [rule(t, 1, m) for m in range(t)] \
             == [decisions.get((t, 1, m), 0) for m in range(t)]
-    assert max(len(result.runs.at(t)[0]) for t in range(1, T + 1)) > 2
+        most = max(most, len(starts))
+    assert most > 2
 
 
 def test_reduced_result_holds_o_of_t_bytes():
@@ -310,7 +315,7 @@ def test_reduced_result_holds_o_of_t_bytes():
 
 def test_reduced_recursion_is_deterministic():
     params = params_for(0.3)
-    r1 = backward_recursion_reduced(params, 10)
-    r2 = backward_recursion_reduced(params, 10)
+    r1 = backward_recursion_reduced(params, 10, keep_table=True)
+    r2 = backward_recursion_reduced(params, 10, keep_table=True)
     assert r1.optimal_value == r2.optimal_value
     assert r1.table.decisions == r2.table.decisions
