@@ -37,8 +37,8 @@ _HOMES = {
         "flow_distribution", "joint_state_descriptor", "prob_at_least_one",
     ),
     "optimize": (
-        "DecisionRuns", "OptimizationResult", "ValueTable",
-        "backward_recursion_reduced", "forward_greedy",
+        "DecisionRuns", "OptimizationResult", "backward_recursion_reduced",
+        "forward_greedy",
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

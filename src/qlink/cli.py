@@ -5,10 +5,11 @@
 
 All commands read a JSON RunConfig, write one CSV ResultTable with a '#'
 metadata header, and are deterministic given (config, seed).  ``--seed`` is
-read by ``simulate`` only, and ``--threads`` (an integer N >= 1, default 1)
-by ``sweep`` only.  Exit codes: 0 success, 2 config error (an unknown field,
-or a flag the command does not read, included), 3 numeric error, 4 I/O
-error.  ``optimize`` always runs the reduced (x, m) backward recursion and
+read by ``simulate`` only, and ``--threads`` (an integer N >= 1) by ``sweep``
+only, as an upper bound on its threads that the one-thread sweep always
+meets.  Exit codes: 0 success, 2 config error (an unknown field, or a flag
+the command does not read, included), 3 numeric error, 4 I/O error.
+``optimize`` always runs the reduced (x, m) backward recursion and
 also writes ``<out>.policy.json``.
 
 Each command imports only the modules it runs: ``config``, ``csvio`` and
@@ -98,7 +99,7 @@ def run_analytic(config: RunConfig) -> ResultTable:
     return table
 
 
-def run_sweep(config: RunConfig, threads: int) -> ResultTable:
+def run_sweep(config: RunConfig) -> ResultTable:
     assert config.link is not None and config.sweep_field is not None
     base = config.link
 
@@ -112,15 +113,10 @@ def run_sweep(config: RunConfig, threads: int) -> ResultTable:
             return (0, value)
         return (1, 0) if value.is_infinite else (0, value.finite_value)
 
-    from concurrent.futures import ThreadPoolExecutor  # only sweep uses a pool
-    values = sorted(config.sweep_values, key=sort_key)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        blocks = list(pool.map(
-            lambda v: _analytic_rows(link_for(v), config.times), values))
     table = ResultTable(columns=list(ANALYTIC_COLUMNS), rows=[],
                         metadata=_metadata(config))
-    for block in blocks:  # deterministic: sorted by sweep value, then t
-        table.rows.extend(block)
+    for value in sorted(config.sweep_values, key=sort_key):  # then by t
+        table.rows.extend(_analytic_rows(link_for(value), config.times))
     return table
 
 
@@ -188,7 +184,7 @@ def run_optimize(config: RunConfig) -> tuple[ResultTable, Callable[[TextIO], Non
     assert curve is not None
     params = LinkParams.symbolic(link.p, curve)
     T = config.horizon
-    result = opt.backward_recursion_reduced(params, T, keep_table=False)
+    result = opt.backward_recursion_reduced(params, T)
 
     table = ResultTable(columns=list(OPTIMIZE_COLUMNS), rows=[],
                         metadata=_metadata(config))
@@ -360,7 +356,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif config.mode == "optimize":
             table, write_policy = run_optimize(config)
         elif config.mode == "sweep":
-            table = run_sweep(config, args.threads or 1)
+            table = run_sweep(config)
         else:
             table = run_reproduce(config)
     except ConfigError as exc:

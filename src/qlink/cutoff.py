@@ -240,9 +240,10 @@ def count_sequences(t: int, tstar: CutoffLike) -> int:
 # binomial sums, evaluated once per (t*, p) series
 # ---------------------------------------------------------------------------
 
-# Entry k is math.lgamma(k + 1).  Sweeps read the table from several threads,
-# so it is never changed in place: `_log_factorials` builds a longer array and
-# rebinds the name, and every reader keeps the array it fetched.
+# Entry k is math.lgamma(k + 1).  It is never changed in place, because
+# `array.extend` raises BufferError while a reader's `np.frombuffer` view of
+# it is alive: `_log_factorials` builds a longer array and rebinds the name,
+# and every reader keeps the array it fetched.
 _LOG_FACTORIAL = array("d", [0.0])
 
 
@@ -661,8 +662,13 @@ def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
 
 
 def prob_active(t: int, tstar: CutoffLike, p: float) -> float:
-    """Pr[X(t) = 1] under the cutoff policy."""
-    return next(active_rows((t,), tstar, p)).prob_active
+    """Pr[X(t) = 1] under the cutoff policy: ``active_rows``' value, which
+    for t <= t*+1 is 1 - (1-p)^t, formed here without the row."""
+    _validate_p(p)
+    cut = Cutoff.parse(tstar)
+    if 1 <= t <= _block(cut):
+        return 1.0 - (1.0 - p) ** t
+    return next(active_rows((t,), cut, p)).prob_active
 
 
 @dataclass(frozen=True)

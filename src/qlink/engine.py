@@ -530,16 +530,6 @@ def _draw(streams: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
     return ((out >> rot | out << (-rot & _U63)) >> _U11) * 2.0 ** -53
 
 
-def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ids 0..k-1 for the distinct small non-negative ``keys``, in key
-    order, and for each id one position holding it."""
-    present = np.bincount(keys) > 0
-    ids = (np.cumsum(present) - 1)[keys]
-    reps = np.empty(int(np.count_nonzero(present)), dtype=np.int64)
-    reps[ids] = np.arange(len(keys))
-    return ids, reps
-
-
 def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
                           n_trials: int, seed: int) -> SimulationResult:
     """Sample n_trials trajectories and estimate the tracked link quantities.
@@ -581,7 +571,8 @@ def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
             xs = np.empty((n, horizon), dtype=np.int8)
             acts = np.empty((n, horizon - 1), dtype=np.int8)
             xs[:, 0] = x
-            hist_ids, hist_reps = _distinct(n_succ)
+            _, hist_reps, hist_ids = np.unique(n_succ, return_index=True,
+                                               return_inverse=True)
         fold = np.empty((4, n + 1))
         for t in range(1, horizon + 1):
             idx = t - 1
@@ -623,7 +614,8 @@ def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
             if runs is None:
                 xs[:, t] = x
                 acts[:, idx] = request
-                hist_ids, hist_reps = _distinct(hist_ids * 4 + request * 2 + x)
+                _, hist_reps, hist_ids = np.unique(hist_ids * 4 + request * 2 + x,
+                                                   return_index=True, return_inverse=True)
 
     def mean_se(total: np.ndarray, total_sq: np.ndarray, counts: list[int]
                 ) -> tuple[list, list]:

@@ -8,8 +8,10 @@ observation time T+1, so the optimized objective is E[F~(T+1)].
 on the (x, m) sufficient statistic; ``evaluate_state_policy`` gives the exact
 link quantities of any (t, x, m)-feedback policy, such as the optimum or the
 ``forward_greedy`` baseline.  The tests cross-check the recursion against the
-literal recursion over full history trees and a brute-force search over all
-deterministic (t, x, m) -> action maps, both kept in ``tests/oracles.py``.
+literal recursion over full history trees, a brute-force search over all
+deterministic (t, x, m) -> action maps and, under ``==``, a recursion that
+visits one state at a time and keeps every action value, all kept in
+``tests/oracles.py``.
 
 Ties in every argmax are broken toward action 0 (wait) so results are
 reproducible bit-for-bit.
@@ -34,24 +36,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .engine import LinkParams, Policy
-
-
-@dataclass
-class ValueTable:
-    """Backward-recursion values and the decisions they induce.
-
-    ``values[key]`` holds the action value q_j(., a); ``decisions[key]``
-    holds the chosen action.  Keys are (j, x, m, a) / (j, x, m) in reduced
-    mode and (observations, actions, a) / (observations, actions) in the
-    full-tree mode of the tests' oracle.  Values are conditional expectations of the terminal reward given
-    the keyed situation (the positive history weight common to both actions
-    is factored out, which leaves every argmax unchanged).
-    """
-
-    horizon: int
-    mode: str  # "full-tree" | "reduced"
-    values: dict
-    decisions: dict
 
 
 @dataclass(frozen=True)
@@ -86,7 +70,7 @@ class OptimizationResult:
     optimal_value: float
     policy: Optional[Policy]
     mode: str
-    table: Optional[ValueTable]
+    table: Optional[object] = None  # filled by tests/oracles.py; perfbench reads it
     runs: Optional[DecisionRuns] = None
 
 
@@ -185,18 +169,20 @@ def backward_recursion_reduced(params: LinkParams, T: int,
     current link value and memory age, so the tree recursion collapses to
     O(T^2) states; values over m are held as numpy arrays per time step.
     The policy keeps each time's decisions as runs over m (``DecisionRuns``),
-    O(T) bytes for the presets.  ``keep_table=True`` also records every
-    action value and decision in a ValueTable, O(T^2) dict entries, for
-    inspection at small T.
+    O(T) bytes for the presets.  ``keep_table`` takes only ``False``: the
+    table of every action value is the state-at-a-time recursion of
+    ``tests/oracles.py``.
     """
+    if keep_table:
+        raise ValueError("the reduced recursion keeps no value table; "
+                         "tests/oracles.py builds one")
     if T < 0:
         raise ValueError(f"horizon must be >= 0, got {T}")
     p = params.p
     fcurve = params.fcurve
     f0 = fcurve(0)
     if T == 0:
-        return OptimizationResult(optimal_value=p * f0, policy=None,
-                                  mode="reduced", table=None)
+        return OptimizationResult(optimal_value=p * f0, policy=None, mode="reduced")
 
     f_vals = np.array([fcurve(m) for m in range(T + 1)])
 
@@ -207,31 +193,19 @@ def backward_recursion_reduced(params: LinkParams, T: int,
     v_down_next = 0.0
     # per time, from T down to 1: the down action, and the runs (m, a) over m
     down, runs = [], []
-    table = ValueTable(horizon=T, mode="reduced", values={}, decisions={}) \
-        if keep_table else None
 
     for j in range(T, 0, -1):
         q_request = p * v_active_next[0] + (1.0 - p) * v_down_next
         q_wait_active = v_active_next[1: j + 1]  # m -> value at (j+1, m+1)
         wait = q_wait_active >= q_request
         v_active = np.where(wait, q_wait_active, q_request)
-        # down: waiting keeps the link down
-        down_wait = v_down_next
-        request_down = bool(q_request > down_wait)  # tie -> wait
-        v_down = q_request if request_down else down_wait
+        request_down = bool(q_request > v_down_next)  # waiting keeps it down; tie -> wait
+        v_down = q_request if request_down else v_down_next
         # a run starts at age 0 and wherever the decision changes
         start = [0, *(np.flatnonzero(wait[1:] != wait[:-1]) + 1).tolist()]
         first = 0 if wait[0] else 1
         down.append(request_down)
         runs.append([(m, first ^ (k & 1)) for k, m in enumerate(start)])
-        if table is not None:
-            for m in range(j):
-                table.values[(j, 1, m, 0)] = float(q_wait_active[m])
-                table.values[(j, 1, m, 1)] = q_request
-                table.decisions[(j, 1, m)] = 0 if wait[m] else 1
-            table.values[(j, 0, -1, 0)] = down_wait
-            table.values[(j, 0, -1, 1)] = q_request
-            table.decisions[(j, 0, -1)] = 1 if request_down else 0
         v_active_next = v_active
         v_down_next = v_down
 
@@ -246,4 +220,4 @@ def backward_recursion_reduced(params: LinkParams, T: int,
     policy = Policy.from_state_rule(None, "deterministic", "optimal-reduced",
                                     decisions.runs)
     return OptimizationResult(optimal_value=float(value), policy=policy,
-                              mode="reduced", table=table, runs=decisions)
+                              mode="reduced", runs=decisions)

@@ -11,11 +11,12 @@ binomial sums is kept as the reference the shared-series kernels in
 order, never with the built-in `sum()`.  The explicit-sum form of the memory
 time cross-checks the engine's M(t) recursion.  The optimizer's reduced
 (x, m) recursion is cross-checked against policy evaluation by history
-enumeration, the literal recursion over full history trees, and two
-brute-force searches over every deterministic (t, x, m) -> action map: one
+enumeration, the literal recursion over full history trees, two
+brute-force searches over every deterministic (t, x, m) -> action map (one
 vectorized over all candidates, one evaluating each candidate by history
-enumeration.  A second Monte Carlo chain checks the waiting-time closed
-form.  The policy dump as a dict of action records (format 1) is the
+enumeration), and, under ``==``, the same recursion one state at a time,
+which keeps every action value in a ``ValueTable``.  A second Monte Carlo
+chain checks the waiting-time closed form.  The policy dump as a dict of action records (format 1) is the
 reference the CLI's run-length ``.policy.json`` (format 2) must equal once
 expanded back to records and passed through ``json.dumps``.  The
 optimizer's state-at-a-time policy evaluation loop and its record-at-a-time
@@ -29,6 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -40,8 +42,7 @@ from qlink import optimize as opt
 from qlink.cutoff import Cutoff, CutoffLike
 from qlink.engine import (History, LinkParams, Policy, SimulationResult,
                           evolve_exhaustive, expected_quantities, trial_rng)
-from qlink.optimize import (OptimizationResult, PolicyEvaluation, ValueTable,
-                            state_space)
+from qlink.optimize import OptimizationResult, PolicyEvaluation, state_space
 
 
 def replay_cutoff_sequence(xs: tuple[int, ...], tstar: Union[int, float]
@@ -412,6 +413,24 @@ FULL_TREE_TABLE_MAX_T = 10
 EXHAUSTIVE_TENSOR_MAX_T = 6
 
 
+@dataclass
+class ValueTable:
+    """Backward-recursion values and the decisions they induce.
+
+    ``values[key]`` holds the action value q_j(., a); ``decisions[key]``
+    holds the chosen action.  Keys are (j, x, m, a) / (j, x, m) in reduced
+    mode and (observations, actions, a) / (observations, actions) in
+    full-tree mode.  Values are conditional expectations of the terminal
+    reward given the keyed situation (the positive history weight common to
+    both actions is factored out, which leaves every argmax unchanged).
+    """
+
+    horizon: int
+    mode: str  # "full-tree" | "reduced"
+    values: dict
+    decisions: dict
+
+
 def evaluate_policy(params: LinkParams, policy: Policy, t: int) -> PolicyEvaluation:
     """Exact E[F~(t)], E[X(t)], E[F(t)] by exhaustive history enumeration."""
     mixture = evolve_exhaustive(params, policy, t)[-1]
@@ -484,6 +503,34 @@ def backward_recursion_full(params: LinkParams, T: int,
     return OptimizationResult(optimal_value=value, policy=policy,
                               mode="full-tree", table=table)
 
+
+def backward_recursion_states(params: LinkParams, T: int) -> tuple[ValueTable, float]:
+    """The reduced (x, m) recursion one state at a time: its value table and
+    the optimal E[F~(T+1)].
+
+    Each state's action values are formed with the IEEE operations of
+    ``optimize.backward_recursion_reduced`` in the same order, so its
+    decisions and optimum must equal the recursion's under ``==``:
+    q_request = p v(j+1, 1, 0) + (1-p) v(j+1, 0, -1), and a state waits iff
+    q_wait >= q_request, so a tie waits whether the link is up or down.
+    """
+    p = params.p
+    table = ValueTable(horizon=T, mode="reduced", values={}, decisions={})
+    # the value at time T+1: f_m when active, 0 when down
+    value = {(1, m): params.fcurve(m) for m in range(T + 1)}
+    value[(0, -1)] = 0.0
+    for j in range(T, 0, -1):
+        q_request = p * value[(1, 0)] + (1.0 - p) * value[(0, -1)]
+        now = {}
+        for x, m in state_space(j):
+            q_wait = value[(1, m + 1)] if x == 1 else value[(0, -1)]
+            action = 0 if q_wait >= q_request else 1
+            table.values[(j, x, m, 0)] = q_wait
+            table.values[(j, x, m, 1)] = q_request
+            table.decisions[(j, x, m)] = action
+            now[(x, m)] = q_request if action else q_wait
+        value = now
+    return table, p * value[(1, 0)] + (1.0 - p) * value[(0, -1)]
 
 
 def exhaustive_policy_search(params: LinkParams, T: int) -> float:

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,8 @@ from qlink.optimize import backward_recursion_reduced
 from qlink.quantum import FidelityCurve
 
 import oracles
-from oracles import expand_policy_dump, expanded_policy_text, policy_dump_dict
+from oracles import (backward_recursion_states, expand_policy_dump, expanded_policy_text,
+                     policy_dump_dict)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -282,6 +284,22 @@ def test_cli_sweep_is_thread_count_invariant(tmp_path):
     assert [r[1] for r in table.rows[::3]] == [0, 2, 5, math.inf]
 
 
+def test_cli_sweep_starts_no_thread(tmp_path, monkeypatch):
+    """``--threads`` bounds the sweep's threads; the sweep runs on the
+    calling thread, whatever the bound."""
+    doc = {"schema_version": 1, "mode": "sweep",
+           "link": {"p": 0.3, "tstar": 2}, "times": [1, 5, 9],
+           "sweep": {"field": "tstar", "values": [5, 0, "inf", 2]}}
+    config = write_config(tmp_path, doc)
+
+    def no_thread(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert main(["sweep", "--config", config, "--out", str(tmp_path / "s.csv"),
+                 "--threads", "4"]) == 0
+
+
 def test_cli_simulate_deterministic_and_seed_override(tmp_path):
     doc = {"schema_version": 1, "mode": "simulate",
            "link": {"p": 0.4, "tstar": 2,
@@ -343,9 +361,9 @@ def test_cli_optimize(tmp_path):
     {"kind": "dephasing_bell", "lam": 0.95},
 ], ids=["constant", "depolarizing", "dephasing_bell"])
 def test_cli_policy_dump_matches_the_value_table(tmp_path, T, p, fidelity):
-    """The dumped actions, expanded from their runs, are the reduced
-    recursion's table decisions in (t, x, m) order, and the expansion is
-    the oracle dict's ``json.dumps`` text."""
+    """The dumped actions, expanded from their runs, are the table decisions
+    of the state-at-a-time recursion in (t, x, m) order, the optimum is
+    its optimum, and the expansion is the oracle dict's ``json.dumps`` text."""
     doc = {"schema_version": 1, "mode": "optimize",
            "link": {"p": p, "tstar": 0, "fidelity": fidelity}, "horizon": T}
     assert main(["optimize", "--config", write_config(tmp_path, doc),
@@ -353,9 +371,11 @@ def test_cli_policy_dump_matches_the_value_table(tmp_path, T, p, fidelity):
     data = (tmp_path / "opt.csv.policy.json").read_text()
     dump = expand_policy_dump(json.loads(data))
     params = LinkParams.symbolic(p, parse_config(doc).link.fidelity.curve())
-    result = backward_recursion_reduced(params, T, keep_table=True)
+    table, optimum = backward_recursion_states(params, T)
     assert dump["actions"] == [{"t": t, "x": x, "m": m, "action": action}
-                               for (t, x, m), action in sorted(result.table.decisions.items())]
+                               for (t, x, m), action in sorted(table.decisions.items())]
+    result = backward_recursion_reduced(params, T)
+    assert result.optimal_value == optimum
     oracle = json.dumps(policy_dump_dict(result, T), indent=2, sort_keys=True) + "\n"
     assert expanded_policy_text(data) == oracle
 
@@ -883,7 +903,7 @@ PACKAGE_NAMES = {
                 "collective_status", "expected_flow", "expected_rate_limit",
                 "expected_total_links", "flow_distribution",
                 "joint_state_descriptor", "prob_at_least_one"],
-    "optimize": ["DecisionRuns", "OptimizationResult", "ValueTable",
+    "optimize": ["DecisionRuns", "OptimizationResult",
                  "backward_recursion_reduced", "forward_greedy"],
 }
 

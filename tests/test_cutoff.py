@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qlink.cutoff as ca
-from qlink import cli
-from qlink.config import MAX_TIME, parse_config
+from qlink.config import MAX_TIME
 from qlink.cutoff import (
     Cutoff,
     active_rows,
@@ -241,6 +240,27 @@ def test_prob_active_forms(tstar, p):
         active = sum(joint_prob(t, tstar, p, m, 1) for m, x in
                      _joint_support(t, tstar) if x == 1)
         assert prob_active(t, tstar, p) == pytest.approx(active, abs=1e-12)
+
+
+@pytest.mark.parametrize("tstar", [0, 3, 10, math.inf])
+@pytest.mark.parametrize("p", [0.0, 1e-9, 0.3, 0.999, 1.0])
+def test_prob_active_equals_the_active_row(tstar, p):
+    last = 200 if tstar == math.inf else tstar + 3
+    for t in range(1, last + 1):
+        assert prob_active(t, tstar, p) == next(active_rows((t,), tstar, p)).prob_active
+
+
+def test_prob_active_within_a_block_builds_no_row(monkeypatch):
+    """At t <= t*+1, Pr[X(t) = 1] = 1 - (1-p)^t costs O(1), not a row of t
+    joint terms."""
+    def no_row(*args, **kwargs):
+        raise AssertionError("active_rows called")
+
+    monkeypatch.setattr(ca, "active_rows", no_row)
+    for t, tstar in [(100_000, math.inf), (4, 3), (1, 0)]:
+        assert prob_active(t, tstar, 0.3) == 1.0 - (1.0 - 0.3) ** t
+    with pytest.raises(AssertionError, match="active_rows"):
+        prob_active(5, 3, 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -706,29 +726,14 @@ def test_success_rate_series_rejects_bad_input():
 
 
 def test_log_factorial_table_is_thread_safe(monkeypatch):
-    """A sweep on 4 threads grows the shared table from cold without losing
-    or misplacing an entry, and returns the 1-thread rows; so do 4 threads
-    that grow it in lockstep."""
-    config = parse_config({
-        "schema_version": 1, "mode": "sweep",
-        "link": {"p": 0.3, "tstar": 0,
-                 "fidelity": {"kind": "depolarizing", "lam": 0.9}},
-        "times": {"start": 1, "stop": 300},
-        "sweep": {"field": "tstar", "values": [0, 1, 2, 3, 7, 35, "inf"]}})
-    cold = array("d", [0.0])
-    monkeypatch.setattr(ca, "_LOG_FACTORIAL", cold)
-    serial = cli.run_sweep(config, 1).rows
+    """4 threads that grow the shared table in lockstep from cold lose or
+    misplace no entry, as library callers on several threads may."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            monkeypatch.setattr(ca, "_LOG_FACTORIAL", array("d", [0.0]))
-            assert cli.run_sweep(config, 4).rows == serial
-            table = ca._LOG_FACTORIAL
-            assert len(table) > 300
-            assert table.tolist() == [math.lgamma(k + 1) for k in range(len(table))]
-        for _ in range(3):
-            monkeypatch.setattr(ca, "_LOG_FACTORIAL", array("d", [0.0]))
+            cold = array("d", [0.0])
+            monkeypatch.setattr(ca, "_LOG_FACTORIAL", cold)
             start = threading.Barrier(4)
 
             def grow():
@@ -745,6 +750,19 @@ def test_log_factorial_table_is_thread_safe(monkeypatch):
             table = ca._LOG_FACTORIAL
             assert len(table) > 4990
             assert table.tolist() == [math.lgamma(k + 1) for k in range(len(table))]
-        assert cold.tolist() == [0.0]  # grown by rebinding, never in place
+            assert cold.tolist() == [0.0]  # grown by rebinding, never in place
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_log_factorial_table_grows_while_a_view_of_it_is_held(monkeypatch):
+    """A reader's ``np.frombuffer`` view pins the array it was made from
+    (``array.extend`` would raise BufferError), so growing the table
+    rebinds it and leaves the view's entries as they were."""
+    monkeypatch.setattr(ca, "_LOG_FACTORIAL", array("d", [0.0]))
+    view = np.frombuffer(ca._log_factorials(10), float)
+    with pytest.raises(BufferError):
+        ca._LOG_FACTORIAL.extend([0.0])
+    grown = ca._log_factorials(1000)
+    assert len(grown) > 1000 and grown[:len(view)].tolist() == view.tolist()
+    assert grown.tolist() == [math.lgamma(k + 1) for k in range(len(grown))]

@@ -11,6 +11,7 @@ from qlink.optimize import (
     backward_recursion_reduced,
     evaluate_state_policy,
     forward_greedy,
+    state_space,
 )
 from qlink.quantum import FidelityCurve
 
@@ -20,6 +21,7 @@ from oracles import (
     EXHAUSTIVE_TENSOR_MAX_T,
     FULL_TREE_MAX_T,
     backward_recursion_full,
+    backward_recursion_states,
     evaluate_policy,
     exhaustive_policy_search,
     exhaustive_policy_search_engine,
@@ -209,12 +211,22 @@ def test_forward_greedy_rule(monkeypatch):
 # value tables
 # ---------------------------------------------------------------------------
 
+def decisions_of(result, T):
+    """The recursion's actions at every state of times 1..T, read through
+    its policy's state rule, keyed as in a ``ValueTable``."""
+    rule = result.policy.decide_state
+    return {(t, x, m): int(rule(t, x, m))
+            for t in range(1, T + 1) for x, m in state_space(t)}
+
+
 def test_reduced_table_is_bellman_consistent():
+    """The state-at-a-time table satisfies the Bellman equations, and the
+    recursion's decisions and optimum are its own under ``==``."""
     p = 0.4
     curve = FidelityCurve.depolarizing(1.0, 0.8, 4)
     params = params_for(p, curve)
     T = 7
-    table = backward_recursion_reduced(params, T, keep_table=True).table
+    table, optimum = backward_recursion_states(params, T)
 
     def value(j, x, m):
         if j == T + 1:
@@ -224,16 +236,26 @@ def test_reduced_table_is_bellman_consistent():
 
     for j in range(1, T + 1):
         q_request = p * value(j + 1, 1, 0) + (1 - p) * value(j + 1, 0, -1)
-        assert table.values[(j, 0, -1, 1)] == pytest.approx(q_request, abs=1e-13)
-        assert table.values[(j, 0, -1, 0)] == pytest.approx(value(j + 1, 0, -1),
-                                                            abs=1e-13)
+        assert table.values[(j, 0, -1, 1)] == q_request
+        assert table.values[(j, 0, -1, 0)] == value(j + 1, 0, -1)
         for m in range(j):
-            assert table.values[(j, 1, m, 1)] == pytest.approx(q_request, abs=1e-13)
-            assert table.values[(j, 1, m, 0)] == pytest.approx(
-                value(j + 1, 1, m + 1), abs=1e-13)
+            assert table.values[(j, 1, m, 1)] == q_request
+            assert table.values[(j, 1, m, 0)] == value(j + 1, 1, m + 1)
             # the recorded decision maximizes, ties broken toward wait
             q0, q1 = table.values[(j, 1, m, 0)], table.values[(j, 1, m, 1)]
             assert table.decisions[(j, 1, m)] == (0 if q0 >= q1 else 1)
+    assert optimum == p * value(1, 1, 0) + (1 - p) * value(1, 0, -1)
+    result = backward_recursion_reduced(params, T)
+    assert result.optimal_value == optimum
+    assert decisions_of(result, T) == table.decisions
+
+
+def test_reduced_recursion_keeps_no_table():
+    params = params_for(0.4)
+    assert backward_recursion_reduced(params, 5).table is None
+    for T in (0, 5):
+        with pytest.raises(ValueError, match="tests/oracles.py"):
+            backward_recursion_reduced(params, T, keep_table=True)
 
 
 def test_full_table_is_bellman_consistent():
@@ -276,12 +298,15 @@ REVIVING = FidelityCurve(
 
 def test_state_rule_and_decide_runs_agree_with_the_table_over_many_runs():
     """The scalar rule and the runs, expanded age by age, give the
-    recursion's own table decisions, at times with three or more runs over
-    m, and wait everywhere past the horizon."""
+    state-at-a-time recursion's table decisions, at times with three or
+    more runs over m, and wait everywhere past the horizon."""
     T = 60
-    result = backward_recursion_reduced(params_for(0.3, REVIVING), T, keep_table=True)
+    params = params_for(0.3, REVIVING)
+    result = backward_recursion_reduced(params, T)
     rule, runs = result.policy.decide_state, result.policy.decide_runs
-    decisions = result.table.decisions
+    table, optimum = backward_recursion_states(params, T)
+    decisions = table.decisions
+    assert result.optimal_value == optimum
     most = 0
     for t in range(1, T + 3):
         down, starts, probs = runs(t)
@@ -315,7 +340,8 @@ def test_reduced_result_holds_o_of_t_bytes():
 
 def test_reduced_recursion_is_deterministic():
     params = params_for(0.3)
-    r1 = backward_recursion_reduced(params, 10, keep_table=True)
-    r2 = backward_recursion_reduced(params, 10, keep_table=True)
-    assert r1.optimal_value == r2.optimal_value
-    assert r1.table.decisions == r2.table.decisions
+    r1 = backward_recursion_reduced(params, 10)
+    r2 = backward_recursion_reduced(params, 10)
+    table, optimum = backward_recursion_states(params, 10)
+    assert r1.optimal_value == r2.optimal_value == optimum
+    assert decisions_of(r1, 10) == decisions_of(r2, 10) == table.decisions
