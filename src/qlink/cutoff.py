@@ -328,18 +328,25 @@ def _row_chunks(lo: int, hi: int, block: int) -> Iterator[tuple[int, int, int]]:
 _SHORT = 128
 
 
-def _term_sums(runs: list[Run], ts: int, p: float,
-               want: set[str]) -> dict[str, dict[int, float]]:
-    """`_binomial_sums` one term at a time: each term formed by `_terms`'
-    expression, each sum added from 0.0 in the kernel's order, leaving out
-    the cells where the kernel adds 0.0.  The same bits."""
-    block, top = ts + 1, runs[-1][1]
+def _term_at(top: int, p: float) -> Callable[[int, int, int, int], float]:
+    """term(n, b, succ, fail) = C(n, b) p^succ (1-p)^fail for n <= top, one
+    at a time, by `_terms`' expression."""
     lf = _log_factorials(top)[:top + 1].tolist()
     log_p, log_q = math.log(p), math.log1p(-p)
 
     def term(n: int, b: int, succ: int, fail: int) -> float:
         return math.exp(lf[n] - lf[b] - lf[n - b] + succ * log_p + fail * log_q)
 
+    return term
+
+
+def _term_sums(runs: list[Run], ts: int, p: float,
+               want: set[str]) -> dict[str, dict[int, float]]:
+    """`_binomial_sums` one term at a time: each term formed by `_terms`'
+    expression, each sum added from 0.0 in the kernel's order, leaving out
+    the cells where the kernel adds 0.0.  The same bits."""
+    block = ts + 1
+    term = _term_at(runs[-1][1], p)
     sums: dict[str, dict[int, float]] = {name: {} for name in want}
     for lo, hi, t_runs in runs:
         # g's terms at each u, by b up to the last row with a term at u
@@ -453,7 +460,8 @@ def joint_prob(t: int, tstar: CutoffLike, p: float, m: int, x: int) -> float:
     for t* = infinity, m = -1 encodes the unloaded memory (only state with
     X = 0) and m in {0..t-1} indexes ages of the kept link; any other m
     raises ValueError.  It reads the `active_rows` row at x = 1, 0.0 past
-    it, and `_down_probs` at x = 0.
+    it, and `_down_probs` at x = 0.  At x = 1 and t <= t*+1 the row's entry
+    p (1-p)^(t-1-m) is formed alone, in O(1).
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
@@ -471,6 +479,8 @@ def joint_prob(t: int, tstar: CutoffLike, p: float, m: int, x: int) -> float:
         raise ValueError(f"m must be in 0..{unloaded}, got {m}")
     if x == 0:
         return _down_probs([t], cut, p)[0] if m == unloaded else 0.0
+    if t <= _block(cut):
+        return p * (1.0 - p) ** (t - 1 - m) if m < t else 0.0
     joint = next(active_rows((t,), cut, p)).joint
     return joint[m] if 0 <= m < len(joint) else 0.0
 
@@ -591,6 +601,16 @@ def active_rows(times: Sequence[int], tstar: CutoffLike, p: float,
                         success_rate=rate)
 
 
+# The largest time at which `cutoff_table` forms and adds its terms one at a
+# time in Python.  Its additions grow as t^2 on either route.  Up to here the
+# Python loop costs no more than numpy's import (~0.1 s and 13 MB), which
+# `qlink optimize` needs for nothing else; above it the loop falls behind.
+# Over cutoffs 0..t-1 and infinity, in process (Python 3.11, 2 vCPUs):
+# 0.04 s against 0.015 s with numpy at t = 501, 0.13 against 0.03 s at
+# t = 1025, 0.50 against 0.07 s at t = 2001.
+_TABLE_SHORT = 1024
+
+
 def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
                  fcurve: Callable[[int], float]
                  ) -> list[tuple[float, float, Optional[float]]]:
@@ -603,11 +623,12 @@ def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
     forms them.  Its cell k = b(t*+1) + m has F = t-1-k failures, so the
     terms fill its first t cells and depend on (k, b) alone.  Terms with
     b < sqrt(t/2) are shared by every cutoff and evaluated once, which
-    takes the `math.exp` calls from O(t^2) to O(t^1.5); a cutoff reads
-    them as one strided (b, m) view of a table zero-padded to width 2t.
-    The sums add rows in order (`_accumulate`).  At p = 0 the link is never
-    active, and at p = 1 it is active at age (t-1) mod (t*+1) with
-    probability 1.  Other cutoffs go through `active_rows`.
+    takes the `math.exp` calls from O(t^2) to O(t^1.5).  Up to
+    `_TABLE_SHORT` the sums are added one term at a time in Python
+    (`_table_by_terms`), above it with numpy (`_table_by_rows`), with the
+    same bits.  At p = 0 the link is never active, and at p = 1 it is
+    active at age (t-1) mod (t*+1) with probability 1.  Other cutoffs go
+    through `active_rows`.
     """
     _validate_p(p)
     if t < 1:
@@ -615,10 +636,57 @@ def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
     if p == 0.0:
         return [(0.0, 0.0, None)] * len(tstars)
     fvals = [fcurve(m) for m in range(t)]
+    cuts = [Cutoff.parse(tstar) for tstar in tstars]
     if p == 1.0:
-        ages = ((t - 1) % block if t > block else t - 1
-                for block in map(_block, map(Cutoff.parse, tstars)))
+        ages = ((t - 1) % block if t > block else t - 1 for block in map(_block, cuts))
         return [(fvals[m], 1.0, fvals[m]) for m in ages]
+    blocks = sorted({cut.finite_value + 1 for cut in cuts if t > _block(cut)})
+    by_block = {}  # block -> (E[F~], Pr[X = 1])
+    if blocks:
+        route = _table_by_terms if t <= _TABLE_SHORT else _table_by_rows
+        by_block = dict(zip(blocks, route(t, blocks, p, fvals)))
+    table = []
+    for cut in cuts:
+        if t <= _block(cut):
+            row = next(active_rows((t,), cut, p, fvals.__getitem__))
+            table.append((row.fidelity.e_ftilde, row.prob_active, row.fidelity.e_f))
+            continue
+        e_ftilde, active = by_block[cut.finite_value + 1]
+        table.append((e_ftilde, active, e_ftilde / active) if active != 0.0
+                     else (0.0, active, None))
+    return table
+
+
+def _table_by_terms(t: int, blocks: list[int], p: float, fvals: list[float]
+                    ) -> list[tuple[float, float]]:
+    """(E[F~(t)], Pr[X(t) = 1]) for each block t*+1 < t, term by term:
+    each term formed by `_terms`' expression, each column sum added from
+    0.0 in increasing b, each total in increasing m."""
+    term_at = _term_at(t, p)
+
+    def term(k: int, b: int) -> float:
+        """g's term at cell k with b completed blocks: F = t-1-k."""
+        return term_at(t - 1 - k + b, b, b + 1, t - 1 - k)
+
+    low = math.isqrt(t // 2) + 1
+    shared = [[term(k, b) for k in range(b, t)] for b in range(low)]  # [b][k - b]
+    sums = []
+    for block in blocks:
+        joint = [0.0] * block  # g(t - m)
+        for b in range(-(-t // block)):
+            first = b * block
+            row = (shared[b][first - b:first - b + block] if b < low
+                   else [term(k, b) for k in range(first, min(first + block, t))])
+            joint[:len(row)] = map(add, joint, row)
+        sums.append((reduce(add, map(mul, fvals, joint), 0.0), reduce(add, joint, 0.0)))
+    return sums
+
+
+def _table_by_rows(t: int, blocks: list[int], p: float, fvals: list[float]
+                   ) -> list[tuple[float, float]]:
+    """`_table_by_terms` with numpy: the shared terms are one table
+    zero-padded to width 2t, which a block reads as one strided (b, m)
+    view, and rows are added in order (`_accumulate`)."""
     import numpy as np
     from numpy.lib.stride_tricks import as_strided
     f = np.array(fvals)
@@ -636,14 +704,8 @@ def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
     shared = np.zeros((low, width))  # [b, k]: the term, for b <= k < t; 0 past t
     for b in range(low):
         shared[b, b:t] = terms_at(cells[b:], b)
-    table = []
-    for tstar in tstars:
-        cut = Cutoff.parse(tstar)
-        if t <= _block(cut):
-            row = next(active_rows((t,), cut, p, fvals.__getitem__))
-            table.append((row.fidelity.e_ftilde, row.prob_active, row.fidelity.e_f))
-            continue
-        block = cut.finite_value + 1
+    sums = []
+    for block in blocks:
         rows = min(low, -(-t // block))
         joint = np.zeros(block)  # g(t - m)
         # shared's cell (b, b*block + m) sits at flat offset b*(width + block) + m
@@ -654,11 +716,8 @@ def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
             terms = np.zeros(-(-len(k) // block) * block)
             terms[:len(k)] = terms_at(k, k // block)
             _accumulate(joint, terms.reshape(-1, block))
-        active = float(np.cumsum(joint)[-1])
-        e_ftilde = float(np.cumsum(f[:block] * joint)[-1])
-        table.append((e_ftilde, active, e_ftilde / active) if active != 0.0
-                     else (0.0, active, None))
-    return table
+        sums.append((float(np.cumsum(f[:block] * joint)[-1]), float(np.cumsum(joint)[-1])))
+    return sums
 
 
 def prob_active(t: int, tstar: CutoffLike, p: float) -> float:

@@ -34,10 +34,9 @@ import operator
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
-from typing import Callable, Iterator, Optional, Sequence
-
-import numpy as np
+from functools import cache, reduce
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from .config import MAX_TRIALS
 from .quantum import (
@@ -47,6 +46,9 @@ from .quantum import (
     PureState,
     memory_evolve,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXHAUSTIVE_WARN_HORIZON = 20
 WEIGHT_SUM_TOL = 1e-12
@@ -65,14 +67,25 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-# PCG64's LCG multiplier as 64-bit words, its low word as 32-bit halves,
-# and the shifts of its step and output, all np.uint64 so that every
-# operation stays on uint64 under either of numpy's promotion rules
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MULT_HI, _MULT_LO = (np.uint64(_PCG64_MULT >> k & (1 << 64) - 1) for k in (64, 0))
-_MULT_LO_1, _MULT_LO_0 = (np.uint64(_PCG64_MULT >> k & _MASK32) for k in (32, 0))
-_LOW32 = np.uint64(_MASK32)
-_U1, _U11, _U32, _U58, _U63 = (np.uint64(k) for k in (1, 11, 32, 58, 63))
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's LCG multiplier
+
+
+@cache
+def _uint64() -> SimpleNamespace:
+    """The multiplier's 64-bit words, its low word's 32-bit halves, the
+    low-half mask, and the shifts of PCG64's step and output (``u1`` ..
+    ``u63``), all np.uint64 so that every operation stays on uint64 under
+    either of numpy's promotion rules.  Made on first use, so that
+    importing the engine loads no numpy."""
+    import numpy as np
+    return SimpleNamespace(
+        mult_hi=np.uint64(_PCG64_MULT >> 64),
+        mult_lo=np.uint64(_PCG64_MULT & (1 << 64) - 1),
+        mult_lo_1=np.uint64(_PCG64_MULT >> 32 & _MASK32),
+        mult_lo_0=np.uint64(_PCG64_MULT & _MASK32),
+        low32=np.uint64(_MASK32),
+        **{f"u{k}": np.uint64(k) for k in (1, 11, 32, 58, 63)})
+
 
 # ---------------------------------------------------------------------------
 # histories
@@ -387,6 +400,7 @@ def materialize_average_state(mixture: LinkStateMixture, params: LinkParams
     The failure branch occupies one appended basis vector orthogonal to the
     link space, so fidelities against (padded) targets are unchanged.
     """
+    import numpy as np
     if not params.materialized:
         raise ValueError("materialization requires LinkParams with rho0/channel/target")
     assert params.rho0 is not None and params.channel is not None
@@ -430,6 +444,7 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     Streams are independent across trials and identical regardless of how
     trials are distributed over threads.
     """
+    import numpy as np
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(trial,))))
 
@@ -471,6 +486,7 @@ def _trial_streams(seed: int, start: int, n: int) -> np.ndarray:
     over the block.  PCG64 then sets inc = 2 initseq + 1 and the state to
     one LCG step from initstate + inc.
     """
+    import numpy as np
     seed = operator.index(seed)  # numpy integers become exact Python ints
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -493,11 +509,12 @@ def _trial_streams(seed: int, start: int, n: int) -> np.ndarray:
     consts = _hash_constants(_INIT_B, _MULT_B)
     state = [_hash(pool[k % 4], consts).astype(np.uint64) for k in range(8)]
     # the 64-bit words, little-endian pairs of the hash's 32-bit outputs
-    init_hi, init_lo, seq_hi, seq_lo = (state[k] | state[k + 1] << _U32
+    u = _uint64()
+    init_hi, init_lo, seq_hi, seq_lo = (state[k] | state[k + 1] << u.u32
                                         for k in range(0, 8, 2))
     streams = np.empty((4, n), dtype=np.uint64)
-    streams[2] = seq_hi << _U1 | seq_lo >> _U63
-    streams[3] = seq_lo << _U1 | _U1
+    streams[2] = seq_hi << u.u1 | seq_lo >> u.u63
+    streams[3] = seq_lo << u.u1 | u.u1
     streams[1] = init_lo + streams[3]
     streams[0] = init_hi + streams[2] + (streams[1] < init_lo)
     _draw(streams)  # the seeding step; its output is not a draw
@@ -512,22 +529,24 @@ def _draw(streams: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
     partial products; every other product wraps mod 2**64 as it should.
     Streams where ``mask`` is False keep their state, and their uniforms are
     to be ignored."""
+    import numpy as np
+    u = _uint64()
     hi, lo, inc_hi, inc_lo = streams
-    lo_0 = lo & _LOW32
-    lo_1 = lo >> _U32
-    mid = lo_1 * _MULT_LO_0 + (lo_0 * _MULT_LO_0 >> _U32)
-    mid_0 = lo_0 * _MULT_LO_1 + (mid & _LOW32)
-    new_lo = lo * _MULT_LO + inc_lo
-    hi = (lo_1 * _MULT_LO_1 + (mid >> _U32) + (mid_0 >> _U32)
-          + hi * _MULT_LO + lo * _MULT_HI + inc_hi + (new_lo < inc_lo))
+    lo_0 = lo & u.low32
+    lo_1 = lo >> u.u32
+    mid = lo_1 * u.mult_lo_0 + (lo_0 * u.mult_lo_0 >> u.u32)
+    mid_0 = lo_0 * u.mult_lo_1 + (mid & u.low32)
+    new_lo = lo * u.mult_lo + inc_lo
+    hi = (lo_1 * u.mult_lo_1 + (mid >> u.u32) + (mid_0 >> u.u32)
+          + hi * u.mult_lo + lo * u.mult_hi + inc_hi + (new_lo < inc_lo))
     if mask is None:
         streams[0], streams[1] = hi, new_lo
     else:
         np.putmask(streams[0], mask, hi)
         np.putmask(streams[1], mask, new_lo)
     out = hi ^ new_lo
-    rot = hi >> _U58
-    return ((out >> rot | out << (-rot & _U63)) >> _U11) * 2.0 ** -53
+    rot = hi >> u.u58
+    return ((out >> rot | out << (-rot & u.u63)) >> u.u11) * 2.0 ** -53
 
 
 def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
@@ -543,6 +562,7 @@ def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
     over trials accumulate in trial order, so the result does not depend on
     the block size.
     """
+    import numpy as np
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if not 1 <= n_trials <= MAX_TRIALS:

@@ -11,29 +11,43 @@ link quantities of any (t, x, m)-feedback policy, such as the optimum or the
 literal recursion over full history trees, a brute-force search over all
 deterministic (t, x, m) -> action maps and, under ``==``, a recursion that
 visits one state at a time and keeps every action value, all kept in
-``tests/oracles.py``.
+``tests/oracles.py``.  Both run on the standard library: ``qlink optimize``
+imports numpy only for a cutoff table past ``cutoff._TABLE_SHORT``.
 
 Ties in every argmax are broken toward action 0 (wait) so results are
 reproducible bit-for-bit.
 
-Propagator bits.  ``evaluate_state_policy`` moves the whole active row
-a_m = Pr[X=1, M=m] at once, one run of ages at a time, given the request
-probabilities pi_m as runs over m (``Policy.decide_runs``).  Its results
-equal, under ``==``, those of the loop over states in ``tests/oracles.py``,
-because it makes the same IEEE operations in the same order: each mass is
-multiplied by pi and by 1 - pi (a zero mass gives 0.0, which adds nothing),
-and the request mass is the in-order ``np.cumsum`` of [down * pi_down,
-a_0 pi_0, a_1 pi_1, ...], never the pairwise ``sum``.  E[F~] is the
-in-order cumsum of f_m a_m, and E[X] the row's ``ndarray.sum``, as in the loop.
+Recursion bits.  Waiting carries an active value to the next age, and every
+value is the larger of its wait and request values, so the value at time j
+and age m is max(f_s, M_j): f at the terminal age s = m + T + 1 - j, and M_j
+the running maximum of the request values q_T, ..., q_j.  Each max picks one
+of the floats the state-at-a-time loop picks, and q_j = p max(f_{T-j},
+M_{j+1}) + (1 - p) v_down is formed with its operations, so the two agree
+under ``==``.  Time j waits at every age when M_{j+1} >= q_j, and otherwise
+exactly where f_s >= q_j.
+
+Propagator bits.  ``evaluate_state_policy`` holds the active masses by birth
+time, so aging moves nothing, and reads the request probabilities pi_m as
+runs over m (``Policy.decide_runs``).  Its results equal, under ``==``,
+those of the loop over states in ``tests/oracles.py``, because it makes the
+same IEEE operations in the same order.  Each live mass inside a request run
+is multiplied by pi and by 1 - pi; a waiting run's masses and a mass of 0.0
+are left alone, because multiplying by 1.0 and adding 0.0 change nothing.
+The request mass adds down * pi_down, a_0 pi_0, a_1 pi_1, ... in increasing
+age, one at a time.  E[F~] is the in-order sum of f_m a_m, and E[X] the
+pairwise sum of numpy's ``ndarray.sum`` over the zero-padded age row
+(``_pairwise_sum``), as in the loop.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .engine import LinkParams, Policy
 
@@ -47,10 +61,10 @@ class DecisionRuns:
     Runs are maximal, so one time's actions alternate; a nonincreasing
     fidelity curve gives at most two per time, O(T) bytes in all."""
 
-    down: np.ndarray    # int8 per time: 1 request, 0 wait
-    start: np.ndarray   # int64 per run: the age it starts at
-    action: np.ndarray  # int8 per run
-    bounds: np.ndarray  # int64, T + 1 offsets into start and action
+    down: array    # "b" per time: 1 request, 0 wait
+    start: array   # "q" per run: the age it starts at
+    action: array  # "b" per run
+    bounds: array  # "q", T + 1 offsets into start and action
 
     def runs(self, t: int) -> tuple[float, Sequence[int], Sequence[int]]:
         if t > len(self.down):  # past the horizon: wait
@@ -119,15 +133,34 @@ class PolicyEvaluation:
     e_f: Optional[float]
 
 
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """numpy's pairwise ``add.reduce`` of a contiguous float64 row, bit for
+    bit: fewer than 8 values added in order from 0.0; up to 128 in 8
+    accumulators, value i into accumulator i mod 8 up to the last multiple
+    of 8, the accumulators added as a tree and the rest in order; more
+    split at the multiple of 8 nearest below half, each side summed so."""
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, 0.0)
+    if n <= 128:
+        tail = n - n % 8
+        r = [reduce(add, values[k:tail:8]) for k in range(8)]
+        tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[tail:], tree)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
 def evaluate_state_policy(params: LinkParams, policy: Policy, t: int) -> PolicyEvaluation:
     """Exact link quantities at time t for a (t, x, m)-feedback policy.
 
     Propagates the occupation distribution over (x, m) states directly, so
     it stays exact at horizons where history enumeration is infeasible.
     Each step reads the policy's decisions at all ages at once, as runs
-    over m, from ``policy.decide_runs`` (see the module docstring for the
-    order of the sums).  Cross-checked against history enumeration, and
-    under ``==`` against the state-at-a-time loop, in the tests.
+    over m, from ``policy.decide_runs``, and visits only the live masses
+    inside request runs (see the module docstring for the order of the
+    sums).  Cross-checked against history enumeration, and under ``==``
+    against the state-at-a-time loop, in the tests.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
@@ -135,24 +168,27 @@ def evaluate_state_policy(params: LinkParams, policy: Policy, t: int) -> PolicyE
     if runs is None:
         raise ValueError("evaluate_state_policy needs a policy with a state rule")
     p = params.p
-    active = np.array([p])  # m -> Pr[X=1, M=m]
+    born = [0.0, p]  # born[i]: Pr[X=1, the link born at time i], of age j - i at time j
+    oldest = 1       # every born[i] with i < oldest is 0.0
     down = 1.0 - p
     for j in range(1, t):
         pi_down, starts, probs = runs(j)
-        moved = np.zeros(j + 1)  # [down pi_down, a_0 pi_0, a_1 pi_1, ...]
-        kept = np.empty(j + 1)   # [the new link, a_0 (1 - pi_0), ...]
-        moved[0] = down * pi_down
+        request_mass = down * pi_down
         for lo, hi, prob in zip(starts, [*starts[1:], j], probs):
-            if prob:  # a waiting run's a_m * 0.0 is the 0.0 already there
-                np.multiply(active[lo:hi], prob, out=moved[lo + 1:hi + 1])
-            np.multiply(active[lo:hi], 1.0 - prob, out=kept[lo + 1:hi + 1])
-        request_mass = np.cumsum(moved, out=moved)[-1]
-        kept[0] = p * request_mass
+            if not prob:  # waiting keeps each mass as it is
+                continue
+            for i in range(j - lo, max(j - hi, oldest - 1), -1):  # ages lo..hi-1
+                mass = born[i]
+                if mass:
+                    request_mass += mass * prob
+                    born[i] = mass * (1.0 - prob)
+        born.append(p * request_mass)
         down = down * (1.0 - pi_down) + (1.0 - p) * request_mass
-        active = kept
-    e_x = float(active.sum())
-    fvals = np.array([params.fcurve(m) for m in range(t)])
-    e_ftilde = float(np.cumsum(fvals * active)[-1])
+        while oldest < len(born) and not born[oldest]:
+            oldest += 1
+    active = born[:0:-1]  # by age 0..t-1
+    e_x = _pairwise_sum(active)
+    e_ftilde = reduce(add, map(mul, [params.fcurve(m) for m in range(t)], active), 0.0)
     e_f = e_ftilde / e_x if e_x > 0.0 else None
     return PolicyEvaluation(e_ftilde=e_ftilde, e_x=e_x, e_f=e_f)
 
@@ -167,11 +203,13 @@ def backward_recursion_reduced(params: LinkParams, T: int,
 
     The conditional value-to-go of a history depends on it only through the
     current link value and memory age, so the tree recursion collapses to
-    O(T^2) states; values over m are held as numpy arrays per time step.
-    The policy keeps each time's decisions as runs over m (``DecisionRuns``),
-    O(T) bytes for the presets.  ``keep_table`` takes only ``False``: the
-    table of every action value is the state-at-a-time recursion of
-    ``tests/oracles.py``.
+    O(T^2) states.  Their values are f clamped from below by the running
+    maximum of the request values (see the module docstring), so one pass
+    over the times finds them in O(T log T) steps, plus one per change of
+    decision along the ages.  The policy keeps each time's decisions as
+    runs over m (``DecisionRuns``), O(T) bytes for the presets.
+    ``keep_table`` takes only ``False``: the table of every action value is
+    the state-at-a-time recursion of ``tests/oracles.py``.
     """
     if keep_table:
         raise ValueError("the reduced recursion keeps no value table; "
@@ -180,44 +218,53 @@ def backward_recursion_reduced(params: LinkParams, T: int,
         raise ValueError(f"horizon must be >= 0, got {T}")
     p = params.p
     fcurve = params.fcurve
-    f0 = fcurve(0)
+    f = [fcurve(m) for m in range(T + 1)]  # by terminal age s
     if T == 0:
-        return OptimizationResult(optimal_value=p * f0, policy=None, mode="reduced")
+        return OptimizationResult(optimal_value=p * f[0], policy=None, mode="reduced")
 
-    f_vals = np.array([fcurve(m) for m in range(T + 1)])
-
-    # v_active[j] : value at time j with x=1, m = 0..j-1 (array of length j)
-    # v_down[j]   : value at time j with x=0
-    # terminal (time T+1): reward f_m when active, 0 when down
-    v_active_next = f_vals[: T + 1].copy()
-    v_down_next = 0.0
-    # per time, from T down to 1: the down action, and the runs (m, a) over m
-    down, runs = [], []
-
+    best = -math.inf  # the running maximum M of the request values
+    v_down = 0.0
+    # wait[s]: f[s] >= best, over the terminal ages 1..T; edges: the s in
+    # 2..T with wait[s] != wait[s - 1], ascending.  As best rises, the ages
+    # in ascending f turn to request once each.
+    wait = [True] * (T + 1)
+    edges: list[int] = []
+    rising = sorted(range(1, T + 1), key=f.__getitem__)
+    turned = 0
+    down, runs = array("b"), []  # per time, from T down to 1
     for j in range(T, 0, -1):
-        q_request = p * v_active_next[0] + (1.0 - p) * v_down_next
-        q_wait_active = v_active_next[1: j + 1]  # m -> value at (j+1, m+1)
-        wait = q_wait_active >= q_request
-        v_active = np.where(wait, q_wait_active, q_request)
-        request_down = bool(q_request > v_down_next)  # waiting keeps it down; tie -> wait
-        v_down = q_request if request_down else v_down_next
-        # a run starts at age 0 and wherever the decision changes
-        start = [0, *(np.flatnonzero(wait[1:] != wait[:-1]) + 1).tolist()]
-        first = 0 if wait[0] else 1
-        down.append(request_down)
-        runs.append([(m, first ^ (k & 1)) for k, m in enumerate(start)])
-        v_active_next = v_active
-        v_down_next = v_down
+        q_request = p * max(f[T - j], best) + (1.0 - p) * v_down
+        if q_request > best:  # a new maximum: wait exactly where f[s] >= it
+            best = q_request
+            while turned < T and f[rising[turned]] < best:
+                s = rising[turned]
+                turned += 1
+                wait[s] = False
+                for edge in (s, s + 1):
+                    if 2 <= edge <= T:
+                        k = bisect_left(edges, edge)
+                        if k < len(edges) and edges[k] == edge:
+                            del edges[k]
+                        else:
+                            edges.insert(k, edge)
+            lo = T + 1 - j  # the terminal age of age 0
+            runs.append(([0, *(s - lo for s in edges[bisect_right(edges, lo):])],
+                         0 if wait[lo] else 1))
+        else:  # every age waits
+            runs.append(([0], 0))
+        down.append(q_request > v_down)  # waiting keeps it down; tie -> wait
+        v_down = max(v_down, q_request)
 
-    value = p * v_active_next[0] + (1.0 - p) * v_down_next
+    value = p * max(f[T], best) + (1.0 - p) * v_down
+    down.reverse()
     runs.reverse()
-    pairs = [pair for time_runs in runs for pair in time_runs]
-    decisions = DecisionRuns(
-        down=np.array(down[::-1], dtype=np.int8),
-        start=np.array([m for m, _ in pairs], dtype=np.int64),
-        action=np.array([a for _, a in pairs], dtype=np.int8),
-        bounds=np.cumsum([0, *map(len, runs)]))
+    start, action, bounds = array("q"), array("b"), array("q", [0])
+    for starts, first in runs:
+        start.extend(starts)
+        action.extend(first ^ (k & 1) for k in range(len(starts)))
+        bounds.append(len(start))
+    decisions = DecisionRuns(down=down, start=start, action=action, bounds=bounds)
     policy = Policy.from_state_rule(None, "deterministic", "optimal-reduced",
                                     decisions.runs)
-    return OptimizationResult(optimal_value=float(value), policy=policy,
+    return OptimizationResult(optimal_value=value, policy=policy,
                               mode="reduced", runs=decisions)

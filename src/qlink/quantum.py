@@ -4,17 +4,20 @@ Everything here is dense complex linear algebra on small Hilbert spaces
 (a handful of qubits at most).  The rest of the package mostly runs in a
 "symbolic" mode that only needs the fidelity curve f_m = <psi| N^m(rho0) |psi>;
 this module supplies that curve either by repeated channel application or by
-a closed form (used as an independent cross-check in the tests).
+a closed form (used as an independent cross-check in the tests).  Only the
+matrix code imports numpy, each function where it runs: a closed-form curve
+needs none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .config import MAX_DIM
+
+if TYPE_CHECKING:
+    import numpy as np
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -34,6 +37,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
         mat = np.array(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density operator must be a square matrix, got shape {mat.shape}")
@@ -62,6 +66,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
         amp = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if amp.size == 0 or amp.size > MAX_DIM:
             raise ValueError(f"invalid state vector length {amp.size}")
@@ -75,6 +80,7 @@ class PureState:
         return self.amplitudes.size
 
     def projector(self) -> DensityOperator:
+        import numpy as np
         return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
@@ -92,6 +98,7 @@ class KrausChannel:
     trace_preserving: bool = True
 
     def __post_init__(self) -> None:
+        import numpy as np
         if not self.kraus_ops:
             raise ValueError("Kraus family must be nonempty")
         ops = []
@@ -118,6 +125,7 @@ class KrausChannel:
 
 def apply_channel(channel: KrausChannel, rho: DensityOperator) -> DensityOperator:
     """Kraus action sum_k K_k rho K_k^dag."""
+    import numpy as np
     if channel.dim_in != rho.dim:
         raise ValueError(f"channel input dim {channel.dim_in} != state dim {rho.dim}")
     out = np.zeros((channel.dim_out, channel.dim_out), dtype=complex)
@@ -150,6 +158,7 @@ def fidelity(rho: DensityOperator, psi: PureState) -> float:
 
 def tensor_channel(channels: Sequence[KrausChannel]) -> KrausChannel:
     """Tensor product channel; Kraus family is all products of component ops."""
+    import numpy as np
     if not channels:
         raise ValueError("tensor_channel requires a nonempty list of channels")
     ops = [np.array([[1.0 + 0.0j]])]
@@ -169,6 +178,7 @@ def tensor_channel(channels: Sequence[KrausChannel]) -> KrausChannel:
 
 def _weyl_shift(dim: int) -> np.ndarray:
     """Cyclic shift |j> -> |j+1 mod d>."""
+    import numpy as np
     op = np.zeros((dim, dim), dtype=complex)
     for j in range(dim):
         op[(j + 1) % dim, j] = 1.0
@@ -176,12 +186,14 @@ def _weyl_shift(dim: int) -> np.ndarray:
 
 
 def _weyl_clock(dim: int) -> np.ndarray:
+    import numpy as np
     omega = np.exp(2j * np.pi / dim)
     return np.diag([omega ** k for k in range(dim)])
 
 
 def preset_channel(name: str, dim: int = 2, lam: float | None = None) -> KrausChannel:
     """Named memory channels: identity, depolarizing(lam), dephasing(lam)."""
+    import numpy as np
     if name == "identity":
         return KrausChannel(dim, dim, (np.eye(dim, dtype=complex),))
     if lam is None:
@@ -213,6 +225,7 @@ def preset_channel(name: str, dim: int = 2, lam: float | None = None) -> KrausCh
 
 def preset_state(name: str, *, k: int = 2, f0: float = 1.0) -> PureState | DensityOperator:
     """Named target/initial states: bell_phi_plus, ghz(k), werner(f0)."""
+    import numpy as np
     if name == "bell_phi_plus":
         amp = np.zeros(4, dtype=complex)
         amp[0] = amp[3] = 1.0 / np.sqrt(2.0)

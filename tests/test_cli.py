@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlink import cli
+from qlink import cli, cutoff
 from qlink.cli import main
 from qlink.config import (FIELDS, FIGURES, MAX_HORIZON, MAX_TIME, MODES, ConfigError,
                           load_config, parse_config)
@@ -814,23 +814,28 @@ def test_cli_exit_codes_hold_for_mutated_configs(data):
 
 
 BASE_MODULES = {"cli", "config", "csvio", "cutoff"}
+TABLE_SHORT = cutoff._TABLE_SHORT
 FIG8_DOC = {"schema_version": 1, "mode": "reproduce", "figure": "fig8"}
 
 
 @pytest.mark.parametrize("doc, extra, numpy", [
-    (analytic_doc(), {"quantum"}, True),
+    (analytic_doc(), {"quantum"}, False),
     (SWEEP_DOC, set(), False),
     (dict(SWEEP_DOC, times={"start": 1, "stop": 200}), set(), True),
     (SIMULATE_DOC, {"engine", "quantum"}, True),
-    (OPTIMIZE_DOC, {"engine", "quantum", "optimize"}, True),
+    (OPTIMIZE_DOC, {"engine", "quantum", "optimize"}, False),
+    (dict(OPTIMIZE_DOC, horizon=TABLE_SHORT), {"engine", "quantum", "optimize"}, True),
     (FIG5_DOC, set(), False),
     (FIG8_DOC, {"network"}, False),
-], ids=["analytic-fidelity", "sweep", "sweep-long", "simulate", "optimize", "fig5", "fig8"])
+], ids=["analytic-fidelity", "sweep", "sweep-long", "simulate", "optimize",
+        "optimize-long", "fig5", "fig8"])
 def test_each_command_loads_only_its_modules(tmp_path, doc, extra, numpy):
     """A fresh ``qlink`` process imports ``config``, ``csvio`` and ``cutoff``
     with ``cli``, and only the modules its command runs besides.  numpy is
-    loaded by the fidelity curves, the engine, and cutoff series longer
-    than the term-at-a-time route takes; never by ``reproduce``."""
+    loaded by the simulator, cutoff series longer than the term-at-a-time
+    route takes, and an optimize cutoff table past its own bound (horizon
+    ``_TABLE_SHORT`` tables time ``_TABLE_SHORT + 1``); never by
+    ``reproduce``, a fidelity curve or a shorter ``optimize``."""
     out = tmp_path / "o.csv"
     argv = [doc["mode"], "--config", write_config(tmp_path, doc), "--out", str(out)]
     child = (
@@ -859,6 +864,18 @@ def test_reproduce_writes_every_golden_figure_without_numpy(tmp_path, figure):
     config = str(GOLDEN_DIR / f"{figure}.json")
     assert run_python(child, "reproduce", "--config", config, "--out", str(out)) == "0\n"
     assert out.read_bytes() == (GOLDEN_DIR / f"{figure}.csv").read_bytes()
+
+
+def test_optimize_writes_its_golden_without_numpy(tmp_path):
+    """``qlink optimize`` writes the golden CSV and format-2 policy dump byte
+    for byte from a process in which numpy cannot be imported."""
+    out = tmp_path / "o.csv"
+    child = WITHOUT_NUMPY + "print(cli.main(sys.argv[1:]))\n"
+    config = str(GOLDEN_DIR / "optimize.json")
+    assert run_python(child, "optimize", "--config", config, "--out", str(out)) == "0\n"
+    assert out.read_bytes() == (GOLDEN_DIR / "optimize.csv").read_bytes()
+    assert (tmp_path / "o.csv.policy.json").read_bytes() == \
+        (GOLDEN_DIR / "optimize.v2.policy.json").read_bytes()
 
 
 @pytest.mark.parametrize("doc", [

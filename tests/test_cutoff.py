@@ -534,6 +534,34 @@ def test_joint_prob_at_infinite_cutoff_keeps_the_unloaded_state():
         assert joint_prob(t, math.inf, p, t, 1) == 0.0
 
 
+@pytest.mark.parametrize("tstar", [0, 1, 4, 30, math.inf])
+def test_joint_prob_in_the_first_block_is_the_row_entry(tstar):
+    """At x = 1 and t <= t*+1, `joint_prob` equals the `active_rows` entry
+    under ``==`` (0.0 past the row), p near 0 and 1 and t* = inf included."""
+    block = tstar + 1
+    for p in (0.0, 1e-9, 0.01, 0.3, 0.999, 1.0):
+        for t in range(1, min(block, 40) + 1):
+            joint = next(active_rows((t,), tstar, p)).joint
+            ages = range(t + 2) if tstar == math.inf else range(tstar + 1)
+            assert [joint_prob(t, tstar, p, m, 1) for m in ages] == \
+                [joint[m] if m < t else 0.0 for m in ages]
+
+
+def test_joint_prob_in_the_first_block_builds_no_row(monkeypatch):
+    """Within the first block `joint_prob` at x = 1 never calls
+    `active_rows`: t = 10^5 at t* = inf is O(1)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("active_rows called")
+
+    monkeypatch.setattr(ca, "active_rows", refuse)
+    assert joint_prob(100_000, math.inf, 0.3, 99_990, 1) == 0.3 * (1.0 - 0.3) ** 9 > 0.0
+    assert joint_prob(100_000, "inf", 1e-6, 99_999, 1) == 1e-6
+    assert joint_prob(7, 10, 0.3, 2, 1) == 0.3 * (1.0 - 0.3) ** 4
+    assert joint_prob(7, 10, 0.3, 9, 1) == 0.0
+    with pytest.raises(AssertionError, match="active_rows"):
+        joint_prob(12, 10, 0.3, 2, 1)  # past the first block: the series row
+
+
 @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
 @pytest.mark.parametrize("tstar", [3, math.inf])
 def test_joint_prob_rejects_probabilities_outside_0_1(tstar, p):
@@ -576,6 +604,21 @@ def test_cutoff_table_equals_active_rows(p, curve):
         for tstar, values in zip(tstars, table):
             row = next(active_rows((T + 1,), tstar, p, curve))
             assert values == (row.fidelity.e_ftilde, row.prob_active, row.fidelity.e_f)
+
+
+@pytest.mark.parametrize("p", [1e-9, 0.01, 0.3, 0.999999])
+def test_cutoff_table_is_equal_on_both_routes(monkeypatch, p):
+    """The term-at-a-time table and the numpy table give the same bits, at
+    the route bound and one above it, for every cutoff below t and some
+    above, t* = infinity included."""
+    curve = FidelityCurve.dephasing_bell(0.95)
+    for t in (2, 9, 130, ca._TABLE_SHORT, ca._TABLE_SHORT + 1):
+        tstars = [*range(0, t, max(1, t // 60)), t - 2, t - 1, t, t + 5, math.inf]
+        tables = []
+        for short in (0, MAX_TIME):
+            monkeypatch.setattr(ca, "_TABLE_SHORT", short)
+            tables.append(cutoff_table(t, tstars, p, curve))
+        assert tables[0] == tables[1]
 
 
 @pytest.mark.parametrize("tstar", [0, 3, 10, 200, "inf"])

@@ -1,13 +1,18 @@
 """Finite-horizon policy optimization: the three routes and their tables."""
 
 import math
+import random
 import tracemalloc
+from functools import reduce
+from operator import add
 
+import numpy as np
 import pytest
 
 from qlink.cutoff import cutoff_policy
 from qlink.engine import LinkParams, Policy
 from qlink.optimize import (
+    _pairwise_sum,
     backward_recursion_reduced,
     evaluate_state_policy,
     forward_greedy,
@@ -140,7 +145,7 @@ CURVES = {"constant": FidelityCurve.constant(0.9),
 @pytest.mark.parametrize("kind", CURVES)
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.5, 0.9, 1.0])
 def test_state_evaluation_equals_the_state_at_a_time_loop(p, kind):
-    """The numpy propagator gives the oracle loop's floats under ``==``, for
+    """The propagator gives the oracle loop's floats under ``==``, for
     the optimum (also past its horizon), greedy, cutoffs and a stochastic
     rule, whose per-age decisions come from the rule itself."""
     params = params_for(p, CURVES[kind])
@@ -345,3 +350,98 @@ def test_reduced_recursion_is_deterministic():
     table, optimum = backward_recursion_states(params, 10)
     assert r1.optimal_value == r2.optimal_value == optimum
     assert decisions_of(r1, 10) == decisions_of(r2, 10) == table.decisions
+
+
+# ---------------------------------------------------------------------------
+# the recursion and the propagator against the state-at-a-time oracles
+# ---------------------------------------------------------------------------
+
+def random_curve(seed, levels=None):
+    """A fidelity curve with an independent value at each age: uniform in
+    [0, 1], or drawn from ``levels``, which makes ties."""
+    rng = random.Random(seed)
+    values = []
+
+    def evaluate(m):
+        while len(values) <= m:
+            values.append(rng.choice(levels) if levels else rng.random())
+        return values[m]
+
+    return FidelityCurve(evaluator=evaluate, kind="closed-form", label=f"random({seed})")
+
+
+def random_rule(seed):
+    """A stochastic state rule with its own probability at each (t, x, m),
+    0 and 1 among them, fixed on first use."""
+    rng = random.Random(seed)
+    probs = {}
+
+    def rule(t, x, m):
+        if (t, x, m) not in probs:
+            probs[t, x, m] = rng.choice([0.0, 1.0, 1.0, 0.5, 0.125, rng.random()])
+        return probs[t, x, m]
+
+    return rule
+
+
+RANDOM_CURVES = {
+    "uniform": lambda: random_curve(1),
+    "levels": lambda: random_curve(2, [0.0, 0.25, 0.5, 0.5, 0.75, 1.0]),
+    "reviving": lambda: REVIVING,
+}
+ORACLE_PS = [0.0, 1e-9, 0.3, 1.0]
+
+
+@pytest.mark.parametrize("kind", RANDOM_CURVES)
+@pytest.mark.parametrize("p", ORACLE_PS)
+def test_reduced_recursion_equals_the_state_at_a_time_recursion(p, kind):
+    """The running-maximum recursion gives the state-at-a-time recursion's
+    optimum and every one of its decisions under ``==``, on curves that
+    rise and fall with age and on curves with ties."""
+    params = params_for(p, RANDOM_CURVES[kind]())
+    for T in (1, 2, 3, 8, 40, 300):
+        table, optimum = backward_recursion_states(params, T)
+        result = backward_recursion_reduced(params, T)
+        assert result.optimal_value == optimum
+        assert decisions_of(result, T) == table.decisions
+
+
+@pytest.mark.parametrize("kind", RANDOM_CURVES)
+@pytest.mark.parametrize("p", ORACLE_PS)
+def test_state_evaluation_equals_the_loop_on_random_curves_and_rules(p, kind):
+    """The birth-indexed propagator gives the state-at-a-time loop's floats
+    under ``==`` for stochastic rules, the optimum and greedy on curves
+    that rise and fall with age."""
+    params = params_for(p, RANDOM_CURVES[kind]())
+    for T in (1, 2, 9, 40, 300):
+        rules = [random_rule(T),
+                 lambda t, x, m: 0.7 if x == 0 else (0.0 if m < 3 else 0.6),
+                 lambda t, x, m: 0.25 if x == 0 else float(m % 4 == 0)]
+        policies = [Policy.from_state_rule(rule, "stochastic") for rule in rules]
+        policies += [backward_recursion_reduced(params, T).policy, forward_greedy(params)]
+        for policy in policies:
+            assert evaluate_state_policy(params, policy, T + 1) == \
+                oracles.evaluate_state_policy(params, policy, T + 1)
+
+
+# numpy before 2.3 adds a reduction longer than its 8192-value buffer one
+# buffer at a time, each pairwise, in order; later versions add it whole
+BUFFERED_SUM = np.lib.NumpyVersion(np.__version__) < "2.3.0"
+
+
+def test_pairwise_sum_is_numpys_sum():
+    """`_pairwise_sum` equals ``ndarray.sum`` of the float64 row under
+    ``==``: every length up to 300, the lengths around numpy's 8192-value
+    buffer, and random lengths up to 3e4, on values of both signs and
+    magnitudes 1e-12 to 1e12."""
+    rng = random.Random(7)
+    lengths = [*range(301), 8191, 8192, 8193, *(rng.randint(301, 30_000) for _ in range(40))]
+    for n in lengths:
+        values = [rng.choice((-1.0, 1.0)) * rng.random() * 10.0 ** rng.randint(-12, 12)
+                  for _ in range(n)]
+        expected = float(np.array(values).sum())
+        if BUFFERED_SUM and n > 8192:
+            buffers = (_pairwise_sum(values[i:i + 8192]) for i in range(0, n, 8192))
+            assert reduce(add, buffers, 0.0) == expected, n
+        else:
+            assert _pairwise_sum(values) == expected, n
