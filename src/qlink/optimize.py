@@ -224,10 +224,9 @@ def backward_recursion_reduced(params: LinkParams, T: int,
 
     best = -math.inf  # the running maximum M of the request values
     v_down = 0.0
-    # wait[s]: f[s] >= best, over the terminal ages 1..T; edges: the s in
-    # 2..T with wait[s] != wait[s - 1], ascending.  As best rises, the ages
-    # in ascending f turn to request once each.
-    wait = [True] * (T + 1)
+    # edges: the terminal ages s in 2..T where f[s] >= best and
+    # f[s - 1] >= best differ, ascending.  As best rises, the ages in
+    # ascending f turn to request once each, toggling the edges beside them.
     edges: list[int] = []
     rising = sorted(range(1, T + 1), key=f.__getitem__)
     turned = 0
@@ -239,7 +238,6 @@ def backward_recursion_reduced(params: LinkParams, T: int,
             while turned < T and f[rising[turned]] < best:
                 s = rising[turned]
                 turned += 1
-                wait[s] = False
                 for edge in (s, s + 1):
                     if 2 <= edge <= T:
                         k = bisect_left(edges, edge)
@@ -249,7 +247,7 @@ def backward_recursion_reduced(params: LinkParams, T: int,
                             edges.insert(k, edge)
             lo = T + 1 - j  # the terminal age of age 0
             runs.append(([0, *(s - lo for s in edges[bisect_right(edges, lo):])],
-                         0 if wait[lo] else 1))
+                         0 if f[lo] >= best else 1))
         else:  # every age waits
             runs.append(([0], 0))
         down.append(q_request > v_down)  # waiting keeps it down; tie -> wait
