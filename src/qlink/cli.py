@@ -15,10 +15,9 @@ also writes ``<out>.policy.json``.
 Each command imports only the modules it runs: ``config``, ``csvio`` and
 ``cutoff`` here, and ``engine``, ``quantum``, ``optimize`` and ``network``
 where a command first uses them.  numpy is imported only by the functions
-that vectorise: the simulator, the cutoff series longer than
-``cutoff._SHORT`` and the cutoff tables past ``cutoff._TABLE_SHORT``.  So
-``reproduce`` at its default sizes, and ``optimize`` below that horizon,
-run without it.
+that vectorise: the simulator and the cutoff series longer than
+``cutoff._SHORT``.  So ``reproduce`` at its default sizes and ``optimize``
+at every horizon run without it.
 """
 
 from __future__ import annotations

@@ -601,16 +601,6 @@ def active_rows(times: Sequence[int], tstar: CutoffLike, p: float,
                         success_rate=rate)
 
 
-# The largest time at which `cutoff_table` forms and adds its terms one at a
-# time in Python.  Its additions grow as t^2 on either route.  Up to here the
-# Python loop costs no more than numpy's import (~0.1 s and 13 MB), which
-# `qlink optimize` needs for nothing else; above it the loop falls behind.
-# Over cutoffs 0..t-1 and infinity, in process (Python 3.11, 2 vCPUs):
-# 0.04 s against 0.015 s with numpy at t = 501, 0.13 against 0.03 s at
-# t = 1025, 0.50 against 0.07 s at t = 2001.
-_TABLE_SHORT = 1024
-
-
 def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
                  fcurve: Callable[[int], float]
                  ) -> list[tuple[float, float, Optional[float]]]:
@@ -623,12 +613,12 @@ def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
     forms them.  Its cell k = b(t*+1) + m has F = t-1-k failures, so the
     terms fill its first t cells and depend on (k, b) alone.  Terms with
     b < sqrt(t/2) are shared by every cutoff and evaluated once, which
-    takes the `math.exp` calls from O(t^2) to O(t^1.5).  Up to
-    `_TABLE_SHORT` the sums are added one term at a time in Python
-    (`_table_by_terms`), above it with numpy (`_table_by_rows`), with the
-    same bits.  At p = 0 the link is never active, and at p = 1 it is
-    active at age (t-1) mod (t*+1) with probability 1.  Other cutoffs go
-    through `active_rows`.
+    takes the `math.exp` calls from O(t^2) to O(t^1.5).  The sums are
+    added one term at a time, in Python: O(t) additions per cutoff, so
+    O(t^2) over the t cutoffs of `qlink optimize`.  Repeated cutoffs share
+    one sum.  At p = 0 the link is never active, and at p = 1 it is active
+    at age (t-1) mod (t*+1) with probability 1.  Other cutoffs go through
+    `active_rows`.
     """
     _validate_p(p)
     if t < 1:
@@ -640,28 +630,6 @@ def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
     if p == 1.0:
         ages = ((t - 1) % block if t > block else t - 1 for block in map(_block, cuts))
         return [(fvals[m], 1.0, fvals[m]) for m in ages]
-    blocks = sorted({cut.finite_value + 1 for cut in cuts if t > _block(cut)})
-    by_block = {}  # block -> (E[F~], Pr[X = 1])
-    if blocks:
-        route = _table_by_terms if t <= _TABLE_SHORT else _table_by_rows
-        by_block = dict(zip(blocks, route(t, blocks, p, fvals)))
-    table = []
-    for cut in cuts:
-        if t <= _block(cut):
-            row = next(active_rows((t,), cut, p, fvals.__getitem__))
-            table.append((row.fidelity.e_ftilde, row.prob_active, row.fidelity.e_f))
-            continue
-        e_ftilde, active = by_block[cut.finite_value + 1]
-        table.append((e_ftilde, active, e_ftilde / active) if active != 0.0
-                     else (0.0, active, None))
-    return table
-
-
-def _table_by_terms(t: int, blocks: list[int], p: float, fvals: list[float]
-                    ) -> list[tuple[float, float]]:
-    """(E[F~(t)], Pr[X(t) = 1]) for each block t*+1 < t, term by term:
-    each term formed by `_terms`' expression, each column sum added from
-    0.0 in increasing b, each total in increasing m."""
     term_at = _term_at(t, p)
 
     def term(k: int, b: int) -> float:
@@ -669,55 +637,26 @@ def _table_by_terms(t: int, blocks: list[int], p: float, fvals: list[float]
         return term_at(t - 1 - k + b, b, b + 1, t - 1 - k)
 
     low = math.isqrt(t // 2) + 1
-    shared = [[term(k, b) for k in range(b, t)] for b in range(low)]  # [b][k - b]
-    sums = []
-    for block in blocks:
-        joint = [0.0] * block  # g(t - m)
-        for b in range(-(-t // block)):
+    shared = [array("d", [term(k, b) for k in range(b, t)]) for b in range(low)]  # [b][k - b]
+    sums = {}  # block t*+1 < t -> (E[F~], Pr[X = 1])
+    for block in sorted({cut.finite_value + 1 for cut in cuts if t > _block(cut)}):
+        joint = shared[0][:block].tolist()  # g(t - m); 0.0 + a term is the term
+        for b in range(1, -(-t // block)):
             first = b * block
             row = (shared[b][first - b:first - b + block] if b < low
                    else [term(k, b) for k in range(first, min(first + block, t))])
             joint[:len(row)] = map(add, joint, row)
-        sums.append((reduce(add, map(mul, fvals, joint), 0.0), reduce(add, joint, 0.0)))
-    return sums
-
-
-def _table_by_rows(t: int, blocks: list[int], p: float, fvals: list[float]
-                   ) -> list[tuple[float, float]]:
-    """`_table_by_terms` with numpy: the shared terms are one table
-    zero-padded to width 2t, which a block reads as one strided (b, m)
-    view, and rows are added in order (`_accumulate`)."""
-    import numpy as np
-    from numpy.lib.stride_tricks import as_strided
-    f = np.array(fvals)
-    log_fact = np.frombuffer(_log_factorials(t), float)  # a view, no copy
-    log_p, log_q = math.log(p), math.log1p(-p)
-
-    def terms_at(k, b):
-        """g's terms at cells k with b completed blocks: F = t-1-k."""
-        fail = t - 1 - k
-        return _terms(log_fact, fail + b, b, b + 1, fail, log_p, log_q)
-
-    cells = np.arange(t)
-    low = math.isqrt(t // 2) + 1
-    width, step = 2 * t, 8  # float64 bytes; width >= t + block for every block < t
-    shared = np.zeros((low, width))  # [b, k]: the term, for b <= k < t; 0 past t
-    for b in range(low):
-        shared[b, b:t] = terms_at(cells[b:], b)
-    sums = []
-    for block in blocks:
-        rows = min(low, -(-t // block))
-        joint = np.zeros(block)  # g(t - m)
-        # shared's cell (b, b*block + m) sits at flat offset b*(width + block) + m
-        _accumulate(joint, as_strided(shared, (rows, block), ((width + block) * step, step),
-                                      writeable=False))
-        if rows * block < t:  # rows b >= low
-            k = cells[rows * block:]
-            terms = np.zeros(-(-len(k) // block) * block)
-            terms[:len(k)] = terms_at(k, k // block)
-            _accumulate(joint, terms.reshape(-1, block))
-        sums.append((float(np.cumsum(f[:block] * joint)[-1]), float(np.cumsum(joint)[-1])))
-    return sums
+        sums[block] = (reduce(add, map(mul, fvals, joint)), reduce(add, joint))
+    table = []
+    for cut in cuts:
+        if t <= _block(cut):
+            row = next(active_rows((t,), cut, p, fvals.__getitem__))
+            table.append((row.fidelity.e_ftilde, row.prob_active, row.fidelity.e_f))
+            continue
+        e_ftilde, active = sums[cut.finite_value + 1]
+        table.append((e_ftilde, active, e_ftilde / active) if active != 0.0
+                     else (0.0, active, None))
+    return table
 
 
 def prob_active(t: int, tstar: CutoffLike, p: float) -> float:

@@ -521,32 +521,61 @@ def _trial_streams(seed: int, start: int, n: int) -> np.ndarray:
     return streams
 
 
-def _draw(streams: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
+def _draw(streams: np.ndarray, mask: Optional[np.ndarray] = None,
+          work: Optional[np.ndarray] = None) -> np.ndarray:
     """Advance each stream by one draw and return its uniforms, bit for bit
     numpy's ``random()``: the LCG step state * MULT + inc mod 2**128, then
     the new state's XSL-RR output, whose top 53 bits times 2**-53 are the
     double.  The high word of low * MULT's low word comes from 32-bit
     partial products; every other product wraps mod 2**64 as it should.
     Streams where ``mask`` is False keep their state, and their uniforms are
-    to be ignored."""
+    to be ignored.  Every intermediate is written into the four uint64 rows
+    of ``work`` (made here when not given), so the draws of a block that
+    passes one buffer allocate only the uniforms they return.  Additions
+    mod 2**64 give the same bits in any order."""
     import numpy as np
     u = _uint64()
+    if work is None:
+        work = np.empty((4, streams.shape[1]), dtype=np.uint64)
+    new_hi, new_lo, x, y = work
     hi, lo, inc_hi, inc_lo = streams
-    lo_0 = lo & u.low32
-    lo_1 = lo >> u.u32
-    mid = lo_1 * u.mult_lo_0 + (lo_0 * u.mult_lo_0 >> u.u32)
-    mid_0 = lo_0 * u.mult_lo_1 + (mid & u.low32)
-    new_lo = lo * u.mult_lo + inc_lo
-    hi = (lo_1 * u.mult_lo_1 + (mid >> u.u32) + (mid_0 >> u.u32)
-          + hi * u.mult_lo + lo * u.mult_hi + inc_hi + (new_lo < inc_lo))
+    np.right_shift(lo, u.u32, out=x)  # lo_1
+    np.multiply(x, u.mult_lo_1, out=new_hi)
+    x *= u.mult_lo_0
+    np.bitwise_and(lo, u.low32, out=y)  # lo_0
+    np.multiply(y, u.mult_lo_0, out=new_lo)
+    new_lo >>= u.u32
+    x += new_lo  # mid = lo_1 * MULT_0 + (lo_0 * MULT_0 >> 32)
+    y *= u.mult_lo_1
+    np.bitwise_and(x, u.low32, out=new_lo)
+    y += new_lo  # mid_0 = lo_0 * MULT_1 + (mid & low32)
+    x >>= u.u32
+    new_hi += x
+    y >>= u.u32
+    new_hi += y
+    np.multiply(hi, u.mult_lo, out=x)
+    new_hi += x
+    np.multiply(lo, u.mult_hi, out=x)
+    new_hi += x
+    new_hi += inc_hi
+    np.multiply(lo, u.mult_lo, out=new_lo)
+    new_lo += inc_lo
+    np.less(new_lo, inc_lo, out=x)  # the carry into the high word
+    new_hi += x
     if mask is None:
-        streams[0], streams[1] = hi, new_lo
+        streams[0], streams[1] = new_hi, new_lo
     else:
-        np.putmask(streams[0], mask, hi)
-        np.putmask(streams[1], mask, new_lo)
-    out = hi ^ new_lo
-    rot = hi >> u.u58
-    return ((out >> rot | out << (-rot & u.u63)) >> u.u11) * 2.0 ** -53
+        np.putmask(hi, mask, new_hi)
+        np.putmask(lo, mask, new_lo)
+    np.bitwise_xor(new_hi, new_lo, out=x)  # XSL
+    np.right_shift(new_hi, u.u58, out=y)  # RR: rotate right by the top 6 bits
+    np.right_shift(x, y, out=new_lo)
+    np.negative(y, out=y)
+    y &= u.u63
+    x <<= y
+    new_lo |= x
+    new_lo >>= u.u11
+    return new_lo * 2.0 ** -53
 
 
 def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
@@ -583,7 +612,8 @@ def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
     for start in range(0, n_trials, block):
         n = min(block, n_trials - start)
         streams = _trial_streams(seed, start, n)
-        x = _draw(streams) < p  # A(0) = 1
+        work = np.empty((4, n), dtype=np.uint64)  # the draws' intermediates
+        x = _draw(streams, None, work) < p  # A(0) = 1
         n_req = np.ones(n, dtype=np.int64)
         n_succ = x.astype(np.int64)
         m = n_succ - 1
@@ -625,8 +655,8 @@ def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
                 for lo, hi, prob in zip(starts, [*starts[1:], top + 1], probs):
                     pi[lo + 1:hi + 1] = prob
                 pi1 = pi[m + 1]
-            request = _draw(streams) < pi1
-            success = _draw(streams, request) < p
+            request = _draw(streams, None, work) < pi1
+            success = _draw(streams, request, work) < p
             x = np.where(request, success, x)
             m = np.where(request, x - 1, m + x)
             n_req += request

@@ -11,8 +11,8 @@ link quantities of any (t, x, m)-feedback policy, such as the optimum or the
 literal recursion over full history trees, a brute-force search over all
 deterministic (t, x, m) -> action maps and, under ``==``, a recursion that
 visits one state at a time and keeps every action value, all kept in
-``tests/oracles.py``.  Both run on the standard library: ``qlink optimize``
-imports numpy only for a cutoff table past ``cutoff._TABLE_SHORT``.
+``tests/oracles.py``.  Both run on the standard library, as does the
+cutoff table, so ``qlink optimize`` never imports numpy.
 
 Ties in every argmax are broken toward action 0 (wait) so results are
 reproducible bit-for-bit.
@@ -34,9 +34,13 @@ same IEEE operations in the same order.  Each live mass inside a request run
 is multiplied by pi and by 1 - pi; a waiting run's masses and a mass of 0.0
 are left alone, because multiplying by 1.0 and adding 0.0 change nothing.
 The request mass adds down * pi_down, a_0 pi_0, a_1 pi_1, ... in increasing
-age, one at a time.  E[F~] is the in-order sum of f_m a_m, and E[X] the
-pairwise sum of numpy's ``ndarray.sum`` over the zero-padded age row
-(``_pairwise_sum``), as in the loop.
+age, one at a time.  E[F~] is the in-order sum of f_m a_m, and E[X] numpy's
+pairwise sum over the whole zero-padded age row (``_pairwise_sum``), as in
+the loop.  That order does not depend on the numpy version: ``ndarray.sum``
+gives it for rows of up to 8192 values, and for longer rows wherever
+numpy's iterator hands it the row in one piece, as numpy 2.4 does;
+numpy's buffered reductions instead add one 8192-value buffer at a time,
+which at horizons past 8191 can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -134,8 +138,8 @@ class PolicyEvaluation:
 
 
 def _pairwise_sum(values: Sequence[float]) -> float:
-    """numpy's pairwise ``add.reduce`` of a contiguous float64 row, bit for
-    bit: fewer than 8 values added in order from 0.0; up to 128 in 8
+    """numpy's pairwise ``add.reduce`` of a whole float64 row, bit for bit:
+    fewer than 8 values added in order from 0.0; up to 128 in 8
     accumulators, value i into accumulator i mod 8 up to the last multiple
     of 8, the accumulators added as a tree and the rest in order; more
     split at the multiple of 8 nearest below half, each side summed so."""

@@ -20,8 +20,8 @@ chain checks the waiting-time closed form.  The policy dump as a dict of action 
 reference the CLI's run-length ``.policy.json`` (format 2) must equal once
 expanded back to records and passed through ``json.dumps``.  The
 optimizer's state-at-a-time policy evaluation loop and its record-at-a-time
-format-1 dump writer are the references the numpy propagator and the
-CLI's writer must equal under ``==`` and, after the expansion, byte for
+format-1 dump writer are the references the birth-indexed propagator and
+the CLI's writer must equal under ``==`` and, after the expansion, byte for
 byte.
 """
 
@@ -718,13 +718,26 @@ def expanded_policy_text(text: str) -> str:
 # the optimizer's policy evaluation and dump, one state at a time
 # ---------------------------------------------------------------------------
 
+def whole_row_sum(row) -> float:
+    """numpy's pairwise sum of a float64 row taken in one piece, the order
+    of the optimizer's E[X].  The ufunc buffer is made at least as long as
+    the row: where numpy's iterator buffers, it adds a longer row one
+    buffer (8192 values by default) at a time, each piece pairwise."""
+    row = np.ascontiguousarray(row, dtype=float)
+    old = np.setbufsize(max(8192, -(-len(row) // 16) * 16))
+    try:
+        return float(np.add.reduce(row))
+    finally:
+        np.setbufsize(old)
+
+
 def evaluate_state_policy(params: LinkParams, policy: Policy, t: int) -> PolicyEvaluation:
     """Exact link quantities at time t for a (t, x, m)-feedback policy.
 
     Propagates the occupation distribution over (x, m) states directly, so
     it stays exact at horizons where history enumeration is infeasible.
     Requires ``policy.decide_state``; cross-checked against history
-    enumeration in the tests.
+    enumeration in the tests.  E[X] is `whole_row_sum` of the active row.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
@@ -749,7 +762,7 @@ def evaluate_state_policy(params: LinkParams, policy: Policy, t: int) -> PolicyE
         new_active[0] += p * request_mass
         down = stay_down + (1.0 - p) * request_mass
         active = new_active
-    e_x = float(active.sum())
+    e_x = whole_row_sum(active)
     e_ftilde = float(reduce(add, (params.fcurve(m) * w for m, w in enumerate(active) if w), 0.0))
     e_f = e_ftilde / e_x if e_x > 0.0 else None
     return PolicyEvaluation(e_ftilde=e_ftilde, e_x=e_x, e_f=e_f)

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlink import cli, cutoff
+from qlink import cli
 from qlink.cli import main
 from qlink.config import (FIELDS, FIGURES, MAX_HORIZON, MAX_TIME, MODES, ConfigError,
                           load_config, parse_config)
@@ -814,7 +814,6 @@ def test_cli_exit_codes_hold_for_mutated_configs(data):
 
 
 BASE_MODULES = {"cli", "config", "csvio", "cutoff"}
-TABLE_SHORT = cutoff._TABLE_SHORT
 FIG8_DOC = {"schema_version": 1, "mode": "reproduce", "figure": "fig8"}
 
 
@@ -824,7 +823,7 @@ FIG8_DOC = {"schema_version": 1, "mode": "reproduce", "figure": "fig8"}
     (dict(SWEEP_DOC, times={"start": 1, "stop": 200}), set(), True),
     (SIMULATE_DOC, {"engine", "quantum"}, True),
     (OPTIMIZE_DOC, {"engine", "quantum", "optimize"}, False),
-    (dict(OPTIMIZE_DOC, horizon=TABLE_SHORT), {"engine", "quantum", "optimize"}, True),
+    (dict(OPTIMIZE_DOC, horizon=200), {"engine", "quantum", "optimize"}, False),
     (FIG5_DOC, set(), False),
     (FIG8_DOC, {"network"}, False),
 ], ids=["analytic-fidelity", "sweep", "sweep-long", "simulate", "optimize",
@@ -832,10 +831,9 @@ FIG8_DOC = {"schema_version": 1, "mode": "reproduce", "figure": "fig8"}
 def test_each_command_loads_only_its_modules(tmp_path, doc, extra, numpy):
     """A fresh ``qlink`` process imports ``config``, ``csvio`` and ``cutoff``
     with ``cli``, and only the modules its command runs besides.  numpy is
-    loaded by the simulator, cutoff series longer than the term-at-a-time
-    route takes, and an optimize cutoff table past its own bound (horizon
-    ``_TABLE_SHORT`` tables time ``_TABLE_SHORT + 1``); never by
-    ``reproduce``, a fidelity curve or a shorter ``optimize``."""
+    loaded by the simulator and cutoff series longer than the term-at-a-time
+    route takes; never by ``reproduce``, a fidelity curve or ``optimize``,
+    whose tables at t* >= T stay off that route past ``cutoff._SHORT``."""
     out = tmp_path / "o.csv"
     argv = [doc["mode"], "--config", write_config(tmp_path, doc), "--out", str(out)]
     child = (

@@ -607,18 +607,17 @@ def test_cutoff_table_equals_active_rows(p, curve):
 
 
 @pytest.mark.parametrize("p", [1e-9, 0.01, 0.3, 0.999999])
-def test_cutoff_table_is_equal_on_both_routes(monkeypatch, p):
-    """The term-at-a-time table and the numpy table give the same bits, at
-    the route bound and one above it, for every cutoff below t and some
-    above, t* = infinity included."""
+def test_long_cutoff_table_equals_active_rows(p):
+    """At t = 1500 the table's sums, over blocks with more b-rows than the
+    shared table holds and over blocks of two rows, equal each cutoff's
+    `active_rows` row, which the numpy kernel sums."""
     curve = FidelityCurve.dephasing_bell(0.95)
-    for t in (2, 9, 130, ca._TABLE_SHORT, ca._TABLE_SHORT + 1):
-        tstars = [*range(0, t, max(1, t // 60)), t - 2, t - 1, t, t + 5, math.inf]
-        tables = []
-        for short in (0, MAX_TIME):
-            monkeypatch.setattr(ca, "_TABLE_SHORT", short)
-            tables.append(cutoff_table(t, tstars, p, curve))
-        assert tables[0] == tables[1]
+    t = 1500
+    tstars = [0, 1, 2, 7, 26, 27, 28, 52, 53, 54, 100, 748, 749, 750, t - 2, t - 1, t, math.inf]
+    table = cutoff_table(t, tstars, p, curve)
+    for tstar, values in zip(tstars, table):
+        row = next(active_rows((t,), tstar, p, curve))
+        assert values == (row.fidelity.e_ftilde, row.prob_active, row.fidelity.e_f), tstar
 
 
 @pytest.mark.parametrize("tstar", [0, 3, 10, 200, "inf"])

@@ -4,14 +4,15 @@ import math
 import random
 import tracemalloc
 from functools import reduce
-from operator import add
+from itertools import accumulate, repeat
+from operator import add, mul
 
-import numpy as np
 import pytest
 
 from qlink.cutoff import cutoff_policy
 from qlink.engine import LinkParams, Policy
 from qlink.optimize import (
+    PolicyEvaluation,
     _pairwise_sum,
     backward_recursion_reduced,
     evaluate_state_policy,
@@ -424,24 +425,32 @@ def test_state_evaluation_equals_the_loop_on_random_curves_and_rules(p, kind):
                 oracles.evaluate_state_policy(params, policy, T + 1)
 
 
-# numpy before 2.3 adds a reduction longer than its 8192-value buffer one
-# buffer at a time, each pairwise, in order; later versions add it whole
-BUFFERED_SUM = np.lib.NumpyVersion(np.__version__) < "2.3.0"
-
-
 def test_pairwise_sum_is_numpys_sum():
-    """`_pairwise_sum` equals ``ndarray.sum`` of the float64 row under
-    ``==``: every length up to 300, the lengths around numpy's 8192-value
-    buffer, and random lengths up to 3e4, on values of both signs and
-    magnitudes 1e-12 to 1e12."""
+    """`_pairwise_sum` equals numpy's pairwise sum of the whole float64 row
+    under ``==``: every length up to 300, the lengths around numpy's
+    8192-value buffer, and random lengths up to 3e4, on values of both
+    signs and magnitudes 1e-12 to 1e12."""
     rng = random.Random(7)
     lengths = [*range(301), 8191, 8192, 8193, *(rng.randint(301, 30_000) for _ in range(40))]
     for n in lengths:
         values = [rng.choice((-1.0, 1.0)) * rng.random() * 10.0 ** rng.randint(-12, 12)
                   for _ in range(n)]
-        expected = float(np.array(values).sum())
-        if BUFFERED_SUM and n > 8192:
-            buffers = (_pairwise_sum(values[i:i + 8192]) for i in range(0, n, 8192))
-            assert reduce(add, buffers, 0.0) == expected, n
-        else:
-            assert _pairwise_sum(values) == expected, n
+        assert _pairwise_sum(values) == oracles.whole_row_sum(values), n
+
+
+def test_state_evaluation_past_numpys_buffer():
+    """At T = 10^4, past numpy's 8192-value buffer, a policy that keeps its
+    first link forever holds p (1-p)^(j-1) of the link born at time j,
+    formed by the propagator's products.  E[X] is their pairwise sum taken
+    whole, not one buffer at a time, and E[F~] their in-order sum with f."""
+    p, T = 1e-4, 10_000
+    params = params_for(p, FidelityCurve.dephasing_bell(0.95))
+    keep = Policy.from_state_rule(None, "deterministic", "keep", lambda t: (1.0, [0], [0.0]))
+    downs = accumulate(repeat(1.0 - p, T), mul)  # Pr[X = 0] at times 1..T
+    active = [p * down for down in downs][::-1] + [p]  # by age 0..T at time T+1
+    buffered = reduce(add, (_pairwise_sum(active[i:i + 8192]) for i in range(0, T + 1, 8192)))
+    assert _pairwise_sum(active) != buffered  # the orders differ on this row
+    e_ftilde = reduce(add, map(mul, map(params.fcurve, range(T + 1)), active), 0.0)
+    e_x = oracles.whole_row_sum(active)
+    assert evaluate_state_policy(params, keep, T + 1) == \
+        PolicyEvaluation(e_ftilde=e_ftilde, e_x=e_x, e_f=e_ftilde / e_x)
