@@ -52,11 +52,9 @@ if TYPE_CHECKING:
 
 EXHAUSTIVE_WARN_HORIZON = 20
 WEIGHT_SUM_TOL = 1e-12
-# Trials the simulator advances together.  A state-rule block holds a few
-# hundred bytes per trial whatever the horizon; the history path's
-# (block, H) int8 observations and actions are held to HISTORY_BLOCK_BYTES.
+# Trials the simulator advances together; a block holds a few hundred bytes
+# per trial whatever the horizon.
 BLOCK_TRIALS = 8192
-HISTORY_BLOCK_BYTES = 1 << 20
 # Trial indices 0..MAX_TRIALS-1 (config.MAX_TRIALS) are one 32-bit word of
 # the SeedSequence spawn key, the case `_trial_streams` reproduces.  `_draw`
 # runs the trials' PCG64 steps, XSL-RR outputs and 53-bit doubles on uint64
@@ -159,7 +157,7 @@ class Policy:
     ``decide_runs(t)`` all its decisions at time t as ``(down, starts,
     probs)``: Pr[request] when down, and at active age m < t the ``probs``
     entry of the last run starting at or below m (``starts`` ascend from 0).
-    The simulator and `evaluate_state_policy` read state rules through it.
+    The simulator and `evaluate_state_policy` read a policy only through it.
     """
 
     decide: Callable[[int, History], float]
@@ -194,14 +192,6 @@ class Policy:
 
         return cls(decide=decide, kind=kind, label=label, decide_state=rule,
                    decide_runs=runs)
-
-    @classmethod
-    def always_request(cls) -> "Policy":
-        return cls.from_state_rule(lambda t, x, m: 1.0, "deterministic", "always-request")
-
-    @classmethod
-    def never_request(cls) -> "Policy":
-        return cls.from_state_rule(lambda t, x, m: 0.0, "deterministic", "never-request")
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +431,8 @@ class SimulationResult:
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """The per-trial RNG stream: PCG64 keyed on (seed, trial_index).
 
-    Streams are independent across trials and identical regardless of how
-    trials are distributed over threads.
+    Streams are independent across trials, and trial i's stream is the same
+    whichever block of the simulator it falls in.
     """
     import numpy as np
     return np.random.Generator(
@@ -580,16 +570,18 @@ def _draw(streams: np.ndarray, mask: Optional[np.ndarray] = None,
 
 def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
                           n_trials: int, seed: int) -> SimulationResult:
-    """Sample n_trials trajectories and estimate the tracked link quantities.
+    """Sample n_trials trajectories of a state policy and estimate the
+    tracked link quantities.
 
     Trials run in blocks as one state machine over (x, M, N_req, N_succ),
     advanced a time step at a time.  Each step draws every trial's decision
     uniform, then the outcome uniform of the trials that request, from the
     block's streams (see the module docstring), so each trial consumes its
-    stream in the order a trial-at-a-time loop would.  A state rule is read
-    through ``policy.decide_runs``, expanded over the ages present.  Sums
-    over trials accumulate in trial order, so the result does not depend on
-    the block size.
+    stream in the order a trial-at-a-time loop would.  The policy is read
+    only through ``policy.decide_runs``, expanded over the ages present; a
+    policy without a state rule raises ValueError.  Sums over trials
+    accumulate in trial order, so the result does not depend on the block
+    size.
     """
     import numpy as np
     if horizon < 1:
@@ -599,9 +591,8 @@ def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
     p = params.p
     fcurve = params.fcurve
     runs = policy.decide_runs
-    block = BLOCK_TRIALS
     if runs is None:
-        block = max(1, min(block, HISTORY_BLOCK_BYTES // (2 * horizon)))
+        raise ValueError("simulate_trajectories needs a policy with a state rule")
 
     # ftable[m + 1] = f_m for every age reached so far; ftable[0] = 0.0 stands
     # for the unloaded memory, since x = 0 exactly when M = -1
@@ -609,20 +600,14 @@ def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
     n_active = np.zeros(horizon, dtype=np.int64)
     sums = np.zeros((4, horizon))  # per t: sum of Ftilde, Ftilde^2, S, S^2
 
-    for start in range(0, n_trials, block):
-        n = min(block, n_trials - start)
+    for start in range(0, n_trials, BLOCK_TRIALS):
+        n = min(BLOCK_TRIALS, n_trials - start)
         streams = _trial_streams(seed, start, n)
         work = np.empty((4, n), dtype=np.uint64)  # the draws' intermediates
         x = _draw(streams, None, work) < p  # A(0) = 1
         n_req = np.ones(n, dtype=np.int64)
         n_succ = x.astype(np.int64)
         m = n_succ - 1
-        if runs is None:
-            xs = np.empty((n, horizon), dtype=np.int8)
-            acts = np.empty((n, horizon - 1), dtype=np.int8)
-            xs[:, 0] = x
-            _, hist_reps, hist_ids = np.unique(n_succ, return_index=True,
-                                               return_inverse=True)
         fold = np.empty((4, n + 1))
         for t in range(1, horizon + 1):
             idx = t - 1
@@ -643,29 +628,18 @@ def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
             if t == horizon:
                 break
 
-            if runs is None:  # one decision per distinct history present
-                probs = [policy.action_prob(t, History(tuple(xs[r, :t].tolist()),
-                                                       tuple(acts[r, :idx].tolist())))
-                         for r in hist_reps.tolist()]
-                pi1 = np.array(probs, dtype=float)[hist_ids]
-            else:  # [down, the runs over the ages present], read at m + 1
-                down, starts, probs = runs(t)
-                pi = np.empty(top + 2)
-                pi[0] = down
-                for lo, hi, prob in zip(starts, [*starts[1:], top + 1], probs):
-                    pi[lo + 1:hi + 1] = prob
-                pi1 = pi[m + 1]
-            request = _draw(streams, None, work) < pi1
+            # [down, the runs over the ages present], read at m + 1
+            down, starts, probs = runs(t)
+            pi = np.empty(top + 2)
+            pi[0] = down
+            for lo, hi, prob in zip(starts, [*starts[1:], top + 1], probs):
+                pi[lo + 1:hi + 1] = prob
+            request = _draw(streams, None, work) < pi[m + 1]
             success = _draw(streams, request, work) < p
             x = np.where(request, success, x)
             m = np.where(request, x - 1, m + x)
             n_req += request
             n_succ += request & success
-            if runs is None:
-                xs[:, t] = x
-                acts[:, idx] = request
-                _, hist_reps, hist_ids = np.unique(hist_ids * 4 + request * 2 + x,
-                                                   return_index=True, return_inverse=True)
 
     def mean_se(total: np.ndarray, total_sq: np.ndarray, counts: list[int]
                 ) -> tuple[list, list]:

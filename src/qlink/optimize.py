@@ -92,12 +92,6 @@ class OptimizationResult:
     runs: Optional[DecisionRuns] = None
 
 
-def state_space(j: int) -> list:
-    """Reachable (x, m) states at observation time j: down, or active with
-    age 0..j-1."""
-    return [(0, -1)] + [(1, m) for m in range(j)]
-
-
 # ---------------------------------------------------------------------------
 # greedy baseline
 # ---------------------------------------------------------------------------

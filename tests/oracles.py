@@ -42,7 +42,7 @@ from qlink import optimize as opt
 from qlink.cutoff import Cutoff, CutoffLike
 from qlink.engine import (History, LinkParams, Policy, SimulationResult,
                           evolve_exhaustive, expected_quantities, trial_rng)
-from qlink.optimize import OptimizationResult, PolicyEvaluation, state_space
+from qlink.optimize import OptimizationResult, PolicyEvaluation
 
 
 def replay_cutoff_sequence(xs: tuple[int, ...], tstar: Union[int, float]
@@ -285,7 +285,7 @@ def simulate_trajectories_scalar(params: LinkParams, policy: Policy,
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     p = params.p
     fcurve = params.fcurve
-    fast_rule = policy.decide_state
+    rule = policy.decide_state
 
     sum_x = np.zeros(horizon)
     sum_ft = np.zeros(horizon)
@@ -301,8 +301,6 @@ def simulate_trajectories_scalar(params: LinkParams, policy: Policy,
         x = _bernoulli(rng, p)  # A(0) = 1
         m = x - 1
         n_req, n_succ = 1, x
-        xs: list[int] = [x]
-        acts: list[int] = []
         for t in range(1, horizon + 1):
             idx = t - 1
             sum_x[idx] += x
@@ -318,11 +316,7 @@ def simulate_trajectories_scalar(params: LinkParams, policy: Policy,
                 sum_f_active_sq[idx] += ft * ft
             if t == horizon:
                 break
-            if fast_rule is not None:
-                pi1 = fast_rule(t, x, m)
-            else:
-                pi1 = policy.action_prob(t, History(tuple(xs), tuple(acts)))
-            a = _bernoulli(rng, pi1)
+            a = _bernoulli(rng, rule(t, x, m))
             if a == 1:
                 x = _bernoulli(rng, p)
                 m = x - 1
@@ -330,9 +324,6 @@ def simulate_trajectories_scalar(params: LinkParams, policy: Policy,
                 n_succ += x
             else:
                 m += x
-            if fast_rule is None:
-                xs.append(x)
-                acts.append(a)
 
     def mean_se(total: np.ndarray, total_sq: np.ndarray, n: int
                 ) -> tuple[list[float], list[Optional[float]]]:
@@ -411,6 +402,12 @@ def memory_time_explicit(history: History) -> int:
 FULL_TREE_MAX_T = 14
 FULL_TREE_TABLE_MAX_T = 10
 EXHAUSTIVE_TENSOR_MAX_T = 6
+
+
+def state_space(j: int) -> list:
+    """Reachable (x, m) states at observation time j: down, or active with
+    age 0..j-1."""
+    return [(0, -1)] + [(1, m) for m in range(j)]
 
 
 @dataclass
@@ -643,7 +640,7 @@ EXHAUSTIVE_ENGINE_MAX_T = 4
 
 def _policy_from_assignment(assignments: dict[int, tuple[int, ...]], T: int) -> Policy:
     """A Policy from explicit per-time action tuples over
-    qlink.optimize.state_space(t)."""
+    state_space(t)."""
 
     def rule(t: int, x: int, m: int) -> float:
         if t > T:
@@ -788,6 +785,6 @@ def write_policy_json(handle: TextIO, horizon: int,
         handle.write(",\n".join([
             '    {\n      "action": %d,\n      "m": %d,\n      "t": %d,\n'
             '      "x": %d\n    }' % (decide(t, x, m), m, t, x)
-            for x, m in opt.state_space(t)]))
+            for x, m in state_space(t)]))
     handle.write('\n  ],\n  "horizon": %d,\n  "mode": %s\n}\n'
                  % (horizon, json.dumps(result.mode)))

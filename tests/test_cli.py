@@ -31,6 +31,7 @@ from oracles import (backward_recursion_states, expand_policy_dump, expanded_pol
                      policy_dump_dict)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+API_TABLE = Path(__file__).resolve().parents[1] / "docs" / "api.md"
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_CONFIGS = sorted(set(GOLDEN_DIR.glob("*.json")) - set(GOLDEN_DIR.glob("*.policy.json")))
 
@@ -933,6 +934,8 @@ def test_package_namespace_loads_each_name_from_its_submodule():
         submodule = importlib.import_module(f"qlink.{module}")
         for name in names:
             assert getattr(qlink, name) is getattr(submodule, name), name
+    # docs/api.md has one row per public name: the command or criterion
+    assert set(re.findall(r"(?m)^\| `(\w+)` \|", API_TABLE.read_text())) == set(qlink._HOME)
     assert qlink.config is importlib.import_module("qlink.config")
     with pytest.raises(AttributeError, match="no_such_name"):
         qlink.no_such_name  # noqa: B018

@@ -34,6 +34,14 @@ def stochastic_policy() -> Policy:
                                   "test-stochastic")
 
 
+def always_request() -> Policy:
+    return Policy.from_state_rule(lambda t, x, m: 1.0, "deterministic", "always-request")
+
+
+def never_request() -> Policy:
+    return Policy.from_state_rule(lambda t, x, m: 0.0, "deterministic", "never-request")
+
+
 def history_policy() -> Policy:
     """A stochastic policy with no decide_state: it reads the whole history."""
     return Policy(decide=lambda t, h: 0.2 + 0.3 * (sum(h.actions) % 3),
@@ -91,9 +99,10 @@ def test_memory_time_examples():
 @pytest.mark.parametrize("policy_factory", [
     lambda: cutoff_policy(2),
     lambda: cutoff_policy("inf"),
-    Policy.always_request,
-    Policy.never_request,
+    always_request,
+    never_request,
     stochastic_policy,
+    history_policy,
 ])
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.8, 1.0])
 def test_history_prob_sums_to_one(policy_factory, p):
@@ -104,14 +113,14 @@ def test_history_prob_sums_to_one(policy_factory, p):
 
 
 def test_iter_weights_match_history_prob():
-    policy = stochastic_policy()
-    for history, weight in iter_supported_histories(0.35, policy, 6):
-        assert history_prob(history, policy, 0.35) == pytest.approx(weight, rel=1e-12)
+    for policy in (stochastic_policy(), history_policy()):
+        for history, weight in iter_supported_histories(0.35, policy, 6):
+            assert history_prob(history, policy, 0.35) == pytest.approx(weight, rel=1e-12)
 
 
 def test_history_prob_zero_off_support():
     # waiting cannot flip the link value
-    policy = Policy.never_request()
+    policy = never_request()
     assert history_prob(History((1, 0), (0,)), policy, 0.5) == 0.0
     # a request the policy never makes
     assert history_prob(History((1, 1), (1,)), policy, 0.5) == 0.0
@@ -149,7 +158,7 @@ def test_evolve_mixture_normalized_and_consistent():
 
 def test_evolve_first_step():
     params = LinkParams.symbolic(0.25, CURVE)
-    mx = evolve_exhaustive(params, Policy.always_request(), 1)[0]
+    mx = evolve_exhaustive(params, always_request(), 1)[0]
     assert mx.failure_weight == pytest.approx(0.75)
     assert mx.age_weights == {0: pytest.approx(0.25)}
 
@@ -181,7 +190,7 @@ def test_every_reader_rejects_a_state_rule_that_is_not_a_probability(reader, rul
 
 def test_expected_quantities_degenerate():
     params = LinkParams.symbolic(0.0, CURVE)
-    mx = evolve_exhaustive(params, Policy.always_request(), 3)[-1]
+    mx = evolve_exhaustive(params, always_request(), 3)[-1]
     q = expected_quantities(mx, CURVE)
     assert q.prob_active == 0.0 and q.e_ftilde == 0.0
     assert q.e_f is None and q.conditional_ages is None
@@ -315,25 +324,11 @@ def test_simulation_is_deterministic_given_seed():
     assert r1.prob_active != r3.prob_active
 
 
-def test_simulation_fast_path_matches_history_path():
-    """A state policy run through decide_state agrees trajectory-for-trajectory
-    with the same rule run through full histories."""
-    rule = cutoff_policy(2).decide_state
-    with_fast = Policy.from_state_rule(rule, "deterministic")
-    without_fast = Policy(decide=with_fast.decide, kind="deterministic")
-    params = LinkParams.symbolic(0.4, CURVE)
-    r1 = simulate_trajectories(params, with_fast, 8, 200, seed=7)
-    r2 = simulate_trajectories(params, without_fast, 8, 200, seed=7)
-    assert r1.prob_active == r2.prob_active
-    assert r1.e_s == r2.e_s
-
-
 SIM_POLICIES = {
     "cutoff0": lambda: cutoff_policy(0),
     "cutoff3": lambda: cutoff_policy(3),
     "cutoffinf": lambda: cutoff_policy("inf"),
     "stochastic": stochastic_policy,
-    "history": history_policy,
 }
 
 
@@ -390,18 +385,6 @@ def test_state_rule_simulation_memory_does_not_grow_with_horizon():
     short, long = (traced_extra_bytes(params, cutoff_policy(5), horizon, 200)
                    for horizon in (50, 2000))
     assert long < short + HORIZON_SLACK_BYTES, (short, long)
-
-
-def test_history_simulation_memory_stays_within_its_budget():
-    """The history path's (block, H) int8 observations and actions are held
-    to HISTORY_BLOCK_BYTES at a long horizon, over more than one block."""
-    horizon = 2000
-    block = engine.HISTORY_BLOCK_BYTES // (2 * horizon)
-    policy = Policy(decide=lambda t, h: 1.0, kind="deterministic")
-    # p = 0: every trial has the one history, so one decision per step
-    params = LinkParams.symbolic(0.0, CURVE)
-    extra = traced_extra_bytes(params, policy, horizon, block + 1)
-    assert extra < engine.HISTORY_BLOCK_BYTES + HORIZON_SLACK_BYTES, extra
 
 
 def test_simulation_evaluates_each_visited_age_once():

@@ -10,14 +10,13 @@ from operator import add, mul
 import pytest
 
 from qlink.cutoff import cutoff_policy
-from qlink.engine import LinkParams, Policy
+from qlink.engine import LinkParams, Policy, simulate_trajectories
 from qlink.optimize import (
     PolicyEvaluation,
     _pairwise_sum,
     backward_recursion_reduced,
     evaluate_state_policy,
     forward_greedy,
-    state_space,
 )
 from qlink.quantum import FidelityCurve
 
@@ -31,6 +30,7 @@ from oracles import (
     evaluate_policy,
     exhaustive_policy_search,
     exhaustive_policy_search_engine,
+    state_space,
 )
 
 CURVE = FidelityCurve.depolarizing(1.0, 0.8, 4)
@@ -166,6 +166,8 @@ def test_state_evaluation_requires_state_rule():
     history_only = Policy(decide=lambda t, h: 0.0, kind="deterministic")
     with pytest.raises(ValueError):
         evaluate_state_policy(params, history_only, 3)
+    with pytest.raises(ValueError):
+        simulate_trajectories(params, history_only, 3, 10, seed=0)
 
 
 def test_optimal_policy_reproduces_its_value():
