@@ -36,7 +36,7 @@ def main() -> int:
     print(",".join(str(h) for h in header))
     for p in args.ps:
         params = LinkParams.symbolic(p, curve)
-        optimal = backward_recursion_reduced(params, T, keep_table=False).optimal_value
+        optimal = backward_recursion_reduced(params, T).optimal_value
         greedy = evaluate_state_policy(params, forward_greedy(params), T + 1)
         cells = [f"{p:g}", f"{optimal:.6f}", f"{greedy.e_ftilde:.6f}"]
         for c in cutoffs:

@@ -57,7 +57,7 @@ def _metadata(config: RunConfig, seed: Optional[int] = None) -> dict[str, str]:
     meta = {
         "qlink-version": __version__,
         "mode": config.mode,
-        "config-hash": config_hash(config.hash_source()),
+        "config-hash": config_hash(config.raw),
     }
     if config.figure is not None:
         meta["figure"] = config.figure

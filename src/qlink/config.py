@@ -117,9 +117,6 @@ class RunConfig:
     # every override the figure reads, parsed, defaults filled in
     figure_overrides: dict = field(default_factory=dict)
 
-    def hash_source(self) -> dict:
-        return self.raw
-
 
 def _require(doc: dict, key: str, kind: type = object, where: str = "") -> Any:
     if key not in doc:

@@ -12,8 +12,9 @@ in memory, with -1 for an unloaded memory:
     M(t) = M(t-1) + X(t)   if A(t-1) = 0
     M(t) = X(t) - 1        if A(t-1) = 1
 
-The engine runs symbolically on (p, FidelityCurve); density matrices enter
-only through `materialize_average_state`.
+A link is the paper's pair (p, f_m), `LinkParams`; density matrices enter
+only through `materialize_average_state`, from the state and memory channel
+the curve was made from.
 
 Monte Carlo draw contract.  Trial i of a run seeded with s takes every
 random number from its own stream `trial_rng(s, i)`, in this order: one
@@ -43,7 +44,6 @@ from .quantum import (
     DensityOperator,
     FidelityCurve,
     KrausChannel,
-    PureState,
     memory_evolve,
 )
 
@@ -200,45 +200,20 @@ class Policy:
 
 @dataclass(frozen=True)
 class LinkParams:
-    """Physical model of one elementary link.
-
-    Symbolic mode carries only (p, fidelity curve).  Materialized mode also
-    carries (rho0, memory channel, target) so that average states can be
-    produced as density matrices; its fidelity curve is derived from channel
-    powers.
-    """
+    """One elementary link as the paper models it: the success probability p
+    of a request and the memory's fidelity curve f_m.  A curve made from a
+    noise model is ``FidelityCurve.from_channel(rho0, channel, target)``."""
 
     p: float
     fcurve: FidelityCurve
-    rho0: Optional[DensityOperator] = None
-    channel: Optional[KrausChannel] = None
-    target: Optional[PureState] = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"success probability must be in [0, 1], got {self.p}")
-        mats = (self.rho0, self.channel, self.target)
-        if any(m is not None for m in mats) and any(m is None for m in mats):
-            raise ValueError("materialized mode needs rho0, channel and target together")
-        if self.rho0 is not None:
-            assert self.channel is not None and self.target is not None
-            if not (self.rho0.dim == self.channel.dim_in == self.channel.dim_out
-                    == self.target.dim):
-                raise ValueError("rho0/channel/target dimensions disagree")
-
-    @property
-    def materialized(self) -> bool:
-        return self.rho0 is not None
 
     @classmethod
     def symbolic(cls, p: float, fcurve: FidelityCurve) -> "LinkParams":
         return cls(p=p, fcurve=fcurve)
-
-    @classmethod
-    def from_quantum(cls, p: float, rho0: DensityOperator, channel: KrausChannel,
-                     target: PureState) -> "LinkParams":
-        fcurve = FidelityCurve.from_channel(rho0, channel, target)
-        return cls(p=p, fcurve=fcurve, rho0=rho0, channel=channel, target=target)
 
 
 # ---------------------------------------------------------------------------
@@ -383,21 +358,20 @@ def expected_quantities(mixture: LinkStateMixture, fcurve: FidelityCurve
                           e_f=e_ftilde / prob_active, conditional_ages=conditional)
 
 
-def materialize_average_state(mixture: LinkStateMixture, params: LinkParams
-                              ) -> DensityOperator:
-    """The average state as a density matrix on dim+1 dimensions.
+def materialize_average_state(mixture: LinkStateMixture, rho0: DensityOperator,
+                              channel: KrausChannel) -> DensityOperator:
+    """The average state as a density matrix on dim+1 dimensions: the state
+    ``rho0`` after m steps of the memory ``channel``, weighted by
+    Pr[X(t) = 1, M(t) = m].
 
     The failure branch occupies one appended basis vector orthogonal to the
     link space, so fidelities against (padded) targets are unchanged.
     """
     import numpy as np
-    if not params.materialized:
-        raise ValueError("materialization requires LinkParams with rho0/channel/target")
-    assert params.rho0 is not None and params.channel is not None
-    dim = params.rho0.dim
+    dim = rho0.dim
     out = np.zeros((dim + 1, dim + 1), dtype=complex)
     for m, weight in mixture.age_weights.items():
-        out[:dim, :dim] += weight * memory_evolve(params.rho0, params.channel, m).matrix
+        out[:dim, :dim] += weight * memory_evolve(rho0, channel, m).matrix
     out[dim, dim] = mixture.failure_weight
     return DensityOperator(out)
 

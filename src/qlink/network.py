@@ -9,7 +9,7 @@ cutoff analytics.  ``t = math.inf`` selects the steady-state values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import add
 from typing import TYPE_CHECKING, Optional, Sequence, Union
@@ -19,8 +19,8 @@ from . import cutoff as ca
 if TYPE_CHECKING:
     import numpy as np
 
-    from .engine import LinkParams, LinkStateMixture
-    from .quantum import DensityOperator, FidelityCurve
+    from .engine import LinkStateMixture
+    from .quantum import DensityOperator, KrausChannel
 
 MATERIALIZE_DIM_CAP = 2 ** 12
 
@@ -33,7 +33,6 @@ class ParallelLinkSpec:
 
     p: float
     tstar: ca.Cutoff
-    fcurve: Optional[FidelityCurve] = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:
@@ -57,10 +56,6 @@ class EdgeConfig:
         if not self.links:
             raise ValueError(f"edge {self.edge_id!r} needs at least one link")
         object.__setattr__(self, "links", tuple(self.links))
-
-    @property
-    def n_max(self) -> int:
-        return len(self.links)
 
 
 @dataclass(frozen=True)
@@ -154,15 +149,15 @@ class JointStateDescriptor:
         return prod
 
 
-def joint_state_descriptor(specs: Sequence[ParallelLinkSpec], t: int,
-                           link_params: Optional[Sequence[LinkParams]] = None,
-                           materialize: bool = False
-                           ) -> tuple[JointStateDescriptor, Optional[DensityOperator]]:
+def joint_state_descriptor(
+        specs: Sequence[ParallelLinkSpec], t: int,
+        states: Optional[Sequence[tuple[DensityOperator, KrausChannel]]] = None,
+) -> tuple[JointStateDescriptor, Optional[DensityOperator]]:
     """Per-link mixtures at time t under each link's cutoff policy.
 
-    When ``materialize`` is set, ``link_params`` must supply materialized
-    LinkParams (rho0/channel/target) for every link and the tensor-product
-    average state is returned alongside; total dimension is capped.
+    Given ``states``, one ``(rho0, channel)`` pair per link, the
+    tensor-product average state is returned alongside; total dimension is
+    capped.
     """
     import numpy as np
 
@@ -176,19 +171,15 @@ def joint_state_descriptor(specs: Sequence[ParallelLinkSpec], t: int,
         mixtures.append(LinkStateMixture(t=t, failure_weight=1.0 - row.prob_active,
                                          age_weights=dict(enumerate(row.joint))))
     descriptor = JointStateDescriptor(t=t, mixtures=mixtures)
-    if not materialize:
+    if states is None:
         return descriptor, None
-    if link_params is None or len(link_params) != len(specs):
-        raise ValueError("materialization needs one materialized LinkParams per link")
-    total_dim = 1
-    for params in link_params:
-        if not params.materialized:
-            raise ValueError("materialization needs materialized-mode LinkParams")
-        assert params.rho0 is not None
-        total_dim *= params.rho0.dim + 1
+    if len(states) != len(specs):
+        raise ValueError(f"materialization needs one (rho0, channel) per link, "
+                         f"got {len(states)} for {len(specs)}")
+    total_dim = math.prod(rho0.dim + 1 for rho0, _ in states)
     if total_dim > MATERIALIZE_DIM_CAP:
         raise ValueError(f"joint dimension {total_dim} exceeds cap {MATERIALIZE_DIM_CAP}")
     joint = np.array([[1.0 + 0.0j]])
-    for mixture, params in zip(mixtures, link_params):
-        joint = np.kron(joint, materialize_average_state(mixture, params).matrix)
+    for mixture, (rho0, channel) in zip(mixtures, states):
+        joint = np.kron(joint, materialize_average_state(mixture, rho0, channel).matrix)
     return descriptor, DensityOperator(joint)

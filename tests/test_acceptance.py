@@ -36,7 +36,13 @@ from qlink.cutoff import (
     transition_matrix,
     waiting_time,
 )
-from qlink.engine import BLOCK_TRIALS, LinkParams, simulate_trajectories
+from qlink.engine import (
+    BLOCK_TRIALS,
+    LinkParams,
+    LinkStateMixture,
+    materialize_average_state,
+    simulate_trajectories,
+)
 from qlink.network import (
     EdgeConfig,
     NetworkConfig,
@@ -53,6 +59,7 @@ from qlink.quantum import (
     memory_evolve,
     preset_channel,
     preset_state,
+    tensor_channel,
 )
 
 from oracles import (
@@ -205,6 +212,10 @@ def test_criterion_04_steady_state_limits(p):
         assert abs(prob_active(t, tstar, p) - (tstar + 1) * p / denom) <= 1e-6
         for m in range(tstar + 1):
             assert abs(joint_prob(t, tstar, p, m, 1) - p / denom) <= 1e-6
+        row = next(ca.active_rows((t,), tstar, p, CURVE))
+        steady = ca.steady_fidelity_cutoff(tstar, p, CURVE)
+        assert abs(row.fidelity.e_ftilde - steady.e_ftilde) <= 1e-6
+        assert abs(row.fidelity.e_f - steady.e_f) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +226,16 @@ def test_criterion_05_success_rate_limits():
     t = 2000
     for p in (0.1, 0.3, 0.7):
         for tstar in (0, 2, 5, 10):
+            assert ca.success_rate_limits(tstar, p).limit == p
             assert abs(ca.expected_success_rate(t, tstar, p) - p) <= 2e-3
     target = -0.3 * math.log(0.3) / 0.7
     assert abs(target - 0.515988) < 1e-6  # hand-derived constant
+    assert abs(ca.success_rate_limits(math.inf, 0.3).limit - target) <= 1e-12
     assert abs(ca.expected_success_rate(t, math.inf, 0.3) - target) <= 2e-3
     for p in (0.1, 0.3, 0.5, 0.9):
         plateau = p * hyp2f1_series(1, 1, 2, 1.0 - p)
         assert abs(plateau - (-p * math.log(p) / (1.0 - p))) <= 1e-10
+        assert abs(ca.success_rate_limits(math.inf, p).plateau(0) - plateau) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +316,7 @@ def test_criterion_08a_full_tree_equals_reduced():
         params = _opt_params(p, lam)
         for T in (12, 14):
             full = backward_recursion_full(params, T, keep_table=False)
-            reduced = opt.backward_recursion_reduced(params, T, keep_table=False)
+            reduced = opt.backward_recursion_reduced(params, T)
             assert abs(full.optimal_value - reduced.optimal_value) <= 1e-12
 
 
@@ -410,6 +424,26 @@ def test_criterion_09_quantum_core():
         assert np.abs(out.matrix - out.matrix.conj().T).max() <= 1e-12
         assert np.linalg.eigvalsh(out.matrix).min() >= -1e-10
         checked += 1
+
+    # the average state of a k-node link under per-node dephasing: trace 1,
+    # failure weight on the appended vector, E[F~(t)] as the fidelity with
+    # the zero-padded target
+    t, p = 8, 0.4
+    for k in (2, 3):
+        target = preset_state("ghz", k=k)
+        rho0 = target.projector()
+        channel = tensor_channel([preset_channel("dephasing", 2, 0.9)] * k)
+        curve = FidelityCurve.from_channel(rho0, channel, target)
+        padded = PureState(np.append(target.amplitudes, 0.0))
+        for tstar in (0, 3, 5, math.inf):
+            row = next(ca.active_rows((t,), tstar, p, curve))
+            mixture = LinkStateMixture(t=t, failure_weight=1.0 - row.prob_active,
+                                       age_weights=dict(enumerate(row.joint)))
+            rho = materialize_average_state(mixture, rho0, channel)
+            assert rho.dim == 2 ** k + 1
+            assert abs(np.trace(rho.matrix) - 1.0) <= 1e-12
+            assert rho.matrix[-1, -1] == 1.0 - row.prob_active
+            assert abs(fidelity(rho, padded) - row.fidelity.e_ftilde) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

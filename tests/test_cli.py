@@ -167,7 +167,7 @@ def hashlib_config_hash(config: dict) -> str:
 def test_config_hash_is_hashlib_sha256_on_golden_configs(path):
     """The built-in SHA-256 gives ``hashlib``'s digest, and the golden CSV's
     ``config-hash`` line."""
-    digest = config_hash(load_config(str(path)).hash_source())
+    digest = config_hash(load_config(str(path)).raw)
     assert digest == hashlib_config_hash(json.loads(path.read_text()))
     golden = read_result_table(str(path.with_suffix(".csv")))
     assert golden.metadata["config-hash"] == digest
@@ -392,7 +392,7 @@ def test_cli_policy_dump_bytes_at_a_long_horizon(tmp_path):
     assert main(["optimize", "--config", write_config(tmp_path, doc),
                  "--out", str(tmp_path / "opt.csv")]) == 0
     params = LinkParams.symbolic(0.5, parse_config(doc).link.fidelity.curve())
-    result = backward_recursion_reduced(params, T, keep_table=False)
+    result = backward_recursion_reduced(params, T)
     oracle = json.dumps(policy_dump_dict(result, T), indent=2, sort_keys=True) + "\n"
     assert expanded_policy_text((tmp_path / "opt.csv.policy.json").read_text()) == oracle
 
@@ -417,8 +417,7 @@ def test_cli_policy_dump_equals_the_record_at_a_time_writer(p, curve):
     some time when 0 < p < 1."""
     most = 0
     for T in (1, 2, 7, 40, 300):
-        result = backward_recursion_reduced(LinkParams.symbolic(p, curve), T,
-                                            keep_table=False)
+        result = backward_recursion_reduced(LinkParams.symbolic(p, curve), T)
         new, old = io.StringIO(), io.StringIO()
         cli.write_policy_json(new, T, result)
         oracles.write_policy_json(old, T, result)
@@ -452,6 +451,23 @@ def test_cli_exit_codes(tmp_path):
     # unwritable output
     assert main(["analytic", "--config", good,
                  "--out", str(tmp_path / "no_dir" / "o.csv")]) == 4
+
+
+def test_cli_numeric_error_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    """An arithmetic failure in a compute step exits 3 with a numeric-error
+    message, and leaves neither the CSV nor a temporary file behind."""
+    import qlink.cutoff
+
+    def overflow(*args, **kwargs):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(qlink.cutoff, "active_rows", overflow)
+    config = write_config(tmp_path, analytic_doc())
+    out = tmp_path / "o.csv"
+    assert main(["analytic", "--config", config, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("qlink: numeric error")
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 @pytest.mark.parametrize("value", ["2", "many"])
@@ -629,6 +645,9 @@ def nested_overrides_config(depth):
     ("optimize", dict(OPTIMIZE_DOC, horizon=10 ** 12), 2),
     ("simulate", dict(SIMULATE_DOC, horizon=MAX_HORIZON + 1), 2),
     ("simulate", dict(SIMULATE_DOC, trials=2 ** 32 + 1), 2),
+    ("analytic", _with(analytic_doc(), "link.p", "0.3"), 2),
+    ("analytic", analytic_doc(times={"start": 5, "stop": 1}), 2),
+    ("analytic", [], 2),
 ], ids=["dim-str", "dim-zero", "step-str", "t_max-str", "tstars-negative",
         "p-above-one", "unknown-top-level", "unknown-override", "config-dir",
         "not-utf8", "deep-nesting", "figure-outside-reproduce",
@@ -649,7 +668,8 @@ def nested_overrides_config(depth):
         "times-range-above-cap", "time-huge", "time-above-cap",
         "times-range-start-huge", "t_req-huge", "override-t_max-above-cap",
         "override-t-huge", "override-t_req_max-huge", "horizon-huge-in-optimize",
-        "horizon-above-cap-in-simulate", "trials-above-cap"])
+        "horizon-above-cap-in-simulate", "trials-above-cap", "p-str",
+        "times-range-reversed", "root-array"])
 def test_cli_malformed_input_exit_codes(tmp_path, command, doc, code):
     """Malformed input ends in its documented exit code, never a traceback,
     and writes no output.  Words of ``command`` after the first are passed

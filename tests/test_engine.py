@@ -218,10 +218,10 @@ def test_evolve_warns_above_horizon_cap():
 def test_materialized_average_state():
     bell = preset_state("bell_phi_plus")
     channel = preset_channel("depolarizing", 4, 0.85)
-    params = LinkParams.from_quantum(0.45, bell.projector(), channel, bell)
+    params = LinkParams(0.45, FidelityCurve.from_channel(bell.projector(), channel, bell))
     policy = cutoff_policy(2)
     mx = evolve_exhaustive(params, policy, 6)[-1]
-    rho = materialize_average_state(mx, params)
+    rho = materialize_average_state(mx, bell.projector(), channel)
     assert rho.dim == 5
     # failure branch sits on the appended basis vector
     assert rho.matrix[4, 4].real == pytest.approx(mx.failure_weight, abs=1e-12)
@@ -231,13 +231,6 @@ def test_materialized_average_state():
     e_ftilde = float((target.conj() @ rho.matrix @ target).real)
     q = expected_quantities(mx, params.fcurve)
     assert e_ftilde == pytest.approx(q.e_ftilde, abs=1e-12)
-
-
-def test_materialize_requires_quantum_params():
-    params = LinkParams.symbolic(0.5, CURVE)
-    mx = evolve_exhaustive(params, cutoff_policy(1), 2)[-1]
-    with pytest.raises(ValueError):
-        materialize_average_state(mx, params)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qlink.cutoff import Cutoff, joint_prob, prob_active, steady_state
-from qlink.engine import LinkParams
 from qlink.network import (
     EdgeConfig,
     NetworkConfig,
@@ -140,15 +139,11 @@ def test_joint_state_descriptor_weights():
 def test_joint_state_descriptor_materialized():
     bell = preset_state("bell_phi_plus")
     channel = preset_channel("depolarizing", 4, 0.9)
-    params = LinkParams.from_quantum(0.5, bell.projector(), channel, bell)
-    specs = [ParallelLinkSpec(p=0.5, tstar=Cutoff(1), fcurve=params.fcurve)]
-    descriptor, rho = joint_state_descriptor(specs, t=4, link_params=[params],
-                                             materialize=True)
+    specs = [ParallelLinkSpec(p=0.5, tstar=Cutoff(1))]
+    descriptor, rho = joint_state_descriptor(specs, t=4,
+                                             states=[(bell.projector(), channel)])
     assert rho is not None and rho.dim == 5
     assert rho.matrix[4, 4].real == pytest.approx(
         descriptor.mixtures[0].failure_weight, abs=1e-12)
     with pytest.raises(ValueError):
-        joint_state_descriptor(specs, t=4, link_params=None, materialize=True)
-    symbolic = LinkParams.symbolic(0.5, params.fcurve)
-    with pytest.raises(ValueError):
-        joint_state_descriptor(specs, t=4, link_params=[symbolic], materialize=True)
+        joint_state_descriptor(specs, t=4, states=[(bell.projector(), channel)] * 2)

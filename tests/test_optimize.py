@@ -152,7 +152,7 @@ def test_state_evaluation_equals_the_state_at_a_time_loop(p, kind):
     params = params_for(p, CURVES[kind])
     stochastic = Policy.from_state_rule(lambda t, x, m: 0.25 + 0.5 * x, "stochastic")
     for T in (1, 2, 7, 40, 300):
-        optimal = backward_recursion_reduced(params, T, keep_table=False).policy
+        optimal = backward_recursion_reduced(params, T).policy
         cases = [(optimal, T + 1), (optimal, T + 3), (forward_greedy(params), T + 1),
                  (stochastic, T + 1)]
         cases += [(cutoff_policy(tstar), T + 1) for tstar in (0, 3, T, math.inf)]
@@ -334,11 +334,11 @@ def test_reduced_result_holds_o_of_t_bytes():
     over m: ~76 KB at T=4000, where one decision array per time held
     ~8.9 MB."""
     params = params_for(0.5, FidelityCurve.dephasing_bell(0.95))
-    backward_recursion_reduced(params, 2, keep_table=False)  # one-time caches
+    backward_recursion_reduced(params, 2)  # one-time caches
     T = 4000
     tracemalloc.start()
     try:
-        result = backward_recursion_reduced(params, T, keep_table=False)
+        result = backward_recursion_reduced(params, T)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
