@@ -17,19 +17,18 @@ _HOMES = {
         "preset_state", "tensor_channel",
     ),
     "engine": (
-        "History", "LinkParams", "LinkStateMixture", "Policy",
-        "evolve_exhaustive", "expected_quantities", "history_prob",
-        "iter_supported_histories", "materialize_average_state",
-        "simulate_trajectories",
+        "History", "LinkParams", "Policy", "evolve_exhaustive",
+        "history_prob", "iter_supported_histories",
+        "materialize_average_state", "simulate_trajectories",
     ),
     "cutoff": (
-        "ActiveRow", "Cutoff", "SequenceStats", "active_rows",
+        "Cutoff", "LinkState", "SequenceStats", "active_rows",
         "count_sequences", "cutoff_policy", "expected_fidelity_cutoff",
         "expected_success_rate", "expected_success_rates",
         "history_prob_cutoff", "hyp2f1_series", "joint_prob",
         "memory_time_cutoff", "prob_active", "sequence_stats",
-        "steady_fidelity_cutoff", "steady_state", "success_rate_limits",
-        "transition_matrix", "waiting_time", "waiting_times",
+        "steady_state", "success_rate_limits", "transition_matrix",
+        "waiting_time", "waiting_times",
     ),
     "network": (
         "EdgeConfig", "NetworkConfig", "ParallelLinkSpec", "collective_status",

@@ -73,10 +73,8 @@ def _metadata(config: RunConfig, seed: Optional[int] = None) -> dict[str, str]:
 def _analytic_rows(link: LinkSpec, times: Sequence[int]) -> list[tuple]:
     rows = []
     for row in ca.active_rows(times, link.tstar, link.p, _link_curve(link), success=True):
-        fid = row.fidelity
-        e_ftilde, e_f = (fid.e_ftilde, fid.e_f) if fid is not None else (None, None)
         rows.append((link.p, _tstar_cell(link.tstar), row.t, row.prob_active,
-                     e_ftilde, e_f, row.success_rate))
+                     row.e_ftilde, row.e_f, row.success_rate))
     return rows
 
 
@@ -190,11 +188,11 @@ def run_optimize(config: RunConfig) -> tuple[ResultTable, Callable[[TextIO], Non
     table = ResultTable(columns=list(OPTIMIZE_COLUMNS), rows=[],
                         metadata=_metadata(config))
     check = opt.evaluate_state_policy(params, result.policy, T + 1)
-    table.append("optimal", result.optimal_value, check.e_x, check.e_f)
+    table.append("optimal", result.optimal_value, check.prob_active, check.e_f)
 
     greedy = opt.forward_greedy(params)
     ev = opt.evaluate_state_policy(params, greedy, T + 1)
-    table.append("greedy", ev.e_ftilde, ev.e_x, ev.e_f)
+    table.append("greedy", ev.e_ftilde, ev.prob_active, ev.e_f)
 
     cutoffs = [ca.Cutoff(v) for v in range(T + 1)] + [ca.Cutoff(math.inf)]
     for cut, row in zip(cutoffs, ca.cutoff_table(T + 1, cutoffs, link.p, curve)):

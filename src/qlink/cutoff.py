@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import accumulate
 from operator import add, mul
@@ -136,7 +136,7 @@ def cutoff_policy(tstar: CutoffLike) -> Policy:
     rule = lambda t, x, m: 1.0 if (m == -1 or m >= ts) else 0.0
     hold = (1.0, (0,), (0.0,))
     discard = (1.0, (0, ts), (0.0, 1.0)) if ts else (1.0, (0,), (1.0,))
-    return Policy.from_state_rule(rule, "deterministic", f"cutoff({cut})",
+    return Policy.from_state_rule(rule, "deterministic",
                                   lambda t: hold if t <= ts else discard)
 
 
@@ -486,27 +486,38 @@ def joint_prob(t: int, tstar: CutoffLike, p: float, m: int, x: int) -> float:
 
 
 @dataclass(frozen=True)
-class FidelityExpectations:
-    e_ftilde: float
-    e_f: Optional[float]  # None when the link is never active
+class LinkState:
+    """The link's (x, m) distribution at one time t, whatever the policy:
+    the average state sum_m joint[m] rho_m + (1 - prob_active) |0><0|.
 
-
-@dataclass(frozen=True)
-class ActiveRow:
-    """The active-link distribution at one time t under the cutoff policy.
-
-    ``joint[m]`` is Pr[M_{t*}(t) = m, X(t) = 1] for every age m the link can
-    have at t: 0..min(t, t*+1)-1, or 0..t-1 for t* = infinity.
-    ``prob_active`` is Pr[X(t) = 1].  ``fidelity`` holds E[F~(t)] and E[F(t)]
-    when the row was built with a fidelity curve, and ``success_rate``
-    E[S(t)] when it was asked for.
+    ``joint[m]`` is Pr[X(t) = 1, M(t) = m] for every age m the link can
+    have at t, ``prob_active`` is Pr[X(t) = 1], and the down weight
+    Pr[X(t) = 0] is 1 - prob_active.  ``t = math.inf`` marks the limit
+    state.  ``e_ftilde`` and ``e_f`` are E[F~(t)] and E[F(t)] when the
+    state was built with a fidelity curve (``e_f`` None while the link is
+    never active), and ``success_rate`` E[S(t)] when it was asked for.
     """
 
-    t: int
+    t: Union[int, float]
     joint: tuple[float, ...]
     prob_active: float
-    fidelity: Optional[FidelityExpectations] = None
+    e_ftilde: Optional[float] = None
+    e_f: Optional[float] = None
     success_rate: Optional[float] = None
+
+    @classmethod
+    def from_joint(cls, t: Union[int, float], joint: tuple[float, ...], prob_active: float,
+                   fvals: Optional[Sequence[float]] = None,
+                   success_rate: Optional[float] = None) -> "LinkState":
+        """The state whose E[F~] is the in-order sum of ``fvals[m] joint[m]``
+        (``fvals[m]`` = f_m, given for every age of ``joint``), 0.0 while
+        the link is never active, and E[F] = E[F~] / prob_active."""
+        if fvals is None:
+            return cls(t, joint, prob_active, success_rate=success_rate)
+        if prob_active == 0.0:
+            return cls(t, joint, prob_active, 0.0, None, success_rate)
+        e_ftilde = reduce(add, map(mul, fvals, joint), 0.0)
+        return cls(t, joint, prob_active, e_ftilde, e_ftilde / prob_active, success_rate)
 
 
 def _checked_times(times: Sequence[int]) -> list[int]:
@@ -557,8 +568,8 @@ def _success_rates(times: list[int], block: Union[int, float], p: float,
 
 def active_rows(times: Sequence[int], tstar: CutoffLike, p: float,
                 fcurve: Optional[Callable[[int], float]] = None,
-                success: bool = False) -> Iterator[ActiveRow]:
-    """Yield the ActiveRow at each time in ``times``, in the order given.
+                success: bool = False) -> Iterator[LinkState]:
+    """Yield the LinkState at each time in ``times``, in the order given.
 
     The binomial sums behind all rows, and behind E[S(t)] when ``success``
     is set, are evaluated in one pass for the series (see the module
@@ -590,15 +601,7 @@ def active_rows(times: Sequence[int], tstar: CutoffLike, p: float,
             else:
                 joint = tuple(series[t - m] for m in range(block))
             active = reduce(add, joint, 0.0)
-        fidelity = None
-        if fvals is not None:
-            e_ftilde = reduce(add, map(mul, fvals, joint), 0.0)
-            if active == 0.0:
-                fidelity = FidelityExpectations(e_ftilde=0.0, e_f=None)
-            else:
-                fidelity = FidelityExpectations(e_ftilde=e_ftilde, e_f=e_ftilde / active)
-        yield ActiveRow(t=t, joint=joint, prob_active=active, fidelity=fidelity,
-                        success_rate=rate)
+        yield LinkState.from_joint(t, joint, active, fvals, rate)
 
 
 def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
@@ -651,7 +654,7 @@ def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
     for cut in cuts:
         if t <= _block(cut):
             row = next(active_rows((t,), cut, p, fvals.__getitem__))
-            table.append((row.fidelity.e_ftilde, row.prob_active, row.fidelity.e_f))
+            table.append((row.e_ftilde, row.prob_active, row.e_f))
             continue
         e_ftilde, active = sums[cut.finite_value + 1]
         table.append((e_ftilde, active, e_ftilde / active) if active != 0.0
@@ -669,54 +672,39 @@ def prob_active(t: int, tstar: CutoffLike, p: float) -> float:
     return next(active_rows((t,), cut, p)).prob_active
 
 
-@dataclass(frozen=True)
-class SteadyState:
-    """t -> infinity limits of the link-status distribution."""
+def steady_state(tstar: CutoffLike, p: float,
+                 fcurve: Optional[Callable[[int], float]] = None) -> LinkState:
+    """The t -> infinity limit of the link's state, at ``t = math.inf``.
 
-    prob_active_inf: float
-    joint_active_inf: dict[int, float]  # m -> lim Pr[M=m, X=1]
-    joint_failed_inf: float             # lim Pr[M=t*, X=0]
-    conditional_m_inf: Optional[float]  # lim Pr[M=m | X=1], uniform over m
-
-
-def steady_state(tstar: CutoffLike, p: float) -> SteadyState:
+    For finite t* every age 0..t* has weight p / (1 + t* p), so
+    Pr[X = 1] = (t*+1) p / (1 + t* p); given ``fcurve``, E[F~] =
+    p / (1 + t* p) sum_m f_m and E[F] is the mean of f_0..f_t*.  For
+    t* = infinity the first established link is kept forever, at an age
+    that grows without bound: ``joint`` is empty, Pr[X = 1] is 1 for p > 0,
+    and the fidelity sums raise ValueError.
+    """
     _validate_p(p)
     cut = Cutoff.parse(tstar)
     if cut.is_infinite:
-        # the first established link is kept forever
-        active = 1.0 if p > 0.0 else 0.0
-        return SteadyState(prob_active_inf=active, joint_active_inf={},
-                           joint_failed_inf=1.0 - active, conditional_m_inf=None)
+        if fcurve is not None:
+            raise ValueError("steady-state fidelity sums require a finite cutoff")
+        return LinkState(math.inf, (), 1.0 if p > 0.0 else 0.0)
     ts = cut.finite_value
     denom = 1.0 + ts * p
-    active = (ts + 1) * p / denom
-    per_age = p / denom
-    joint_active = {m: per_age for m in range(ts + 1)}
-    failed = (1.0 - p) / denom
-    conditional = 1.0 / (ts + 1) if p > 0.0 else None
-    return SteadyState(prob_active_inf=active, joint_active_inf=joint_active,
-                       joint_failed_inf=failed, conditional_m_inf=conditional)
+    state = LinkState(math.inf, (p / denom,) * (ts + 1), (ts + 1) * p / denom)
+    if fcurve is None:
+        return state
+    if p == 0.0:
+        return replace(state, e_ftilde=0.0)
+    f_sum = reduce(add, (fcurve(m) for m in range(ts + 1)), 0.0)
+    return replace(state, e_ftilde=p / denom * f_sum, e_f=f_sum / (ts + 1))
 
 
 def expected_fidelity_cutoff(t: int, tstar: CutoffLike, p: float,
-                             fcurve: Callable[[int], float]) -> FidelityExpectations:
-    """E[F~(t)] = sum_m f_m Pr[M=m, X=1] and E[F(t)] = E[F~(t)] / Pr[X=1]."""
-    return next(active_rows((t,), tstar, p, fcurve)).fidelity
-
-
-def steady_fidelity_cutoff(tstar: CutoffLike, p: float,
-                           fcurve: Callable[[int], float]) -> FidelityExpectations:
-    """Steady-state fidelity: E[F~] = p/(1+t*p) sum_m f_m, E[F] = mean of f_0..f_t*."""
-    _validate_p(p)
-    cut = Cutoff.parse(tstar)
-    if cut.is_infinite:
-        raise ValueError("steady-state fidelity sums require a finite cutoff")
-    ts = cut.finite_value
-    f_sum = reduce(add, (fcurve(m) for m in range(ts + 1)), 0.0)
-    e_ftilde = p / (1.0 + ts * p) * f_sum
-    if p == 0.0:
-        return FidelityExpectations(e_ftilde=0.0, e_f=None)
-    return FidelityExpectations(e_ftilde=e_ftilde, e_f=f_sum / (ts + 1))
+                             fcurve: Callable[[int], float]) -> LinkState:
+    """The `active_rows` state at t with E[F~(t)] = sum_m f_m Pr[M=m, X=1]
+    and E[F(t)] = E[F~(t)] / Pr[X=1]."""
+    return next(active_rows((t,), tstar, p, fcurve))
 
 
 # ---------------------------------------------------------------------------
@@ -759,19 +747,13 @@ def success_rate_limits(tstar: CutoffLike, p: float) -> SuccessRateLimits:
     """
     _validate_p(p)
     cut = Cutoff.parse(tstar)
-    if p == 0.0:
-        return SuccessRateLimits(limit=0.0, plateau=lambda x: 0.0)
-    if p == 1.0:
-        return SuccessRateLimits(limit=1.0, plateau=lambda x: 1.0)
-    if cut.is_infinite:
-        limit = -p * math.log(p) / (1.0 - p)
-    else:
-        limit = p
+    interior = 0.0 < p < 1.0
+    limit = -p * math.log(p) / (1.0 - p) if interior and cut.is_infinite else float(p)
 
     def plateau(x: int) -> float:
         if x < 0:
             raise ValueError(f"plateau index must be >= 0, got {x}")
-        return p * hyp2f1_series(1.0, 1.0, 2.0 + x, 1.0 - p)
+        return p * hyp2f1_series(1.0, 1.0, 2.0 + x, 1.0 - p) if interior else float(p)
 
     return SuccessRateLimits(limit=limit, plateau=plateau)
 

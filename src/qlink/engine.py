@@ -40,18 +40,13 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from .config import MAX_TRIALS
-from .quantum import (
-    DensityOperator,
-    FidelityCurve,
-    KrausChannel,
-    memory_evolve,
-)
+from .cutoff import LinkState
+from .quantum import DensityOperator, FidelityCurve, KrausChannel, apply_channel
 
 if TYPE_CHECKING:
     import numpy as np
 
 EXHAUSTIVE_WARN_HORIZON = 20
-WEIGHT_SUM_TOL = 1e-12
 # Trials the simulator advances together; a block holds a few hundred bytes
 # per trial whatever the horizon.
 BLOCK_TRIALS = 8192
@@ -162,7 +157,6 @@ class Policy:
 
     decide: Callable[[int, History], float]
     kind: str  # "deterministic" | "stochastic"
-    label: str = ""
     decide_state: Optional[Callable[[int, int, int], float]] = None
     decide_runs: Optional[Callable[[int], tuple[float, Sequence[int], Sequence[float]]]] = None
 
@@ -171,7 +165,7 @@ class Policy:
 
     @classmethod
     def from_state_rule(cls, rule: Optional[Callable[[int, int, int], float]], kind: str,
-                        label: str = "", runs: Optional[Callable] = None) -> "Policy":
+                        runs: Optional[Callable] = None) -> "Policy":
         """Build a policy from a rule on (t, x_t, M(t)), ``runs`` as
         ``decide_runs`` giving probabilities, 0 or 1 if ``kind`` is
         deterministic.  Either may be None: runs are then built from the
@@ -190,8 +184,7 @@ class Policy:
                 starts = [m for m in range(t) if m == 0 or row[m] != row[m - 1]]
                 return _checked_prob(float(rule(t, 0, -1)), kind), starts, [row[m] for m in starts]
 
-        return cls(decide=decide, kind=kind, label=label, decide_state=rule,
-                   decide_runs=runs)
+        return cls(decide=decide, kind=kind, decide_state=rule, decide_runs=runs)
 
 
 # ---------------------------------------------------------------------------
@@ -219,30 +212,6 @@ class LinkParams:
 # ---------------------------------------------------------------------------
 # exact evolution
 # ---------------------------------------------------------------------------
-
-@dataclass
-class LinkStateMixture:
-    """Average classical-quantum state at a fixed time, kept symbolically.
-
-    ``failure_weight`` is 1 - Pr[X(t) = 1]; ``age_weights[m]`` is
-    Pr[X(t) = 1, M(t) = m].
-    """
-
-    t: int
-    failure_weight: float
-    age_weights: dict[int, float]
-
-    def check_normalized(self, tol: float = WEIGHT_SUM_TOL) -> None:
-        total = self.failure_weight + self.prob_active
-        if abs(total - 1.0) > tol:
-            raise ValueError(f"mixture weights at t={self.t} sum to {total}")
-        if self.failure_weight < -tol or any(w < -tol for w in self.age_weights.values()):
-            raise ValueError(f"negative weight in mixture at t={self.t}")
-
-    @property
-    def prob_active(self) -> float:
-        return reduce(operator.add, self.age_weights.values(), 0.0)
-
 
 def history_prob(history: History, policy: Policy, p: float) -> float:
     """Pr[H(t) = h] = prod_j d_j(a_j) * p^N_succ * (1-p)^(N_req - N_succ).
@@ -301,8 +270,11 @@ def iter_supported_histories(p: float, policy: Policy, horizon: int
 
 
 def evolve_exhaustive(params: LinkParams, policy: Policy, horizon: int
-                      ) -> list[LinkStateMixture]:
-    """Exact average state at every t = 1..horizon by support enumeration."""
+                      ) -> list[LinkState]:
+    """Exact state at every t = 1..horizon by support enumeration, with
+    E[F~(t)] and E[F(t)] from ``params.fcurve``.  The down weight and the
+    age weights are summed apart, and their total must be 1 within 1e-10
+    with no weight below -1e-10."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if horizon > EXHAUSTIVE_WARN_HORIZON:
@@ -310,69 +282,47 @@ def evolve_exhaustive(params: LinkParams, policy: Policy, horizon: int
             f"exhaustive evolution at horizon {horizon} may enumerate a very "
             f"large history support", RuntimeWarning, stacklevel=2)
     failure = [0.0] * (horizon + 1)
-    ages: list[dict[int, float]] = [dict() for _ in range(horizon + 1)]
+    ages = [[0.0] * t for t in range(horizon + 1)]  # ages[t][m]
     for xs, _, x, m, weight in _supported_prefixes(params.p, policy, horizon):
         t = len(xs)
         if x == 1:
-            ages[t][m] = ages[t].get(m, 0.0) + weight
+            ages[t][m] += weight
         else:
             failure[t] += weight
 
+    fvals = [params.fcurve(m) for m in range(horizon)]
     out = []
     for t in range(1, horizon + 1):
-        mixture = LinkStateMixture(t=t, failure_weight=failure[t],
-                                   age_weights=dict(sorted(ages[t].items())))
-        mixture.check_normalized(tol=1e-10)
-        out.append(mixture)
+        joint = tuple(ages[t])
+        active = reduce(operator.add, joint, 0.0)
+        total = failure[t] + active
+        if abs(total - 1.0) > 1e-10:
+            raise ValueError(f"mixture weights at t={t} sum to {total}")
+        if min(failure[t], *joint) < -1e-10:
+            raise ValueError(f"negative weight in mixture at t={t}")
+        out.append(LinkState.from_joint(t, joint, active, fvals))
     return out
 
 
-# ---------------------------------------------------------------------------
-# expected link quantities
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LinkQuantities:
-    """Expected link quantities read off a LinkStateMixture.
-
-    ``e_f`` and ``conditional_ages`` are None when the link is never active
-    (the conditional fidelity is undefined, not zero).
-    """
-
-    prob_active: float
-    e_ftilde: float
-    e_f: Optional[float]
-    conditional_ages: Optional[dict[int, float]]
-
-
-def expected_quantities(mixture: LinkStateMixture, fcurve: FidelityCurve
-                        ) -> LinkQuantities:
-    prob_active = mixture.prob_active
-    e_ftilde = reduce(operator.add,
-                      (fcurve(m) * w for m, w in mixture.age_weights.items()), 0.0)
-    if prob_active == 0.0:
-        return LinkQuantities(prob_active=0.0, e_ftilde=0.0, e_f=None,
-                              conditional_ages=None)
-    conditional = {m: w / prob_active for m, w in mixture.age_weights.items()}
-    return LinkQuantities(prob_active=prob_active, e_ftilde=e_ftilde,
-                          e_f=e_ftilde / prob_active, conditional_ages=conditional)
-
-
-def materialize_average_state(mixture: LinkStateMixture, rho0: DensityOperator,
+def materialize_average_state(state: LinkState, rho0: DensityOperator,
                               channel: KrausChannel) -> DensityOperator:
     """The average state as a density matrix on dim+1 dimensions: the state
     ``rho0`` after m steps of the memory ``channel``, weighted by
-    Pr[X(t) = 1, M(t) = m].
+    Pr[X(t) = 1, M(t) = m], one channel step per age.
 
-    The failure branch occupies one appended basis vector orthogonal to the
-    link space, so fidelities against (padded) targets are unchanged.
+    The failure branch, 1 - Pr[X(t) = 1], occupies one appended basis
+    vector orthogonal to the link space, so fidelities against (padded)
+    targets are unchanged.
     """
     import numpy as np
     dim = rho0.dim
     out = np.zeros((dim + 1, dim + 1), dtype=complex)
-    for m, weight in mixture.age_weights.items():
-        out[:dim, :dim] += weight * memory_evolve(rho0, channel, m).matrix
-    out[dim, dim] = mixture.failure_weight
+    rho = rho0
+    for m, weight in enumerate(state.joint):
+        if m:
+            rho = apply_channel(channel, rho)
+        out[:dim, :dim] += weight * rho.matrix
+    out[dim, dim] = 1.0 - state.prob_active
     return DensityOperator(out)
 
 

@@ -19,7 +19,6 @@ from . import cutoff as ca
 if TYPE_CHECKING:
     import numpy as np
 
-    from .engine import LinkStateMixture
     from .quantum import DensityOperator, KrausChannel
 
 MATERIALIZE_DIM_CAP = 2 ** 12
@@ -41,7 +40,7 @@ class ParallelLinkSpec:
 
     def prob_active(self, t: TimeLike) -> float:
         if t == math.inf:
-            return ca.steady_state(self.tstar, self.p).prob_active_inf
+            return ca.steady_state(self.tstar, self.p).prob_active
         return ca.prob_active(int(t), self.tstar, self.p)
 
 
@@ -123,56 +122,27 @@ def collective_status(net: NetworkConfig, t: TimeLike) -> float:
     return product
 
 
-@dataclass
-class JointStateDescriptor:
-    """Per-link average states at a common time, under structural independence.
-
-    The joint state is the tensor product of the per-link mixtures; it is
-    materialized only on request and only below the dimension cap.
-    """
-
-    t: int
-    mixtures: list[LinkStateMixture]
-
-    @property
-    def joint_failure_weight(self) -> float:
-        prod = 1.0
-        for mixture in self.mixtures:
-            prod *= mixture.failure_weight
-        return prod
-
-    @property
-    def joint_active_probability(self) -> float:
-        prod = 1.0
-        for mixture in self.mixtures:
-            prod *= mixture.prob_active
-        return prod
-
-
 def joint_state_descriptor(
         specs: Sequence[ParallelLinkSpec], t: int,
         states: Optional[Sequence[tuple[DensityOperator, KrausChannel]]] = None,
-) -> tuple[JointStateDescriptor, Optional[DensityOperator]]:
-    """Per-link mixtures at time t under each link's cutoff policy.
+) -> tuple[list[ca.LinkState], Optional[DensityOperator]]:
+    """Each link's state at time t under its cutoff policy, in the order of
+    ``specs``; the links are independent, so the joint state is their
+    tensor product.
 
-    Given ``states``, one ``(rho0, channel)`` pair per link, the
-    tensor-product average state is returned alongside; total dimension is
+    Given ``states``, one ``(rho0, channel)`` pair per link, that product is
+    materialised and returned alongside, else None; total dimension is
     capped.
     """
     import numpy as np
 
-    from .engine import LinkStateMixture, materialize_average_state
+    from .engine import materialize_average_state
     from .quantum import DensityOperator
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    mixtures = []
-    for spec in specs:
-        row = next(ca.active_rows((t,), spec.tstar, spec.p))
-        mixtures.append(LinkStateMixture(t=t, failure_weight=1.0 - row.prob_active,
-                                         age_weights=dict(enumerate(row.joint))))
-    descriptor = JointStateDescriptor(t=t, mixtures=mixtures)
+    rows = [next(ca.active_rows((t,), spec.tstar, spec.p)) for spec in specs]
     if states is None:
-        return descriptor, None
+        return rows, None
     if len(states) != len(specs):
         raise ValueError(f"materialization needs one (rho0, channel) per link, "
                          f"got {len(states)} for {len(specs)}")
@@ -180,6 +150,6 @@ def joint_state_descriptor(
     if total_dim > MATERIALIZE_DIM_CAP:
         raise ValueError(f"joint dimension {total_dim} exceeds cap {MATERIALIZE_DIM_CAP}")
     joint = np.array([[1.0 + 0.0j]])
-    for mixture, (rho0, channel) in zip(mixtures, states):
-        joint = np.kron(joint, materialize_average_state(mixture, rho0, channel).matrix)
-    return descriptor, DensityOperator(joint)
+    for row, (rho0, channel) in zip(rows, states):
+        joint = np.kron(joint, materialize_average_state(row, rho0, channel).matrix)
+    return rows, DensityOperator(joint)

@@ -50,9 +50,10 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from operator import add, mul
+from operator import add
 from typing import Optional, Sequence
 
+from .cutoff import LinkState
 from .engine import LinkParams, Policy
 
 
@@ -117,19 +118,12 @@ def forward_greedy(params: LinkParams) -> Policy:
     def rule(t: int, x: int, m: int) -> float:
         return 1.0 if x == 0 else runs(m + 1)[2][bisect_right(starts, m) - 1]
 
-    return Policy.from_state_rule(rule, "deterministic", "forward-greedy", runs)
+    return Policy.from_state_rule(rule, "deterministic", runs)
 
 
 # ---------------------------------------------------------------------------
 # policy evaluation
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PolicyEvaluation:
-    e_ftilde: float
-    e_x: float
-    e_f: Optional[float]
-
 
 def _pairwise_sum(values: Sequence[float]) -> float:
     """numpy's pairwise ``add.reduce`` of a whole float64 row, bit for bit:
@@ -149,8 +143,9 @@ def _pairwise_sum(values: Sequence[float]) -> float:
     return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
-def evaluate_state_policy(params: LinkParams, policy: Policy, t: int) -> PolicyEvaluation:
-    """Exact link quantities at time t for a (t, x, m)-feedback policy.
+def evaluate_state_policy(params: LinkParams, policy: Policy, t: int) -> LinkState:
+    """Exact state at time t of a (t, x, m)-feedback policy, ``joint`` by
+    age 0..t-1, with E[F~(t)] and E[F(t)] from ``params.fcurve``.
 
     Propagates the occupation distribution over (x, m) states directly, so
     it stays exact at horizons where history enumeration is infeasible.
@@ -184,11 +179,9 @@ def evaluate_state_policy(params: LinkParams, policy: Policy, t: int) -> PolicyE
         down = down * (1.0 - pi_down) + (1.0 - p) * request_mass
         while oldest < len(born) and not born[oldest]:
             oldest += 1
-    active = born[:0:-1]  # by age 0..t-1
-    e_x = _pairwise_sum(active)
-    e_ftilde = reduce(add, map(mul, [params.fcurve(m) for m in range(t)], active), 0.0)
-    e_f = e_ftilde / e_x if e_x > 0.0 else None
-    return PolicyEvaluation(e_ftilde=e_ftilde, e_x=e_x, e_f=e_f)
+    active = tuple(born[:0:-1])  # by age 0..t-1
+    return LinkState.from_joint(t, active, _pairwise_sum(active),
+                                [params.fcurve(m) for m in range(t)])
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +253,6 @@ def backward_recursion_reduced(params: LinkParams, T: int,
         action.extend(first ^ (k & 1) for k in range(len(starts)))
         bounds.append(len(start))
     decisions = DecisionRuns(down=down, start=start, action=action, bounds=bounds)
-    policy = Policy.from_state_rule(None, "deterministic", "optimal-reduced",
-                                    decisions.runs)
+    policy = Policy.from_state_rule(None, "deterministic", decisions.runs)
     return OptimizationResult(optimal_value=value, policy=policy,
                               mode="reduced", runs=decisions)

@@ -256,15 +256,10 @@ def preset_state(name: str, *, k: int = 2, f0: float = 1.0) -> PureState | Densi
 
 @dataclass
 class FidelityCurve:
-    """The map m -> f_m = <psi| N^m(rho0) |psi>, however it is obtained.
-
-    ``kind`` records whether values come from repeated channel application
-    ("channel-powered") or from an analytic expression ("closed-form").
-    """
+    """The map m -> f_m = <psi| N^m(rho0) |psi>, however it is obtained:
+    by repeated channel application or from an analytic expression."""
 
     evaluator: Callable[[int], float]
-    kind: str
-    label: str = ""
 
     def __call__(self, m: int) -> float:
         if m < 0:
@@ -285,14 +280,14 @@ class FidelityCurve:
                 cache.append(apply_channel(channel, cache[-1]))
             return fidelity(cache[m], target)
 
-        return cls(evaluator=evaluate, kind="channel-powered", label="channel")
+        return cls(evaluate)
 
     @classmethod
     def constant(cls, f0: float) -> "FidelityCurve":
         """Perfect memory: f_m = f0 for all m."""
         if not 0.0 <= f0 <= 1.0:
             raise ValueError(f"f0 must be in [0, 1], got {f0}")
-        return cls(evaluator=lambda m: f0, kind="closed-form", label=f"constant({f0})")
+        return cls(lambda m: f0)
 
     @classmethod
     def depolarizing(cls, f0: float, lam: float, dim: int) -> "FidelityCurve":
@@ -301,11 +296,7 @@ class FidelityCurve:
             raise ValueError(f"lam must be in [0, 1], got {lam}")
         if not 0.0 <= f0 <= 1.0:
             raise ValueError(f"f0 must be in [0, 1], got {f0}")
-        return cls(
-            evaluator=lambda m: lam ** m * f0 + (1.0 - lam ** m) / dim,
-            kind="closed-form",
-            label=f"depolarizing(f0={f0}, lam={lam}, d={dim})",
-        )
+        return cls(lambda m: lam ** m * f0 + (1.0 - lam ** m) / dim)
 
     @classmethod
     def dephasing_bell(cls, lam: float) -> "FidelityCurve":
@@ -316,8 +307,4 @@ class FidelityCurve:
         """
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"lam must be in [0, 1], got {lam}")
-        return cls(
-            evaluator=lambda m: (1.0 + lam ** (2 * m)) / 2.0,
-            kind="closed-form",
-            label=f"dephasing_bell(lam={lam})",
-        )
+        return cls(lambda m: (1.0 + lam ** (2 * m)) / 2.0)

@@ -39,10 +39,10 @@ from typing import Callable, Iterator, Optional, TextIO, Union
 import numpy as np
 
 from qlink import optimize as opt
-from qlink.cutoff import Cutoff, CutoffLike
+from qlink.cutoff import Cutoff, CutoffLike, LinkState
 from qlink.engine import (History, LinkParams, Policy, SimulationResult,
-                          evolve_exhaustive, expected_quantities, trial_rng)
-from qlink.optimize import OptimizationResult, PolicyEvaluation
+                          evolve_exhaustive, trial_rng)
+from qlink.optimize import OptimizationResult
 
 
 def replay_cutoff_sequence(xs: tuple[int, ...], tstar: Union[int, float]
@@ -428,13 +428,9 @@ class ValueTable:
     decisions: dict
 
 
-def evaluate_policy(params: LinkParams, policy: Policy, t: int) -> PolicyEvaluation:
-    """Exact E[F~(t)], E[X(t)], E[F(t)] by exhaustive history enumeration."""
-    mixture = evolve_exhaustive(params, policy, t)[-1]
-    quantities = expected_quantities(mixture, params.fcurve)
-    return PolicyEvaluation(e_ftilde=quantities.e_ftilde,
-                            e_x=quantities.prob_active,
-                            e_f=quantities.e_f)
+def evaluate_policy(params: LinkParams, policy: Policy, t: int) -> LinkState:
+    """The exact state at time t by exhaustive history enumeration."""
+    return evolve_exhaustive(params, policy, t)[-1]
 
 
 def backward_recursion_full(params: LinkParams, T: int,
@@ -495,7 +491,7 @@ def backward_recursion_full(params: LinkParams, T: int,
                 return float(decisions[key])
             return 0.0  # beyond the horizon (or off-tree): wait
 
-        policy = Policy(decide=decide, kind="deterministic", label="optimal-full-tree")
+        policy = Policy(decide=decide, kind="deterministic")
 
     return OptimizationResult(optimal_value=value, policy=policy,
                               mode="full-tree", table=table)
@@ -648,7 +644,7 @@ def _policy_from_assignment(assignments: dict[int, tuple[int, ...]], T: int) -> 
         idx = 0 if x == 0 else 1 + m
         return float(assignments[t][idx])
 
-    return Policy.from_state_rule(rule, "deterministic", "enumerated")
+    return Policy.from_state_rule(rule, "deterministic")
 
 
 def exhaustive_policy_search_engine(params: LinkParams, T: int) -> float:
@@ -728,8 +724,9 @@ def whole_row_sum(row) -> float:
         np.setbufsize(old)
 
 
-def evaluate_state_policy(params: LinkParams, policy: Policy, t: int) -> PolicyEvaluation:
-    """Exact link quantities at time t for a (t, x, m)-feedback policy.
+def evaluate_state_policy(params: LinkParams, policy: Policy, t: int) -> LinkState:
+    """Exact state at time t of a (t, x, m)-feedback policy, ``joint`` by
+    age 0..t-1.
 
     Propagates the occupation distribution over (x, m) states directly, so
     it stays exact at horizons where history enumeration is infeasible.
@@ -762,7 +759,8 @@ def evaluate_state_policy(params: LinkParams, policy: Policy, t: int) -> PolicyE
     e_x = whole_row_sum(active)
     e_ftilde = float(reduce(add, (params.fcurve(m) * w for m, w in enumerate(active) if w), 0.0))
     e_f = e_ftilde / e_x if e_x > 0.0 else None
-    return PolicyEvaluation(e_ftilde=e_ftilde, e_x=e_x, e_f=e_f)
+    return LinkState(t=t, joint=tuple(active.tolist()), prob_active=e_x,
+                     e_ftilde=e_ftilde, e_f=e_f)
 
 
 def write_policy_json(handle: TextIO, horizon: int,

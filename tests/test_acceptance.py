@@ -39,7 +39,6 @@ from qlink.cutoff import (
 from qlink.engine import (
     BLOCK_TRIALS,
     LinkParams,
-    LinkStateMixture,
     materialize_average_state,
     simulate_trajectories,
 )
@@ -213,9 +212,9 @@ def test_criterion_04_steady_state_limits(p):
         for m in range(tstar + 1):
             assert abs(joint_prob(t, tstar, p, m, 1) - p / denom) <= 1e-6
         row = next(ca.active_rows((t,), tstar, p, CURVE))
-        steady = ca.steady_fidelity_cutoff(tstar, p, CURVE)
-        assert abs(row.fidelity.e_ftilde - steady.e_ftilde) <= 1e-6
-        assert abs(row.fidelity.e_f - steady.e_f) <= 1e-6
+        steady = ca.steady_state(tstar, p, CURVE)
+        assert abs(row.e_ftilde - steady.e_ftilde) <= 1e-6
+        assert abs(row.e_f - steady.e_f) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +436,11 @@ def test_criterion_09_quantum_core():
         padded = PureState(np.append(target.amplitudes, 0.0))
         for tstar in (0, 3, 5, math.inf):
             row = next(ca.active_rows((t,), tstar, p, curve))
-            mixture = LinkStateMixture(t=t, failure_weight=1.0 - row.prob_active,
-                                       age_weights=dict(enumerate(row.joint)))
-            rho = materialize_average_state(mixture, rho0, channel)
+            rho = materialize_average_state(row, rho0, channel)
             assert rho.dim == 2 ** k + 1
             assert abs(np.trace(rho.matrix) - 1.0) <= 1e-12
             assert rho.matrix[-1, -1] == 1.0 - row.prob_active
-            assert abs(fidelity(rho, padded) - row.fidelity.e_ftilde) <= 1e-12
+            assert abs(fidelity(rho, padded) - row.e_ftilde) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -399,8 +399,7 @@ def test_cli_policy_dump_bytes_at_a_long_horizon(tmp_path):
 
 # a fidelity that revives with age: the optimum keeps and discards in turns
 REVIVING = FidelityCurve(
-    evaluator=lambda m: 0.5 + 0.45 * math.cos(2 * math.pi * m / 5) * 0.97 ** m,
-    kind="closed-form", label="reviving")
+    lambda m: 0.5 + 0.45 * math.cos(2 * math.pi * m / 5) * 0.97 ** m)
 
 
 @pytest.mark.parametrize("curve", [
@@ -918,22 +917,20 @@ def test_import_qlink_loads_no_submodule_and_no_numpy():
     assert json.loads(run_python(child)) == []
 
 
-# every name the package exported from its submodules before it loaded them
-# on first use, by submodule
+# every public name of the package, by the submodule it is loaded from
 PACKAGE_NAMES = {
     "quantum": ["DensityOperator", "FidelityCurve", "KrausChannel", "PureState",
                 "apply_channel", "fidelity", "memory_evolve", "preset_channel",
                 "preset_state", "tensor_channel"],
-    "engine": ["History", "LinkParams", "LinkStateMixture", "Policy",
-               "evolve_exhaustive", "expected_quantities", "history_prob",
-               "iter_supported_histories", "materialize_average_state",
-               "simulate_trajectories"],
-    "cutoff": ["ActiveRow", "Cutoff", "SequenceStats", "active_rows",
+    "engine": ["History", "LinkParams", "Policy", "evolve_exhaustive",
+               "history_prob", "iter_supported_histories",
+               "materialize_average_state", "simulate_trajectories"],
+    "cutoff": ["Cutoff", "LinkState", "SequenceStats", "active_rows",
                "count_sequences", "cutoff_policy", "expected_fidelity_cutoff",
                "expected_success_rate", "expected_success_rates",
                "history_prob_cutoff", "hyp2f1_series", "joint_prob",
                "memory_time_cutoff", "prob_active", "sequence_stats",
-               "steady_fidelity_cutoff", "steady_state", "success_rate_limits",
+               "steady_state", "success_rate_limits",
                "transition_matrix", "waiting_time", "waiting_times"],
     "network": ["EdgeConfig", "NetworkConfig", "ParallelLinkSpec",
                 "collective_status", "expected_flow", "expected_rate_limit",

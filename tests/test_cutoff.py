@@ -16,6 +16,7 @@ import qlink.cutoff as ca
 from qlink.config import MAX_TIME
 from qlink.cutoff import (
     Cutoff,
+    LinkState,
     active_rows,
     count_sequences,
     cutoff_policy,
@@ -29,7 +30,6 @@ from qlink.cutoff import (
     memory_time_cutoff,
     prob_active,
     sequence_stats,
-    steady_fidelity_cutoff,
     steady_state,
     success_rate_limits,
     transition_matrix,
@@ -269,13 +269,14 @@ def test_prob_active_within_a_block_builds_no_row(monkeypatch):
 
 def test_steady_state_values():
     ss = steady_state(2, 0.5)
-    assert ss.prob_active_inf == pytest.approx(3 * 0.5 / 2.0)
-    assert ss.joint_active_inf == {m: pytest.approx(0.25) for m in range(3)}
-    assert ss.joint_failed_inf == pytest.approx(0.25)
-    assert ss.conditional_m_inf == pytest.approx(1 / 3)
+    assert isinstance(ss, LinkState) and ss.t == math.inf
+    assert ss.prob_active == pytest.approx(3 * 0.5 / 2.0)
+    assert ss.joint == (pytest.approx(0.25),) * 3
+    assert 1.0 - ss.prob_active == pytest.approx(0.25)
+    assert ss.e_ftilde is None and ss.e_f is None
     inf_ss = steady_state("inf", 0.3)
-    assert inf_ss.prob_active_inf == 1.0
-    assert steady_state("inf", 0.0).prob_active_inf == 0.0
+    assert inf_ss.prob_active == 1.0 and inf_ss.joint == ()
+    assert steady_state("inf", 0.0).prob_active == 0.0
 
 
 @pytest.mark.parametrize("tstar", [0, 2, 5])
@@ -283,10 +284,9 @@ def test_steady_state_values():
 def test_steady_state_is_large_t_limit(tstar, p):
     ss = steady_state(tstar, p)
     t = 2000
-    assert prob_active(t, tstar, p) == pytest.approx(ss.prob_active_inf, abs=1e-8)
+    assert prob_active(t, tstar, p) == pytest.approx(ss.prob_active, abs=1e-8)
     for m in range(tstar + 1):
-        assert joint_prob(t, tstar, p, m, 1) == pytest.approx(
-            ss.joint_active_inf[m], abs=1e-8)
+        assert joint_prob(t, tstar, p, m, 1) == pytest.approx(ss.joint[m], abs=1e-8)
 
 
 def test_fidelity_expectations():
@@ -297,13 +297,17 @@ def test_fidelity_expectations():
     assert fid.e_f == pytest.approx(expected / prob_active(6, 2, 0.4), abs=1e-14)
     assert expected_fidelity_cutoff(4, 2, 0.0, curve).e_f is None
 
-    steady = steady_fidelity_cutoff(2, 0.4, curve)
+    steady = steady_state(2, 0.4, curve)
     assert steady.e_f == pytest.approx(sum(curve(m) for m in range(3)) / 3, abs=1e-14)
+    assert steady.e_ftilde == pytest.approx(
+        sum(curve(m) * w for m, w in enumerate(steady.joint)), abs=1e-14)
     # the finite-t expectation converges to the steady value
     late = expected_fidelity_cutoff(2000, 2, 0.4, curve)
     assert late.e_ftilde == pytest.approx(steady.e_ftilde, abs=1e-8)
+    never = steady_state(2, 0.0, curve)
+    assert (never.e_ftilde, never.e_f) == (0.0, None)
     with pytest.raises(ValueError):
-        steady_fidelity_cutoff("inf", 0.4, curve)
+        steady_state("inf", 0.4, curve)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +345,14 @@ def test_success_rate_limits_and_plateaus():
     assert success_rate_limits("inf", 1.0).limit == 1.0
     with pytest.raises(ValueError):
         inf.plateau(-1)
+    # the edge values of p hold E[S] at p on every plateau, and reject
+    # a negative index as the interior does
+    for p in (0.0, 1.0):
+        for tstar in (3, "inf"):
+            edge = success_rate_limits(tstar, p)
+            assert edge.limit == p and edge.plateau(0) == edge.plateau(5) == p
+            with pytest.raises(ValueError, match="plateau index"):
+                edge.plateau(-1)
 
 
 def test_hyp2f1_series():
@@ -583,9 +595,8 @@ def test_active_rows_equal_term_at_a_time_reference(tstar, p):
         assert row.joint == tuple(joint_prob_lgamma(t, tstar, p, m, 1)
                                   for m in _ages(t, tstar))
         assert row.prob_active == prob_active_lgamma(t, tstar, p)
-        assert (row.fidelity.e_ftilde, row.fidelity.e_f) == \
-            expected_fidelity_lgamma(t, tstar, p, curve)
-    assert all(row.fidelity is None for row in active_rows(times, tstar, p))
+        assert (row.e_ftilde, row.e_f) == expected_fidelity_lgamma(t, tstar, p, curve)
+    assert all(row.e_ftilde is row.e_f is None for row in active_rows(times, tstar, p))
 
 
 @pytest.mark.parametrize("curve", [
@@ -603,7 +614,7 @@ def test_cutoff_table_equals_active_rows(p, curve):
         assert len(table) == len(tstars)
         for tstar, values in zip(tstars, table):
             row = next(active_rows((T + 1,), tstar, p, curve))
-            assert values == (row.fidelity.e_ftilde, row.prob_active, row.fidelity.e_f)
+            assert values == (row.e_ftilde, row.prob_active, row.e_f)
 
 
 @pytest.mark.parametrize("p", [1e-9, 0.01, 0.3, 0.999999])
@@ -617,7 +628,7 @@ def test_long_cutoff_table_equals_active_rows(p):
     table = cutoff_table(t, tstars, p, curve)
     for tstar, values in zip(tstars, table):
         row = next(active_rows((t,), tstar, p, curve))
-        assert values == (row.fidelity.e_ftilde, row.prob_active, row.fidelity.e_f), tstar
+        assert values == (row.e_ftilde, row.prob_active, row.e_f), tstar
 
 
 @pytest.mark.parametrize("tstar", [0, 3, 10, 200, "inf"])
@@ -638,7 +649,7 @@ def test_active_rows_short_rows_equal_the_per_age_products(tstar):
             assert row.joint == joint
             assert row.prob_active == 1.0 - (1.0 - p) ** row.t
             e_ftilde = reduce(add, map(mul, map(curve, range(row.t)), joint), 0.0)
-            assert row.fidelity.e_ftilde == e_ftilde
+            assert row.e_ftilde == e_ftilde
 
 
 def test_active_rows_rejects_bad_input():

@@ -8,21 +8,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlink import engine
-from qlink.cutoff import cutoff_policy, prob_active
+from qlink.cutoff import LinkState, active_rows, cutoff_policy, prob_active
 from qlink.engine import (
     History,
     LinkParams,
     Policy,
     evolve_exhaustive,
-    expected_quantities,
     history_prob,
     iter_supported_histories,
     materialize_average_state,
     simulate_trajectories,
     trial_rng,
 )
+from qlink.network import ParallelLinkSpec, joint_state_descriptor
 from qlink.optimize import evaluate_state_policy
-from qlink.quantum import FidelityCurve, fidelity, preset_channel, preset_state
+from qlink.quantum import (
+    FidelityCurve,
+    apply_channel,
+    fidelity,
+    memory_evolve,
+    preset_channel,
+    preset_state,
+    tensor_channel,
+)
 
 from oracles import enumerate_supported, memory_time_explicit, simulate_trajectories_scalar
 
@@ -30,22 +38,21 @@ CURVE = FidelityCurve.depolarizing(1.0, 0.9, 4)
 
 
 def stochastic_policy() -> Policy:
-    return Policy.from_state_rule(lambda t, x, m: 0.3 + 0.4 * x, "stochastic",
-                                  "test-stochastic")
+    return Policy.from_state_rule(lambda t, x, m: 0.3 + 0.4 * x, "stochastic")
 
 
 def always_request() -> Policy:
-    return Policy.from_state_rule(lambda t, x, m: 1.0, "deterministic", "always-request")
+    return Policy.from_state_rule(lambda t, x, m: 1.0, "deterministic")
 
 
 def never_request() -> Policy:
-    return Policy.from_state_rule(lambda t, x, m: 0.0, "deterministic", "never-request")
+    return Policy.from_state_rule(lambda t, x, m: 0.0, "deterministic")
 
 
 def history_policy() -> Policy:
     """A stochastic policy with no decide_state: it reads the whole history."""
     return Policy(decide=lambda t, h: 0.2 + 0.3 * (sum(h.actions) % 3),
-                  kind="stochastic", label="test-history")
+                  kind="stochastic")
 
 
 @st.composite
@@ -148,19 +155,19 @@ def test_engine_support_matches_bitstring_replay(tstar):
 def test_evolve_mixture_normalized_and_consistent():
     params = LinkParams.symbolic(0.4, CURVE)
     policy = cutoff_policy(2)
-    mixtures = evolve_exhaustive(params, policy, 9)
-    assert [mx.t for mx in mixtures] == list(range(1, 10))
-    for mx in mixtures:
-        mx.check_normalized()
-        assert mx.prob_active == pytest.approx(
-            prob_active(mx.t, 2, 0.4), abs=1e-12)
+    states = evolve_exhaustive(params, policy, 9)
+    assert [state.t for state in states] == list(range(1, 10))
+    for state in states:
+        assert len(state.joint) == state.t and min(state.joint) >= 0.0
+        assert state.prob_active == pytest.approx(
+            prob_active(state.t, 2, 0.4), abs=1e-12)
 
 
 def test_evolve_first_step():
     params = LinkParams.symbolic(0.25, CURVE)
-    mx = evolve_exhaustive(params, always_request(), 1)[0]
-    assert mx.failure_weight == pytest.approx(0.75)
-    assert mx.age_weights == {0: pytest.approx(0.25)}
+    state = evolve_exhaustive(params, always_request(), 1)[0]
+    assert 1.0 - state.prob_active == pytest.approx(0.75)
+    assert state.joint == (pytest.approx(0.25),)
 
 
 BAD_STATE_RULES = {
@@ -188,21 +195,45 @@ def test_every_reader_rejects_a_state_rule_that_is_not_a_probability(reader, rul
         run[reader]()
 
 
-def test_expected_quantities_degenerate():
+def test_evolved_fidelity_when_never_active():
     params = LinkParams.symbolic(0.0, CURVE)
-    mx = evolve_exhaustive(params, always_request(), 3)[-1]
-    q = expected_quantities(mx, CURVE)
-    assert q.prob_active == 0.0 and q.e_ftilde == 0.0
-    assert q.e_f is None and q.conditional_ages is None
+    state = evolve_exhaustive(params, always_request(), 3)[-1]
+    assert state.joint == (0.0, 0.0, 0.0)
+    assert state.prob_active == 0.0 and state.e_ftilde == 0.0 and state.e_f is None
 
 
-def test_expected_quantities_match_weights():
+def test_evolved_fidelity_matches_weights():
     params = LinkParams.symbolic(0.6, CURVE)
-    mx = evolve_exhaustive(params, cutoff_policy(3), 7)[-1]
-    q = expected_quantities(mx, CURVE)
-    assert q.e_ftilde == pytest.approx(
-        sum(CURVE(m) * w for m, w in mx.age_weights.items()), abs=1e-14)
-    assert q.e_f == pytest.approx(q.e_ftilde / q.prob_active, abs=1e-14)
+    state = evolve_exhaustive(params, cutoff_policy(3), 7)[-1]
+    assert state.e_ftilde == pytest.approx(
+        sum(CURVE(m) * w for m, w in enumerate(state.joint)), abs=1e-14)
+    assert state.e_f == pytest.approx(state.e_ftilde / state.prob_active, abs=1e-14)
+
+
+@pytest.mark.parametrize("tstar", [0, 2, math.inf])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_every_producer_returns_the_same_link_state(p, tstar):
+    """The closed form, the history walk, the propagator and the network
+    all return a LinkState for the cutoff policy, and agree on the
+    zero-padded age row, Pr[X = 1] and E[F~] at every t <= 8."""
+    params = LinkParams.symbolic(p, CURVE)
+    policy = cutoff_policy(tstar)
+    walked = evolve_exhaustive(params, policy, 8)
+    for t in range(1, 9):
+        states = [next(active_rows((t,), tstar, p, CURVE)), walked[t - 1],
+                  evaluate_state_policy(params, policy, t),
+                  joint_state_descriptor([ParallelLinkSpec(p=p, tstar=tstar)], t)[0][0]]
+        reference = states[0]
+        for state in states:
+            assert isinstance(state, LinkState) and state.t == t
+            assert len(state.joint) <= t
+            padded = state.joint + (0.0,) * (t - len(state.joint))
+            assert padded == pytest.approx(reference.joint + (0.0,) * (t - len(reference.joint)),
+                                           abs=1e-12, rel=0)
+            assert state.prob_active == pytest.approx(reference.prob_active, abs=1e-12, rel=0)
+        for state in states[1:3]:  # the network's rows carry no curve
+            assert state.e_ftilde == pytest.approx(reference.e_ftilde, abs=1e-12, rel=0)
+        assert states[3].e_ftilde is None
 
 
 def test_evolve_warns_above_horizon_cap():
@@ -220,17 +251,41 @@ def test_materialized_average_state():
     channel = preset_channel("depolarizing", 4, 0.85)
     params = LinkParams(0.45, FidelityCurve.from_channel(bell.projector(), channel, bell))
     policy = cutoff_policy(2)
-    mx = evolve_exhaustive(params, policy, 6)[-1]
-    rho = materialize_average_state(mx, bell.projector(), channel)
+    state = evolve_exhaustive(params, policy, 6)[-1]
+    rho = materialize_average_state(state, bell.projector(), channel)
     assert rho.dim == 5
     # failure branch sits on the appended basis vector
-    assert rho.matrix[4, 4].real == pytest.approx(mx.failure_weight, abs=1e-12)
+    assert rho.matrix[4, 4].real == pytest.approx(1.0 - state.prob_active, abs=1e-12)
     # fidelity against the padded target equals E[Ftilde]
     padded = preset_state("bell_phi_plus").amplitudes
     target = np.concatenate([padded, [0.0]])
     e_ftilde = float((target.conj() @ rho.matrix @ target).real)
-    q = expected_quantities(mx, params.fcurve)
-    assert e_ftilde == pytest.approx(q.e_ftilde, abs=1e-12)
+    assert e_ftilde == pytest.approx(state.e_ftilde, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [1, 2, 9])
+def test_materialization_applies_the_channel_once_per_age(monkeypatch, t):
+    """A state over n ages takes n - 1 channel applications, where one
+    memory_evolve per age takes n(n-1)/2, and gives the per-age sum's
+    matrix exactly."""
+    target = preset_state("ghz", k=3)
+    rho0 = target.projector()
+    channel = tensor_channel([preset_channel("dephasing", 2, 0.9)] * 3)
+    state = next(active_rows((t,), math.inf, 0.3))
+    expected = np.zeros((9, 9), dtype=complex)
+    for m, weight in enumerate(state.joint):
+        expected[:8, :8] += weight * memory_evolve(rho0, channel, m).matrix
+    expected[8, 8] = 1.0 - state.prob_active
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return apply_channel(*args)
+
+    monkeypatch.setattr(engine, "apply_channel", counted)
+    rho = materialize_average_state(state, rho0, channel)
+    assert len(state.joint) == t and len(calls) == t - 1
+    assert np.array_equal(rho.matrix, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +442,7 @@ def test_simulation_evaluates_each_visited_age_once():
         calls.append(m)
         return CURVE(m)
 
-    params = LinkParams.symbolic(0.3, FidelityCurve(counted, "closed-form"))
+    params = LinkParams.symbolic(0.3, FidelityCurve(counted))
     simulate_trajectories_scalar(params, cutoff_policy("inf"), 30, 300, seed=3)
     visited = set(calls)
     calls.clear()
@@ -400,9 +455,9 @@ def test_simulation_matches_exact_evolution_within_4_sigma():
     policy = cutoff_policy(3)
     n = 20_000
     result = simulate_trajectories(params, policy, 12, n, seed=2024)
-    mixtures = evolve_exhaustive(params, policy, 12)
+    states = evolve_exhaustive(params, policy, 12)
     for t in range(1, 13):
-        exact = expected_quantities(mixtures[t - 1], CURVE)
+        exact = states[t - 1]
         idx = t - 1
         se = result.prob_active_se[idx] or 1e-12
         assert abs(result.prob_active[idx] - exact.prob_active) < 4 * se + 1e-9

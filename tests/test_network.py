@@ -41,7 +41,7 @@ def test_per_link_probability_delegates_to_analytics():
     spec = ParallelLinkSpec(p=0.3, tstar=Cutoff(4))
     for t in (1, 5, 12):
         assert spec.prob_active(t) == prob_active(t, 4, 0.3)
-    assert spec.prob_active(math.inf) == steady_state(4, 0.3).prob_active_inf
+    assert spec.prob_active(math.inf) == steady_state(4, 0.3).prob_active
 
 
 def test_prob_at_least_one_product_form():
@@ -92,8 +92,8 @@ def test_collective_status_product_example():
         make_edge([(0.9, 3)], "a"),   # steady activity 4*0.9/3.7
         make_edge([(0.6, 1)], "b"),   # steady activity 2*0.6/1.6 = 0.75
     ))
-    a = steady_state(3, 0.9).prob_active_inf
-    b = steady_state(1, 0.6).prob_active_inf
+    a = steady_state(3, 0.9).prob_active
+    b = steady_state(1, 0.6).prob_active
     assert b == pytest.approx(0.75, abs=1e-12)
     assert collective_status(net, math.inf) == pytest.approx(a * b, abs=1e-12)
 
@@ -122,28 +122,23 @@ def test_time_validation():
 def test_joint_state_descriptor_weights():
     specs = [ParallelLinkSpec(p=0.3, tstar=Cutoff(2)),
              ParallelLinkSpec(p=0.6, tstar=Cutoff.parse("inf"))]
-    descriptor, rho = joint_state_descriptor(specs, t=6)
+    rows, rho = joint_state_descriptor(specs, t=6)
     assert rho is None
-    for spec, mixture in zip(specs, descriptor.mixtures):
-        mixture.check_normalized()
-        assert mixture.prob_active == pytest.approx(spec.prob_active(6), abs=1e-12)
-        for m, w in mixture.age_weights.items():
+    assert [row.t for row in rows] == [6, 6]
+    for spec, row in zip(specs, rows):
+        assert row.prob_active == spec.prob_active(6)
+        assert row.prob_active == pytest.approx(sum(row.joint), abs=1e-15)
+        for m, w in enumerate(row.joint):
             assert w == pytest.approx(joint_prob(6, spec.tstar, spec.p, m, 1),
                                       abs=1e-14)
-    assert descriptor.joint_active_probability == pytest.approx(
-        specs[0].prob_active(6) * specs[1].prob_active(6), abs=1e-13)
-    assert descriptor.joint_failure_weight == pytest.approx(
-        (1 - specs[0].prob_active(6)) * (1 - specs[1].prob_active(6)), abs=1e-13)
 
 
 def test_joint_state_descriptor_materialized():
     bell = preset_state("bell_phi_plus")
     channel = preset_channel("depolarizing", 4, 0.9)
     specs = [ParallelLinkSpec(p=0.5, tstar=Cutoff(1))]
-    descriptor, rho = joint_state_descriptor(specs, t=4,
-                                             states=[(bell.projector(), channel)])
+    rows, rho = joint_state_descriptor(specs, t=4, states=[(bell.projector(), channel)])
     assert rho is not None and rho.dim == 5
-    assert rho.matrix[4, 4].real == pytest.approx(
-        descriptor.mixtures[0].failure_weight, abs=1e-12)
+    assert rho.matrix[4, 4].real == 1.0 - rows[0].prob_active
     with pytest.raises(ValueError):
         joint_state_descriptor(specs, t=4, states=[(bell.projector(), channel)] * 2)

@@ -9,10 +9,9 @@ from operator import add, mul
 
 import pytest
 
-from qlink.cutoff import cutoff_policy
+from qlink.cutoff import LinkState, cutoff_policy
 from qlink.engine import LinkParams, Policy, simulate_trajectories
 from qlink.optimize import (
-    PolicyEvaluation,
     _pairwise_sum,
     backward_recursion_reduced,
     evaluate_state_policy,
@@ -135,7 +134,7 @@ def test_state_evaluation_matches_history_enumeration(policy_factory):
         by_history = evaluate_policy(params, policy, t)
         by_state = evaluate_state_policy(params, policy, t)
         assert by_state.e_ftilde == pytest.approx(by_history.e_ftilde, abs=1e-12)
-        assert by_state.e_x == pytest.approx(by_history.e_x, abs=1e-12)
+        assert by_state.prob_active == pytest.approx(by_history.prob_active, abs=1e-12)
 
 
 CURVES = {"constant": FidelityCurve.constant(0.9),
@@ -300,8 +299,7 @@ def test_full_table_is_bellman_consistent():
 
 # a fidelity that revives with age: the optimum keeps and discards in turns
 REVIVING = FidelityCurve(
-    evaluator=lambda m: 0.5 + 0.45 * math.cos(2 * math.pi * m / 5) * 0.97 ** m,
-    kind="closed-form", label="reviving")
+    lambda m: 0.5 + 0.45 * math.cos(2 * math.pi * m / 5) * 0.97 ** m)
 
 
 def test_state_rule_and_decide_runs_agree_with_the_table_over_many_runs():
@@ -370,7 +368,7 @@ def random_curve(seed, levels=None):
             values.append(rng.choice(levels) if levels else rng.random())
         return values[m]
 
-    return FidelityCurve(evaluator=evaluate, kind="closed-form", label=f"random({seed})")
+    return FidelityCurve(evaluate)
 
 
 def random_rule(seed):
@@ -447,7 +445,7 @@ def test_state_evaluation_past_numpys_buffer():
     whole, not one buffer at a time, and E[F~] their in-order sum with f."""
     p, T = 1e-4, 10_000
     params = params_for(p, FidelityCurve.dephasing_bell(0.95))
-    keep = Policy.from_state_rule(None, "deterministic", "keep", lambda t: (1.0, [0], [0.0]))
+    keep = Policy.from_state_rule(None, "deterministic", lambda t: (1.0, [0], [0.0]))
     downs = accumulate(repeat(1.0 - p, T), mul)  # Pr[X = 0] at times 1..T
     active = [p * down for down in downs][::-1] + [p]  # by age 0..T at time T+1
     buffered = reduce(add, (_pairwise_sum(active[i:i + 8192]) for i in range(0, T + 1, 8192)))
@@ -455,4 +453,4 @@ def test_state_evaluation_past_numpys_buffer():
     e_ftilde = reduce(add, map(mul, map(params.fcurve, range(T + 1)), active), 0.0)
     e_x = oracles.whole_row_sum(active)
     assert evaluate_state_policy(params, keep, T + 1) == \
-        PolicyEvaluation(e_ftilde=e_ftilde, e_x=e_x, e_f=e_ftilde / e_x)
+        LinkState(T + 1, tuple(active), e_x, e_ftilde, e_ftilde / e_x)

@@ -181,7 +181,7 @@ def test_dephasing_bell_curve_matches_channel_powers(lam):
 
 
 def test_curve_validates_range():
-    bad = FidelityCurve(evaluator=lambda m: 1.5, kind="closed-form")
+    bad = FidelityCurve(lambda m: 1.5)
     with pytest.raises(ValueError):
         bad(0)
     with pytest.raises(ValueError):

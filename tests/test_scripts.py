@@ -1,6 +1,8 @@
-"""Smoke runs of the bundled scripts, as subprocesses."""
+"""Smoke runs of the bundled scripts and the README's library example, as
+subprocesses."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,12 +11,24 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
-def run_script(name, *args):
+def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def run_script(name, *args):
+    return run_python(str(ROOT / "scripts" / name), *args)
+
+
+def test_readme_library_example_runs():
+    """The README's one ```python block runs as written."""
+    blocks = re.findall(r"(?ms)^```python\n(.*?)^```", (ROOT / "README.md").read_text())
+    assert len(blocks) == 1
+    proc = run_python("-c", blocks[0])
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_optimize_demo_prints_one_row_per_p():
