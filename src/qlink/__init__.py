@@ -22,13 +22,12 @@ _HOMES = {
         "materialize_average_state", "simulate_trajectories",
     ),
     "cutoff": (
-        "Cutoff", "LinkState", "SequenceStats", "active_rows",
-        "count_sequences", "cutoff_policy", "expected_fidelity_cutoff",
-        "expected_success_rate", "expected_success_rates",
-        "history_prob_cutoff", "hyp2f1_series", "joint_prob",
-        "memory_time_cutoff", "prob_active", "sequence_stats",
-        "steady_state", "success_rate_limits", "transition_matrix",
-        "waiting_time", "waiting_times",
+        "LinkState", "SequenceStats", "active_rows", "count_sequences",
+        "cutoff_policy", "expected_fidelity_cutoff", "expected_success_rate",
+        "expected_success_rates", "history_prob_cutoff", "hyp2f1_series",
+        "joint_prob", "memory_time_cutoff", "parse_cutoff", "prob_active",
+        "sequence_stats", "steady_state", "success_rate_limits",
+        "transition_matrix", "waiting_time", "waiting_times",
     ),
     "network": (
         "EdgeConfig", "NetworkConfig", "ParallelLinkSpec", "collective_status",

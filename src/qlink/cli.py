@@ -45,10 +45,6 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
-def _tstar_cell(tstar: ca.Cutoff):
-    return math.inf if tstar.is_infinite else tstar.finite_value
-
-
 def _link_curve(link: LinkSpec) -> Optional[FidelityCurve]:
     return link.fidelity.curve() if link.fidelity is not None else None
 
@@ -73,7 +69,7 @@ def _metadata(config: RunConfig, seed: Optional[int] = None) -> dict[str, str]:
 def _analytic_rows(link: LinkSpec, times: Sequence[int]) -> list[tuple]:
     rows = []
     for row in ca.active_rows(times, link.tstar, link.p, _link_curve(link), success=True):
-        rows.append((link.p, _tstar_cell(link.tstar), row.t, row.prob_active,
+        rows.append((link.p, link.tstar, row.t, row.prob_active,
                      row.e_ftilde, row.e_f, row.success_rate))
     return rows
 
@@ -89,7 +85,7 @@ def run_analytic(config: RunConfig) -> ResultTable:
         table = ResultTable(columns=list(WAITING_COLUMNS), rows=[],
                             metadata=_metadata(config))
         for wait in ca.waiting_times(config.t_req, link.tstar, link.p):
-            table.append(link.p, _tstar_cell(link.tstar), wait.t_req,
+            table.append(link.p, link.tstar, wait.t_req,
                          wait.expectation, wait.limit)
         return table
     table = ResultTable(columns=list(ANALYTIC_COLUMNS), rows=[],
@@ -107,14 +103,9 @@ def run_sweep(config: RunConfig) -> ResultTable:
             return LinkSpec(p=value, tstar=base.tstar, fidelity=base.fidelity)
         return LinkSpec(p=base.p, tstar=value, fidelity=base.fidelity)
 
-    def sort_key(value):
-        if config.sweep_field == "p":
-            return (0, value)
-        return (1, 0) if value.is_infinite else (0, value.finite_value)
-
     table = ResultTable(columns=list(ANALYTIC_COLUMNS), rows=[],
                         metadata=_metadata(config))
-    for value in sorted(config.sweep_values, key=sort_key):  # then by t
+    for value in sorted(config.sweep_values):  # then by t
         table.rows.extend(_analytic_rows(link_for(value), config.times))
     return table
 
@@ -194,9 +185,9 @@ def run_optimize(config: RunConfig) -> tuple[ResultTable, Callable[[TextIO], Non
     ev = opt.evaluate_state_policy(params, greedy, T + 1)
     table.append("greedy", ev.e_ftilde, ev.prob_active, ev.e_f)
 
-    cutoffs = [ca.Cutoff(v) for v in range(T + 1)] + [ca.Cutoff(math.inf)]
-    for cut, row in zip(cutoffs, ca.cutoff_table(T + 1, cutoffs, link.p, curve)):
-        table.append(f"cutoff({cut})", *row)
+    cutoffs = [*range(T + 1), math.inf]
+    for ts, row in zip(cutoffs, ca.cutoff_table(T + 1, cutoffs, link.p, curve)):
+        table.append(f"cutoff({ts})", *row)
 
     return table, lambda handle: write_policy_json(handle, T, result)
 
@@ -233,29 +224,29 @@ def reproduce_figure(figure: str, ov: dict) -> ResultTable:
         # E[X(t)] against p at a fixed time, one curve per cutoff
         t = ov["t"]
         table = ResultTable(columns=["tstar", "t", "p", "e_x"], rows=[])
-        for cut in ov["tstars"]:
+        for ts in ov["tstars"]:
             for pv in _P_GRID:
-                table.append(_tstar_cell(cut), t, pv, ca.prob_active(t, cut, pv))
+                table.append(ts, t, pv, ca.prob_active(t, ts, pv))
         return table
     if figure == "fig4-right":
         times = range(1, ov["t_max"] + 1)
         table = ResultTable(columns=["tstar", "t", "e_x"], rows=[])
-        for cut in ov["tstars"]:
-            for row in ca.active_rows(times, cut, ov["p"]):
-                table.append(_tstar_cell(cut), row.t, row.prob_active)
+        for ts in ov["tstars"]:
+            for row in ca.active_rows(times, ts, ov["p"]):
+                table.append(ts, row.t, row.prob_active)
         return table
     if figure == "fig5":
         times = range(1, ov["t_max"] + 1)
         table = ResultTable(columns=["tstar", "t", "e_s"], rows=[])
-        for cut in ov["tstars"]:
-            for t, e_s in zip(times, ca.expected_success_rates(times, cut, ov["p"])):
-                table.append(_tstar_cell(cut), t, e_s)
+        for ts in ov["tstars"]:
+            for t, e_s in zip(times, ca.expected_success_rates(times, ts, ov["p"])):
+                table.append(ts, t, e_s)
         return table
     if figure == "fig7":
         table = ResultTable(columns=["tstar", "t_req", "e_wait"], rows=[])
-        for cut in ov["tstars"]:
-            for wait in ca.waiting_times(range(ov["t_req_max"] + 1), cut, ov["p"]):
-                table.append(_tstar_cell(cut), wait.t_req, wait.expectation)
+        for ts in ov["tstars"]:
+            for wait in ca.waiting_times(range(ov["t_req_max"] + 1), ts, ov["p"]):
+                table.append(ts, wait.t_req, wait.expectation)
         return table
 
     # fig8 / fig9: four parallel links with the captioned cutoffs at t = 50

@@ -1,11 +1,12 @@
 """Run configuration: a versioned JSON document validated before execution.
 
-Cutoffs are non-negative integers or the string "inf".  Schema errors raise
-ConfigError with a message naming the offending field; JSON syntax errors
-keep the parser's line/column information.  Three tables hold the schema's
-choices: ``FIELDS`` (which modes read and require each top-level field),
-``FIGURE_OVERRIDES`` (the overrides each figure reads, with their defaults)
-and ``FIDELITY_FIELDS`` (the parameters each fidelity kind reads).
+Cutoffs are non-negative integers or the string "inf", held as an ``int``
+or ``math.inf``.  Schema errors raise ConfigError with a message naming the
+offending field; JSON syntax errors keep the parser's line/column
+information.  Three tables hold the schema's choices: ``FIELDS`` (which
+modes read and require each top-level field), ``FIGURE_OVERRIDES`` (the
+overrides each figure reads, with their defaults) and ``FIDELITY_FIELDS``
+(the parameters each fidelity kind reads).
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
-from .cutoff import Cutoff
+from .cutoff import parse_cutoff
 
 if TYPE_CHECKING:
     from .quantum import FidelityCurve
@@ -52,8 +53,8 @@ FIELDS = {
     "figure": (("reproduce",), ("reproduce",)),
     "overrides": (("reproduce",), ()),
 }
-_TSTARS = tuple(map(Cutoff.parse, (0, 5, 10, 35, "inf")))
-_FIG8_CUTOFFS = tuple(map(Cutoff, (5, 15, 10, 20)))
+_TSTARS = (0, 5, 10, 35, math.inf)
+_FIG8_CUTOFFS = (5, 15, 10, 20)
 # the overrides each figure reads, with their defaults; any other is a typo
 FIGURE_OVERRIDES = {
     "fig4-left": {"tstars": _TSTARS, "t": 10},
@@ -97,7 +98,7 @@ class FidelitySpec:
 @dataclass(frozen=True)
 class LinkSpec:
     p: float
-    tstar: Cutoff
+    tstar: Union[int, float]  # an int or math.inf
     fidelity: Optional[FidelitySpec] = None
 
 
@@ -150,15 +151,11 @@ def _parse_prob(value: Any, where: str) -> float:
     return float(value)
 
 
-def _parse_cutoff(value: Any, where: str) -> Cutoff:
-    try:
-        if isinstance(value, str):
-            if value.lower() not in ("inf", "infinity"):
-                raise ValueError(value)
-            return Cutoff(math.inf)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+def _parse_cutoff(value: Any, where: str) -> Union[int, float]:
+    try:  # `parse_cutoff` without its numeric strings
+        if isinstance(value, str) and value.lower() not in ("inf", "infinity"):
             raise ValueError(value)
-        return Cutoff(value)
+        return parse_cutoff(value)
     except ValueError:
         # a list or an object is named by its type: its repr can run to
         # thousands of characters

@@ -7,6 +7,10 @@ the first established link forever.  All formulas here are exact in the
 model and are cross-checked against brute-force history enumeration in the
 tests.
 
+A cutoff is a number, an ``int`` or ``math.inf``: each accessor reads its
+``tstar`` with `parse_cutoff`, and t*+1 is a held link's life.  Times are
+integers (`_checked_times`): a bool, a float or a string raises ValueError.
+
 Convention: this module uses the cutoff policy's mod-(t*+1) memory time
 M_{t*}(t) = (sum_j X(j) - 1) mod (t*+1), which lives in {0..t*} and equals
 t* when the memory is unloaded.  The engine's general M(t) (with -1 for
@@ -59,8 +63,8 @@ from array import array
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import accumulate
-from operator import add, mul
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
+from operator import add, index, mul
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 if TYPE_CHECKING:
     import numpy as np
@@ -75,44 +79,24 @@ HYP2F1_MAX_TERMS = 10 ** 6
 # the cutoff itself
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Cutoff:
-    """A memory cutoff t*: a non-negative integer or infinity."""
+CutoffLike = Union[int, float, str]
 
-    value: float
 
-    def __post_init__(self) -> None:
-        if self.value == math.inf:
-            return
-        if self.value < 0 or int(self.value) != self.value:
-            raise ValueError(f"cutoff must be a non-negative integer or inf, got {self.value}")
-        object.__setattr__(self, "value", int(self.value))
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value == math.inf
-
-    @property
-    def finite_value(self) -> int:
-        if self.is_infinite:
-            raise ValueError("infinite cutoff has no finite value")
-        return int(self.value)
-
-    @classmethod
-    def parse(cls, value: Union["Cutoff", int, float, str]) -> "Cutoff":
-        if isinstance(value, Cutoff):
-            return value
+def parse_cutoff(value: CutoffLike) -> Union[int, float]:
+    """t* as a non-negative ``int`` or ``math.inf``, from an int, an integral
+    float, infinity, a numeric string or "inf" / "infinity" in any case;
+    anything else, a bool included, raises ValueError."""
+    ts = value
+    try:
         if isinstance(value, str):
-            if value.lower() in ("inf", "infinity"):
-                return cls(math.inf)
-            return cls(int(value))
-        return cls(value)
-
-    def __str__(self) -> str:
-        return "inf" if self.is_infinite else str(int(self.value))
-
-
-CutoffLike = Union[Cutoff, int, float, str]
+            ts = math.inf if value.lower() in ("inf", "infinity") else int(value)
+        if ts == math.inf:
+            return math.inf
+        if not isinstance(ts, bool) and ts >= 0 and int(ts) == ts:
+            return int(ts)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"cutoff must be a non-negative integer or inf, got {value!r}")
 
 
 def _validate_p(p: float) -> None:
@@ -131,8 +115,7 @@ def cutoff_policy(tstar: CutoffLike) -> Policy:
     memory is unloaded or has been held for t* steps: one hold run over
     age while t <= t*, then a request run from t*."""
     from .engine import Policy
-    cut = Cutoff.parse(tstar)
-    ts = cut.value  # no age reaches t* = infinity
+    ts = parse_cutoff(tstar)  # no age reaches t* = infinity
     rule = lambda t, x, m: 1.0 if (m == -1 or m >= ts) else 0.0
     hold = (1.0, (0,), (0.0,))
     discard = (1.0, (0, ts), (0.0, 1.0)) if ts else (1.0, (0,), (1.0,))
@@ -148,11 +131,9 @@ def memory_time_cutoff(history: Union[History, Sequence[int]], tstar: CutoffLike
     """
     from .engine import History
     xs = history.observations if isinstance(history, History) else tuple(history)
-    cut = Cutoff.parse(tstar)
+    ts = parse_cutoff(tstar)
     total = sum(xs)
-    if cut.is_infinite:
-        return total - 1
-    return (total - 1) % (cut.finite_value + 1)
+    return total - 1 if ts == math.inf else (total - 1) % (ts + 1)
 
 
 @dataclass(frozen=True)
@@ -168,16 +149,8 @@ class SequenceStats:
 
 
 def sequence_stats(xs: Sequence[int], tstar: CutoffLike) -> SequenceStats:
-    cut = Cutoff.parse(tstar)
+    block = parse_cutoff(tstar) + 1  # no run of ones fills an infinite block
     t = len(xs)
-    if cut.is_infinite:
-        trailing = 0
-        for x in reversed(xs):
-            if x != 1:
-                break
-            trailing += 1
-        return SequenceStats(y1=0, y2=trailing)
-    block = cut.finite_value + 1
     y1 = 0
     run = 0
     for j, x in enumerate(xs, start=1):
@@ -195,17 +168,16 @@ def history_prob_cutoff(stats: SequenceStats, t: int, tstar: CutoffLike,
                         p: float) -> float:
     """Probability of a supported history from its (Y1, Y2) statistics."""
     _validate_p(p)
-    cut = Cutoff.parse(tstar)
+    ts = parse_cutoff(tstar)
     y1, y2 = stats.y1, stats.y2
     if t < 1 or y1 < 0 or y2 < 0:
         raise ValueError(f"unrealizable stats (t={t}, Y1={y1}, Y2={y2})")
-    if cut.is_infinite:
+    if ts == math.inf:
         if y1 != 0 or y2 > t:
             raise ValueError(f"unrealizable stats for infinite cutoff (Y1={y1}, Y2={y2})")
         if y2 == 0:
             return (1.0 - p) ** t
         return p * (1.0 - p) ** (t - y2)
-    ts = cut.finite_value
     block = ts + 1
     fail_exp = t - y2 - block * y1
     ok = (y2 <= min(block, t)) and fail_exp >= 0
@@ -222,10 +194,9 @@ def count_sequences(t: int, tstar: CutoffLike) -> int:
     """|Omega(t; t*)|: the number of link-value sequences with nonzero probability."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    cut = Cutoff.parse(tstar)
-    if cut.is_infinite:
+    ts = parse_cutoff(tstar)
+    if ts == math.inf:
         return 1 + t
-    ts = cut.finite_value
     block = ts + 1
     total = 0
     for b in range((t - 1) // block + 1):
@@ -463,25 +434,24 @@ def joint_prob(t: int, tstar: CutoffLike, p: float, m: int, x: int) -> float:
     it, and `_down_probs` at x = 0.  At x = 1 and t <= t*+1 the row's entry
     p (1-p)^(t-1-m) is formed alone, in O(1).
     """
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+    [t] = _checked_times((t,))
     if x not in (0, 1):
         raise ValueError(f"x must be a bit, got {x}")
     _validate_p(p)
-    cut = Cutoff.parse(tstar)
-    unloaded = -1 if cut.is_infinite else cut.finite_value
-    if cut.is_infinite and (m == unloaded) != (x == 0):
+    ts = parse_cutoff(tstar)
+    unloaded = -1 if ts == math.inf else ts
+    if ts == math.inf and (m == unloaded) != (x == 0):
         raise ValueError("for infinite cutoff m=-1 encodes the unloaded memory, the only "
                          f"state with X=0, got m={m}, x={x}")
-    if cut.is_infinite and m < -1:
+    if ts == math.inf and m < -1:
         raise ValueError(f"m must be -1 or an age m >= 0, got {m}")
-    if not cut.is_infinite and not 0 <= m <= unloaded:
-        raise ValueError(f"m must be in 0..{unloaded}, got {m}")
+    if ts != math.inf and not 0 <= m <= ts:
+        raise ValueError(f"m must be in 0..{ts}, got {m}")
     if x == 0:
-        return _down_probs([t], cut, p)[0] if m == unloaded else 0.0
-    if t <= _block(cut):
+        return _down_probs([t], ts, p)[0] if m == unloaded else 0.0
+    if t <= ts + 1:
         return p * (1.0 - p) ** (t - 1 - m) if m < t else 0.0
-    joint = next(active_rows((t,), cut, p)).joint
+    joint = next(active_rows((t,), ts, p)).joint
     return joint[m] if 0 <= m < len(joint) else 0.0
 
 
@@ -520,34 +490,35 @@ class LinkState:
         return cls(t, joint, prob_active, e_ftilde, e_ftilde / prob_active, success_rate)
 
 
-def _checked_times(times: Sequence[int]) -> list[int]:
-    times = list(times)
+def _checked_times(times: Iterable[int], low: int = 1, name: str = "t") -> list[int]:
+    """``times`` as ints >= ``low``: ValueError for a bool or anything
+    `operator.index` refuses (a float, a string); numpy integers pass."""
+    checked = []
     for t in times:
-        if t < 1:
-            raise ValueError(f"t must be >= 1, got {t}")
-    return times
+        try:
+            value = None if isinstance(t, bool) else index(t)
+        except TypeError:
+            value = None
+        if value is None or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {t!r}")
+        checked.append(value)
+    return checked
 
 
-def _block(cut: Cutoff) -> Union[int, float]:
-    """t*+1, the length of a held link's life; infinity for t* = infinity."""
-    return math.inf if cut.is_infinite else cut.finite_value + 1
-
-
-def _long_sums(times: list[int], cut: Cutoff, p: float,
+def _long_sums(times: list[int], ts: Union[int, float], p: float,
                want: set[str]) -> dict[str, dict[int, float]]:
     """`_binomial_sums` over the times above t*+1, where it applies; g and
     E[S] at t read g over t-t*..t, the down family only at t."""
-    long = sorted({t for t in times if t > _block(cut)})
+    long = sorted({t for t in times if t > ts + 1})
     if not long or not 0.0 < p < 1.0:
         return {name: {} for name in want}
-    ts = cut.finite_value
     return _binomial_sums(_runs(long, ts if want & {"g", "es"} else 0), ts, p, want)
 
 
-def _down_probs(times: list[int], cut: Cutoff, p: float) -> list[float]:
+def _down_probs(times: list[int], ts: Union[int, float], p: float) -> list[float]:
     """Pr[M_{t*}(t) = t*, X(t) = 0] at each of ``times``: the down family
     of `_long_sums` where it applies, else (1-p)^t, the all-fail sequence."""
-    down = _long_sums(times, cut, p, {"down"})["down"]
+    down = _long_sums(times, ts, p, {"down"})["down"]
     return [down[t] if t in down else (1.0 - p) ** t for t in times]
 
 
@@ -579,10 +550,10 @@ def active_rows(times: Sequence[int], tstar: CutoffLike, p: float,
     are consumed, so a long series holds one row at a time.
     """
     _validate_p(p)
-    cut = Cutoff.parse(tstar)
+    ts = parse_cutoff(tstar)
     times = _checked_times(times)
-    block = _block(cut)
-    sums = _long_sums(times, cut, p, {"g", "es"} if success else {"g"})
+    block = ts + 1
+    sums = _long_sums(times, ts, p, {"g", "es"} if success else {"g"})
     series = sums["g"]
     rates = _success_rates(times, block, p, sums["es"]) if success else [None] * len(times)
     max_age = min(max(times, default=0), block)
@@ -624,14 +595,13 @@ def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
     `active_rows`.
     """
     _validate_p(p)
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+    [t] = _checked_times((t,))
     if p == 0.0:
         return [(0.0, 0.0, None)] * len(tstars)
     fvals = [fcurve(m) for m in range(t)]
-    cuts = [Cutoff.parse(tstar) for tstar in tstars]
+    tss = [parse_cutoff(tstar) for tstar in tstars]
     if p == 1.0:
-        ages = ((t - 1) % block if t > block else t - 1 for block in map(_block, cuts))
+        ages = ((t - 1) % (ts + 1) if t > ts + 1 else t - 1 for ts in tss)
         return [(fvals[m], 1.0, fvals[m]) for m in ages]
     term_at = _term_at(t, p)
 
@@ -642,7 +612,7 @@ def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
     low = math.isqrt(t // 2) + 1
     shared = [array("d", [term(k, b) for k in range(b, t)]) for b in range(low)]  # [b][k - b]
     sums = {}  # block t*+1 < t -> (E[F~], Pr[X = 1])
-    for block in sorted({cut.finite_value + 1 for cut in cuts if t > _block(cut)}):
+    for block in sorted({ts + 1 for ts in tss if t > ts + 1}):
         joint = shared[0][:block].tolist()  # g(t - m); 0.0 + a term is the term
         for b in range(1, -(-t // block)):
             first = b * block
@@ -651,12 +621,12 @@ def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
             joint[:len(row)] = map(add, joint, row)
         sums[block] = (reduce(add, map(mul, fvals, joint)), reduce(add, joint))
     table = []
-    for cut in cuts:
-        if t <= _block(cut):
-            row = next(active_rows((t,), cut, p, fvals.__getitem__))
+    for ts in tss:
+        if t <= ts + 1:
+            row = next(active_rows((t,), ts, p, fvals.__getitem__))
             table.append((row.e_ftilde, row.prob_active, row.e_f))
             continue
-        e_ftilde, active = sums[cut.finite_value + 1]
+        e_ftilde, active = sums[ts + 1]
         table.append((e_ftilde, active, e_ftilde / active) if active != 0.0
                      else (0.0, active, None))
     return table
@@ -666,10 +636,11 @@ def prob_active(t: int, tstar: CutoffLike, p: float) -> float:
     """Pr[X(t) = 1] under the cutoff policy: ``active_rows``' value, which
     for t <= t*+1 is 1 - (1-p)^t, formed here without the row."""
     _validate_p(p)
-    cut = Cutoff.parse(tstar)
-    if 1 <= t <= _block(cut):
+    ts = parse_cutoff(tstar)
+    [t] = _checked_times((t,))
+    if t <= ts + 1:
         return 1.0 - (1.0 - p) ** t
-    return next(active_rows((t,), cut, p)).prob_active
+    return next(active_rows((t,), ts, p)).prob_active
 
 
 def steady_state(tstar: CutoffLike, p: float,
@@ -684,12 +655,11 @@ def steady_state(tstar: CutoffLike, p: float,
     and the fidelity sums raise ValueError.
     """
     _validate_p(p)
-    cut = Cutoff.parse(tstar)
-    if cut.is_infinite:
+    ts = parse_cutoff(tstar)
+    if ts == math.inf:
         if fcurve is not None:
             raise ValueError("steady-state fidelity sums require a finite cutoff")
         return LinkState(math.inf, (), 1.0 if p > 0.0 else 0.0)
-    ts = cut.finite_value
     denom = 1.0 + ts * p
     state = LinkState(math.inf, (p / denom,) * (ts + 1), (ts + 1) * p / denom)
     if fcurve is None:
@@ -722,9 +692,9 @@ def expected_success_rates(times: Sequence[int], tstar: CutoffLike,
     """
     times = _checked_times(times)
     _validate_p(p)
-    cut = Cutoff.parse(tstar)
-    sums = _long_sums(times, cut, p, {"es"})["es"]
-    return _success_rates(times, _block(cut), p, sums)
+    ts = parse_cutoff(tstar)
+    sums = _long_sums(times, ts, p, {"es"})["es"]
+    return _success_rates(times, ts + 1, p, sums)
 
 
 def expected_success_rate(t: int, tstar: CutoffLike, p: float) -> float:
@@ -746,9 +716,9 @@ def success_rate_limits(tstar: CutoffLike, p: float) -> SuccessRateLimits:
     p in {0, 1} are handled as the continuous limits.
     """
     _validate_p(p)
-    cut = Cutoff.parse(tstar)
+    ts = parse_cutoff(tstar)
     interior = 0.0 < p < 1.0
-    limit = -p * math.log(p) / (1.0 - p) if interior and cut.is_infinite else float(p)
+    limit = -p * math.log(p) / (1.0 - p) if interior and ts == math.inf else float(p)
 
     def plateau(x: int) -> float:
         if x < 0:
@@ -823,18 +793,15 @@ def waiting_times(t_reqs: Sequence[int], tstar: CutoffLike,
     q = Pr[M = t*, X = 0 at t_req + 1] comes from `_down_probs`, so the
     requests after t* share one `_binomial_sums` pass.
     """
-    t_reqs = list(t_reqs)
-    for t_req in t_reqs:
-        if t_req < 0:
-            raise ValueError(f"t_req must be >= 0, got {t_req}")
+    t_reqs = _checked_times(t_reqs, 0, "t_req")
     _validate_p(p)
-    cut = Cutoff.parse(tstar)
+    ts = parse_cutoff(tstar)
     if p in (0.0, 1.0):  # a request always fails, or never does
         wait, mass = (1.0, 1.0) if p == 1.0 else (math.inf, 0.0)
         return [WaitingTime(t_req=t_req, expectation=wait, limit=wait, total_mass=mass,
                             pmf=lambda t: mass if t == 1 else 0.0) for t_req in t_reqs]
-    downs = _down_probs([t_req + 1 for t_req in t_reqs], cut, p)
-    limit = 0.0 if cut.is_infinite else 1.0 / (p * (1.0 + cut.finite_value * p))
+    downs = _down_probs([t_req + 1 for t_req in t_reqs], ts, p)
+    limit = 0.0 if ts == math.inf else 1.0 / (p * (1.0 + ts * p))
     return [_waiting_time(t_req, q, p, limit) for t_req, q in zip(t_reqs, downs)]
 
 
@@ -856,7 +823,7 @@ class TransitionMatrix:
     of moving to state i from state j.
     """
 
-    tstar: Cutoff
+    tstar: Union[int, float]
     p: float
     states: tuple
     matrix: np.ndarray
@@ -868,12 +835,9 @@ class TransitionMatrix:
         """The t = 1 distribution (the A(0) = 1 request)."""
         import numpy as np
         dist = np.zeros(len(self.states))
-        if self.tstar.is_infinite:
-            dist[self.state_index(1)] = self.p
-            dist[self.state_index(0)] = 1.0 - self.p
-        else:
-            dist[self.state_index((1, 0))] = self.p
-            dist[self.state_index((0, self.tstar.finite_value))] = 1.0 - self.p
+        up, down = (1, 0) if self.tstar == math.inf else ((1, 0), (0, self.tstar))
+        dist[self.state_index(up)] = self.p
+        dist[self.state_index(down)] = 1.0 - self.p
         return dist
 
     def distribution_at(self, t: int) -> np.ndarray:
@@ -886,13 +850,12 @@ class TransitionMatrix:
 def transition_matrix(tstar: CutoffLike, p: float) -> TransitionMatrix:
     import numpy as np
     _validate_p(p)
-    cut = Cutoff.parse(tstar)
-    if cut.is_infinite:
+    ts = parse_cutoff(tstar)
+    if ts == math.inf:
         # states (x=0, x=1); an established link is kept forever
         mat = np.array([[1.0 - p, 0.0],
                         [p, 1.0]])
-        return TransitionMatrix(tstar=cut, p=p, states=(0, 1), matrix=mat)
-    ts = cut.finite_value
+        return TransitionMatrix(tstar=ts, p=p, states=(0, 1), matrix=mat)
     states = tuple((x, m) for x in (0, 1) for m in range(ts + 1))
     index = {s: i for i, s in enumerate(states)}
     mat = np.zeros((len(states), len(states)))
@@ -904,4 +867,4 @@ def transition_matrix(tstar: CutoffLike, p: float) -> TransitionMatrix:
             # memory unloaded (x=0) or at cutoff age: a request is made
             mat[index[(1, 0)], j] = p
             mat[index[(0, ts)], j] = 1.0 - p
-    return TransitionMatrix(tstar=cut, p=p, states=states, matrix=mat)
+    return TransitionMatrix(tstar=ts, p=p, states=states, matrix=mat)

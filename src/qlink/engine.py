@@ -312,9 +312,12 @@ def materialize_average_state(state: LinkState, rho0: DensityOperator,
 
     The failure branch, 1 - Pr[X(t) = 1], occupies one appended basis
     vector orthogonal to the link space, so fidelities against (padded)
-    targets are unchanged.
+    targets are unchanged.  The t* = inf limit state raises ValueError.
     """
     import numpy as np
+    if state.prob_active and not state.joint:
+        raise ValueError("the t* = inf limit state has no density matrix: the kept "
+                         "link's age grows without bound")
     dim = rho0.dim
     out = np.zeros((dim + 1, dim + 1), dtype=complex)
     rho = rho0

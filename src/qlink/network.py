@@ -3,7 +3,8 @@ links, and collective status.
 
 Every link generates independently (no shared randomness), so all aggregate
 quantities factor into per-link activity probabilities delivered by the
-cutoff analytics.  ``t = math.inf`` selects the steady-state values.
+cutoff analytics.  A time is an integer t >= 1, or ``t = math.inf``, which
+selects the steady-state values; a cutoff is an ``int`` or ``math.inf``.
 """
 
 from __future__ import annotations
@@ -31,17 +32,17 @@ class ParallelLinkSpec:
     """One parallel link on an edge: its success probability and cutoff."""
 
     p: float
-    tstar: ca.Cutoff
+    tstar: Union[int, float]
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"success probability must be in [0, 1], got {self.p}")
-        object.__setattr__(self, "tstar", ca.Cutoff.parse(self.tstar))
+        object.__setattr__(self, "tstar", ca.parse_cutoff(self.tstar))
 
     def prob_active(self, t: TimeLike) -> float:
         if t == math.inf:
             return ca.steady_state(self.tstar, self.p).prob_active
-        return ca.prob_active(int(t), self.tstar, self.p)
+        return ca.prob_active(t, self.tstar, self.p)
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,8 @@ class NetworkConfig:
 
 
 def _check_time(t: TimeLike) -> None:
-    if t != math.inf and (int(t) != t or t < 1):
-        raise ValueError(f"time must be an integer >= 1 or inf, got {t}")
+    if t != math.inf:
+        ca._checked_times((t,))
 
 
 def prob_at_least_one(edge: EdgeConfig, t: TimeLike) -> float:
@@ -123,12 +124,12 @@ def collective_status(net: NetworkConfig, t: TimeLike) -> float:
 
 
 def joint_state_descriptor(
-        specs: Sequence[ParallelLinkSpec], t: int,
+        specs: Sequence[ParallelLinkSpec], t: TimeLike,
         states: Optional[Sequence[tuple[DensityOperator, KrausChannel]]] = None,
 ) -> tuple[list[ca.LinkState], Optional[DensityOperator]]:
     """Each link's state at time t under its cutoff policy, in the order of
-    ``specs``; the links are independent, so the joint state is their
-    tensor product.
+    ``specs``, its `cutoff.steady_state` at t = math.inf; the links are
+    independent, so the joint state is their tensor product.
 
     Given ``states``, one ``(rho0, channel)`` pair per link, that product is
     materialised and returned alongside, else None; total dimension is
@@ -138,9 +139,9 @@ def joint_state_descriptor(
 
     from .engine import materialize_average_state
     from .quantum import DensityOperator
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    rows = [next(ca.active_rows((t,), spec.tstar, spec.p)) for spec in specs]
+    _check_time(t)
+    rows = [ca.steady_state(spec.tstar, spec.p) if t == math.inf
+            else next(ca.active_rows((t,), spec.tstar, spec.p)) for spec in specs]
     if states is None:
         return rows, None
     if len(states) != len(specs):

@@ -39,7 +39,7 @@ from typing import Callable, Iterator, Optional, TextIO, Union
 import numpy as np
 
 from qlink import optimize as opt
-from qlink.cutoff import Cutoff, CutoffLike, LinkState
+from qlink.cutoff import CutoffLike, LinkState, parse_cutoff
 from qlink.engine import (History, LinkParams, Policy, SimulationResult,
                           evolve_exhaustive, trial_rng)
 from qlink.optimize import OptimizationResult
@@ -170,9 +170,9 @@ def joint_prob_lgamma(t: int, tstar: CutoffLike, p: float, m: int, x: int) -> fl
     if x not in (0, 1):
         raise ValueError(f"x must be a bit, got {x}")
     _validate_p(p)
-    cut = Cutoff.parse(tstar)
+    ts = parse_cutoff(tstar)
 
-    if cut.is_infinite:
+    if ts == math.inf:
         if x == 0:
             if m != -1:
                 raise ValueError(f"for infinite cutoff X=0 requires m=-1, got m={m}")
@@ -183,7 +183,6 @@ def joint_prob_lgamma(t: int, tstar: CutoffLike, p: float, m: int, x: int) -> fl
             return 0.0
         return p * (1.0 - p) ** (t - m - 1)
 
-    ts = cut.finite_value
     block = ts + 1
     if not 0 <= m <= ts:
         raise ValueError(f"m must be in 0..{ts}, got {m}")
@@ -218,24 +217,23 @@ def joint_prob_lgamma(t: int, tstar: CutoffLike, p: float, m: int, x: int) -> fl
 
 def prob_active_lgamma(t: int, tstar: CutoffLike, p: float) -> float:
     """Pr[X(t) = 1] as the sum of the term-at-a-time joint probabilities."""
-    cut = Cutoff.parse(tstar)
-    if cut.is_infinite or t <= cut.finite_value + 1:
+    ts = parse_cutoff(tstar)
+    if ts == math.inf or t <= ts + 1:
         return 1.0 - (1.0 - p) ** t
-    return reduce(add, (joint_prob_lgamma(t, cut, p, m, 1)
-                        for m in range(cut.finite_value + 1)), 0.0)
+    return reduce(add, (joint_prob_lgamma(t, ts, p, m, 1) for m in range(ts + 1)), 0.0)
 
 
 def expected_fidelity_lgamma(t: int, tstar: CutoffLike, p: float,
                              fcurve: Callable[[int], float]
                              ) -> tuple[float, Optional[float]]:
     """(E[F~(t)], E[F(t)]) from the term-at-a-time joint probabilities."""
-    cut = Cutoff.parse(tstar)
-    if cut.is_infinite:
+    ts = parse_cutoff(tstar)
+    if ts == math.inf:
         ages = range(t)
     else:
-        ages = range(min(t, cut.finite_value + 1))
-    e_ftilde = reduce(add, (fcurve(m) * joint_prob_lgamma(t, cut, p, m, 1) for m in ages), 0.0)
-    active = prob_active_lgamma(t, cut, p)
+        ages = range(min(t, ts + 1))
+    e_ftilde = reduce(add, (fcurve(m) * joint_prob_lgamma(t, ts, p, m, 1) for m in ages), 0.0)
+    active = prob_active_lgamma(t, ts, p)
     if active == 0.0:
         return 0.0, None
     return e_ftilde, e_ftilde / active
@@ -250,10 +248,9 @@ def expected_success_rate_lgamma(t: int, tstar: CutoffLike, p: float) -> float:
         return 0.0
     if p == 1.0:
         return 1.0
-    cut = Cutoff.parse(tstar)
-    if cut.is_infinite or t <= cut.finite_value + 1:
+    ts = parse_cutoff(tstar)
+    if ts == math.inf or t <= ts + 1:
         return reduce(add, (p * (1.0 - p) ** j / (j + 1) for j in range(t)), 0.0)
-    ts = cut.finite_value
     block = ts + 1
     total = 0.0
     for b in range((t - 1) // block + 1):
@@ -601,9 +598,9 @@ def simulate_waiting_time(t_req: int, tstar: CutoffLike, p: float,
     _validate_p(p)
     if p in (0.0, 1.0):
         raise ValueError("Monte Carlo waiting time requires p in (0, 1)")
-    cut = Cutoff.parse(tstar)
+    ts = parse_cutoff(tstar)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
-    ts = None if cut.is_infinite else cut.finite_value
+    ts = None if ts == math.inf else ts
 
     # vectorized over trials: one uniform per step of the length-(t_req+1) chain
     n = n_trials

@@ -25,7 +25,6 @@ from qlink import cli
 from qlink.config import MAX_TIME, load_config
 from qlink.csvio import read_result_table
 from qlink.cutoff import (
-    Cutoff,
     count_sequences,
     history_prob_cutoff,
     hyp2f1_series,
@@ -449,8 +448,8 @@ def test_criterion_09_quantum_core():
 
 def test_criterion_10_network_aggregation():
     # hand-derived steady product: 0.72 * 0.75 = 0.54
-    link_a = ParallelLinkSpec(p=0.5625, tstar=Cutoff(1))
-    link_b = ParallelLinkSpec(p=0.6, tstar=Cutoff(1))
+    link_a = ParallelLinkSpec(p=0.5625, tstar=1)
+    link_b = ParallelLinkSpec(p=0.6, tstar=1)
     assert link_a.prob_active(math.inf) == pytest.approx(0.72, abs=1e-12)
     assert link_b.prob_active(math.inf) == pytest.approx(0.75, abs=1e-12)
     net = NetworkConfig(edges=(
@@ -462,8 +461,8 @@ def test_criterion_10_network_aggregation():
     # product formulas against independent per-link Monte Carlo streams
     t = 20
     n = 100_000
-    specs = [ParallelLinkSpec(p=0.3, tstar=Cutoff(5)),
-             ParallelLinkSpec(p=0.5, tstar=Cutoff(2))]
+    specs = [ParallelLinkSpec(p=0.3, tstar=5),
+             ParallelLinkSpec(p=0.5, tstar=2)]
     curve = FidelityCurve.constant(1.0)
     estimates = []
     for idx, spec in enumerate(specs):
@@ -600,7 +599,7 @@ def test_criterion_11_sweep_p_and_multi_block_simulate_goldens_equal_their_oracl
         assert e_s == expected_success_rate_lgamma(t, tstar, p)
         assert (e_ftilde, e_f) == expected_fidelity_lgamma(t, tstar, p, curve)
     config, curve, rows = load("simulate-blocks")
-    assert config.trials == 2 * BLOCK_TRIALS + 1 and config.link.tstar.is_infinite
+    assert config.trials == 2 * BLOCK_TRIALS + 1 and config.link.tstar == math.inf
     ref = simulate_trajectories_scalar(LinkParams.symbolic(config.link.p, curve),
                                        ca.cutoff_policy("inf"), config.horizon,
                                        config.trials, config.seed)

@@ -66,7 +66,7 @@ def test_parse_valid_config():
     config = parse_config(analytic_doc())
     assert config.mode == "analytic"
     assert config.link.p == 0.3
-    assert config.link.tstar.finite_value == 2
+    assert config.link.tstar == 2
     assert config.times == (1, 2, 5, 10)
 
 
@@ -74,7 +74,7 @@ def test_parse_infinite_cutoff_and_range_times():
     doc = analytic_doc(times={"start": 1, "stop": 6, "step": 2})
     doc["link"]["tstar"] = "inf"
     config = parse_config(doc)
-    assert config.link.tstar.is_infinite
+    assert config.link.tstar == math.inf
     assert config.times == (1, 3, 5)
 
 
@@ -299,6 +299,23 @@ def test_cli_sweep_starts_no_thread(tmp_path, monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     assert main(["sweep", "--config", config, "--out", str(tmp_path / "s.csv"),
                  "--threads", "4"]) == 0
+
+
+def test_cli_sweep_cutoff_spellings_write_the_same_csv(tmp_path):
+    """Integral floats and any case of "inf" are the same cutoffs as their
+    int and "inf" spellings: the cells hold the int or inf, never 2.0."""
+    outputs = []
+    for tstar, values in [(3, [2, "inf", 0]), (3.0, [2.0, "Infinity", 0])]:
+        doc = {"schema_version": 1, "mode": "sweep",
+               "link": {"p": 0.3, "tstar": tstar}, "times": [1, 5, 9],
+               "sweep": {"field": "tstar", "values": values}}
+        out = tmp_path / f"{tstar}.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        # the '#' header holds the config hash, which differs
+        outputs.append([line for line in out.read_text().splitlines()
+                        if not line.startswith("#")])
+    assert outputs[0] == outputs[1]
+    assert [line.split(",")[1] for line in outputs[0][1::3]] == ["0", "2", "inf"]
 
 
 def test_cli_simulate_deterministic_and_seed_override(tmp_path):
@@ -925,12 +942,12 @@ PACKAGE_NAMES = {
     "engine": ["History", "LinkParams", "Policy", "evolve_exhaustive",
                "history_prob", "iter_supported_histories",
                "materialize_average_state", "simulate_trajectories"],
-    "cutoff": ["Cutoff", "LinkState", "SequenceStats", "active_rows",
-               "count_sequences", "cutoff_policy", "expected_fidelity_cutoff",
+    "cutoff": ["LinkState", "SequenceStats", "active_rows", "count_sequences",
+               "cutoff_policy", "expected_fidelity_cutoff",
                "expected_success_rate", "expected_success_rates",
                "history_prob_cutoff", "hyp2f1_series", "joint_prob",
-               "memory_time_cutoff", "prob_active", "sequence_stats",
-               "steady_state", "success_rate_limits",
+               "memory_time_cutoff", "parse_cutoff", "prob_active",
+               "sequence_stats", "steady_state", "success_rate_limits",
                "transition_matrix", "waiting_time", "waiting_times"],
     "network": ["EdgeConfig", "NetworkConfig", "ParallelLinkSpec",
                 "collective_status", "expected_flow", "expected_rate_limit",

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 import qlink.cutoff as ca
 from qlink.config import MAX_TIME
 from qlink.cutoff import (
-    Cutoff,
     LinkState,
     active_rows,
     count_sequences,
@@ -28,6 +27,7 @@ from qlink.cutoff import (
     hyp2f1_series,
     joint_prob,
     memory_time_cutoff,
+    parse_cutoff,
     prob_active,
     sequence_stats,
     steady_state,
@@ -37,6 +37,7 @@ from qlink.cutoff import (
     waiting_times,
 )
 from qlink.engine import History, iter_supported_histories
+from qlink.network import ParallelLinkSpec
 from qlink.quantum import FidelityCurve
 
 from oracles import (
@@ -54,22 +55,45 @@ TSTARS = [0, 1, 2, 3, 5, math.inf]
 
 
 # ---------------------------------------------------------------------------
-# Cutoff
+# the cutoff as a number
 # ---------------------------------------------------------------------------
 
-def test_cutoff_parse_and_str():
-    assert Cutoff.parse(3).finite_value == 3
-    assert Cutoff.parse("7").finite_value == 7
-    assert Cutoff.parse("inf").is_infinite
-    assert Cutoff.parse("Infinity").is_infinite
-    assert str(Cutoff(math.inf)) == "inf"
-    assert str(Cutoff(4)) == "4"
-    with pytest.raises(ValueError):
-        Cutoff(-1)
-    with pytest.raises(ValueError):
-        Cutoff(2.5)
-    with pytest.raises(ValueError):
-        Cutoff(math.inf).finite_value
+def test_parse_cutoff():
+    """A cutoff parses to an int or math.inf; the int spells as the number."""
+    for value, expected in [(3, 3), ("7", 7), (4.0, 4), (np.int64(5), 5),
+                            ("inf", math.inf), ("Infinity", math.inf),
+                            (math.inf, math.inf)]:
+        ts = parse_cutoff(value)
+        assert ts == expected and type(ts) is type(expected)
+    assert f"{parse_cutoff('inf')}" == "inf" and f"{parse_cutoff(4.0)}" == "4"
+    for value in (-1, 2.5, True, False, "2.5", "x", None, [3], math.nan, -math.inf):
+        with pytest.raises(ValueError, match="cutoff must be"):
+            parse_cutoff(value)
+
+
+# the accessors whose times `_checked_times` checks, with the smallest time each takes
+TIME_ACCESSORS = {
+    "prob_active": (lambda t: prob_active(t, 3, 0.3), 1),
+    "joint_prob": (lambda t: joint_prob(t, 3, 0.3, 0, 1), 1),
+    "active_rows": (lambda t: list(active_rows((t,), 3, 0.3)), 1),
+    "expected_success_rates": (lambda t: expected_success_rates((t,), 3, 0.3), 1),
+    "cutoff_table": (lambda t: cutoff_table(t, [3, "inf"], 0.3, lambda m: 1.0), 1),
+    "waiting_times": (lambda t: [w.expectation for w in waiting_times((t,), 3, 0.3)], 0),
+    "parallel_link": (lambda t: ParallelLinkSpec(0.3, 3).prob_active(t), 1),
+}
+
+
+@pytest.mark.parametrize("name", TIME_ACCESSORS)
+def test_accessors_take_only_integer_times(name):
+    """A time is an integer at or above the accessor's smallest time: a
+    bool, a float (integral or not) or a string raises ValueError, and a
+    numpy integer gives the int's value."""
+    accessor, low = TIME_ACCESSORS[name]
+    for t in (2.5, 10.5, 10.7, 10.0, True, "10", None, low - 1):
+        with pytest.raises(ValueError, match="must be an integer >= "):
+            accessor(t)
+    accessor(low)
+    assert accessor(np.int64(10)) == accessor(10)
 
 
 def test_cutoff_policy_decisions():
@@ -134,6 +158,8 @@ def test_sequence_stats_examples():
     assert (stats.y1, stats.y2) == (2, 2)
     stats = sequence_stats((1,) * 6, "inf")
     assert (stats.y1, stats.y2) == (0, 6)
+    stats = sequence_stats((1, 1, 0, 1, 1, 1), "inf")
+    assert (stats.y1, stats.y2) == (0, 3)
 
 
 @pytest.mark.parametrize("tstar", TSTARS)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from qlink.cutoff import Cutoff, joint_prob, prob_active, steady_state
+from qlink.cutoff import joint_prob, prob_active, steady_state
+from qlink.engine import materialize_average_state
 from qlink.network import (
     EdgeConfig,
     NetworkConfig,
@@ -23,22 +24,21 @@ from qlink.quantum import preset_channel, preset_state
 
 def make_edge(specs, edge_id="e"):
     return EdgeConfig(edge_id=edge_id,
-                      links=tuple(ParallelLinkSpec(p=p, tstar=Cutoff.parse(ts))
-                                  for p, ts in specs))
+                      links=tuple(ParallelLinkSpec(p=p, tstar=ts) for p, ts in specs))
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         EdgeConfig(edge_id="e", links=())
     with pytest.raises(ValueError):
-        ParallelLinkSpec(p=1.5, tstar=Cutoff(1))
+        ParallelLinkSpec(p=1.5, tstar=1)
     edge = make_edge([(0.5, 1)])
     with pytest.raises(ValueError):
         NetworkConfig(edges=(edge, edge))
 
 
 def test_per_link_probability_delegates_to_analytics():
-    spec = ParallelLinkSpec(p=0.3, tstar=Cutoff(4))
+    spec = ParallelLinkSpec(p=0.3, tstar=4)
     for t in (1, 5, 12):
         assert spec.prob_active(t) == prob_active(t, 4, 0.3)
     assert spec.prob_active(math.inf) == steady_state(4, 0.3).prob_active
@@ -100,7 +100,7 @@ def test_collective_status_product_example():
 
 def test_early_time_activity_bound():
     # within the first t* + 1 steps activity equals the no-cutoff bound
-    spec = ParallelLinkSpec(p=0.35, tstar=Cutoff(6))
+    spec = ParallelLinkSpec(p=0.35, tstar=6)
     for t in range(1, 8):
         assert spec.prob_active(t) == pytest.approx(1 - 0.65 ** t, abs=1e-12)
     # beyond it, the cutoff strictly hurts
@@ -120,8 +120,8 @@ def test_time_validation():
 # ---------------------------------------------------------------------------
 
 def test_joint_state_descriptor_weights():
-    specs = [ParallelLinkSpec(p=0.3, tstar=Cutoff(2)),
-             ParallelLinkSpec(p=0.6, tstar=Cutoff.parse("inf"))]
+    specs = [ParallelLinkSpec(p=0.3, tstar=2),
+             ParallelLinkSpec(p=0.6, tstar="inf")]
     rows, rho = joint_state_descriptor(specs, t=6)
     assert rho is None
     assert [row.t for row in rows] == [6, 6]
@@ -136,9 +136,38 @@ def test_joint_state_descriptor_weights():
 def test_joint_state_descriptor_materialized():
     bell = preset_state("bell_phi_plus")
     channel = preset_channel("depolarizing", 4, 0.9)
-    specs = [ParallelLinkSpec(p=0.5, tstar=Cutoff(1))]
+    specs = [ParallelLinkSpec(p=0.5, tstar=1)]
     rows, rho = joint_state_descriptor(specs, t=4, states=[(bell.projector(), channel)])
     assert rho is not None and rho.dim == 5
     assert rho.matrix[4, 4].real == 1.0 - rows[0].prob_active
     with pytest.raises(ValueError):
         joint_state_descriptor(specs, t=4, states=[(bell.projector(), channel)] * 2)
+
+
+def test_joint_state_descriptor_at_the_limit():
+    """t = math.inf gives each link's steady state; other times are
+    integers >= 1."""
+    specs = [ParallelLinkSpec(p=0.3, tstar=2), ParallelLinkSpec(p=0.6, tstar="inf")]
+    rows, rho = joint_state_descriptor(specs, math.inf)
+    assert rho is None
+    assert rows == [steady_state(2, 0.3), steady_state("inf", 0.6)]
+    for t in (2.5, 0):
+        with pytest.raises(ValueError, match="t must be an integer >= 1"):
+            joint_state_descriptor(specs, t)
+
+
+def test_infinite_cutoff_limit_state_has_no_density_matrix():
+    """An ever-kept link's limit state holds its weight at no finite age."""
+    bell = preset_state("bell_phi_plus").projector()
+    channel = preset_channel("depolarizing", 4, 0.9)
+    message = "limit state has no density matrix: the kept link's age grows without bound"
+    with pytest.raises(ValueError, match=message):
+        materialize_average_state(steady_state("inf", 0.3), bell, channel)
+    specs = [ParallelLinkSpec(p=0.5, tstar=1), ParallelLinkSpec(p=0.3, tstar="inf")]
+    with pytest.raises(ValueError, match=message):
+        joint_state_descriptor(specs, math.inf, [(bell, channel)] * 2)
+    # a finite cutoff's limit state, and a never-active link's, have one
+    rows, rho = joint_state_descriptor(specs[:1], math.inf, [(bell, channel)])
+    assert rho.matrix[4, 4].real == 1.0 - rows[0].prob_active
+    never = materialize_average_state(steady_state("inf", 0.0), bell, channel)
+    assert never.matrix[4, 4] == 1.0
