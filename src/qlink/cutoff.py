@@ -8,8 +8,12 @@ model and are cross-checked against brute-force history enumeration in the
 tests.
 
 A cutoff is a number, an ``int`` or ``math.inf``: each accessor reads its
-``tstar`` with `parse_cutoff`, and t*+1 is a held link's life.  Times are
-integers (`_checked_times`): a bool, a float or a string raises ValueError.
+``tstar`` with `parse_cutoff`, and t*+1 is a held link's life.  The library
+checks its other arguments here too, raising ValueError: an integer (a time,
+horizon, age, count or seed) is what `operator.index` takes, numpy integers
+included, never a bool or numpy bool (`_checked_int`); a probability (p,
+f0, lam) is a number in [0, 1], not a bool or NaN (`_validate_p`); a bit is
+the integer 0 or 1 (`_checked_bits`).
 
 Convention: this module uses the cutoff policy's mod-(t*+1) memory time
 M_{t*}(t) = (sum_j X(j) - 1) mod (t*+1), which lives in {0..t*} and equals
@@ -76,10 +80,44 @@ HYP2F1_MAX_TERMS = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
-# the cutoff itself
+# the cutoff and the argument checks
 # ---------------------------------------------------------------------------
 
 CutoffLike = Union[int, float, str]
+_BOOLS = ("bool", "bool_")  # the type names of Python's and numpy's bools (numpy 1: "bool_")
+
+
+def _checked_int(value, low: int, name: str) -> int:
+    """``value`` as an ``int`` >= ``low``, else ValueError: `operator.index`
+    takes a numpy integer, not a float, a string or None; no bool passes."""
+    try:
+        checked = None if type(value).__name__ in _BOOLS else index(value)
+    except TypeError:
+        checked = None
+    if checked is None or checked < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return checked
+
+
+def _checked_times(times: Iterable[int], low: int = 1, name: str = "t") -> list[int]:
+    return [_checked_int(t, low, name) for t in times]
+
+
+def _checked_bits(bits: Iterable[int], name: str) -> None:
+    """ValueError unless each of ``bits`` is the integer 0 or 1."""
+    for x in bits:
+        if _checked_int(x, 0, name) > 1:
+            raise ValueError(f"{name} must be bits, 0 or 1, got {x!r}")
+
+
+def _validate_p(p: float, name: str = "success probability") -> None:
+    """ValueError unless ``p`` is a number in [0, 1], not a bool or NaN."""
+    try:
+        valid = type(p).__name__ not in _BOOLS and 0.0 <= p <= 1.0
+    except TypeError:  # not a number
+        valid = False
+    if not valid:
+        raise ValueError(f"{name} must be in [0, 1], got {p!r}")
 
 
 def parse_cutoff(value: CutoffLike) -> Union[int, float]:
@@ -92,16 +130,11 @@ def parse_cutoff(value: CutoffLike) -> Union[int, float]:
             ts = math.inf if value.lower() in ("inf", "infinity") else int(value)
         if ts == math.inf:
             return math.inf
-        if not isinstance(ts, bool) and ts >= 0 and int(ts) == ts:
+        if type(ts).__name__ not in _BOOLS and ts >= 0 and int(ts) == ts:
             return int(ts)
     except (TypeError, ValueError):
         pass
     raise ValueError(f"cutoff must be a non-negative integer or inf, got {value!r}")
-
-
-def _validate_p(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"success probability must be in [0, 1], got {p}")
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +164,7 @@ def memory_time_cutoff(history: Union[History, Sequence[int]], tstar: CutoffLike
     """
     from .engine import History
     xs = history.observations if isinstance(history, History) else tuple(history)
+    _checked_bits(xs, "history")
     ts = parse_cutoff(tstar)
     total = sum(xs)
     return total - 1 if ts == math.inf else (total - 1) % (ts + 1)
@@ -149,6 +183,7 @@ class SequenceStats:
 
 
 def sequence_stats(xs: Sequence[int], tstar: CutoffLike) -> SequenceStats:
+    _checked_bits(xs, "xs")
     block = parse_cutoff(tstar) + 1  # no run of ones fills an infinite block
     t = len(xs)
     y1 = 0
@@ -168,9 +203,10 @@ def history_prob_cutoff(stats: SequenceStats, t: int, tstar: CutoffLike,
                         p: float) -> float:
     """Probability of a supported history from its (Y1, Y2) statistics."""
     _validate_p(p)
+    t = _checked_int(t, 1, "t")
     ts = parse_cutoff(tstar)
     y1, y2 = stats.y1, stats.y2
-    if t < 1 or y1 < 0 or y2 < 0:
+    if y1 < 0 or y2 < 0:
         raise ValueError(f"unrealizable stats (t={t}, Y1={y1}, Y2={y2})")
     if ts == math.inf:
         if y1 != 0 or y2 > t:
@@ -192,8 +228,7 @@ def history_prob_cutoff(stats: SequenceStats, t: int, tstar: CutoffLike,
 
 def count_sequences(t: int, tstar: CutoffLike) -> int:
     """|Omega(t; t*)|: the number of link-value sequences with nonzero probability."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+    t = _checked_int(t, 1, "t")
     ts = parse_cutoff(tstar)
     if ts == math.inf:
         return 1 + t
@@ -434,17 +469,15 @@ def joint_prob(t: int, tstar: CutoffLike, p: float, m: int, x: int) -> float:
     it, and `_down_probs` at x = 0.  At x = 1 and t <= t*+1 the row's entry
     p (1-p)^(t-1-m) is formed alone, in O(1).
     """
-    [t] = _checked_times((t,))
-    if x not in (0, 1):
-        raise ValueError(f"x must be a bit, got {x}")
+    t = _checked_int(t, 1, "t")
+    m = _checked_int(m, -1, "m")
+    _checked_bits((x,), "x")
     _validate_p(p)
     ts = parse_cutoff(tstar)
     unloaded = -1 if ts == math.inf else ts
     if ts == math.inf and (m == unloaded) != (x == 0):
         raise ValueError("for infinite cutoff m=-1 encodes the unloaded memory, the only "
                          f"state with X=0, got m={m}, x={x}")
-    if ts == math.inf and m < -1:
-        raise ValueError(f"m must be -1 or an age m >= 0, got {m}")
     if ts != math.inf and not 0 <= m <= ts:
         raise ValueError(f"m must be in 0..{ts}, got {m}")
     if x == 0:
@@ -488,21 +521,6 @@ class LinkState:
             return cls(t, joint, prob_active, 0.0, None, success_rate)
         e_ftilde = reduce(add, map(mul, fvals, joint), 0.0)
         return cls(t, joint, prob_active, e_ftilde, e_ftilde / prob_active, success_rate)
-
-
-def _checked_times(times: Iterable[int], low: int = 1, name: str = "t") -> list[int]:
-    """``times`` as ints >= ``low``: ValueError for a bool or anything
-    `operator.index` refuses (a float, a string); numpy integers pass."""
-    checked = []
-    for t in times:
-        try:
-            value = None if isinstance(t, bool) else index(t)
-        except TypeError:
-            value = None
-        if value is None or value < low:
-            raise ValueError(f"{name} must be an integer >= {low}, got {t!r}")
-        checked.append(value)
-    return checked
 
 
 def _long_sums(times: list[int], ts: Union[int, float], p: float,
@@ -595,7 +613,7 @@ def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
     `active_rows`.
     """
     _validate_p(p)
-    [t] = _checked_times((t,))
+    t = _checked_int(t, 1, "t")
     if p == 0.0:
         return [(0.0, 0.0, None)] * len(tstars)
     fvals = [fcurve(m) for m in range(t)]
@@ -637,7 +655,7 @@ def prob_active(t: int, tstar: CutoffLike, p: float) -> float:
     for t <= t*+1 is 1 - (1-p)^t, formed here without the row."""
     _validate_p(p)
     ts = parse_cutoff(tstar)
-    [t] = _checked_times((t,))
+    t = _checked_int(t, 1, "t")
     if t <= ts + 1:
         return 1.0 - (1.0 - p) ** t
     return next(active_rows((t,), ts, p)).prob_active
@@ -721,8 +739,7 @@ def success_rate_limits(tstar: CutoffLike, p: float) -> SuccessRateLimits:
     limit = -p * math.log(p) / (1.0 - p) if interior and ts == math.inf else float(p)
 
     def plateau(x: int) -> float:
-        if x < 0:
-            raise ValueError(f"plateau index must be >= 0, got {x}")
+        _checked_int(x, 0, "plateau index")
         return p * hyp2f1_series(1.0, 1.0, 2.0 + x, 1.0 - p) if interior else float(p)
 
     return SuccessRateLimits(limit=limit, plateau=plateau)
@@ -841,8 +858,7 @@ class TransitionMatrix:
         return dist
 
     def distribution_at(self, t: int) -> np.ndarray:
-        if t < 1:
-            raise ValueError(f"t must be >= 1, got {t}")
+        t = _checked_int(t, 1, "t")
         import numpy as np
         return np.linalg.matrix_power(self.matrix, t - 1) @ self.initial_distribution()
 

@@ -40,7 +40,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from .config import MAX_TRIALS
-from .cutoff import LinkState
+from .cutoff import LinkState, _checked_bits, _checked_int, _validate_p
 from .quantum import DensityOperator, FidelityCurve, KrausChannel, apply_channel
 
 if TYPE_CHECKING:
@@ -99,10 +99,8 @@ class History:
                 f"history with {len(self.observations)} observations must have "
                 f"{len(self.observations) - 1} actions, got {len(self.actions)}"
             )
-        if any(x not in (0, 1) for x in self.observations):
-            raise ValueError("observations must be bits")
-        if any(a not in (0, 1) for a in self.actions):
-            raise ValueError("actions must be bits")
+        _checked_bits(self.observations, "observations")
+        _checked_bits(self.actions, "actions")
 
     @property
     def t(self) -> int:
@@ -136,8 +134,7 @@ class History:
 
 def _checked_prob(val: float, kind: str) -> float:
     """``val`` if it is a probability, and 0 or 1 for a deterministic ``kind``."""
-    if not 0.0 <= val <= 1.0:
-        raise ValueError(f"policy returned probability {val} outside [0, 1]")
+    _validate_p(val, "the probability the policy returned")
     if kind == "deterministic" and val not in (0.0, 1.0):
         raise ValueError(f"deterministic policy returned {val}")
     return val
@@ -201,8 +198,7 @@ class LinkParams:
     fcurve: FidelityCurve
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"success probability must be in [0, 1], got {self.p}")
+        _validate_p(self.p)
 
     @classmethod
     def symbolic(cls, p: float, fcurve: FidelityCurve) -> "LinkParams":
@@ -261,12 +257,12 @@ def _supported_prefixes(p: float, policy: Policy, horizon: int
 
 def iter_supported_histories(p: float, policy: Policy, horizon: int
                              ) -> Iterator[tuple[History, float]]:
-    """All length-`horizon` histories with nonzero probability, with weights."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    for xs, acts, _, _, weight in _supported_prefixes(p, policy, horizon):
-        if len(xs) == horizon:
-            yield History(xs, acts), weight
+    """All length-`horizon` histories with nonzero probability, with
+    weights; the horizon is checked at the call, before any enumeration."""
+    horizon = _checked_int(horizon, 1, "horizon")
+    return ((History(xs, acts), weight)
+            for xs, acts, _, _, weight in _supported_prefixes(p, policy, horizon)
+            if len(xs) == horizon)
 
 
 def evolve_exhaustive(params: LinkParams, policy: Policy, horizon: int
@@ -275,8 +271,7 @@ def evolve_exhaustive(params: LinkParams, policy: Policy, horizon: int
     E[F~(t)] and E[F(t)] from ``params.fcurve``.  The down weight and the
     age weights are summed apart, and their total must be 1 within 1e-10
     with no weight below -1e-10."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    horizon = _checked_int(horizon, 1, "horizon")
     if horizon > EXHAUSTIVE_WARN_HORIZON:
         warnings.warn(
             f"exhaustive evolution at horizon {horizon} may enumerate a very "
@@ -404,9 +399,7 @@ def _trial_streams(seed: int, start: int, n: int) -> np.ndarray:
     one LCG step from initstate + inc.
     """
     import numpy as np
-    seed = operator.index(seed)  # numpy integers become exact Python ints
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed = _checked_int(seed, 0, "seed")  # numpy integers become exact Python ints
     if start < 0 or start + n > MAX_TRIALS:
         raise ValueError(f"trials {start}..{start + n - 1} are outside "
                          f"0..{MAX_TRIALS - 1}")
@@ -511,9 +504,8 @@ def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
     size.
     """
     import numpy as np
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if not 1 <= n_trials <= MAX_TRIALS:
+    horizon = _checked_int(horizon, 1, "horizon")
+    if _checked_int(n_trials, 1, "n_trials") > MAX_TRIALS:
         raise ValueError(f"n_trials must be in [1, {MAX_TRIALS}], got {n_trials}")
     p = params.p
     fcurve = params.fcurve

@@ -35,8 +35,7 @@ class ParallelLinkSpec:
     tstar: Union[int, float]
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"success probability must be in [0, 1], got {self.p}")
+        ca._validate_p(self.p)
         object.__setattr__(self, "tstar", ca.parse_cutoff(self.tstar))
 
     def prob_active(self, t: TimeLike) -> float:
@@ -71,7 +70,7 @@ class NetworkConfig:
 
 def _check_time(t: TimeLike) -> None:
     if t != math.inf:
-        ca._checked_times((t,))
+        ca._checked_int(t, 1, "t")
 
 
 def prob_at_least_one(edge: EdgeConfig, t: TimeLike) -> float:

@@ -53,7 +53,7 @@ from functools import reduce
 from operator import add
 from typing import Optional, Sequence
 
-from .cutoff import LinkState
+from .cutoff import LinkState, _checked_int
 from .engine import LinkParams, Policy
 
 
@@ -155,8 +155,7 @@ def evaluate_state_policy(params: LinkParams, policy: Policy, t: int) -> LinkSta
     sums).  Cross-checked against history enumeration, and under ``==``
     against the state-at-a-time loop, in the tests.
     """
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+    t = _checked_int(t, 1, "t")
     runs = policy.decide_runs
     if runs is None:
         raise ValueError("evaluate_state_policy needs a policy with a state rule")
@@ -205,8 +204,7 @@ def backward_recursion_reduced(params: LinkParams, T: int,
     if keep_table:
         raise ValueError("the reduced recursion keeps no value table; "
                          "tests/oracles.py builds one")
-    if T < 0:
-        raise ValueError(f"horizon must be >= 0, got {T}")
+    T = _checked_int(T, 0, "horizon")
     p = params.p
     fcurve = params.fcurve
     f = [fcurve(m) for m in range(T + 1)]  # by terminal age s

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .config import MAX_DIM
+from .cutoff import _checked_int, _validate_p
 
 if TYPE_CHECKING:
     import numpy as np
@@ -136,8 +137,7 @@ def apply_channel(channel: KrausChannel, rho: DensityOperator) -> DensityOperato
 
 def memory_evolve(rho0: DensityOperator, channel: KrausChannel, m: int) -> DensityOperator:
     """State of a memory after m applications of its decoherence channel."""
-    if m < 0:
-        raise ValueError(f"number of channel applications must be >= 0, got {m}")
+    _checked_int(m, 0, "number of channel applications")
     if channel.dim_in != channel.dim_out:
         raise ValueError("memory channel must have equal input and output dimensions")
     rho = rho0
@@ -198,8 +198,7 @@ def preset_channel(name: str, dim: int = 2, lam: float | None = None) -> KrausCh
         return KrausChannel(dim, dim, (np.eye(dim, dtype=complex),))
     if lam is None:
         raise ValueError(f"channel {name!r} requires a noise parameter")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"noise parameter must be in [0, 1], got {lam}")
+    _validate_p(lam, "noise parameter")
     if name == "depolarizing":
         # rho -> lam*rho + (1-lam)*I/d, realized with the Heisenberg-Weyl family:
         # sum_{a,b} W_ab rho W_ab^dag = d * Tr(rho) * I.
@@ -231,8 +230,7 @@ def preset_state(name: str, *, k: int = 2, f0: float = 1.0) -> PureState | Densi
         amp[0] = amp[3] = 1.0 / np.sqrt(2.0)
         return PureState(amp)
     if name == "ghz":
-        if k < 2:
-            raise ValueError(f"GHZ needs at least 2 parties, got {k}")
+        _checked_int(k, 2, "GHZ party count k")
         dim = 2 ** k
         if dim > MAX_DIM:
             raise ValueError(f"GHZ dimension 2^{k} exceeds cap {MAX_DIM}")
@@ -240,8 +238,7 @@ def preset_state(name: str, *, k: int = 2, f0: float = 1.0) -> PureState | Densi
         amp[0] = amp[-1] = 1.0 / np.sqrt(2.0)
         return PureState(amp)
     if name == "werner":
-        if not 0.0 <= f0 <= 1.0:
-            raise ValueError(f"Werner fidelity must be in [0, 1], got {f0}")
+        _validate_p(f0, "Werner fidelity")
         bell = preset_state("bell_phi_plus")
         assert isinstance(bell, PureState)
         proj = bell.projector().matrix
@@ -262,8 +259,7 @@ class FidelityCurve:
     evaluator: Callable[[int], float]
 
     def __call__(self, m: int) -> float:
-        if m < 0:
-            raise ValueError(f"memory age must be >= 0, got {m}")
+        _checked_int(m, 0, "memory age")
         val = float(self.evaluator(m))
         if not -1e-12 <= val <= 1.0 + 1e-12:
             raise ValueError(f"fidelity curve value {val} at m={m} is outside [0, 1]")
@@ -285,17 +281,15 @@ class FidelityCurve:
     @classmethod
     def constant(cls, f0: float) -> "FidelityCurve":
         """Perfect memory: f_m = f0 for all m."""
-        if not 0.0 <= f0 <= 1.0:
-            raise ValueError(f"f0 must be in [0, 1], got {f0}")
+        _validate_p(f0, "f0")
         return cls(lambda m: f0)
 
     @classmethod
     def depolarizing(cls, f0: float, lam: float, dim: int) -> "FidelityCurve":
         """Closed form for a depolarizing memory: f_m = lam^m f0 + (1-lam^m)/d."""
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"lam must be in [0, 1], got {lam}")
-        if not 0.0 <= f0 <= 1.0:
-            raise ValueError(f"f0 must be in [0, 1], got {f0}")
+        _validate_p(lam, "lam")
+        _validate_p(f0, "f0")
+        _checked_int(dim, 1, "dim")
         return cls(lambda m: lam ** m * f0 + (1.0 - lam ** m) / dim)
 
     @classmethod
@@ -305,6 +299,5 @@ class FidelityCurve:
         Each application scales the |00><11| coherence by lam^2, so
         f_m = (1 + lam^(2m)) / 2.
         """
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"lam must be in [0, 1], got {lam}")
+        _validate_p(lam, "lam")
         return cls(lambda m: (1.0 + lam ** (2 * m)) / 2.0)

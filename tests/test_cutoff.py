@@ -36,9 +36,16 @@ from qlink.cutoff import (
     waiting_time,
     waiting_times,
 )
-from qlink.engine import History, iter_supported_histories
+from qlink.engine import (
+    History,
+    LinkParams,
+    evolve_exhaustive,
+    iter_supported_histories,
+    simulate_trajectories,
+)
 from qlink.network import ParallelLinkSpec
-from qlink.quantum import FidelityCurve
+from qlink.optimize import backward_recursion_reduced, evaluate_state_policy
+from qlink.quantum import FidelityCurve, memory_evolve, preset_channel, preset_state
 
 from oracles import (
     enumerate_supported,
@@ -66,7 +73,8 @@ def test_parse_cutoff():
         ts = parse_cutoff(value)
         assert ts == expected and type(ts) is type(expected)
     assert f"{parse_cutoff('inf')}" == "inf" and f"{parse_cutoff(4.0)}" == "4"
-    for value in (-1, 2.5, True, False, "2.5", "x", None, [3], math.nan, -math.inf):
+    for value in (-1, 2.5, True, False, np.True_, np.bool_(False), "2.5", "x", None, [3],
+                  math.nan, -math.inf):
         with pytest.raises(ValueError, match="cutoff must be"):
             parse_cutoff(value)
 
@@ -80,6 +88,9 @@ TIME_ACCESSORS = {
     "cutoff_table": (lambda t: cutoff_table(t, [3, "inf"], 0.3, lambda m: 1.0), 1),
     "waiting_times": (lambda t: [w.expectation for w in waiting_times((t,), 3, 0.3)], 0),
     "parallel_link": (lambda t: ParallelLinkSpec(0.3, 3).prob_active(t), 1),
+    "count_sequences": (lambda t: count_sequences(t, 3), 1),
+    "history_prob_cutoff": (lambda t: history_prob_cutoff(ca.SequenceStats(0, 1), t, 3, 0.3), 1),
+    "distribution_at": (lambda t: transition_matrix(3, 0.3).distribution_at(t).tolist(), 1),
 }
 
 
@@ -94,6 +105,122 @@ def test_accessors_take_only_integer_times(name):
             accessor(t)
     accessor(low)
     assert accessor(np.int64(10)) == accessor(10)
+
+
+# ---------------------------------------------------------------------------
+# the argument contract
+# ---------------------------------------------------------------------------
+
+_CURVE = FidelityCurve.dephasing_bell(0.9)
+_PARAMS = LinkParams(0.3, _CURVE)
+_WERNER = preset_state("werner", f0=0.9)
+_DEPHASING = preset_channel("dephasing", 4, 0.9)
+
+# Each public call that checks an argument with `cutoff`'s checkers, taking
+# that one argument: (call, kind, a valid value).  The kind is ("int", low),
+# "prob", "bits" (a sequence) or "cutoff", and each call returns a value
+# that compares with ==.
+ARGUMENTS = {
+    "parse_cutoff": (parse_cutoff, "cutoff", 5),
+    "count_sequences.t": (lambda t: count_sequences(t, 3), ("int", 1), 6),
+    "history_prob_cutoff.t": (
+        lambda t: history_prob_cutoff(ca.SequenceStats(0, 1), t, 3, 0.3), ("int", 1), 6),
+    "history_prob_cutoff.p": (
+        lambda p: history_prob_cutoff(ca.SequenceStats(0, 1), 6, 3, p), "prob", 0.3),
+    "joint_prob.t": (lambda t: joint_prob(t, 3, 0.3, 2, 1), ("int", 1), 9),
+    "joint_prob.m": (lambda m: joint_prob(9, 3, 0.3, m, 1), ("int", 0), 2),
+    "joint_prob.x": (lambda x: joint_prob(9, 3, 0.3, 3, x), "bit", 1),
+    "joint_prob.p": (lambda p: joint_prob(9, 3, p, 2, 1), "prob", 0.3),
+    "prob_active.t": (lambda t: prob_active(t, 3, 0.3), ("int", 1), 9),
+    "active_rows.p": (lambda p: list(active_rows((5, 9), 3, p)), "prob", 0.3),
+    "plateau": (success_rate_limits("inf", 0.3).plateau, ("int", 0), 2),
+    "distribution_at": (
+        lambda t: transition_matrix(3, 0.3).distribution_at(t).tolist(), ("int", 1), 6),
+    "memory_time_cutoff": (lambda xs: memory_time_cutoff(xs, 2), "bits", [1, 0, 1, 1]),
+    "sequence_stats": (lambda xs: sequence_stats(xs, 1), "bits", [1, 1, 0, 1]),
+    "History.observations": (lambda xs: History(tuple(xs), (1, 0)), "bits", [0, 1, 1]),
+    "History.actions": (lambda acts: History((0, 1, 1), tuple(acts)), "bits", [1, 0]),
+    "LinkParams.p": (lambda p: LinkParams(p, _CURVE), "prob", 0.3),
+    "iter_supported_histories": (
+        lambda h: list(iter_supported_histories(0.3, cutoff_policy(1), h)), ("int", 1), 3),
+    "evolve_exhaustive": (
+        lambda h: evolve_exhaustive(_PARAMS, cutoff_policy(1), h), ("int", 1), 3),
+    "simulate_trajectories.horizon": (
+        lambda h: simulate_trajectories(_PARAMS, cutoff_policy(1), h, 5, 1), ("int", 1), 3),
+    "simulate_trajectories.n_trials": (
+        lambda n: simulate_trajectories(_PARAMS, cutoff_policy(1), 3, n, 1), ("int", 1), 5),
+    "simulate_trajectories.seed": (
+        lambda seed: simulate_trajectories(_PARAMS, cutoff_policy(1), 3, 5, seed), ("int", 0), 7),
+    "evaluate_state_policy": (
+        lambda t: evaluate_state_policy(_PARAMS, cutoff_policy(1), t), ("int", 1), 4),
+    "backward_recursion_reduced": (
+        lambda T: backward_recursion_reduced(_PARAMS, T).optimal_value, ("int", 0), 4),
+    "ParallelLinkSpec.p": (lambda p: ParallelLinkSpec(p, 3), "prob", 0.3),
+    "memory_evolve": (
+        lambda m: memory_evolve(_WERNER, _DEPHASING, m).matrix.tolist(), ("int", 0), 2),
+    "preset_channel.lam": (
+        lambda lam: [op.tolist() for op in preset_channel("depolarizing", 2, lam).kraus_ops],
+        "prob", 0.9),
+    "preset_state.werner": (
+        lambda f0: preset_state("werner", f0=f0).matrix.tolist(), "prob", 0.9),
+    "preset_state.ghz": (
+        lambda k: preset_state("ghz", k=k).amplitudes.tolist(), ("int", 2), 3),
+    "FidelityCurve.constant": (lambda f0: FidelityCurve.constant(f0)(3), "prob", 0.9),
+    "FidelityCurve.depolarizing.f0": (
+        lambda f0: FidelityCurve.depolarizing(f0, 0.9, 4)(3), "prob", 0.9),
+    "FidelityCurve.depolarizing.lam": (
+        lambda lam: FidelityCurve.depolarizing(1.0, lam, 4)(3), "prob", 0.9),
+    "FidelityCurve.depolarizing.dim": (
+        lambda dim: FidelityCurve.depolarizing(1.0, 0.9, dim)(3), ("int", 1), 4),
+    "FidelityCurve.dephasing_bell": (
+        lambda lam: FidelityCurve.dephasing_bell(lam)(3), "prob", 0.9),
+    "FidelityCurve.__call__": (_CURVE, ("int", 0), 3),
+}
+
+_NUMPY_BOOLS = st.sampled_from([np.True_, np.False_])
+
+
+def _malformed(kind) -> st.SearchStrategy:
+    """Values the contract refuses for an argument of ``kind``: bools, numpy
+    bools, strings and None always; for an integer or a bit every float and
+    the integers out of range; for a probability the floats and integers
+    outside [0, 1] and NaN; for a cutoff the negative or non-integral floats
+    and integers and the strings that spell no number."""
+    common = [st.booleans(), _NUMPY_BOOLS, st.none()]
+    if kind == "prob":
+        outside = lambda v: not 0 <= v <= 1  # NaN too
+        return st.one_of(*common, st.text(), st.floats().filter(outside),
+                         st.integers().filter(outside))
+    if kind == "cutoff":
+        return st.one_of(*common, st.text(alphabet="abcdeghjk.-+ "),
+                         st.floats().filter(lambda v: not (v >= 0 and (v == math.inf
+                                                                         or v.is_integer()))),
+                         st.integers(max_value=-1))
+    low, high = (0, 1) if kind in ("bit", "bits") else (kind[1], math.inf)
+    return st.one_of(*common, st.text(), st.floats(),
+                     st.integers().filter(lambda v: not low <= v <= high))
+
+
+@pytest.mark.parametrize("name", ARGUMENTS)
+def test_every_checked_argument_refuses_malformed_values(name):
+    """Each call raises ValueError, never TypeError and never a result, when
+    its one argument is replaced by a malformed value (in a sequence of
+    bits, one entry); a numpy integer gives what the equal int gives."""
+    call, kind, valid = ARGUMENTS[name]
+    if kind == "bits":
+        assert call([np.int64(x) for x in valid]) == call(valid)
+    elif kind != "prob":
+        assert call(np.int64(valid)) == call(valid)
+
+    @given(bad=_malformed(kind), at=st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def refuses(bad, at):
+        if kind == "bits":
+            bad = [*valid[:at % len(valid)], bad, *valid[at % len(valid) + 1:]]
+        with pytest.raises(ValueError):
+            call(bad)
+
+    refuses()
 
 
 def test_cutoff_policy_decisions():

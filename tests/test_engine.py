@@ -242,6 +242,17 @@ def test_evolve_warns_above_horizon_cap():
         evolve_exhaustive(params, cutoff_policy("inf"), 21)
 
 
+@pytest.mark.parametrize("horizon", [2.5, True])
+def test_exact_enumeration_refuses_a_non_integer_horizon_at_the_call(horizon):
+    """`iter_supported_histories` is lazy, yet refuses the horizon when it
+    is called: its walk would never reach length 2.5, and would end at
+    length 1 for True."""
+    with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
+        iter_supported_histories(0.3, cutoff_policy(2), horizon)
+    with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
+        evolve_exhaustive(LinkParams.symbolic(0.3, CURVE), cutoff_policy(2), horizon)
+
+
 # ---------------------------------------------------------------------------
 # materialization
 # ---------------------------------------------------------------------------
