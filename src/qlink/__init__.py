@@ -31,7 +31,7 @@ _HOMES = {
     ),
     "network": (
         "EdgeConfig", "NetworkConfig", "ParallelLinkSpec", "collective_status",
-        "expected_flow", "expected_rate_limit", "expected_total_links",
+        "expected_flow", "expected_total_links",
         "flow_distribution", "joint_state_descriptor", "prob_at_least_one",
     ),
     "optimize": (

@@ -13,7 +13,7 @@ checks its other arguments here too, raising ValueError: an integer (a time,
 horizon, age, count or seed) is what `operator.index` takes, numpy integers
 included, never a bool or numpy bool (`_checked_int`); a probability (p,
 f0, lam) is a number in [0, 1], not a bool or NaN (`_validate_p`); a bit is
-the integer 0 or 1 (`_checked_bits`).
+the integer 0 or 1, and a bit sequence any iterable of bits (`_checked_bits`).
 
 Convention: this module uses the cutoff policy's mod-(t*+1) memory time
 M_{t*}(t) = (sum_j X(j) - 1) mod (t*+1), which lives in {0..t*} and equals
@@ -73,7 +73,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequen
 if TYPE_CHECKING:
     import numpy as np
 
-    from .engine import History, Policy
+    from .engine import Policy
 
 HYP2F1_REL_TOL = 1e-14
 HYP2F1_MAX_TERMS = 10 ** 6
@@ -103,11 +103,16 @@ def _checked_times(times: Iterable[int], low: int = 1, name: str = "t") -> list[
     return [_checked_int(t, low, name) for t in times]
 
 
-def _checked_bits(bits: Iterable[int], name: str) -> None:
-    """ValueError unless each of ``bits`` is the integer 0 or 1."""
-    for x in bits:
-        if _checked_int(x, 0, name) > 1:
-            raise ValueError(f"{name} must be bits, 0 or 1, got {x!r}")
+def _checked_bits(bits: Iterable[int], name: str) -> tuple[int, ...]:
+    """``bits`` as a tuple of ints, else ValueError: a non-iterable, or an
+    entry that is not the integer 0 or 1."""
+    try:
+        checked = tuple(_checked_int(x, 0, name) for x in bits)
+    except TypeError:  # not iterable; _checked_int raises only ValueError
+        raise ValueError(f"{name} must be a sequence of bits, got {bits!r}") from None
+    if max(checked, default=0) > 1:
+        raise ValueError(f"{name} must be bits, 0 or 1, got {max(checked)}")
+    return checked
 
 
 def _validate_p(p: float, name: str = "success probability") -> None:
@@ -145,28 +150,24 @@ def cutoff_policy(tstar: CutoffLike) -> Policy:
     """The deterministic memory-cutoff policy as an engine Policy.
 
     In engine state terms (x, M(t) with -1 for unloaded): request iff the
-    memory is unloaded or has been held for t* steps: one hold run over
-    age while t <= t*, then a request run from t*."""
+    memory is unloaded or has been held for t* steps, written once as runs:
+    one hold run over age while t <= t*, then a request run from t*."""
     from .engine import Policy
     ts = parse_cutoff(tstar)  # no age reaches t* = infinity
-    rule = lambda t, x, m: 1.0 if (m == -1 or m >= ts) else 0.0
     hold = (1.0, (0,), (0.0,))
     discard = (1.0, (0, ts), (0.0, 1.0)) if ts else (1.0, (0,), (1.0,))
-    return Policy.from_state_rule(rule, "deterministic",
-                                  lambda t: hold if t <= ts else discard)
+    return Policy.from_state_rule(None, "deterministic", lambda t: hold if t <= ts else discard)
 
 
-def memory_time_cutoff(history: Union[History, Sequence[int]], tstar: CutoffLike) -> int:
-    """The cutoff policy's memory time M_{t*}(t) = (sum_j x_j - 1) mod (t*+1).
+def memory_time_cutoff(history: Sequence[int], tstar: CutoffLike) -> int:
+    """The cutoff policy's memory time M_{t*}(t) = (sum_j x_j - 1) mod (t*+1)
+    of the link values x_1..x_t in ``history``.
 
     Equals the engine's general M(t) whenever that is >= 0, and t* when the
     general M(t) is -1 (unloaded).  For t* = infinity it is sum_j x_j - 1.
     """
-    from .engine import History
-    xs = history.observations if isinstance(history, History) else tuple(history)
-    _checked_bits(xs, "history")
+    total = sum(_checked_bits(history, "history"))
     ts = parse_cutoff(tstar)
-    total = sum(xs)
     return total - 1 if ts == math.inf else (total - 1) % (ts + 1)
 
 
@@ -181,9 +182,13 @@ class SequenceStats:
     y1: int
     y2: int
 
+    def __post_init__(self) -> None:
+        _checked_int(self.y1, 0, "Y1")
+        _checked_int(self.y2, 0, "Y2")
+
 
 def sequence_stats(xs: Sequence[int], tstar: CutoffLike) -> SequenceStats:
-    _checked_bits(xs, "xs")
+    xs = _checked_bits(xs, "xs")
     block = parse_cutoff(tstar) + 1  # no run of ones fills an infinite block
     t = len(xs)
     y1 = 0
@@ -206,8 +211,6 @@ def history_prob_cutoff(stats: SequenceStats, t: int, tstar: CutoffLike,
     t = _checked_int(t, 1, "t")
     ts = parse_cutoff(tstar)
     y1, y2 = stats.y1, stats.y2
-    if y1 < 0 or y2 < 0:
-        raise ValueError(f"unrealizable stats (t={t}, Y1={y1}, Y2={y2})")
     if ts == math.inf:
         if y1 != 0 or y2 > t:
             raise ValueError(f"unrealizable stats for infinite cutoff (Y1={y1}, Y2={y2})")
@@ -723,7 +726,13 @@ def expected_success_rate(t: int, tstar: CutoffLike, p: float) -> float:
 @dataclass(frozen=True)
 class SuccessRateLimits:
     limit: float
-    plateau: Callable[[int], float]
+    p: float
+
+    def plateau(self, x: int) -> float:
+        """p * 2F1(1, 1, 2+x, 1-p), the x-th plateau of E[S(t)] at t* = inf."""
+        _checked_int(x, 0, "plateau index")
+        p = self.p
+        return p * hyp2f1_series(1.0, 1.0, 2.0 + x, 1.0 - p) if 0.0 < p < 1.0 else float(p)
 
 
 def success_rate_limits(tstar: CutoffLike, p: float) -> SuccessRateLimits:
@@ -735,14 +744,8 @@ def success_rate_limits(tstar: CutoffLike, p: float) -> SuccessRateLimits:
     """
     _validate_p(p)
     ts = parse_cutoff(tstar)
-    interior = 0.0 < p < 1.0
-    limit = -p * math.log(p) / (1.0 - p) if interior and ts == math.inf else float(p)
-
-    def plateau(x: int) -> float:
-        _checked_int(x, 0, "plateau index")
-        return p * hyp2f1_series(1.0, 1.0, 2.0 + x, 1.0 - p) if interior else float(p)
-
-    return SuccessRateLimits(limit=limit, plateau=plateau)
+    limit = -p * math.log(p) / (1.0 - p) if 0.0 < p < 1.0 and ts == math.inf else float(p)
+    return SuccessRateLimits(limit, p)
 
 
 def hyp2f1_series(a: float, b: float, c: float, z: float) -> float:
@@ -772,16 +775,22 @@ class WaitingTime:
     ``pmf(t)`` is the analytic form q * p * (1-p)^(t-2) for t >= 1, where
     q = Pr[M = t*, X = 0 at t_req + 1]; its total mass is q/(1-p), not 1
     in general (the t = 1 value extrapolates the geometric tail rather than
-    equal Pr[X(t_req+1) = 1]).  ``expectation`` = q / (p (1-p)) follows the
-    same convention; ``conditional_pmf`` is the properly normalized law of
-    the wait given the link was down at t_req + 1.
-    """
+    equal Pr[X(t_req+1) = 1]); at p in {0, 1} it is ``total_mass`` at t = 1
+    alone.  ``expectation`` = q / (p (1-p)) follows the same convention;
+    ``conditional_pmf`` is the law of the wait given the link was down."""
 
     t_req: int
     expectation: float
     limit: float
-    pmf: Callable[[int], float]
     total_mass: float
+    q: float
+    p: float
+
+    def pmf(self, t: int) -> float:
+        t, p = _checked_int(t, 0, "t"), self.p
+        if not 0.0 < p < 1.0:
+            return self.total_mass if t == 1 else 0.0
+        return self.q * p * (1.0 - p) ** (t - 2) if t >= 1 else 0.0
 
     def conditional_pmf(self, t: int) -> float:
         """Pr[W = t | link down at t_req + 1]: geometric from t = 2.
@@ -789,18 +798,12 @@ class WaitingTime:
         The analytic pmf restricted to t >= 2 has total mass q (the down
         probability itself), so renormalizing by it yields a proper law.
         """
-        if t < 2:
+        if _checked_int(t, 0, "t") < 2:
             return 0.0
         mass = self.total_mass - self.pmf(1)  # = q
         if mass == 0.0:
             return 0.0
         return self.pmf(t) / mass
-
-
-def _waiting_time(t_req: int, q: float, p: float, limit: float) -> WaitingTime:
-    return WaitingTime(t_req=t_req, expectation=q / (p * (1.0 - p)), limit=limit,
-                       pmf=lambda t: q * p * (1.0 - p) ** (t - 2) if t >= 1 else 0.0,
-                       total_mass=q / (1.0 - p))
 
 
 def waiting_times(t_reqs: Sequence[int], tstar: CutoffLike,
@@ -813,13 +816,13 @@ def waiting_times(t_reqs: Sequence[int], tstar: CutoffLike,
     t_reqs = _checked_times(t_reqs, 0, "t_req")
     _validate_p(p)
     ts = parse_cutoff(tstar)
+    downs = _down_probs([t_req + 1 for t_req in t_reqs], ts, p)
     if p in (0.0, 1.0):  # a request always fails, or never does
         wait, mass = (1.0, 1.0) if p == 1.0 else (math.inf, 0.0)
-        return [WaitingTime(t_req=t_req, expectation=wait, limit=wait, total_mass=mass,
-                            pmf=lambda t: mass if t == 1 else 0.0) for t_req in t_reqs]
-    downs = _down_probs([t_req + 1 for t_req in t_reqs], ts, p)
+        return [WaitingTime(t_req, wait, wait, mass, q, p) for t_req, q in zip(t_reqs, downs)]
     limit = 0.0 if ts == math.inf else 1.0 / (p * (1.0 + ts * p))
-    return [_waiting_time(t_req, q, p, limit) for t_req, q in zip(t_reqs, downs)]
+    return [WaitingTime(t_req, q / (p * (1.0 - p)), limit, q / (1.0 - p), q, p)
+            for t_req, q in zip(t_reqs, downs)]
 
 
 def waiting_time(t_req: int, tstar: CutoffLike, p: float) -> WaitingTime:

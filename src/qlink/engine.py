@@ -92,6 +92,8 @@ class History:
     actions: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "observations", _checked_bits(self.observations, "observations"))
+        object.__setattr__(self, "actions", _checked_bits(self.actions, "actions"))
         if len(self.observations) < 1:
             raise ValueError("history needs at least one observation")
         if len(self.actions) != len(self.observations) - 1:
@@ -99,8 +101,6 @@ class History:
                 f"history with {len(self.observations)} observations must have "
                 f"{len(self.observations) - 1} actions, got {len(self.actions)}"
             )
-        _checked_bits(self.observations, "observations")
-        _checked_bits(self.actions, "actions")
 
     @property
     def t(self) -> int:
@@ -215,6 +215,7 @@ def history_prob(history: History, policy: Policy, p: float) -> float:
     Histories outside the transition support (waiting must carry the link
     value over) get probability 0.
     """
+    _validate_p(p)
     xs, acts = history.observations, history.actions
     prob = p if xs[0] == 1 else 1.0 - p  # A(0) = 1
     for j, a in enumerate(acts, start=1):
@@ -258,7 +259,8 @@ def _supported_prefixes(p: float, policy: Policy, horizon: int
 def iter_supported_histories(p: float, policy: Policy, horizon: int
                              ) -> Iterator[tuple[History, float]]:
     """All length-`horizon` histories with nonzero probability, with
-    weights; the horizon is checked at the call, before any enumeration."""
+    weights; p and the horizon are checked at the call, before enumerating."""
+    _validate_p(p)
     horizon = _checked_int(horizon, 1, "horizon")
     return ((History(xs, acts), weight)
             for xs, acts, _, _, weight in _supported_prefixes(p, policy, horizon)

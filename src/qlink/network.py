@@ -83,7 +83,8 @@ def prob_at_least_one(edge: EdgeConfig, t: TimeLike) -> float:
 
 
 def expected_flow(edge: EdgeConfig, t: TimeLike) -> float:
-    """E[N_e(t)] = sum_j Pr[X_j(t) = 1]."""
+    """E[N_e(t)] = sum_j Pr[X_j(t) = 1]; at t = math.inf the steady flow,
+    which is also the limit of the Cesaro-mean link activity rate."""
     _check_time(t)
     return reduce(add, (link.prob_active(t) for link in edge.links), 0.0)
 
@@ -100,11 +101,6 @@ def flow_distribution(edge: EdgeConfig, t: TimeLike) -> np.ndarray:
         new[1:] += dist * q
         dist = new
     return dist
-
-
-def expected_rate_limit(edge: EdgeConfig) -> float:
-    """lim_t of the Cesaro-mean link activity rate; equals the steady flow."""
-    return expected_flow(edge, math.inf)
 
 
 def expected_total_links(net: NetworkConfig, t: TimeLike) -> float:

@@ -115,10 +115,7 @@ def forward_greedy(params: LinkParams) -> Policy:
         decided = max(decided, t)
         return 1.0, starts, probs
 
-    def rule(t: int, x: int, m: int) -> float:
-        return 1.0 if x == 0 else runs(m + 1)[2][bisect_right(starts, m) - 1]
-
-    return Policy.from_state_rule(rule, "deterministic", runs)
+    return Policy.from_state_rule(None, "deterministic", runs)
 
 
 # ---------------------------------------------------------------------------

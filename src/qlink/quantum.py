@@ -91,12 +91,12 @@ class PureState:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A completely positive map given by its Kraus family {K_k}."""
+    """A completely positive, trace-preserving map given by its Kraus
+    family {K_k}: sum_k K_k^dag K_k = I."""
 
     dim_in: int
     dim_out: int
     kraus_ops: tuple[np.ndarray, ...]
-    trace_preserving: bool = True
 
     def __post_init__(self) -> None:
         import numpy as np
@@ -114,14 +114,8 @@ class KrausChannel:
             ops.append(op)
         object.__setattr__(self, "kraus_ops", tuple(ops))
         total = sum(op.conj().T @ op for op in self.kraus_ops)
-        defect = total - np.eye(self.dim_in)
-        if self.trace_preserving:
-            if np.abs(defect).max() > TRACE_PRESERVING_TOL:
-                raise ValueError("Kraus family is not trace-preserving")
-        else:
-            # trace-non-increasing: sum K^dag K <= I
-            if np.linalg.eigvalsh((defect + defect.conj().T) / 2).max() > TRACE_PRESERVING_TOL:
-                raise ValueError("Kraus family is not trace-non-increasing")
+        if np.abs(total - np.eye(self.dim_in)).max() > TRACE_PRESERVING_TOL:
+            raise ValueError("Kraus family is not trace-preserving")
 
 
 def apply_channel(channel: KrausChannel, rho: DensityOperator) -> DensityOperator:
@@ -163,13 +157,11 @@ def tensor_channel(channels: Sequence[KrausChannel]) -> KrausChannel:
         raise ValueError("tensor_channel requires a nonempty list of channels")
     ops = [np.array([[1.0 + 0.0j]])]
     dim_in, dim_out = 1, 1
-    tp = all(c.trace_preserving for c in channels)
     for channel in channels:
         ops = [np.kron(left, k) for left in ops for k in channel.kraus_ops]
         dim_in *= channel.dim_in
         dim_out *= channel.dim_out
-    return KrausChannel(dim_in=dim_in, dim_out=dim_out, kraus_ops=tuple(ops),
-                        trace_preserving=tp)
+    return KrausChannel(dim_in=dim_in, dim_out=dim_out, kraus_ops=tuple(ops))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,8 @@ from qlink.cutoff import (
 from qlink.engine import (
     BLOCK_TRIALS,
     LinkParams,
+    history_prob,
+    iter_supported_histories,
     materialize_average_state,
     simulate_trajectories,
 )
@@ -47,11 +49,15 @@ from qlink.network import (
     ParallelLinkSpec,
     collective_status,
     expected_flow,
+    expected_total_links,
+    flow_distribution,
+    joint_state_descriptor,
     prob_at_least_one,
 )
 from qlink.quantum import (
     DensityOperator,
     FidelityCurve,
+    PureState,
     apply_channel,
     fidelity,
     memory_evolve,
@@ -184,6 +190,17 @@ def test_criterion_02_sequence_table_fixture():
         enumerated[xs] = (n_succ, n_fail, age if age >= 0 else 3)
     assert enumerated == fixture
 
+    # the QPOMDP's history weights Pr[H(t) = h] under the cutoff policy are
+    # the (Y1, Y2) form: its supported histories are the fixture's
+    # sequences, each weighted p^a (1-p)^b
+    policy = ca.cutoff_policy(3)
+    histories = [history for history, _ in iter_supported_histories(p, policy, 10)]
+    assert sorted(history.observations for history in histories) == sorted(fixture)
+    for history in histories:
+        p_exp, fail_exp, _ = fixture[history.observations]
+        assert history_prob(history, policy, p) == pytest.approx(
+            p ** p_exp * (1.0 - p) ** fail_exp, rel=1e-14), history.observations
+
 
 # ---------------------------------------------------------------------------
 # criterion 3: counting identities
@@ -196,6 +213,14 @@ def test_criterion_03_counting_identities():
         for tstar in range(t - 1, t + 3):  # covers every t <= t* + 1 boundary
             if t <= tstar + 1:
                 assert count_sequences(t, tstar) == 1 + t
+    # the cutoff policy's supported histories are the counted sequences,
+    # and their weights are a probability law
+    for tstar in (0, 1, 3, math.inf):
+        policy = ca.cutoff_policy(tstar)
+        for t in range(1, 11):
+            weights = [w for _, w in iter_supported_histories(0.3, policy, t)]
+            assert len(weights) == count_sequences(t, tstar), (tstar, t)
+            assert abs(math.fsum(weights) - 1.0) <= 1e-12, (tstar, t)
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +413,6 @@ def test_criterion_08e_baseline_objective_optima():
 
 def test_criterion_09_quantum_core():
     # closed form against literal channel powers
-    from qlink.quantum import PureState
-
     bell = preset_state("bell_phi_plus")
     basis2 = PureState(np.array([1.0, 0.0]))
     cases = [
@@ -441,6 +464,26 @@ def test_criterion_09_quantum_core():
             assert rho.matrix[-1, -1] == 1.0 - row.prob_active
             assert abs(fidelity(rho, padded) - row.e_ftilde) <= 1e-12
 
+    # two parallel Bell-pair links: independent, so their joint state is
+    # the tensor product, and its fidelity with the padded target psi x psi
+    # is the product of the links' E[F~(t)]
+    channel = tensor_channel([preset_channel("dephasing", 2, 0.9)] * 2)
+    rho0 = bell.projector()
+    curve = FidelityCurve.from_channel(rho0, channel, bell)
+    specs = [ParallelLinkSpec(0.4, 3), ParallelLinkSpec(0.3, "inf")]
+    rows, joint = joint_state_descriptor(specs, t, [(rho0, channel)] * 2)
+    padded = np.append(bell.amplitudes, 0.0)
+    assert abs(np.trace(joint.matrix) - 1.0) <= 1e-12
+    product = reduce(mul, (next(ca.active_rows((t,), spec.tstar, spec.p, curve)).e_ftilde
+                           for spec in specs))
+    assert abs(fidelity(joint, PureState(np.kron(padded, padded))) - product) <= 1e-12
+    # and tracing out either link leaves the other's average state, in the
+    # order of the specs
+    blocks = joint.matrix.reshape(5, 5, 5, 5)
+    for trace, row in zip(("ikjk->ij", "kikj->ij"), rows):
+        own = materialize_average_state(row, rho0, channel).matrix
+        assert np.abs(np.einsum(trace, blocks) - own).max() <= 1e-12
+
 
 # ---------------------------------------------------------------------------
 # criterion 10: network products against per-link Monte Carlo
@@ -490,6 +533,21 @@ def test_criterion_10_network_aggregation():
     mc = a_hat * b_hat
     sigma = math.hypot(b_hat * a_se, a_hat * b_se)
     assert abs(collective_status(two_edges, t) - mc) <= 4.0 * sigma
+    # E[L_E]: every link of the network, summed
+    assert abs(expected_total_links(two_edges, t) - (a_hat + b_hat)) <= \
+        4.0 * math.hypot(a_se, b_se)
+    # the distribution of N: its mean and Pr[N = 0] are the closed forms
+    # above, and each entry (1-a)(1-b), a(1-b) + (1-a)b, ab is within 4
+    # delta-method sigmas of the same product of the estimates
+    dist = flow_distribution(edge, t)
+    assert abs(dist @ np.arange(3) - expected_flow(edge, t)) <= 1e-12
+    assert abs(dist[0] - (1.0 - prob_at_least_one(edge, t))) <= 1e-12
+    entries = [((1.0 - a_hat) * (1.0 - b_hat), b_hat - 1.0, a_hat - 1.0),
+               (a_hat * (1.0 - b_hat) + (1.0 - a_hat) * b_hat, 1.0 - 2.0 * b_hat,
+                1.0 - 2.0 * a_hat),
+               (a_hat * b_hat, b_hat, a_hat)]  # (product, d/da, d/db)
+    for k, (mc, d_a, d_b) in enumerate(entries):
+        assert abs(dist[k] - mc) <= 4.0 * math.hypot(d_a * a_se, d_b * b_se), k
 
 
 # ---------------------------------------------------------------------------

@@ -950,7 +950,7 @@ PACKAGE_NAMES = {
                "sequence_stats", "steady_state", "success_rate_limits",
                "transition_matrix", "waiting_time", "waiting_times"],
     "network": ["EdgeConfig", "NetworkConfig", "ParallelLinkSpec",
-                "collective_status", "expected_flow", "expected_rate_limit",
+                "collective_status", "expected_flow",
                 "expected_total_links", "flow_distribution",
                 "joint_state_descriptor", "prob_at_least_one"],
     "optimize": ["DecisionRuns", "OptimizationResult",

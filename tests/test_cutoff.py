@@ -40,6 +40,7 @@ from qlink.engine import (
     History,
     LinkParams,
     evolve_exhaustive,
+    history_prob,
     iter_supported_histories,
     simulate_trajectories,
 )
@@ -127,6 +128,8 @@ ARGUMENTS = {
         lambda t: history_prob_cutoff(ca.SequenceStats(0, 1), t, 3, 0.3), ("int", 1), 6),
     "history_prob_cutoff.p": (
         lambda p: history_prob_cutoff(ca.SequenceStats(0, 1), 6, 3, p), "prob", 0.3),
+    "SequenceStats.y1": (lambda y1: ca.SequenceStats(y1, 1), ("int", 0), 2),
+    "SequenceStats.y2": (lambda y2: ca.SequenceStats(1, y2), ("int", 0), 2),
     "joint_prob.t": (lambda t: joint_prob(t, 3, 0.3, 2, 1), ("int", 1), 9),
     "joint_prob.m": (lambda m: joint_prob(9, 3, 0.3, m, 1), ("int", 0), 2),
     "joint_prob.x": (lambda x: joint_prob(9, 3, 0.3, 3, x), "bit", 1),
@@ -134,15 +137,21 @@ ARGUMENTS = {
     "prob_active.t": (lambda t: prob_active(t, 3, 0.3), ("int", 1), 9),
     "active_rows.p": (lambda p: list(active_rows((5, 9), 3, p)), "prob", 0.3),
     "plateau": (success_rate_limits("inf", 0.3).plateau, ("int", 0), 2),
+    "WaitingTime.pmf": (waiting_time(3, 2, 0.3).pmf, ("int", 0), 4),
+    "WaitingTime.conditional_pmf": (waiting_time(3, 2, 0.3).conditional_pmf, ("int", 0), 4),
     "distribution_at": (
         lambda t: transition_matrix(3, 0.3).distribution_at(t).tolist(), ("int", 1), 6),
     "memory_time_cutoff": (lambda xs: memory_time_cutoff(xs, 2), "bits", [1, 0, 1, 1]),
     "sequence_stats": (lambda xs: sequence_stats(xs, 1), "bits", [1, 1, 0, 1]),
-    "History.observations": (lambda xs: History(tuple(xs), (1, 0)), "bits", [0, 1, 1]),
-    "History.actions": (lambda acts: History((0, 1, 1), tuple(acts)), "bits", [1, 0]),
+    "History.observations": (lambda xs: History(xs, (1, 0)), "bits", [0, 1, 1]),
+    "History.actions": (lambda acts: History((0, 1, 1), acts), "bits", [1, 0]),
+    "history_prob.p": (
+        lambda p: history_prob(History((1, 1, 0), (0, 1)), cutoff_policy(1), p), "prob", 0.3),
     "LinkParams.p": (lambda p: LinkParams(p, _CURVE), "prob", 0.3),
     "iter_supported_histories": (
         lambda h: list(iter_supported_histories(0.3, cutoff_policy(1), h)), ("int", 1), 3),
+    "iter_supported_histories.p": (  # refused at the call, before any history
+        lambda p: iter_supported_histories(p, cutoff_policy(1), 3), "prob", 0.3),
     "evolve_exhaustive": (
         lambda h: evolve_exhaustive(_PARAMS, cutoff_policy(1), h), ("int", 1), 3),
     "simulate_trajectories.horizon": (
@@ -205,7 +214,8 @@ def _malformed(kind) -> st.SearchStrategy:
 def test_every_checked_argument_refuses_malformed_values(name):
     """Each call raises ValueError, never TypeError and never a result, when
     its one argument is replaced by a malformed value (in a sequence of
-    bits, one entry); a numpy integer gives what the equal int gives."""
+    bits, one entry, or the whole argument by a value that is no sequence);
+    a numpy integer gives what the equal int gives."""
     call, kind, valid = ARGUMENTS[name]
     if kind == "bits":
         assert call([np.int64(x) for x in valid]) == call(valid)
@@ -221,28 +231,35 @@ def test_every_checked_argument_refuses_malformed_values(name):
             call(bad)
 
     refuses()
+    for bad in ((5, 1, None, 1.5, True, np.True_) if kind == "bits" else ()):
+        with pytest.raises(ValueError):
+            call(bad)
 
 
 def test_cutoff_policy_decisions():
+    """The state rule at ages a link can have, m < t."""
     rule = cutoff_policy(2).decide_state
     assert rule(1, 0, -1) == 1.0  # down: request
     assert rule(1, 1, 0) == 0.0   # fresh link: hold
-    assert rule(1, 1, 1) == 0.0
-    assert rule(1, 1, 2) == 1.0   # at cutoff age: discard and re-request
+    assert rule(2, 1, 1) == 0.0
+    assert rule(3, 1, 2) == 1.0   # at cutoff age: discard and re-request
     inf_rule = cutoff_policy("inf").decide_state
     assert inf_rule(1, 0, -1) == 1.0
-    assert inf_rule(1, 1, 99) == 0.0
+    assert inf_rule(100, 1, 99) == 0.0
 
 
 @pytest.mark.parametrize("tstar", [0, 3, "inf"])
 def test_cutoff_policy_runs_are_the_run_length_encoded_rule(tstar):
-    """``decide_runs(t)`` is the run-length encoding of the scalar rule over
-    ages 0..t-1, at every t, in any order of calls."""
+    """``decide_runs(t)`` is the run-length encoding of the cutoff rule
+    (request iff unloaded or held for t* steps) over ages 0..t-1, at every
+    t, in any order of calls, and ``decide_state`` is that rule there."""
     policy = cutoff_policy(tstar)
-    rule = policy.decide_state
+    ts = parse_cutoff(tstar)
+    rule = lambda t, x, m: 1.0 if (m == -1 or m >= ts) else 0.0
     for t in (1, 5, 2, 40, 7, 41, 300, 3, 4):
         down, starts, probs = policy.decide_runs(t)
-        assert down == rule(t, 0, -1) == 1.0
+        assert down == rule(t, 0, -1) == policy.decide_state(t, 0, -1) == 1.0
+        assert all(policy.decide_state(t, 1, m) == rule(t, 1, m) for m in range(t))
         expected_starts, expected_probs = [], []
         for m in range(t):
             if not expected_probs or rule(t, 1, m) != expected_probs[-1]:

@@ -13,7 +13,6 @@ from qlink.network import (
     ParallelLinkSpec,
     collective_status,
     expected_flow,
-    expected_rate_limit,
     expected_total_links,
     flow_distribution,
     joint_state_descriptor,
@@ -64,10 +63,10 @@ def test_expected_flow_and_distribution_agree():
 
 
 def test_steady_flow_values():
-    # two identical links: E[N] at steady state = 2 (t*+1)p / (1 + t* p)
+    # two identical links: E[N] at steady state = 2 (t*+1)p / (1 + t* p),
+    # also the limit of the Cesaro-mean link activity rate
     edge = make_edge([(0.5, 1), (0.5, 1)])
-    assert expected_rate_limit(edge) == pytest.approx(2 * 2 * 0.5 / 1.5, abs=1e-12)
-    assert expected_flow(edge, math.inf) == expected_rate_limit(edge)
+    assert expected_flow(edge, math.inf) == pytest.approx(2 * 2 * 0.5 / 1.5, abs=1e-12)
 
 
 def test_network_totals_and_collective_status():

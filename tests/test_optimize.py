@@ -206,8 +206,8 @@ def test_forward_greedy_rule(monkeypatch):
                         lambda curve, m: calls.append(m) or evaluate(curve, m))
     rule = forward_greedy(params).decide_state
     assert rule(1, 0, -1) == 1.0
-    for t in range(1, 12):
-        for m in range(10):
+    for t in range(1, 11):
+        for m in range(t):  # the ages a link can have at time t
             keep = evaluate(CURVE, m + 1) >= 0.4 * evaluate(CURVE, 0)
             assert rule(t, 1, m) == (0.0 if keep else 1.0)
     # f_0 when the rule is built, then f_{m+1} once per age, whatever t

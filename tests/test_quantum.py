@@ -50,12 +50,13 @@ def test_pure_state_rejects_unnormalized():
 
 
 def test_kraus_trace_preservation_checked():
-    with pytest.raises(ValueError):
-        KrausChannel(2, 2, (0.5 * np.eye(2),))
-    # trace-non-increasing family is accepted when flagged
-    KrausChannel(2, 2, (0.5 * np.eye(2),), trace_preserving=False)
-    with pytest.raises(ValueError):
-        KrausChannel(2, 2, (2.0 * np.eye(2),), trace_preserving=False)
+    """Every channel is trace preserving: a trace-decreasing or increasing
+    family is refused, and there is no switch to admit one."""
+    for ops in ((0.5 * np.eye(2),), (0.5 * np.eye(2), 0.5 * np.eye(2)), (2.0 * np.eye(2),)):
+        with pytest.raises(ValueError, match="not trace-preserving"):
+            KrausChannel(2, 2, ops)
+    with pytest.raises(TypeError, match="trace_preserving"):
+        KrausChannel(2, 2, (np.eye(2),), trace_preserving=False)
 
 
 @given(seed=st.integers(0, 10_000), dim=st.integers(2, 4))
