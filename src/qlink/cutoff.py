@@ -32,12 +32,16 @@ whose sum is Pr[M_{t*}(t) = t*, X(t) = 0] and so the waiting time.  The
 k-terms of E[S(t)] are g's terms at u = t-k+1 times a weight, and its
 trailing-zero terms the down terms times another.  `_binomial_sums`
 evaluates the sums a series asks for, only at the u and t the series
-needs, by one of two routes.  A series whose times all lie within `_SHORT`
-is summed term by term in Python (`_term_sums`), which needs no numpy: the
-paper's figures are all such series, and `qlink reproduce` never imports
-numpy.  A longer series is evaluated in b-rows of terms (b counts
-completed blocks), several rows per numpy call; `_terms` is the one place
-that route forms a term.  Both read the one log-factorial table.
+needs, by one of two routes, chosen by the number of g terms the series
+forms.  A series of at most `_SHORT_TERMS` terms is summed in Python
+(`_term_sums`), which needs no numpy: it walks u upward, forms each u's
+column of terms over b with one list comprehension, and keeps only the
+last t*+1 weighted columns, which E[S] reads.  The paper's figures, and a
+sweep over t <= 400 at any cutoff, are such series, so `qlink reproduce`
+and `qlink sweep` at those sizes never import numpy.  A longer series is
+evaluated in b-rows of terms (b counts completed blocks), several rows per
+numpy call; `_terms` is the one place that route forms a term.  Both read
+the one log-factorial table.
 
 Summation order.  The values are bit-identical to adding the terms one at a
 time, on either route, and the CSV goldens rely on that.  Each term is
@@ -46,13 +50,15 @@ lgamma(b+1) - lgamma(n-b+1).  Python and numpy both form the log with the
 same IEEE double operations in that order (an integer count times log p is
 the count converted exactly, then one multiply; a zero count adds -0.0,
 which changes nothing); `math.exp` is applied to each log on its own, never
-`np.exp`, whose last bit differs.  Each sum starts at 0.0 and takes its
-terms one addition at a time, as a Python `+=` or `reduce(add, ..., 0.0)`
-on the short route and a numpy `+=` per row or a cumulative sum down the
-columns on the long one, the same IEEE additions: b outer; within b, E[S]'s
-trailing-zero term (0.0 for b = 0), then its k = 1..t*+1 terms, each
-weight formed before it multiplies its term.  Adding 0.0 changes no sum,
-so the short route skips the cells where the long one adds a 0.0 term.
+`np.exp`, whose last bit differs.  A weight is an integer over an integer,
+one correctly rounded division whether the two are ints or the floats that
+hold them exactly.  Each sum starts at 0.0 and takes its terms one addition
+at a time, as `reduce(add, ..., 0.0)` in Python and a numpy `+=` per row or
+a cumulative sum down the columns, the same IEEE additions: b outer; within
+b, E[S]'s trailing-zero term (0.0 for b = 0), then its k = 1..t*+1 terms,
+each weight formed before it multiplies its term.  Adding 0.0 changes no
+sum, so the Python route skips g's and the down family's cells where numpy
+adds a 0.0 term.
 A row of the distribution and E[F~] are added in increasing m with
 `reduce(add, ..., 0.0)` or `np.cumsum`, and the geometric E[S] prefix with
 `itertools.accumulate`.  No float sum in the package uses the built-in
@@ -64,10 +70,11 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import accumulate
-from operator import add, index, mul
+from itertools import accumulate, repeat
+from operator import add, index, mul, truediv
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 if TYPE_CHECKING:
@@ -329,12 +336,15 @@ def _row_chunks(lo: int, hi: int, block: int) -> Iterator[tuple[int, int, int]]:
         yield b0, min(rows, b0 + height), max(lo, b0 * block + 1)
 
 
-# The largest time of a series that `_binomial_sums` sums term by term in
-# Python.  Up to it the Python loop costs a few ms at most, less than numpy's
-# import (~0.1 s and 13 MB) in a process that needs numpy for nothing else;
-# above it the loop falls well behind the numpy route (g and E[S] at t* = 0
-# over t = 1..128 already take ~9 ms against ~3 ms).
-_SHORT = 128
+# The most g terms, (u-1)//(t*+1) + 1 summed over the u of its runs, of a
+# series that `_binomial_sums` sums in Python.  The Python route takes
+# 2.5-2.8x the numpy route's time (g and E[S] at t* = 0, p = 0.3, numpy loaded,
+# best of 3 on 2 vCPUs: t <= 400, 80k terms, 42 against 16 ms; t <= 1000,
+# 500k terms, 255 against 91 ms), but importing numpy costs 70-140 ms and
+# 13 MB in a process that needs it for nothing else.  Near this bound, t* = 0
+# over t = 1..500, a ten-cutoff sweep breaks even (218 ms in Python against
+# 94 ms plus the import); below it, Python wins.
+_SHORT_TERMS = 125_000
 
 
 def _term_at(top: int, p: float) -> Callable[[int, int, int, int], float]:
@@ -351,33 +361,74 @@ def _term_at(top: int, p: float) -> Callable[[int, int, int, int], float]:
 
 def _term_sums(runs: list[Run], ts: int, p: float,
                want: set[str]) -> dict[str, dict[int, float]]:
-    """`_binomial_sums` one term at a time: each term formed by `_terms`'
-    expression, each sum added from 0.0 in the kernel's order, leaving out
-    the cells where the kernel adds 0.0.  The same bits."""
+    """`_binomial_sums` in Python, walking u upward: each term formed by
+    `_terms`' expression, each sum added from 0.0 in the numpy route's
+    order.  The same bits.
+
+    g's terms at u are one column over b, zipped from slices of the tables:
+    lf[n] at n = u-1-b t*, lf[b], lf[F] and F log(1-p) at F = u-1-b(t*+1),
+    and (b+1) log p.  The down family at t = u has b log p and (F+1)
+    log(1-p) instead.  E[S(t)] reads the weighted g columns at u = t-t*..t
+    only, so only the last t*+1 are kept, and memory is O(T) beside the
+    sums for a series that ends at T."""
     block = ts + 1
-    term = _term_at(runs[-1][1], p)
+    top = runs[-1][1]
+    lf = _log_factorials(top)[:top + 1].tolist()
+    log_p, log_q = math.log(p), math.log1p(-p)
+    fail_logs = [f * log_q for f in range(top + 1)]
+    succ_logs = [b * log_p for b in range((top - 1) // block + 2)]
+    g_succ_logs = succ_logs[1:]
+    counts = [float(k) for k in range(top + 1)]  # exact, so k / j is int k / int j
+    exp = math.exp
+
+    if ts:
+        def terms(n: int, succ: list[float], fail: int) -> list[float]:
+            """math.exp(lf[n - b t*] - lf[b] - lf[n - b(t*+1)] + succ[b] +
+            fail_logs[fail - b(t*+1)]) for b = 0..n // (t*+1)."""
+            return [exp(x - y - z + s + f) for x, y, z, s, f in
+                    zip(lf[n::-ts], lf, lf[n::-block], succ, fail_logs[fail::-block])]
+
+        def weighted(first: int, u: int, column: list[float]) -> list[float]:
+            """(b + first) / (u - b t*) * column[b] for each b."""
+            ratios = map(truediv, counts[first:first + len(column)], counts[u::-ts])
+            return list(map(mul, ratios, column))
+    else:  # the same with n - b t* = n and u - b t* = u, which run faster
+        def terms(n: int, succ: list[float], fail: int) -> list[float]:
+            x = lf[n]
+            return [exp(x - y - z + s + f)
+                    for y, z, s, f in zip(lf, lf[n::-1], succ, fail_logs[fail::-1])]
+
+        def weighted(first: int, u: int, column: list[float]) -> list[float]:
+            d = counts[u]
+            return [k / d * g for k, g in zip(counts[first:first + len(column)], column)]
+
+    with_g, with_es = bool(want & {"g", "es"}), "es" in want
+    with_down = bool(want & {"down", "es"})
     sums: dict[str, dict[int, float]] = {name: {} for name in want}
     for lo, hi, t_runs in runs:
-        # g's terms at each u, by b up to the last row with a term at u
-        g_terms = {u: [term(u - 1 - b * ts, b, b + 1, u - 1 - b * block)
-                       for b in range((u - 1) // block + 1)]
-                   for u in range(lo, hi + 1)} if want & {"g", "es"} else {}
-        if "g" in want:
-            sums["g"].update((u, reduce(add, terms, 0.0)) for u, terms in g_terms.items())
-        if not want & {"down", "es"}:
-            continue
-        for t in (t for ta, tb in t_runs for t in range(ta, tb + 1)):
-            down = [term(t - 1 - b * ts, b, b, t - b * block)
-                    for b in range((t - 1) // block + 1)]
+        at_t = {t for ta, tb in t_runs for t in range(ta, tb + 1)}
+        window: deque[list[float]] = deque(maxlen=block)  # E[S]'s k-terms at u, u-1, ..., u-t*
+        for u in range(lo, hi + 1):
+            if with_g:
+                col = terms(u - 1, g_succ_logs, u - 1)
+                if "g" in want:
+                    sums["g"][u] = reduce(add, col, 0.0)
+                if with_es:
+                    window.appendleft(weighted(1, u, col))
+            if not with_down or u not in at_t:
+                continue
+            down = terms(u - 1, succ_logs, u)
             if "down" in want:
-                sums["down"][t] = reduce(add, down, 0.0)
-            if "es" in want:
-                total = 0.0
-                for b, term_b in enumerate(down):
-                    total += b / (t - b * ts) * term_b
-                    for u in range(t, max(t - block, b * block), -1):  # k = t-u+1
-                        total += (b + 1) / (u - b * ts) * g_terms[u][b]
-                sums["es"][t] = total
+                sums["down"][u] = reduce(add, down, 0.0)
+            if with_es:
+                # row b of `cells` is the trailing-zero term, then k = 1..t*+1;
+                # a column that ends before the last row adds 0.0, as in numpy
+                trail = weighted(0, u, down)
+                cells = [0.0] * (len(trail) * (block + 1))
+                cells[::block + 1] = trail
+                for k, column in enumerate(window, 1):
+                    cells[k:k + len(column) * (block + 1):block + 1] = column
+                sums["es"][u] = reduce(add, cells, 0.0)
     return sums
 
 
@@ -396,13 +447,14 @@ def _binomial_sums(runs: list[Run], ts: int, p: float,
     times b/(t - t* b), then g's terms at u = t-k+1, k = 1..t*+1, times
     (b+1)/(u - t* b).
 
-    Series whose times all lie within `_SHORT` are summed term by term in
-    Python (`_term_sums`), longer ones with numpy.
+    Series that form at most `_SHORT_TERMS` g terms are summed in Python
+    (`_term_sums`), longer ones with numpy.
     """
-    if runs[-1][1] <= _SHORT:
+    block = ts + 1
+    g_terms = sum((u - 1) // block + 1 for lo, hi, _ in runs for u in range(lo, hi + 1))
+    if g_terms <= _SHORT_TERMS:
         return _term_sums(runs, ts, p, want)
     import numpy as np
-    block = ts + 1
     log_fact = np.frombuffer(_log_factorials(runs[-1][1]), float)  # a view, no copy
     log_p, log_q = math.log(p), math.log1p(-p)
     with_g, with_es = bool(want & {"g", "es"}), "es" in want

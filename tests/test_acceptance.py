@@ -22,7 +22,7 @@ import pytest
 import qlink.cutoff as ca
 import qlink.optimize as opt
 from qlink import cli
-from qlink.config import MAX_TIME, load_config
+from qlink.config import load_config
 from qlink.csvio import read_result_table
 from qlink.cutoff import (
     count_sequences,
@@ -676,19 +676,19 @@ SERIES_GOLDENS = ["fig4-left", "fig4-right", "fig5", "fig7", "fig8", "fig9",
 @pytest.mark.parametrize("name", SERIES_GOLDENS)
 def test_criterion_11_goldens_are_equal_on_both_series_routes(name, monkeypatch, tmp_path):
     """Every golden whose path sums cutoff series is written byte for byte
-    with all series on the numpy route, and again with all on the
-    term-at-a-time route."""
+    with all series on the numpy route, and again with all on the Python
+    route."""
     config = GOLDEN_DIR / f"{name}.json"
     mode = json.loads(config.read_text())["mode"]
     by_terms = []
     term_sums = ca._term_sums
     monkeypatch.setattr(ca, "_term_sums", lambda *args: by_terms.append(1) or term_sums(*args))
-    for short in (0, MAX_TIME):
-        monkeypatch.setattr(ca, "_SHORT", short)
-        out = tmp_path / f"{name}-{short}.csv"
+    for bound in (0, math.inf):
+        monkeypatch.setattr(ca, "_SHORT_TERMS", bound)
+        out = tmp_path / f"{name}-{bound}.csv"
         assert cli.main([mode, "--config", str(config), "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()
-        assert bool(by_terms) == bool(short)  # the route asked for ran
+        assert bool(by_terms) == bool(bound)  # the route asked for ran
         by_terms.clear()
 
 

@@ -852,25 +852,34 @@ def test_cli_exit_codes_hold_for_mutated_configs(data):
 
 BASE_MODULES = {"cli", "config", "csvio", "cutoff"}
 FIG8_DOC = {"schema_version": 1, "mode": "reproduce", "figure": "fig8"}
+# the benchmark's sweep shape: ten cutoffs over t = 1..400, at most 80k g
+# terms a series; at t* = 0 over 1..600 a series forms 180k
+SWEEP_GRID_DOC = dict(SWEEP_DOC, link={"p": 0.3, "tstar": 0,
+                                       "fidelity": {"kind": "depolarizing", "lam": 0.9, "dim": 4}},
+                      times={"start": 1, "stop": 400},
+                      sweep={"field": "tstar", "values": [0, 1, 2, 3, 5, 8, 10, 20, 35, "inf"]})
+SWEEP_LONG_DOC = dict(SWEEP_DOC, link={"p": 0.3, "tstar": 0}, times={"start": 1, "stop": 600})
 
 
 @pytest.mark.parametrize("doc, extra, numpy", [
     (analytic_doc(), {"quantum"}, False),
     (SWEEP_DOC, set(), False),
-    (dict(SWEEP_DOC, times={"start": 1, "stop": 200}), set(), True),
+    (SWEEP_LONG_DOC, set(), True),
+    (SWEEP_GRID_DOC, {"quantum"}, False),
     (SIMULATE_DOC, {"engine", "quantum"}, True),
     (OPTIMIZE_DOC, {"engine", "quantum", "optimize"}, False),
     (dict(OPTIMIZE_DOC, horizon=200), {"engine", "quantum", "optimize"}, False),
     (FIG5_DOC, set(), False),
     (FIG8_DOC, {"network"}, False),
-], ids=["analytic-fidelity", "sweep", "sweep-long", "simulate", "optimize",
+], ids=["analytic-fidelity", "sweep", "sweep-long", "sweep-grid", "simulate", "optimize",
         "optimize-long", "fig5", "fig8"])
 def test_each_command_loads_only_its_modules(tmp_path, doc, extra, numpy):
     """A fresh ``qlink`` process imports ``config``, ``csvio`` and ``cutoff``
     with ``cli``, and only the modules its command runs besides.  numpy is
-    loaded by the simulator and cutoff series longer than the term-at-a-time
-    route takes; never by ``reproduce``, a fidelity curve or ``optimize``,
-    whose tables at t* >= T stay off that route past ``cutoff._SHORT``."""
+    loaded by the simulator and by cutoff series of more g terms than
+    ``cutoff._SHORT_TERMS``; never by ``reproduce``, a fidelity curve,
+    ``optimize``, whose tables at t* >= T stay off the series, or a sweep of
+    the benchmark's shape."""
     out = tmp_path / "o.csv"
     argv = [doc["mode"], "--config", write_config(tmp_path, doc), "--out", str(out)]
     child = (

@@ -3,9 +3,11 @@
 import math
 import sys
 import threading
+import tracemalloc
 from array import array
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from operator import add, mul
 
 import numpy as np
@@ -905,7 +907,7 @@ def test_binomial_sums_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
     at a time.  The same holds for the waiting times' down family.  All
     series take the numpy route, which alone reads the chunk size."""
     monkeypatch.setattr(ca, "_CHUNK", chunk)
-    monkeypatch.setattr(ca, "_SHORT", 0)
+    monkeypatch.setattr(ca, "_SHORT_TERMS", 0)
     for tstar in [0, 1, 3, 8]:
         for p in [0.01, 0.3, 0.9]:
             for times in [list(range(1, 120)), [150], [37, 3, 90, 3, 36, 95, 99]]:
@@ -919,24 +921,67 @@ def test_binomial_sums_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
                                                                 for t in times]
 
 
-@pytest.mark.parametrize("tstar", [0, 1, 2, 5, 35])
-@pytest.mark.parametrize("p", [0.01, 0.3, 0.77, 0.999999])
+WANTS = [{"g"}, {"down"}, {"es"}, {"g", "es"}, {"g", "down", "es"}]
+
+
+def _both_routes(monkeypatch, times, tstar, p, want):
+    """`_binomial_sums` over ``times`` with numpy, then in Python."""
+    long = sorted({t for t in times if t > tstar + 1})
+    runs = ca._runs(long, tstar if want & {"g", "es"} else 0)
+    by_route = []
+    for bound in (0, math.inf):
+        monkeypatch.setattr(ca, "_SHORT_TERMS", bound)
+        by_route.append(ca._binomial_sums(runs, tstar, p, want))
+    return by_route
+
+
+@pytest.mark.parametrize("tstar", [0, 1, 2, 5, 35, 127])
+@pytest.mark.parametrize("p", [1e-6, 0.01, 0.3, 0.77, 0.999999])
 def test_binomial_sums_are_equal_on_both_routes(monkeypatch, tstar, p):
-    """The term-at-a-time route and the numpy route give the same bits for
-    g, the down family and E[S], on dense, sparse and single-time series
-    that end at the route threshold and one above it."""
-    top = ca._SHORT
-    for times in [range(1, top + 1), range(1, top + 2), [top], [top + 1],
-                  [3, 40, 41, top - 7, top]]:
-        long = sorted({t for t in times if t > tstar + 1})
-        for want in [{"g"}, {"down"}, {"es"}, {"g", "es"}, {"g", "down", "es"}]:
-            runs = ca._runs(long, tstar if want & {"g", "es"} else 0)
-            monkeypatch.setattr(ca, "_SHORT", 0)
-            by_numpy = ca._binomial_sums(runs, tstar, p, want)
-            monkeypatch.setattr(ca, "_SHORT", MAX_TIME)
-            by_terms = ca._binomial_sums(runs, tstar, p, want)
-            assert by_terms == by_numpy
-            assert all(by_terms[name] for name in want)
+    """The Python route and the numpy route give the same bits for g, the
+    down family and E[S], on dense, sparse and single-time series, with
+    times on both sides of a block boundary of t* = 127."""
+    for times in [range(1, 301), [3, 40, 41, 128, 129, 130, 257, 300], [129], [300]]:
+        for want in WANTS:
+            by_numpy, by_python = _both_routes(monkeypatch, times, tstar, p, want)
+            assert by_python == by_numpy
+            assert all(by_python[name] for name in want)
+
+
+@pytest.mark.parametrize("tstar, p", [(0, 0.3), (5, 0.01)])
+def test_binomial_sums_are_equal_on_both_routes_at_the_bound(monkeypatch, tstar, p):
+    """The dense series 1..T with the most g terms at or under
+    `_SHORT_TERMS` takes the Python route, and 1..T+1 the numpy route; each
+    gives the other route's bits."""
+    bound, term_sums, by_python = ca._SHORT_TERMS, ca._term_sums, []
+    monkeypatch.setattr(ca, "_term_sums", lambda *args: by_python.append(1) or term_sums(*args))
+    # g(u) has ceil(u / (t*+1)) terms, and the series 1..T forms g at u = 2..T
+    g_terms = accumulate(len(range(0, u, tstar + 1)) for u in range(2, MAX_TIME))
+    top = next(u for u, total in enumerate(g_terms, start=2) if total > bound) - 1
+    for times, python in [(range(1, top + 1), True), (range(1, top + 2), False)]:
+        want = {"g", "down", "es"}
+        monkeypatch.setattr(ca, "_SHORT_TERMS", bound)
+        routed = ca._binomial_sums(ca._runs(list(times)[tstar + 1:], tstar), tstar, p, want)
+        assert bool(by_python) == python
+        assert _both_routes(monkeypatch, times, tstar, p, want) == [routed, routed]
+        by_python.clear()
+
+
+def test_python_route_memory_is_linear_in_the_series():
+    """At the route bound, g and E[S] at t* = 0 over t = 1..499 peak at
+    less than 512 KB beyond their sums: the Python route keeps one window of
+    t*+1 weighted columns, not every term of the series (4 MB)."""
+    top = max(t for t in range(2, 2000) if t * (t + 1) // 2 - 1 <= ca._SHORT_TERMS)
+    runs = ca._runs(list(range(2, top + 1)), 0)
+    ca._term_sums(runs[:1], 0, 0.3, {"g", "es"})  # grow the shared log-factorial table first
+    tracemalloc.start()
+    try:
+        sums = ca._binomial_sums(runs, 0, 0.3, {"g", "es"})
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sums["es"]) == top - 1
+    assert peak - held < 512 * 1024
 
 
 def test_success_rate_series_rejects_bad_input():
