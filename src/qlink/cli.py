@@ -16,7 +16,7 @@ Each command imports only the modules it runs: ``config``, ``csvio`` and
 ``cutoff`` here, and ``engine``, ``quantum``, ``optimize`` and ``network``
 where a command first uses them.  numpy is imported only by the functions
 that vectorise: the simulator and the cutoff series of more g terms than
-``cutoff._SHORT_TERMS`` (t* = 0 past t = 499).  So ``reproduce`` at its
+``cutoff._SHORT_TERMS`` (t* = 0 past t = 499), or ending past that time.  So ``reproduce`` at its
 default sizes, ``analytic`` and ``sweep`` over t <= 499, and ``optimize``
 at every horizon run without it.
 """

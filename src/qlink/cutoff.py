@@ -33,15 +33,16 @@ k-terms of E[S(t)] are g's terms at u = t-k+1 times a weight, and its
 trailing-zero terms the down terms times another.  `_binomial_sums`
 evaluates the sums a series asks for, only at the u and t the series
 needs, by one of two routes, chosen by the number of g terms the series
-forms.  A series of at most `_SHORT_TERMS` terms is summed in Python
-(`_term_sums`), which needs no numpy: it walks u upward, forms each u's
-column of terms over b with one list comprehension, and keeps only the
-last t*+1 weighted columns, which E[S] reads.  The paper's figures, and a
-sweep over t <= 400 at any cutoff, are such series, so `qlink reproduce`
-and `qlink sweep` at those sizes never import numpy.  A longer series is
-evaluated in b-rows of terms (b counts completed blocks), several rows per
-numpy call; `_terms` is the one place that route forms a term.  Both read
-the one log-factorial table.
+forms and by its last time T.  A series of at most `_SHORT_TERMS` terms
+that ends by T = `_SHORT_TERMS` is summed in Python (`_term_sums`), which
+needs no numpy: it lists the tables it reads up to T, walks u upward,
+forms each u's column of terms over b with one list comprehension, and
+keeps only the last t*+1 weighted columns, which E[S] reads.  The paper's
+figures, and a sweep over t <= 400 at any cutoff, are such series, so
+`qlink reproduce` and `qlink sweep` at those sizes never import numpy.
+Any other series is evaluated in b-rows of terms (b counts completed
+blocks), several rows per numpy call; `_terms` is the one place that route
+forms a term.  Both read the one log-factorial table.
 
 Summation order.  The values are bit-identical to adding the terms one at a
 time, on either route, and the CSV goldens rely on that.  Each term is
@@ -337,13 +338,17 @@ def _row_chunks(lo: int, hi: int, block: int) -> Iterator[tuple[int, int, int]]:
 
 
 # The most g terms, (u-1)//(t*+1) + 1 summed over the u of its runs, of a
-# series that `_binomial_sums` sums in Python.  The Python route takes
+# series that `_binomial_sums` sums in Python, and the latest time it ends
+# at: `_term_sums` lists its tables up to the last time T, about 32 bytes a
+# float, so a few far times take the numpy route.  The Python route takes
 # 2.5-2.8x the numpy route's time (g and E[S] at t* = 0, p = 0.3, numpy loaded,
 # best of 3 on 2 vCPUs: t <= 400, 80k terms, 42 against 16 ms; t <= 1000,
 # 500k terms, 255 against 91 ms), but importing numpy costs 70-140 ms and
 # 13 MB in a process that needs it for nothing else.  Near this bound, t* = 0
 # over t = 1..500, a ten-cutoff sweep breaks even (218 ms in Python against
-# 94 ms plus the import); below it, Python wins.
+# 94 ms plus the import); below it, Python wins.  These are in-process
+# timings of one shape: no benchmark workload runs a series above the
+# bound, so the numpy side of it is not checked end to end.
 _SHORT_TERMS = 125_000
 
 
@@ -370,7 +375,8 @@ def _term_sums(runs: list[Run], ts: int, p: float,
     and (b+1) log p.  The down family at t = u has b log p and (F+1)
     log(1-p) instead.  E[S(t)] reads the weighted g columns at u = t-t*..t
     only, so only the last t*+1 are kept, and memory is O(T) beside the
-    sums for a series that ends at T."""
+    sums for a series that ends at T: the tables and, for E[S], the counts
+    k as floats."""
     block = ts + 1
     top = runs[-1][1]
     lf = _log_factorials(top)[:top + 1].tolist()
@@ -378,29 +384,22 @@ def _term_sums(runs: list[Run], ts: int, p: float,
     fail_logs = [f * log_q for f in range(top + 1)]
     succ_logs = [b * log_p for b in range((top - 1) // block + 2)]
     g_succ_logs = succ_logs[1:]
-    counts = [float(k) for k in range(top + 1)]  # exact, so k / j is int k / int j
+    # exact, so k / j is int k / int j
+    counts = [float(k) for k in range(top + 1)] if "es" in want else []
     exp = math.exp
 
-    if ts:
-        def terms(n: int, succ: list[float], fail: int) -> list[float]:
-            """math.exp(lf[n - b t*] - lf[b] - lf[n - b(t*+1)] + succ[b] +
-            fail_logs[fail - b(t*+1)]) for b = 0..n // (t*+1)."""
-            return [exp(x - y - z + s + f) for x, y, z, s, f in
-                    zip(lf[n::-ts], lf, lf[n::-block], succ, fail_logs[fail::-block])]
+    def terms(n: int, succ: list[float], fail: int) -> list[float]:
+        """math.exp(lf[n - b t*] - lf[b] - lf[n - b(t*+1)] + succ[b] +
+        fail_logs[fail - b(t*+1)]) for b = 0..n // (t*+1)."""
+        return [exp(x - y - z + s + f) for x, y, z, s, f in
+                zip(lf[n::-ts] if ts else repeat(lf[n]), lf, lf[n::-block], succ,
+                    fail_logs[fail::-block])]
 
-        def weighted(first: int, u: int, column: list[float]) -> list[float]:
-            """(b + first) / (u - b t*) * column[b] for each b."""
-            ratios = map(truediv, counts[first:first + len(column)], counts[u::-ts])
-            return list(map(mul, ratios, column))
-    else:  # the same with n - b t* = n and u - b t* = u, which run faster
-        def terms(n: int, succ: list[float], fail: int) -> list[float]:
-            x = lf[n]
-            return [exp(x - y - z + s + f)
-                    for y, z, s, f in zip(lf, lf[n::-1], succ, fail_logs[fail::-1])]
-
-        def weighted(first: int, u: int, column: list[float]) -> list[float]:
-            d = counts[u]
-            return [k / d * g for k, g in zip(counts[first:first + len(column)], column)]
+    def weighted(first: int, u: int, column: list[float]) -> list[float]:
+        """(b + first) / (u - b t*) * column[b] for each b."""
+        ratios = map(truediv, counts[first:first + len(column)],
+                     counts[u::-ts] if ts else repeat(counts[u]))
+        return list(map(mul, ratios, column))
 
     with_g, with_es = bool(want & {"g", "es"}), "es" in want
     with_down = bool(want & {"down", "es"})
@@ -447,12 +446,12 @@ def _binomial_sums(runs: list[Run], ts: int, p: float,
     times b/(t - t* b), then g's terms at u = t-k+1, k = 1..t*+1, times
     (b+1)/(u - t* b).
 
-    Series that form at most `_SHORT_TERMS` g terms are summed in Python
-    (`_term_sums`), longer ones with numpy.
+    Series that form at most `_SHORT_TERMS` g terms, and end by that time,
+    are summed in Python (`_term_sums`), the others with numpy.
     """
     block = ts + 1
     g_terms = sum((u - 1) // block + 1 for lo, hi, _ in runs for u in range(lo, hi + 1))
-    if g_terms <= _SHORT_TERMS:
+    if max(g_terms, runs[-1][1]) <= _SHORT_TERMS:
         return _term_sums(runs, ts, p, want)
     import numpy as np
     log_fact = np.frombuffer(_log_factorials(runs[-1][1]), float)  # a view, no copy

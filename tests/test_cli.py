@@ -877,7 +877,7 @@ def test_each_command_loads_only_its_modules(tmp_path, doc, extra, numpy):
     """A fresh ``qlink`` process imports ``config``, ``csvio`` and ``cutoff``
     with ``cli``, and only the modules its command runs besides.  numpy is
     loaded by the simulator and by cutoff series of more g terms than
-    ``cutoff._SHORT_TERMS``; never by ``reproduce``, a fidelity curve,
+    ``cutoff._SHORT_TERMS``, or ending past that time; never by ``reproduce``, a fidelity curve,
     ``optimize``, whose tables at t* >= T stay off the series, or a sweep of
     the benchmark's shape."""
     out = tmp_path / "o.csv"

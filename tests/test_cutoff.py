@@ -984,6 +984,30 @@ def test_python_route_memory_is_linear_in_the_series():
     assert peak - held < 512 * 1024
 
 
+def test_python_route_lists_no_table_past_the_bound(monkeypatch):
+    """A single down time forms few terms, but the Python route lists its
+    tables up to that time: at t = `_SHORT_TERMS` it peaks under 10 MB
+    beyond the sum (importing numpy costs 13 MB), and one step later the
+    series takes the numpy route.  Both routes give the same bits."""
+    bound, term_sums, by_python = ca._SHORT_TERMS, ca._term_sums, []
+    monkeypatch.setattr(ca, "_term_sums", lambda *args: by_python.append(1) or term_sums(*args))
+    ca._log_factorials(bound + 1)  # grow the shared table first
+    runs = ca._runs([bound], 0)
+    tracemalloc.start()
+    try:
+        down = ca._binomial_sums(runs, 1000, 0.3, {"down"})
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert by_python and peak - held < 10 * 1024 * 1024
+    monkeypatch.setattr(ca, "_SHORT_TERMS", 0)
+    assert ca._binomial_sums(runs, 1000, 0.3, {"down"}) == down
+    monkeypatch.setattr(ca, "_SHORT_TERMS", bound)
+    by_python.clear()
+    past = ca._binomial_sums(ca._runs([bound + 1], 0), 1000, 0.3, {"down"})
+    assert not by_python and past["down"][bound + 1] > 0.0
+
+
 def test_success_rate_series_rejects_bad_input():
     with pytest.raises(ValueError, match="t must be"):
         expected_success_rates([3, 0], 2, 0.3)
