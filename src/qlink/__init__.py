@@ -22,7 +22,8 @@ _HOMES = {
         "materialize_average_state", "simulate_trajectories",
     ),
     "cutoff": (
-        "LinkState", "SequenceStats", "active_rows", "count_sequences",
+        "LinkState", "SequenceStats", "active_rows", "active_rows_by_cutoff",
+        "count_sequences",
         "cutoff_policy", "expected_fidelity_cutoff", "expected_success_rate",
         "expected_success_rates", "history_prob_cutoff", "hyp2f1_series",
         "joint_prob", "memory_time_cutoff", "parse_cutoff", "prob_active",

@@ -29,7 +29,7 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, TextIO
 
 from . import __version__
 from . import cutoff as ca
@@ -67,12 +67,10 @@ def _metadata(config: RunConfig, seed: Optional[int] = None) -> dict[str, str]:
 # analytic / sweep
 # ---------------------------------------------------------------------------
 
-def _analytic_rows(link: LinkSpec, times: Sequence[int]) -> list[tuple]:
-    rows = []
-    for row in ca.active_rows(times, link.tstar, link.p, _link_curve(link), success=True):
-        rows.append((link.p, link.tstar, row.t, row.prob_active,
-                     row.e_ftilde, row.e_f, row.success_rate))
-    return rows
+def _analytic_rows(link: LinkSpec, states: Iterable[ca.LinkState]) -> list[tuple]:
+    """The table rows of ``link`` from its states at the table's times."""
+    return [(link.p, link.tstar, row.t, row.prob_active, row.e_ftilde, row.e_f,
+             row.success_rate) for row in states]
 
 
 ANALYTIC_COLUMNS = ["p", "tstar", "t", "prob_active", "e_ftilde", "e_f", "e_s"]
@@ -91,7 +89,8 @@ def run_analytic(config: RunConfig) -> ResultTable:
         return table
     table = ResultTable(columns=list(ANALYTIC_COLUMNS), rows=[],
                         metadata=_metadata(config))
-    table.rows.extend(_analytic_rows(link, config.times))
+    states = ca.active_rows(config.times, link.tstar, link.p, _link_curve(link), success=True)
+    table.rows.extend(_analytic_rows(link, states))
     return table
 
 
@@ -106,8 +105,15 @@ def run_sweep(config: RunConfig) -> ResultTable:
 
     table = ResultTable(columns=list(ANALYTIC_COLUMNS), rows=[],
                         metadata=_metadata(config))
-    for value in sorted(config.sweep_values):  # then by t
-        table.rows.extend(_analytic_rows(link_for(value), config.times))
+    values = sorted(config.sweep_values)  # then by t
+    curve = _link_curve(base)
+    if config.sweep_field == "tstar":  # one walk over the terms of every cutoff
+        states = ca.active_rows_by_cutoff(config.times, values, base.p, curve, success=True)
+    else:
+        states = [ca.active_rows(config.times, base.tstar, p, curve, success=True)
+                  for p in values]
+    for value, rows in zip(values, states):
+        table.rows.extend(_analytic_rows(link_for(value), rows))
     return table
 
 
@@ -173,8 +179,9 @@ def run_optimize(config: RunConfig) -> tuple[ResultTable, Callable[[TextIO], Non
     link = config.link
     curve = _link_curve(link)
     assert curve is not None
-    params = LinkParams.symbolic(link.p, curve)
     T = config.horizon
+    fvals = [curve(m) for m in range(T + 1)]  # f_0..f_T, every age the run reads
+    params = LinkParams.symbolic(link.p, fvals.__getitem__)
     result = opt.backward_recursion_reduced(params, T)
 
     table = ResultTable(columns=list(OPTIMIZE_COLUMNS), rows=[],
@@ -187,7 +194,7 @@ def run_optimize(config: RunConfig) -> tuple[ResultTable, Callable[[TextIO], Non
     table.append("greedy", ev.e_ftilde, ev.prob_active, ev.e_f)
 
     cutoffs = [*range(T + 1), math.inf]
-    for ts, row in zip(cutoffs, ca.cutoff_table(T + 1, cutoffs, link.p, curve)):
+    for ts, row in zip(cutoffs, ca.cutoff_table(T + 1, cutoffs, link.p, params.fcurve)):
         table.append(f"cutoff({ts})", *row)
 
     return table, lambda handle: write_policy_json(handle, T, result)

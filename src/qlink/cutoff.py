@@ -35,14 +35,18 @@ evaluates the sums a series asks for, only at the u and t the series
 needs, by one of two routes, chosen by the number of g terms the series
 forms and by its last time T.  A series of at most `_SHORT_TERMS` terms
 that ends by T = `_SHORT_TERMS` is summed in Python (`_term_sums`), which
-needs no numpy: it lists the tables it reads up to T, walks u upward,
-forms each u's column of terms over b with one list comprehension, and
-keeps only the last t*+1 weighted columns, which E[S] reads.  The paper's
-figures, and a sweep over t <= 400 at any cutoff, are such series, so
-`qlink reproduce` and `qlink sweep` at those sizes never import numpy.
-Any other series is evaluated in b-rows of terms (b counts completed
-blocks), several rows per numpy call; `_terms` is the one place that route
-forms a term.  Both read the one log-factorial table.
+needs no numpy and lists the tables it reads up to T.  It walks a run of
+times in b-rows (b counts completed blocks): one list of g terms and one
+of down terms over the failures F, which each of the run's sums takes up
+with a slice.  The rows serve every cutoff of a call at once
+(`active_rows_by_cutoff`, `qlink sweep` over t*): a cell (F, b) is the
+term at u = F+1+b(t*+1) for each t*, so it is formed once for all of them.
+A run narrower than it is deep, such as one far time, is walked instead
+in columns over b, one per u.  The paper's figures, and a sweep over
+t <= 400 at any cutoff, are such series, so `qlink reproduce` and
+`qlink sweep` at those sizes never import numpy.  Any other series is
+evaluated in b-rows of terms, several rows per numpy call; `_terms` is the
+one place that route forms a term.  Both read the one log-factorial table.
 
 Summation order.  The values are bit-identical to adding the terms one at a
 time, on either route, and the CSV goldens rely on that.  Each term is
@@ -54,12 +58,14 @@ which changes nothing); `math.exp` is applied to each log on its own, never
 `np.exp`, whose last bit differs.  A weight is an integer over an integer,
 one correctly rounded division whether the two are ints or the floats that
 hold them exactly.  Each sum starts at 0.0 and takes its terms one addition
-at a time, as `reduce(add, ..., 0.0)` in Python and a numpy `+=` per row or
-a cumulative sum down the columns, the same IEEE additions: b outer; within
-b, E[S]'s trailing-zero term (0.0 for b = 0), then its k = 1..t*+1 terms,
-each weight formed before it multiplies its term.  Adding 0.0 changes no
-sum, so the Python route skips g's and the down family's cells where numpy
-adds a 0.0 term.
+at a time, the same IEEE additions on every route: b outer; within b,
+E[S]'s trailing-zero term (0.0 for b = 0), then its k = 1..t*+1 terms,
+each weight formed before it multiplies its term.  Python's row walk adds
+a row into many sums at once, with `map(add, ...)` (one level per k for
+E[S]); its column walk adds a column into one sum with
+`reduce(add, ..., 0.0)`; numpy adds with a `+=` per row or a cumulative
+sum down the columns.  Adding 0.0 changes no sum, so the Python route
+skips g's and the down family's cells where numpy adds a 0.0 term.
 A row of the distribution and E[F~] are added in increasing m with
 `reduce(add, ..., 0.0)` or `np.cumsum`, and the geometric E[S] prefix with
 `itertools.accumulate`.  No float sum in the package uses the built-in
@@ -75,7 +81,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import accumulate, repeat
-from operator import add, index, mul, truediv
+from operator import add, index, itemgetter, mul, truediv
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 if TYPE_CHECKING:
@@ -352,73 +358,96 @@ def _row_chunks(lo: int, hi: int, block: int) -> Iterator[tuple[int, int, int]]:
 _SHORT_TERMS = 125_000
 
 
-def _term_at(top: int, p: float) -> Callable[[int, int, int, int], float]:
-    """term(n, b, succ, fail) = C(n, b) p^succ (1-p)^fail for n <= top, one
-    at a time, by `_terms`' expression."""
-    lf = _log_factorials(top)[:top + 1].tolist()
+Series = tuple[list[Run], int]  # the runs of one cutoff t*, and t*
+
+# The deepest chain of `map(add, ...)` that a row walk builds for E[S]
+# before it lists the partial sums: draining the chain takes one C call
+# frame a level, so a chain t*+1 deep would overflow the stack at far
+# cutoffs.  The sums do not depend on it.
+_CHAIN = 64
+
+
+def _on_python_route(runs: list[Run], ts: int) -> bool:
+    """Whether the series forms at most `_SHORT_TERMS` g terms and ends by
+    that time, so that `_binomial_sums` sums it in Python."""
+    g_terms = sum((u - 1) // (ts + 1) + 1 for lo, hi, _ in runs for u in range(lo, hi + 1))
+    return max(g_terms, runs[-1][1]) <= _SHORT_TERMS
+
+
+def _term_row(lf: list[float], fail_logs: list[float], succ_log: float, b: int,
+              f0: int, f1: int, shift: int = 0) -> list[float]:
+    """C(F+b, b) p^succ (1-p)^(F+shift) for F = f0..f1-1, given the lists
+    lf[k] = log k! and fail_logs[F] = F log(1-p), and succ log p: `_terms`'
+    expression math.exp(lf[F+b] - lf[b] - lf[F] + succ log p + (F+shift)
+    log(1-p)), one term at a time.  g's row at b completed blocks has
+    succ = b+1 and shift 0, the down family's succ = b and shift 1."""
+    y, exp = lf[b], math.exp
+    return [exp(x - y - z + succ_log + f) for x, z, f in
+            zip(lf[f0 + b:f1 + b], lf[f0:f1], fail_logs[f0 + shift:f1 + shift])]
+
+
+def _term_sums(series: list[Series], p: float,
+               want: set[str]) -> list[dict[str, dict[int, float]]]:
+    """`_binomial_sums` in Python for each (runs, t*) of ``series``, all at
+    p: each term formed by `_terms`' expression, each sum added from 0.0 in
+    the numpy route's order.  The same bits.
+
+    Runs whose u ranges overlap, of one cutoff or of several, form a group.
+    A group with no more b-rows than its runs have columns u is walked by
+    rows, each b once for all its runs; any other run on its own by
+    columns.  Row b spans every F = u-1-b(t*+1) a run of the group reads
+    at b, so the smallest block sets it and each (F, b) cell is formed
+    once: g's terms and the down terms by `_term_row`, and for E[S] the
+    two weighted by (b+1)/(F+b+1) and b/(F+b+1).  Each run adds g's row
+    into its g sums with one slice at u = F+1+b(t*+1), the down row into
+    its down sums at t = u, and into E[S(t)] the weighted down term, then
+    the weighted g terms at u = t, t-1, ..., t-t*, as a chain of
+    `map(add, ...)` over its times (listed every `_CHAIN` levels).  A
+    column at u is g's terms over b, zipped from strided slices of the
+    tables; E[S] keeps the last t*+1 weighted columns and lays each time's
+    terms out in its order.  Memory beside the sums is O(T) for a series
+    that ends at T: the tables, a row or a column of terms, the sums of a
+    row walk by u, and, for E[S], the counts k as floats."""
+    top = max(runs[-1][1] for runs, _ in series)
     log_p, log_q = math.log(p), math.log1p(-p)
-
-    def term(n: int, b: int, succ: int, fail: int) -> float:
-        return math.exp(lf[n] - lf[b] - lf[n - b] + succ * log_p + fail * log_q)
-
-    return term
-
-
-def _term_sums(runs: list[Run], ts: int, p: float,
-               want: set[str]) -> dict[str, dict[int, float]]:
-    """`_binomial_sums` in Python, walking u upward: each term formed by
-    `_terms`' expression, each sum added from 0.0 in the numpy route's
-    order.  The same bits.
-
-    g's terms at u are one column over b, zipped from slices of the tables:
-    lf[n] at n = u-1-b t*, lf[b], lf[F] and F log(1-p) at F = u-1-b(t*+1),
-    and (b+1) log p.  The down family at t = u has b log p and (F+1)
-    log(1-p) instead.  E[S(t)] reads the weighted g columns at u = t-t*..t
-    only, so only the last t*+1 are kept, and memory is O(T) beside the
-    sums for a series that ends at T: the tables and, for E[S], the counts
-    k as floats."""
-    block = ts + 1
-    top = runs[-1][1]
     lf = _log_factorials(top)[:top + 1].tolist()
-    log_p, log_q = math.log(p), math.log1p(-p)
     fail_logs = [f * log_q for f in range(top + 1)]
-    succ_logs = [b * log_p for b in range((top - 1) // block + 2)]
-    g_succ_logs = succ_logs[1:]
+    succ_logs = [b * log_p for b in range((top - 1) // (min(ts for _, ts in series) + 1) + 2)]
     # exact, so k / j is int k / int j
     counts = [float(k) for k in range(top + 1)] if "es" in want else []
-    exp = math.exp
+    with_g, with_down, with_es = bool(want - {"down"}), bool(want - {"g"}), "es" in want
+    sums = [{name: {} for name in want} for _ in series]
 
-    def terms(n: int, succ: list[float], fail: int) -> list[float]:
-        """math.exp(lf[n - b t*] - lf[b] - lf[n - b(t*+1)] + succ[b] +
-        fail_logs[fail - b(t*+1)]) for b = 0..n // (t*+1)."""
-        return [exp(x - y - z + s + f) for x, y, z, s, f in
-                zip(lf[n::-ts] if ts else repeat(lf[n]), lf, lf[n::-block], succ,
-                    fail_logs[fail::-block])]
+    def by_columns(lo, hi, t_runs, ts, out):
+        block, g_succ_logs, exp = ts + 1, succ_logs[1:], math.exp
 
-    def weighted(first: int, u: int, column: list[float]) -> list[float]:
-        """(b + first) / (u - b t*) * column[b] for each b."""
-        ratios = map(truediv, counts[first:first + len(column)],
-                     counts[u::-ts] if ts else repeat(counts[u]))
-        return list(map(mul, ratios, column))
+        def terms(n, succ, fail):
+            """math.exp(lf[n - b t*] - lf[b] - lf[n - b(t*+1)] + succ[b] +
+            fail_logs[fail - b(t*+1)]) for b = 0..n // (t*+1)."""
+            return [exp(x - y - z + s + f) for x, y, z, s, f in
+                    zip(lf[n::-ts] if ts else repeat(lf[n]), lf, lf[n::-block], succ,
+                        fail_logs[fail::-block])]
 
-    with_g, with_es = bool(want & {"g", "es"}), "es" in want
-    with_down = bool(want & {"down", "es"})
-    sums: dict[str, dict[int, float]] = {name: {} for name in want}
-    for lo, hi, t_runs in runs:
+        def weighted(first, u, column):
+            """(b + first) / (u - b t*) * column[b] for each b."""
+            ratios = map(truediv, counts[first:first + len(column)],
+                         counts[u::-ts] if ts else repeat(counts[u]))
+            return list(map(mul, ratios, column))
+
         at_t = {t for ta, tb in t_runs for t in range(ta, tb + 1)}
         window: deque[list[float]] = deque(maxlen=block)  # E[S]'s k-terms at u, u-1, ..., u-t*
         for u in range(lo, hi + 1):
             if with_g:
                 col = terms(u - 1, g_succ_logs, u - 1)
                 if "g" in want:
-                    sums["g"][u] = reduce(add, col, 0.0)
+                    out["g"][u] = reduce(add, col, 0.0)
                 if with_es:
                     window.appendleft(weighted(1, u, col))
             if not with_down or u not in at_t:
                 continue
             down = terms(u - 1, succ_logs, u)
             if "down" in want:
-                sums["down"][u] = reduce(add, down, 0.0)
+                out["down"][u] = reduce(add, down, 0.0)
             if with_es:
                 # row b of `cells` is the trailing-zero term, then k = 1..t*+1;
                 # a column that ends before the last row adds 0.0, as in numpy
@@ -427,7 +456,60 @@ def _term_sums(runs: list[Run], ts: int, p: float,
                 cells[::block + 1] = trail
                 for k, column in enumerate(window, 1):
                     cells[k:k + len(column) * (block + 1):block + 1] = column
-                sums["es"][u] = reduce(add, cells, 0.0)
+                out["es"][u] = reduce(add, cells, 0.0)
+
+    def by_rows(group, depth):
+        # each run's sums by u from lo: of g, and of the down family and
+        # E[S], which are read at its times only
+        acc = [{name: [0.0] * (hi - lo + 1) for name in want} for lo, hi, *_ in group]
+        for b in range(depth):
+            # the runs with a term in row b: F = f..hi-1-bb at u = F+1+bb
+            live = [(lo, hi, t_runs[0][0], ts, bb, max(lo - 1 - bb, 0), run_sums)
+                    for (lo, hi, t_runs, ts, _), run_sums in zip(group, acc)
+                    if (bb := b * (ts + 1)) < hi]
+            f0 = min(f for *_, f, _ in live)
+            f1 = max(hi - bb for _, hi, _, _, bb, _, _ in live)
+            g = _term_row(lf, fail_logs, succ_logs[b + 1], b, f0, f1) if with_g else None
+            down = _term_row(lf, fail_logs, succ_logs[b], b, f0, f1, 1) if with_down else None
+            if with_es:  # E[S] reads 0.0 at the F < 0 of its k-terms
+                pad = max(ts for _, _, _, ts, _, _, _ in live)
+                ratios, g_weight, down_weight = counts[f0 + b + 1:f1 + b + 1], b + 1.0, float(b)
+                k_terms = [0.0] * pad + [g_weight / n * term for n, term in zip(ratios, g)]
+                trail = [down_weight / n * term for n, term in zip(ratios, down)]
+            for lo, hi, first, ts, bb, f, run_sums in live:
+                u0, j = f + 1 + bb, hi - bb - f0
+                for name, row in (("g", g), ("down", down)):  # down before t0 is not read
+                    if name in run_sums:
+                        values = run_sums[name]
+                        values[u0 - lo:] = map(add, values[u0 - lo:], row[f - f0:j])
+                if with_es:  # at t = t0..hi, from the row's cell i
+                    t0 = max(first, u0)
+                    i = t0 - 1 - bb - f0
+                    chain = map(add, run_sums["es"][t0 - lo:], trail[i:j])
+                    for k in range(ts + 1):  # the (k+1)-term, at u = t - k
+                        if k % _CHAIN == _CHAIN - 1:
+                            chain = list(chain)
+                        chain = map(add, chain, k_terms[pad + i - k:pad + j - k])
+                    run_sums["es"][t0 - lo:] = chain
+        for (lo, hi, t_runs, _, out), run_sums in zip(group, acc):
+            for name, values in run_sums.items():
+                for ta, tb in [(lo, hi)] if name == "g" else t_runs:
+                    out[name].update(zip(range(ta, tb + 1), values[ta - lo:tb - lo + 1]))
+
+    groups = []  # the runs by first u, those that overlap together
+    for job in sorted(((lo, hi, t_runs, ts, out) for (runs, ts), out in zip(series, sums)
+                       for lo, hi, t_runs in runs), key=itemgetter(0)):
+        if groups and job[0] <= max(hi for _, hi, *_ in groups[-1]):
+            groups[-1].append(job)
+        else:
+            groups.append([job])
+    for group in groups:
+        depth = max((hi - 1) // (ts + 1) + 1 for _, hi, _, ts, _ in group)
+        if depth <= sum(hi - lo + 1 for lo, hi, *_ in group):
+            by_rows(group, depth)
+        else:
+            for job in group:
+                by_columns(*job)
     return sums
 
 
@@ -449,10 +531,9 @@ def _binomial_sums(runs: list[Run], ts: int, p: float,
     Series that form at most `_SHORT_TERMS` g terms, and end by that time,
     are summed in Python (`_term_sums`), the others with numpy.
     """
+    if _on_python_route(runs, ts):
+        return _term_sums([(runs, ts)], p, want)[0]
     block = ts + 1
-    g_terms = sum((u - 1) // block + 1 for lo, hi, _ in runs for u in range(lo, hi + 1))
-    if max(g_terms, runs[-1][1]) <= _SHORT_TERMS:
-        return _term_sums(runs, ts, p, want)
     import numpy as np
     log_fact = np.frombuffer(_log_factorials(runs[-1][1]), float)  # a view, no copy
     log_p, log_q = math.log(p), math.log1p(-p)
@@ -577,20 +658,26 @@ class LinkState:
         return cls(t, joint, prob_active, e_ftilde, e_ftilde / prob_active, success_rate)
 
 
-def _long_sums(times: list[int], ts: Union[int, float], p: float,
-               want: set[str]) -> dict[str, dict[int, float]]:
-    """`_binomial_sums` over the times above t*+1, where it applies; g and
-    E[S] at t read g over t-t*..t, the down family only at t."""
-    long = sorted({t for t in times if t > ts + 1})
-    if not long or not 0.0 < p < 1.0:
-        return {name: {} for name in want}
-    return _binomial_sums(_runs(long, ts if want & {"g", "es"} else 0), ts, p, want)
+def _long_sums(times: list[int], tss: Sequence[Union[int, float]], p: float,
+               want: set[str]) -> list[dict[str, dict[int, float]]]:
+    """`_binomial_sums` for each cutoff of ``tss`` over its times above
+    t*+1, where it applies; g and E[S] at t read g over t-t*..t, the down
+    family only at t.  The series that `_binomial_sums` would sum in Python
+    share one `_term_sums` walk."""
+    series = {ts: _runs(long, ts if want - {"down"} else 0) for ts in tss
+              if (long := sorted({t for t in times if t > ts + 1})) and 0.0 < p < 1.0}
+    python = {ts: runs for ts, runs in series.items() if _on_python_route(runs, ts)}
+    walk = _term_sums([(runs, ts) for ts, runs in python.items()], p, want) if python else []
+    sums = dict(zip(python, walk))
+    sums.update((ts, _binomial_sums(runs, ts, p, want))
+                for ts, runs in series.items() if ts not in python)
+    return [sums.get(ts, {name: {} for name in want}) for ts in tss]
 
 
 def _down_probs(times: list[int], ts: Union[int, float], p: float) -> list[float]:
     """Pr[M_{t*}(t) = t*, X(t) = 0] at each of ``times``: the down family
     of `_long_sums` where it applies, else (1-p)^t, the all-fail sequence."""
-    down = _long_sums(times, ts, p, {"down"})["down"]
+    down = _long_sums(times, (ts,), p, {"down"})[0]["down"]
     return [down[t] if t in down else (1.0 - p) ** t for t in times]
 
 
@@ -609,6 +696,45 @@ def _success_rates(times: list[int], block: Union[int, float], p: float,
     return [values[t] if t <= block else sums[t] for t in times]
 
 
+def active_rows_by_cutoff(times: Sequence[int], tstars: Sequence[CutoffLike], p: float,
+                          fcurve: Optional[Callable[[int], float]] = None,
+                          success: bool = False) -> list[Iterator[LinkState]]:
+    """For each cutoff in ``tstars``, in order, the rows that
+    ``active_rows(times, t*, p, fcurve, success)`` yields, equal bit for
+    bit.  The cutoffs' series that are summed in Python share one walk
+    over the binomial terms (see the module docstring), so each term is
+    formed once for all of them; f_m is evaluated once per age."""
+    _validate_p(p)
+    tss = [parse_cutoff(tstar) for tstar in tstars]
+    times = _checked_times(times)
+    last = max(times, default=0)
+    fvals = ([fcurve(m) for m in range(min(last, max(tss, default=-1) + 1))]
+             if fcurve is not None else None)
+
+    def rows(ts, sums):
+        block = ts + 1
+        series = sums["g"]
+        rates = _success_rates(times, block, p, sums["es"]) if success else [None] * len(times)
+        # Pr[M = t-1-k, X = 1] at t <= t*+1
+        heads = [p * (1.0 - p) ** k for k in range(min(last, block))]
+        for t, rate in zip(times, rates):
+            if t <= block:
+                joint = tuple(heads[t - 1::-1])
+                active = 1.0 - (1.0 - p) ** t
+            else:
+                if p == 0.0:
+                    joint = (0.0,) * block
+                elif p == 1.0:
+                    joint = tuple(1.0 if m == (t - 1) % block else 0.0 for m in range(block))
+                else:
+                    joint = tuple(map(series.__getitem__, range(t, t - block, -1)))
+                active = reduce(add, joint, 0.0)
+            yield LinkState.from_joint(t, joint, active, fvals, rate)
+
+    sums = _long_sums(times, tss, p, {"g", "es"} if success else {"g"})
+    return [rows(ts, ts_sums) for ts, ts_sums in zip(tss, sums)]
+
+
 def active_rows(times: Sequence[int], tstar: CutoffLike, p: float,
                 fcurve: Optional[Callable[[int], float]] = None,
                 success: bool = False) -> Iterator[LinkState]:
@@ -621,30 +747,7 @@ def active_rows(times: Sequence[int], tstar: CutoffLike, p: float,
     `expected_success_rate` return for that time.  Rows are made as they
     are consumed, so a long series holds one row at a time.
     """
-    _validate_p(p)
-    ts = parse_cutoff(tstar)
-    times = _checked_times(times)
-    block = ts + 1
-    sums = _long_sums(times, ts, p, {"g", "es"} if success else {"g"})
-    series = sums["g"]
-    rates = _success_rates(times, block, p, sums["es"]) if success else [None] * len(times)
-    max_age = min(max(times, default=0), block)
-    heads = [p * (1.0 - p) ** k for k in range(max_age)]  # Pr[M = t-1-k, X = 1], t <= t*+1
-    fvals = [fcurve(m) for m in range(max_age)] if fcurve is not None else None
-
-    for t, rate in zip(times, rates):
-        if t <= block:
-            joint = tuple(heads[t - 1::-1])
-            active = 1.0 - (1.0 - p) ** t
-        else:
-            if p == 0.0:
-                joint = (0.0,) * block
-            elif p == 1.0:
-                joint = tuple(1.0 if m == (t - 1) % block else 0.0 for m in range(block))
-            else:
-                joint = tuple(series[t - m] for m in range(block))
-            active = reduce(add, joint, 0.0)
-        yield LinkState.from_joint(t, joint, active, fvals, rate)
+    yield from active_rows_by_cutoff(times, (tstar,), p, fcurve, success)[0]
 
 
 def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
@@ -655,16 +758,16 @@ def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
     ``next(active_rows((t,), t*, p, fcurve))``; f_m is evaluated at most once.
 
     For t > t*+1 and 0 < p < 1, g(t-m) for m = 0..t* is the column sums,
-    in increasing b, of a (b, m) array of terms formed as `_binomial_sums`
-    forms them.  Its cell k = b(t*+1) + m has F = t-1-k failures, so the
-    terms fill its first t cells and depend on (k, b) alone.  Terms with
-    b < sqrt(t/2) are shared by every cutoff and evaluated once, which
-    takes the `math.exp` calls from O(t^2) to O(t^1.5).  The sums are
-    added one term at a time, in Python: O(t) additions per cutoff, so
-    O(t^2) over the t cutoffs of `qlink optimize`.  Repeated cutoffs share
-    one sum.  At p = 0 the link is never active, and at p = 1 it is active
-    at age (t-1) mod (t*+1) with probability 1.  Other cutoffs go through
-    `active_rows`.
+    in increasing b, of a (b, m) array of terms formed by `_term_row`.
+    Its cell k = b(t*+1) + m has F = t-1-k failures, so the terms fill its
+    first t cells and depend on (k, b) alone.  The b-rows with
+    b < sqrt(t/2) are shared by every cutoff and formed once, which takes
+    the `math.exp` calls from O(t^2) to O(t^1.5); a later row is formed
+    over the t*+1 cells a cutoff reads.  The sums are added one term at a
+    time, in Python: O(t) additions per cutoff, so O(t^2) over the t
+    cutoffs of `qlink optimize`.  Repeated cutoffs share one sum.  At p = 0
+    the link is never active, and at p = 1 it is active at age (t-1) mod
+    (t*+1) with probability 1.  Other cutoffs go through `active_rows`.
     """
     _validate_p(p)
     t = _checked_int(t, 1, "t")
@@ -675,22 +778,22 @@ def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
     if p == 1.0:
         ages = ((t - 1) % (ts + 1) if t > ts + 1 else t - 1 for ts in tss)
         return [(fvals[m], 1.0, fvals[m]) for m in ages]
-    term_at = _term_at(t, p)
+    log_p, log_q = math.log(p), math.log1p(-p)
+    lf, fail_logs = _log_factorials(t)[:t + 1].tolist(), [f * log_q for f in range(t + 1)]
 
-    def term(k: int, b: int) -> float:
-        """g's term at cell k with b completed blocks: F = t-1-k."""
-        return term_at(t - 1 - k + b, b, b + 1, t - 1 - k)
+    def row(b, first, last):  # g's terms at b in cells k = first..last-1: F = t-1-k
+        return _term_row(lf, fail_logs, (b + 1) * log_p, b, t - last, t - first)[::-1]
 
     low = math.isqrt(t // 2) + 1
-    shared = [array("d", [term(k, b) for k in range(b, t)]) for b in range(low)]  # [b][k - b]
+    shared = [array("d", row(b, b, t)) for b in range(low)]  # [b][k - b]
     sums = {}  # block t*+1 < t -> (E[F~], Pr[X = 1])
     for block in sorted({ts + 1 for ts in tss if t > ts + 1}):
         joint = shared[0][:block].tolist()  # g(t - m); 0.0 + a term is the term
         for b in range(1, -(-t // block)):
             first = b * block
-            row = (shared[b][first - b:first - b + block] if b < low
-                   else [term(k, b) for k in range(first, min(first + block, t))])
-            joint[:len(row)] = map(add, joint, row)
+            terms = (shared[b][first - b:first - b + block] if b < low
+                     else row(b, first, min(first + block, t)))
+            joint[:len(terms)] = map(add, joint, terms)
         sums[block] = (reduce(add, map(mul, fvals, joint)), reduce(add, joint))
     table = []
     for ts in tss:
@@ -765,7 +868,7 @@ def expected_success_rates(times: Sequence[int], tstar: CutoffLike,
     times = _checked_times(times)
     _validate_p(p)
     ts = parse_cutoff(tstar)
-    sums = _long_sums(times, ts, p, {"es"})["es"]
+    sums = _long_sums(times, (ts,), p, {"es"})[0]["es"]
     return _success_rates(times, ts + 1, p, sums)
 
 

@@ -951,7 +951,8 @@ PACKAGE_NAMES = {
     "engine": ["History", "LinkParams", "Policy", "evolve_exhaustive",
                "history_prob", "iter_supported_histories",
                "materialize_average_state", "simulate_trajectories"],
-    "cutoff": ["LinkState", "SequenceStats", "active_rows", "count_sequences",
+    "cutoff": ["LinkState", "SequenceStats", "active_rows", "active_rows_by_cutoff",
+               "count_sequences",
                "cutoff_policy", "expected_fidelity_cutoff",
                "expected_success_rate", "expected_success_rates",
                "history_prob_cutoff", "hyp2f1_series", "joint_prob",

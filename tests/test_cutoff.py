@@ -973,7 +973,7 @@ def test_python_route_memory_is_linear_in_the_series():
     t*+1 weighted columns, not every term of the series (4 MB)."""
     top = max(t for t in range(2, 2000) if t * (t + 1) // 2 - 1 <= ca._SHORT_TERMS)
     runs = ca._runs(list(range(2, top + 1)), 0)
-    ca._term_sums(runs[:1], 0, 0.3, {"g", "es"})  # grow the shared log-factorial table first
+    ca._term_sums([(runs[:1], 0)], 0.3, {"g", "es"})  # grow the shared log-factorial table first
     tracemalloc.start()
     try:
         sums = ca._binomial_sums(runs, 0, 0.3, {"g", "es"})
@@ -1006,6 +1006,102 @@ def test_python_route_lists_no_table_past_the_bound(monkeypatch):
     by_python.clear()
     past = ca._binomial_sums(ca._runs([bound + 1], 0), 1000, 0.3, {"down"})
     assert not by_python and past["down"][bound + 1] > 0.0
+
+
+SHARED_TSTARS = [0, 1, 2, 3, 5, 8, 10, 20, 35, 127]
+# dense, stepped, sparse and unsorted times, and single far times that the
+# walk takes by columns at t* = 0 and 1
+SHARED_TIMES = [range(1, 301), range(1, 400, 7), [3, 40, 41, 128, 129, 130, 257, 300],
+                [300, 37, 3, 36, 37, 129]]
+FAR_TIMES = [[1500], [2000, 2001]]
+
+
+@pytest.mark.parametrize("p", [1e-6, 0.01, 0.3, 0.77, 0.999999])
+def test_shared_walk_equals_each_cutoff_on_both_routes(monkeypatch, p):
+    """The sums of several cutoffs in one walk over the terms equal, under
+    ==, each cutoff's sums alone and the numpy route's, for every family;
+    the Python-route cutoffs of each call share a single `_term_sums`."""
+    bound, term_sums, walks = ca._SHORT_TERMS, ca._term_sums, []
+    monkeypatch.setattr(ca, "_term_sums", lambda *args: walks.append(len(args[0]))
+                        or term_sums(*args))
+    cases = [(times, SHARED_TSTARS) for times in SHARED_TIMES]
+    cases += [(times, [0, 1]) for times in FAR_TIMES]
+    for times, tstars in cases:
+        for want in WANTS:
+            walks.clear()
+            shared = ca._long_sums(list(times), tstars, p, want)
+            assert len(walks) == 1 and walks[0] == len(tstars)
+            assert shared == [ca._long_sums(list(times), (ts,), p, want)[0] for ts in tstars]
+            monkeypatch.setattr(ca, "_SHORT_TERMS", 0)
+            assert shared == ca._long_sums(list(times), tstars, p, want)
+            monkeypatch.setattr(ca, "_SHORT_TERMS", bound)
+            assert all(sums[name] for sums, ts in zip(shared, tstars) for name in want
+                       if any(t > ts + 1 for t in times))
+
+
+@pytest.mark.parametrize("p", [1e-6, 0.3, 0.999999])
+def test_shared_walk_rows_equal_term_at_a_time_reference(p):
+    """The rows of `active_rows_by_cutoff` equal the lgamma-per-term joint
+    probabilities and E[S(t)] under ==, on dense, stepped, sparse and far
+    times."""
+    cases = [(range(1, 161), SHARED_TSTARS), (range(1, 300, 13), SHARED_TSTARS),
+             (SHARED_TIMES[2], SHARED_TSTARS)] + [(times, [0, 1]) for times in FAR_TIMES]
+    for times, tstars in cases:
+        for tstar, rows in zip(tstars, ca.active_rows_by_cutoff(times, tstars, p, success=True)):
+            for t, row in zip(times, rows):
+                assert row.t == t
+                assert row.joint == tuple(joint_prob_lgamma(t, tstar, p, m, 1)
+                                          for m in _ages(t, tstar))
+                assert row.success_rate == expected_success_rate_lgamma(t, tstar, p)
+
+
+def test_far_cutoff_success_rate_equals_both_routes(monkeypatch):
+    """E[S] at t = 10^5 + 2 with t* = 10^5 walks 10^5 + 1 k-terms in a
+    row: its chain of `map(add, ...)` is listed every `_CHAIN` levels, so
+    it does not overflow the C stack, and the sum equals the numpy route's
+    and the term-at-a-time reference."""
+    t, tstar = 100_002, 100_000
+    by_python = expected_success_rate(t, tstar, 0.3)
+    monkeypatch.setattr(ca, "_SHORT_TERMS", 0)
+    assert expected_success_rate(t, tstar, 0.3) == by_python
+    assert by_python == expected_success_rate_lgamma(t, tstar, 0.3)
+
+
+def test_sweep_forms_each_term_once(monkeypatch):
+    """A sweep over t* forms each (F, b) cell's g term and down term once:
+    as many `math.exp` calls as the smallest cutoff alone, 2 sum_u u over
+    u = 2..400 (b = 0..u-1 at t* = 0), where a walk per cutoff makes more
+    than twice as many."""
+    exps = []
+    exp = math.exp
+    monkeypatch.setattr(math, "exp", lambda x: exps.append(1) or exp(x))
+    tstars, times = [0, 1, 2, 3, 5, 8, 10, 20, 35, math.inf], range(1, 401)
+    for rows in ca.active_rows_by_cutoff(times, tstars, 0.3, success=True):
+        list(rows)
+    shared, alone = len(exps), []
+    for tstar in tstars:
+        exps.clear()
+        list(active_rows(times, tstar, 0.3, success=True))
+        alone.append(len(exps))
+    assert shared == alone[0] == 2 * sum(range(2, 401))
+    assert sum(alone) > 2 * shared
+
+
+def test_shared_walk_memory_is_linear_in_the_series():
+    """At the sweep-grid shape (nine finite cutoffs, t = 1..400, g and
+    E[S]) one walk peaks at less than 256 KB beyond its sums: a row of
+    terms and each cutoff's sums by u at a time, not the 160k terms of the
+    series (5 MB)."""
+    times, tstars = list(range(1, 401)), [0, 1, 2, 3, 5, 8, 10, 20, 35]
+    ca._long_sums(times, tstars, 0.3, {"g", "es"})  # grow the shared log-factorial table first
+    tracemalloc.start()
+    try:
+        sums = ca._long_sums(times, tstars, 0.3, {"g", "es"})
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(s["es"]) for s in sums] == [399 - ts for ts in tstars]
+    assert peak - held < 256 * 1024
 
 
 def test_success_rate_series_rejects_bad_input():
