@@ -15,10 +15,11 @@ also writes ``<out>.policy.json``.
 Each command imports only the modules it runs: ``config``, ``csvio`` and
 ``cutoff`` here, and ``engine``, ``quantum``, ``optimize`` and ``network``
 where a command first uses them.  numpy is imported only by the functions
-that vectorise: the simulator and the cutoff series of more g terms than
-``cutoff._SHORT_TERMS`` (t* = 0 past t = 499), or ending past that time.  So ``reproduce`` at its
-default sizes, ``analytic`` and ``sweep`` over t <= 499, and ``optimize``
-at every horizon run without it.
+that vectorise: the simulator, and the cutoff series walk, whose lines are
+numpy arrays when a series of the call forms more g terms than
+``cutoff._SHORT_TERMS`` (t* = 0 past t = 499) or ends past that time.  So
+``reproduce`` at its default sizes, ``analytic`` and ``sweep`` over
+t <= 499, and ``optimize`` at every horizon run without it.
 """
 
 from __future__ import annotations

@@ -30,47 +30,40 @@ and the row at time t is g(t), g(t-1), ..., g(t-t*).  Beside each term of
 g(t) lies a term of the down family, C(t-1-b t*, b) p^b (1-p)^(t-b(t*+1)),
 whose sum is Pr[M_{t*}(t) = t*, X(t) = 0] and so the waiting time.  The
 k-terms of E[S(t)] are g's terms at u = t-k+1 times a weight, and its
-trailing-zero terms the down terms times another.  `_binomial_sums`
-evaluates the sums a series asks for, only at the u and t the series
-needs, by one of two routes, chosen by the number of g terms the series
-forms and by its last time T.  A series of at most `_SHORT_TERMS` terms
-that ends by T = `_SHORT_TERMS` is summed in Python (`_term_sums`), which
-needs no numpy and lists the tables it reads up to T.  It walks a run of
-times in b-rows (b counts completed blocks): one list of g terms and one
-of down terms over the failures F, which each of the run's sums takes up
-with a slice.  The rows serve every cutoff of a call at once
+trailing-zero terms the down terms times another.  One walk, `_term_sums`,
+evaluates the sums a call asks for, only at the u and t its series need.
+It walks a run of times in b-rows (b counts completed blocks): one line of
+g terms and one of down terms over the failures F, which each sum of the
+run takes up with a slice.  The rows serve every cutoff of the call
 (`active_rows_by_cutoff`, `qlink sweep` over t*): a cell (F, b) is the
 term at u = F+1+b(t*+1) for each t*, so it is formed once for all of them.
-A run narrower than it is deep, such as one far time, is walked instead
-in columns over b, one per u.  The paper's figures, and a sweep over
-t <= 400 at any cutoff, are such series, so `qlink reproduce` and
-`qlink sweep` at those sizes never import numpy.  Any other series is
-evaluated in b-rows of terms, several rows per numpy call; `_terms` is the
-one place that route forms a term.  Both read the one log-factorial table.
+A run narrower than it is deep, such as one far time, is walked in columns
+over b instead, one per u, in pieces of b.  The lines are Python lists
+(`_Lines`), which need no numpy, when every series of the call forms at
+most `_SHORT_TERMS` g terms and ends by that time, else numpy arrays
+(`_NumpyLines`).  So `qlink reproduce`, and `qlink sweep` over t <= 400 at
+any cutoff, never import numpy.
 
 Summation order.  The values are bit-identical to adding the terms one at a
-time, on either route, and the CSV goldens rely on that.  Each term is
-exp(log C + succ log p + fail log(1-p)) with log C = lgamma(n+1) -
-lgamma(b+1) - lgamma(n-b+1).  Python and numpy both form the log with the
-same IEEE double operations in that order (an integer count times log p is
-the count converted exactly, then one multiply; a zero count adds -0.0,
-which changes nothing); `math.exp` is applied to each log on its own, never
+time, on either kind of line, and the CSV goldens rely on that.  Each term
+is exp(log C + succ log p + fail log(1-p)) with log C = lgamma(n+1) -
+lgamma(b+1) - lgamma(n-b+1), from the one log-factorial table.  Python and
+numpy form the log with the same IEEE double operations in that order (an
+integer count times log p is the count converted exactly, then one
+multiply), and `math.exp` is applied to each log on its own, never
 `np.exp`, whose last bit differs.  A weight is an integer over an integer,
 one correctly rounded division whether the two are ints or the floats that
-hold them exactly.  Each sum starts at 0.0 and takes its terms one addition
-at a time, the same IEEE additions on every route: b outer; within b,
-E[S]'s trailing-zero term (0.0 for b = 0), then its k = 1..t*+1 terms,
-each weight formed before it multiplies its term.  Python's row walk adds
-a row into many sums at once, with `map(add, ...)` (one level per k for
-E[S]); its column walk adds a column into one sum with
-`reduce(add, ..., 0.0)`; numpy adds with a `+=` per row or a cumulative
-sum down the columns.  Adding 0.0 changes no sum, so the Python route
-skips g's and the down family's cells where numpy adds a 0.0 term.
-A row of the distribution and E[F~] are added in increasing m with
-`reduce(add, ..., 0.0)` or `np.cumsum`, and the geometric E[S] prefix with
-`itertools.accumulate`.  No float sum in the package uses the built-in
-`sum()`, which adds floats with compensation from Python 3.12, so the
-values do not depend on the Python version.
+hold them exactly, formed before it multiplies its term.  Each sum starts
+at 0.0 and takes its terms one addition at a time, in the same order on
+either kind of line: b outer; within b, E[S]'s trailing-zero term (0.0 for
+b = 0), then its k = 1..t*+1 terms.  Rows are added into sums with
+`map(add, ...)` or `+=`, a column into a total with `reduce(add, ...)` or a
+cumulative sum.  Adding 0.0 changes no sum, so no cell before a row's or a
+column's first term is formed.  A row of the distribution and E[F~] are
+added in increasing m with `reduce(add, ..., 0.0)`, and the geometric E[S]
+prefix with `itertools.accumulate`.  No float sum in the package uses the
+built-in `sum()`, which adds floats with compensation from Python 3.12, so
+the values do not depend on the Python version.
 """
 
 from __future__ import annotations
@@ -79,9 +72,9 @@ import math
 from array import array
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate, repeat
-from operator import add, index, itemgetter, mul, truediv
+from operator import add, iadd, index, itemgetter, mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 if TYPE_CHECKING:
@@ -281,37 +274,6 @@ def _log_factorials(n: int) -> array:
     return table
 
 
-def _terms(log_fact: np.ndarray, n, b, succ, fail, log_p: float,
-           log_q: float) -> np.ndarray:
-    """C(n, b) p^succ (1-p)^fail for integer arrays that broadcast to n's
-    shape, given log p and log(1-p), and 0.0 where n < b: math.exp of each
-    lf[n] - lf[b] - lf[n-b] + succ log p + fail log(1-p).  Log evaluation
-    keeps huge binomials times tiny probability powers finite; np.exp
-    differs from math.exp in the last bit."""
-    import numpy as np
-    logs = (log_fact.take(n, mode="clip") - log_fact[b] - log_fact.take(n - b, mode="clip")
-            + succ * log_p + fail * log_q)
-    logs[n < b] = -math.inf  # math.exp(-inf) == 0.0
-    values = map(math.exp, logs.ravel().tolist())
-    return np.fromiter(values, float, logs.size).reshape(logs.shape)
-
-
-def _accumulate(acc: np.ndarray, rows: np.ndarray) -> None:
-    """acc += rows[0]; acc += rows[1]; ...: one numpy add per row while
-    there are no more rows than columns, else one cumulative sum down the
-    columns, the same IEEE additions in the same order."""
-    import numpy as np
-    if len(rows) <= rows.shape[1]:
-        for row in rows:
-            acc += row
-    else:
-        acc[:] = np.cumsum(np.concatenate((acc[None], rows)), axis=0)[-1]
-
-
-# The most cells of a transient array: the kernel's memory stays
-# O(_CHUNK + the largest u + t*) whatever the times asked for.
-_CHUNK = 4096
-
 Run = tuple[int, int, list[tuple[int, int]]]
 
 
@@ -333,135 +295,215 @@ def _runs(times: Sequence[int], reach: int) -> list[Run]:
     return runs
 
 
-def _row_chunks(lo: int, hi: int, block: int) -> Iterator[tuple[int, int, int]]:
-    """(b0, b1, u0) for each group of up to _CHUNK cells of the b-rows of
-    the run lo..hi, evaluated from u0, the first u with a term in row b0.
-    Row b has terms from u = b(t*+1) + 1 on."""
-    rows = (hi - 1) // block + 1
-    height = max(1, _CHUNK // max(hi - lo + 1, block + 1))
-    for b0 in range(0, rows, height):
-        yield b0, min(rows, b0 + height), max(lo, b0 * block + 1)
-
-
 # The most g terms, (u-1)//(t*+1) + 1 summed over the u of its runs, of a
-# series that `_binomial_sums` sums in Python, and the latest time it ends
-# at: `_term_sums` lists its tables up to the last time T, about 32 bytes a
-# float, so a few far times take the numpy route.  The Python route takes
-# 2.5-2.8x the numpy route's time (g and E[S] at t* = 0, p = 0.3, numpy loaded,
-# best of 3 on 2 vCPUs: t <= 400, 80k terms, 42 against 16 ms; t <= 1000,
-# 500k terms, 255 against 91 ms), but importing numpy costs 70-140 ms and
-# 13 MB in a process that needs it for nothing else.  Near this bound, t* = 0
-# over t = 1..500, a ten-cutoff sweep breaks even (218 ms in Python against
-# 94 ms plus the import); below it, Python wins.  These are in-process
-# timings of one shape: no benchmark workload runs a series above the
-# bound, so the numpy side of it is not checked end to end.
+# series that `_long_sums` walks on Python lines, and the latest time it
+# ends at: `_Lines` lists its tables up to the last time T, about 32 bytes
+# a float, so a few far times take numpy lines.  Python lines take
+# 1.5-2.4x the time of numpy lines (g and E[S] at t* = 0, p = 0.3, numpy
+# loaded, best of 3 on 2 vCPUs: t <= 400, 80k terms, 41 against 28 ms;
+# t <= 1000, 500k terms, 248 against 128 ms), but importing numpy costs
+# 70-140 ms and 13 MB in a process that needs it for nothing else.  Near
+# this bound, a ten-cutoff sweep over t = 1..500 about breaks even (148 ms
+# in Python against 61 ms plus the import); below it, Python wins.  No
+# benchmark workload runs a series above the bound, so numpy lines are
+# not checked end to end.
 _SHORT_TERMS = 125_000
 
 
 Series = tuple[list[Run], int]  # the runs of one cutoff t*, and t*
 
-# The deepest chain of `map(add, ...)` that a row walk builds for E[S]
-# before it lists the partial sums: draining the chain takes one C call
+# The deepest chain of `map(add, ...)` that Python lines build for E[S]
+# before they list the partial sums: draining the chain takes one C call
 # frame a level, so a chain t*+1 deep would overflow the stack at far
 # cutoffs.  The sums do not depend on it.
 _CHAIN = 64
 
+# The most cells of a piece of the column walk, which takes b in pieces of
+# _PIECE // (t*+2) rows: one far time's terms, and E[S]'s window of t*+1
+# columns, stay O(_PIECE) on numpy lines however far the time.  At t = 10^6
+# (t* = 0 and 5, 2 vCPUs) 2^13-2^15 take the same time at 0.2-1.5 MB beside
+# the sums; 2^12 is up to 10% slower, 2^16 up to 45% slower at 3 MB.
+_PIECE = 1 << 14
 
-def _on_python_route(runs: list[Run], ts: int) -> bool:
+
+def _is_short(runs: list[Run], ts: int) -> bool:
     """Whether the series forms at most `_SHORT_TERMS` g terms and ends by
-    that time, so that `_binomial_sums` sums it in Python."""
+    that time, so that its walk may take Python lines."""
     g_terms = sum((u - 1) // (ts + 1) + 1 for lo, hi, _ in runs for u in range(lo, hi + 1))
     return max(g_terms, runs[-1][1]) <= _SHORT_TERMS
 
 
-def _term_row(lf: list[float], fail_logs: list[float], succ_log: float, b: int,
-              f0: int, f1: int, shift: int = 0) -> list[float]:
-    """C(F+b, b) p^succ (1-p)^(F+shift) for F = f0..f1-1, given the lists
-    lf[k] = log k! and fail_logs[F] = F log(1-p), and succ log p: `_terms`'
-    expression math.exp(lf[F+b] - lf[b] - lf[F] + succ log p + (F+shift)
-    log(1-p)), one term at a time.  g's row at b completed blocks has
-    succ = b+1 and shift 0, the down family's succ = b and shift 1."""
-    y, exp = lf[b], math.exp
-    return [exp(x - y - z + succ_log + f) for x, z, f in
-            zip(lf[f0 + b:f1 + b], lf[f0:f1], fail_logs[f0 + shift:f1 + shift])]
+def _seq(table: Sequence, start: int, step: int, count: int) -> Iterable:
+    """table[start + i step] for i = 0..count-1, all at indices >= 0."""
+    if not step:
+        return repeat(table[start], count)
+    stop = start + step * count
+    return table[start:stop if stop >= 0 else None:step]
 
 
-def _term_sums(series: list[Series], p: float,
-               want: set[str]) -> list[dict[str, dict[int, float]]]:
-    """`_binomial_sums` in Python for each (runs, t*) of ``series``, all at
-    p: each term formed by `_terms`' expression, each sum added from 0.0 in
-    the numpy route's order.  The same bits.
+class _Lines:
+    """`_term_sums`' lines as lists of floats, which need no numpy, with the
+    tables listed up to the last time."""
 
-    Runs whose u ranges overlap, of one cutoff or of several, form a group.
-    A group with no more b-rows than its runs have columns u is walked by
-    rows, each b once for all its runs; any other run on its own by
-    columns.  Row b spans every F = u-1-b(t*+1) a run of the group reads
-    at b, so the smallest block sets it and each (F, b) cell is formed
-    once: g's terms and the down terms by `_term_row`, and for E[S] the
-    two weighted by (b+1)/(F+b+1) and b/(F+b+1).  Each run adds g's row
-    into its g sums with one slice at u = F+1+b(t*+1), the down row into
-    its down sums at t = u, and into E[S(t)] the weighted down term, then
-    the weighted g terms at u = t, t-1, ..., t-t*, as a chain of
-    `map(add, ...)` over its times (listed every `_CHAIN` levels).  A
-    column at u is g's terms over b, zipped from strided slices of the
-    tables; E[S] keeps the last t*+1 weighted columns and lays each time's
-    terms out in its order.  Memory beside the sums is O(T) for a series
-    that ends at T: the tables, a row or a column of terms, the sums of a
-    row walk by u, and, for E[S], the counts k as floats."""
+    zeros = staticmethod(lambda n: [0.0] * n)
+    total = partial(reduce, add)  # (line, start)
+    floats = staticmethod(lambda values: values)
+
+    def __init__(self, top: int, p: float, block: int, weights: bool) -> None:
+        log_p, log_q = math.log(p), math.log1p(-p)
+        self.lf = _log_factorials(top)[:top + 1].tolist()
+        self.fail_logs = [f * log_q for f in range(top + 1)]
+        self.succ_logs = [b * log_p for b in range((top - 1) // block + 2)]
+        self.counts = [float(k) for k in range(top + 1)] if weights else []  # exact
+
+    def row(self, b: int, f0: int, f1: int, succ: int, shift: int = 0) -> list[float]:
+        """C(F+b, b) p^succ (1-p)^(F+shift) for F = f0..f1-1: math.exp(lf[F+b]
+        - lf[b] - lf[F] + succ log p + (F+shift) log(1-p)) with lf[k] =
+        log k!.  g's row at b completed blocks has succ = b+1 and shift 0,
+        the down family's succ = b and shift 1."""
+        lf, y, s, exp = self.lf, self.lf[b], self.succ_logs[succ], math.exp
+        return [exp(x - y - z + s + f) for x, z, f in
+                zip(lf[f0 + b:f1 + b], lf[f0:f1], self.fail_logs[f0 + shift:f1 + shift])]
+
+    def column(self, n: int, b0: int, count: int, ts: int, succ: int,
+               fail: int) -> list[float]:
+        """C(n - b t*, b) p^(b+succ) (1-p)^(fail - b(t*+1)), b = b0..b0+count-1."""
+        lf, block, exp = self.lf, ts + 1, math.exp
+        return [exp(x - y - z + s + f) for x, y, z, s, f in
+                zip(_seq(lf, n - b0 * ts, -ts, count), lf[b0:b0 + count],
+                    _seq(lf, n - b0 * block, -block, count),
+                    self.succ_logs[b0 + succ:b0 + succ + count],
+                    _seq(self.fail_logs, fail - b0 * block, -block, count))]
+
+    def weigh(self, num: int, num_step: int, den: int, den_step: int, line: list[float],
+              pad: int = 0) -> list[float]:
+        """``pad`` zeros, then (num + i num_step) / (den + i den_step) * line[i]
+        for each i."""
+        counts, count = self.counts, len(line)
+        dens = _seq(counts, den, den_step, count)
+        if not num_step:  # one numerator, out of the loop
+            x = counts[num]
+            return [0.0] * pad + [x / y * t for y, t in zip(dens, line)]
+        return [0.0] * pad + [x / y * t for x, y, t in zip(counts[num:num + count], dens, line)]
+
+    @staticmethod
+    def add(values: list[float], start: int, lines: list[list[float]]) -> None:
+        """values[start:] += each of ``lines`` in turn, cell by cell."""
+        for k in range(0, len(lines), _CHAIN):
+            values[start:] = reduce(partial(map, add), lines[k:k + _CHAIN], values[start:])
+
+
+class _NumpyLines:
+    """`_Lines` as float64 arrays, bit for bit (see the module docstring):
+    the counts are formed per line, so no table but the log factorials is
+    listed, and `+=` adds in place."""
+
+    add = staticmethod(lambda values, start, lines: reduce(iadd, lines, values[start:]))
+
+    def __init__(self, top: int, p: float, block: int, weights: bool) -> None:
+        import numpy as np
+        self.np, self.zeros, self.floats = np, np.zeros, np.ndarray.tolist
+        self.log_p, self.log_q = math.log(p), math.log1p(-p)
+        self.lf = np.frombuffer(_log_factorials(top), float)  # a view, no copy
+
+    def _exp(self, logs: np.ndarray) -> np.ndarray:
+        return self.np.fromiter(map(math.exp, logs.tolist()), float, len(logs))
+
+    def _ints(self, start: int, step: int, count: int):
+        return self.np.arange(start, start + step * count, step) if step else start
+
+    def row(self, b: int, f0: int, f1: int, succ: int, shift: int = 0) -> np.ndarray:
+        lf = self.lf
+        return self._exp(lf[f0 + b:f1 + b] - lf[b] - lf[f0:f1] + succ * self.log_p
+                         + self._ints(f0 + shift, 1, f1 - f0) * self.log_q)
+
+    def column(self, n: int, b0: int, count: int, ts: int, succ: int,
+               fail: int) -> np.ndarray:
+        lf, block = self.lf, ts + 1
+        return self._exp((lf[n - b0 * ts::-ts][:count] if ts else lf[n]) - lf[b0:b0 + count]
+                         - lf[n - b0 * block::-block][:count]
+                         + self._ints(b0 + succ, 1, count) * self.log_p
+                         + self._ints(fail - b0 * block, -block, count) * self.log_q)
+
+    def weigh(self, num: int, num_step: int, den: int, den_step: int, line: np.ndarray,
+              pad: int = 0) -> np.ndarray:
+        count = len(line)
+        weighted = self._ints(num, num_step, count) / self._ints(den, den_step, count) * line
+        return self.np.concatenate((self.np.zeros(pad), weighted)) if pad else weighted
+
+    def total(self, line: np.ndarray, start: float) -> float:  # 0.0 + x is x
+        sums = self.np.cumsum(self.np.concatenate(((start,), line)) if start else line)
+        return sums[-1].item()
+
+
+def _by_rows(depth: int, width: int) -> bool:
+    """Whether `_term_sums` walks a group ``depth`` rows deep, ``width`` u wide, by rows."""
+    return depth <= width
+
+
+def _term_sums(series: list[Series], p: float, want: set[str],
+               lines_type: type) -> list[dict[str, dict[int, float]]]:
+    """The sums named in ``want`` for each (runs, t*) of ``series``, all at
+    0 < p < 1 and a finite t*: "g", g(u) at every u of the runs; "down",
+    Pr[M_{t*}(t) = t*, X(t) = 0], and "es", E[S(t)], at every t of their
+    t_runs.  Every t must be above t*+1, and for E[S] its window t-t*..t
+    must lie in its run, as `_runs(times, t*)` makes them.  With n =
+    t-1-b t* and F = n-b, g's term at u = t has p^(b+1) (1-p)^F and the
+    down term p^b (1-p)^(F+1).  E[S(t)] takes, for each b, the down term
+    times b/(t - t* b), then g's terms at u = t-k+1, k = 1..t*+1, times
+    (b+1)/(u - t* b).
+
+    ``lines_type``, `_Lines` or `_NumpyLines`, forms the lines of terms
+    and adds them; the walk is the same on both.  Runs whose u ranges
+    overlap, of one cutoff or of several, form a group, walked by rows if
+    `_by_rows`, else each run by columns.  Row b spans every F =
+    u-1-b(t*+1) a run of the group reads at b, so each (F, b) cell is
+    formed once: g's and the down terms, and for E[S] the two weighted by
+    (b+1)/(F+b+1) and b/(F+b+1).  Each run adds g's row into its g sums at
+    u = F+1+b(t*+1), the down row into its down sums at t = u, and into
+    E[S(t)] the weighted down term, then the weighted g terms at u = t,
+    t-1, ..., t-t*.  A column at u is g's terms over b in pieces of
+    `_PIECE` // (t*+2) rows, each added on to the totals of the pieces
+    before; E[S] keeps a piece's last t*+1 weighted columns.  Memory
+    beside the sums is O(T) on Python lines for a series that ends at T,
+    and O(_PIECE) on numpy lines at a far time."""
     top = max(runs[-1][1] for runs, _ in series)
-    log_p, log_q = math.log(p), math.log1p(-p)
-    lf = _log_factorials(top)[:top + 1].tolist()
-    fail_logs = [f * log_q for f in range(top + 1)]
-    succ_logs = [b * log_p for b in range((top - 1) // (min(ts for _, ts in series) + 1) + 2)]
-    # exact, so k / j is int k / int j
-    counts = [float(k) for k in range(top + 1)] if "es" in want else []
+    lines = lines_type(top, p, min(ts for _, ts in series) + 1, "es" in want)
     with_g, with_down, with_es = bool(want - {"down"}), bool(want - {"g"}), "es" in want
     sums = [{name: {} for name in want} for _ in series]
 
     def by_columns(lo, hi, t_runs, ts, out):
-        block, g_succ_logs, exp = ts + 1, succ_logs[1:], math.exp
-
-        def terms(n, succ, fail):
-            """math.exp(lf[n - b t*] - lf[b] - lf[n - b(t*+1)] + succ[b] +
-            fail_logs[fail - b(t*+1)]) for b = 0..n // (t*+1)."""
-            return [exp(x - y - z + s + f) for x, y, z, s, f in
-                    zip(lf[n::-ts] if ts else repeat(lf[n]), lf, lf[n::-block], succ,
-                        fail_logs[fail::-block])]
-
-        def weighted(first, u, column):
-            """(b + first) / (u - b t*) * column[b] for each b."""
-            ratios = map(truediv, counts[first:first + len(column)],
-                         counts[u::-ts] if ts else repeat(counts[u]))
-            return list(map(mul, ratios, column))
-
+        block = ts + 1
         at_t = {t for ta, tb in t_runs for t in range(ta, tb + 1)}
-        window: deque[list[float]] = deque(maxlen=block)  # E[S]'s k-terms at u, u-1, ..., u-t*
-        for u in range(lo, hi + 1):
-            if with_g:
-                col = terms(u - 1, g_succ_logs, u - 1)
-                if "g" in want:
-                    out["g"][u] = reduce(add, col, 0.0)
+        for name in want:
+            out[name].update(dict.fromkeys(range(lo, hi + 1) if name == "g" else at_t, 0.0))
+        height = max(1, _PIECE // (block + 1))
+        for b0 in range(0, (hi - 1) // block + 1, height):
+            window: deque = deque(maxlen=block)  # E[S]'s k-terms at u, u-1, ..., u-t*
+            for u in range(max(lo, b0 * block + 1), hi + 1):  # the u with a term at b0
+                count = min(height, (u - 1) // block + 1 - b0)
+                if with_g:
+                    col = lines.column(u - 1, b0, count, ts, 1, u - 1)
+                    if "g" in want:
+                        out["g"][u] = lines.total(col, out["g"][u])
+                    if with_es:
+                        window.appendleft(lines.weigh(b0 + 1, 1, u - b0 * ts, -ts, col))
+                if not with_down or u not in at_t:
+                    continue
+                down = lines.column(u - 1, b0, count, ts, 0, u)
+                if "down" in want:
+                    out["down"][u] = lines.total(down, out["down"][u])
                 if with_es:
-                    window.appendleft(weighted(1, u, col))
-            if not with_down or u not in at_t:
-                continue
-            down = terms(u - 1, succ_logs, u)
-            if "down" in want:
-                out["down"][u] = reduce(add, down, 0.0)
-            if with_es:
-                # row b of `cells` is the trailing-zero term, then k = 1..t*+1;
-                # a column that ends before the last row adds 0.0, as in numpy
-                trail = weighted(0, u, down)
-                cells = [0.0] * (len(trail) * (block + 1))
-                cells[::block + 1] = trail
-                for k, column in enumerate(window, 1):
-                    cells[k:k + len(column) * (block + 1):block + 1] = column
-                out["es"][u] = reduce(add, cells, 0.0)
+                    # row b: the trailing-zero term, then k = 1..t*+1 (0.0 past a column's end)
+                    cells = lines.zeros(count * (block + 1))
+                    cells[::block + 1] = lines.weigh(b0, 1, u - b0 * ts, -ts, down)
+                    for k, column in enumerate(window, 1):
+                        cells[k:k + len(column) * (block + 1):block + 1] = column
+                    out["es"][u] = lines.total(cells, out["es"][u])
 
     def by_rows(group, depth):
-        # each run's sums by u from lo: of g, and of the down family and
-        # E[S], which are read at its times only
-        acc = [{name: [0.0] * (hi - lo + 1) for name in want} for lo, hi, *_ in group]
+        # each run's sums by u from lo (of the down family and E[S], read at its times only)
+        acc = [{name: lines.zeros(hi - lo + 1) for name in want} for lo, hi, *_ in group]
         for b in range(depth):
             # the runs with a term in row b: F = f..hi-1-bb at u = F+1+bb
             live = [(lo, hi, t_runs[0][0], ts, bb, max(lo - 1 - bb, 0), run_sums)
@@ -469,32 +511,27 @@ def _term_sums(series: list[Series], p: float,
                     if (bb := b * (ts + 1)) < hi]
             f0 = min(f for *_, f, _ in live)
             f1 = max(hi - bb for _, hi, _, _, bb, _, _ in live)
-            g = _term_row(lf, fail_logs, succ_logs[b + 1], b, f0, f1) if with_g else None
-            down = _term_row(lf, fail_logs, succ_logs[b], b, f0, f1, 1) if with_down else None
+            g = lines.row(b, f0, f1, b + 1) if with_g else None
+            down = lines.row(b, f0, f1, b, 1) if with_down else None
             if with_es:  # E[S] reads 0.0 at the F < 0 of its k-terms
                 pad = max(ts for _, _, _, ts, _, _, _ in live)
-                ratios, g_weight, down_weight = counts[f0 + b + 1:f1 + b + 1], b + 1.0, float(b)
-                k_terms = [0.0] * pad + [g_weight / n * term for n, term in zip(ratios, g)]
-                trail = [down_weight / n * term for n, term in zip(ratios, down)]
+                k_terms = lines.weigh(b + 1, 0, f0 + b + 1, 1, g, pad)
+                trail = lines.weigh(b, 0, f0 + b + 1, 1, down)
             for lo, hi, first, ts, bb, f, run_sums in live:
                 u0, j = f + 1 + bb, hi - bb - f0
                 for name, row in (("g", g), ("down", down)):  # down before t0 is not read
                     if name in run_sums:
-                        values = run_sums[name]
-                        values[u0 - lo:] = map(add, values[u0 - lo:], row[f - f0:j])
-                if with_es:  # at t = t0..hi, from the row's cell i
+                        lines.add(run_sums[name], u0 - lo, [row[f - f0:j]])
+                if with_es:  # at t = t0..hi, from the row's cell i: the (k+1)-term at u = t - k
                     t0 = max(first, u0)
                     i = t0 - 1 - bb - f0
-                    chain = map(add, run_sums["es"][t0 - lo:], trail[i:j])
-                    for k in range(ts + 1):  # the (k+1)-term, at u = t - k
-                        if k % _CHAIN == _CHAIN - 1:
-                            chain = list(chain)
-                        chain = map(add, chain, k_terms[pad + i - k:pad + j - k])
-                    run_sums["es"][t0 - lo:] = chain
+                    lines.add(run_sums["es"], t0 - lo, [trail[i:j]] + [
+                        k_terms[pad + i - k:pad + j - k] for k in range(ts + 1)])
         for (lo, hi, t_runs, _, out), run_sums in zip(group, acc):
             for name, values in run_sums.items():
                 for ta, tb in [(lo, hi)] if name == "g" else t_runs:
-                    out[name].update(zip(range(ta, tb + 1), values[ta - lo:tb - lo + 1]))
+                    out[name].update(zip(range(ta, tb + 1),
+                                         lines.floats(values[ta - lo:tb - lo + 1])))
 
     groups = []  # the runs by first u, those that overlap together
     for job in sorted(((lo, hi, t_runs, ts, out) for (runs, ts), out in zip(series, sums)
@@ -505,88 +542,11 @@ def _term_sums(series: list[Series], p: float,
             groups.append([job])
     for group in groups:
         depth = max((hi - 1) // (ts + 1) + 1 for _, hi, _, ts, _ in group)
-        if depth <= sum(hi - lo + 1 for lo, hi, *_ in group):
+        if _by_rows(depth, sum(hi - lo + 1 for lo, hi, *_ in group)):
             by_rows(group, depth)
         else:
             for job in group:
                 by_columns(*job)
-    return sums
-
-
-def _binomial_sums(runs: list[Run], ts: int, p: float,
-                   want: set[str]) -> dict[str, dict[int, float]]:
-    """The sums named in ``want``, for a finite cutoff t* and 0 < p < 1:
-    "g", g(u) at every u of the ``runs``; "down", Pr[M_{t*}(t) = t*,
-    X(t) = 0], and "es", E[S(t)], at every t of their t_runs.
-
-    Every t must be above t*+1, and for E[S] its window t-t*..t must lie in
-    its run, as `_runs(times, t*)` makes them.  The b-rows of terms (b
-    counts completed blocks) are formed in the groups of `_row_chunks`, only
-    for the families the asked sums need, and added in increasing b.  With
-    n = t-1-b t* and F = n-b, g's term at u = t has p^(b+1) (1-p)^F and the
-    down term p^b (1-p)^(F+1).  E[S(t)] takes, for each b, the down term
-    times b/(t - t* b), then g's terms at u = t-k+1, k = 1..t*+1, times
-    (b+1)/(u - t* b).
-
-    Series that form at most `_SHORT_TERMS` g terms, and end by that time,
-    are summed in Python (`_term_sums`), the others with numpy.
-    """
-    if _on_python_route(runs, ts):
-        return _term_sums([(runs, ts)], p, want)[0]
-    block = ts + 1
-    import numpy as np
-    log_fact = np.frombuffer(_log_factorials(runs[-1][1]), float)  # a view, no copy
-    log_p, log_q = math.log(p), math.log1p(-p)
-    with_g, with_es = bool(want & {"g", "es"}), "es" in want
-    with_down = bool(want & {"down", "es"})
-    sums: dict[str, dict[int, float]] = {name: {} for name in want}
-    for lo, hi, t_runs in runs:
-        g_run = np.zeros(hi - lo + 1)
-        by_t = {name: [np.zeros(tb - ta + 1) for ta, tb in t_runs]
-                for name in ("down", "es") if name in want}
-        for b0, b1, u0 in _row_chunks(lo, hi, block):
-            # cells before a row's first u hold 0.0, which adds nothing; their
-            # weights only need to be finite (n + 1 >= b+1 >= 1 on the others)
-            b = np.arange(b0, b1)[:, None]
-            fail = np.arange(u0 - 1, hi) - b * block  # F at (b, u)
-            n = fail + b  # and n + 1 = u - t* b
-            if with_g:
-                terms = _terms(log_fact, n, b, b + 1, fail, log_p, log_q)
-                _accumulate(g_run[u0 - lo:], terms)
-            if with_es:
-                weighted = np.zeros((b1 - b0, hi - lo + 1))  # E[S]'s k-terms by u
-                weighted[:, u0 - lo:] = (b + 1) / np.maximum(n + 1, 1) * terms
-            if not with_down:
-                continue
-            for i, (ta, tb) in enumerate(t_runs):
-                if tb < u0:  # these rows add nothing to these times
-                    continue
-                first = max(ta, u0)
-                at_t = np.s_[:, first - u0:tb - u0 + 1]
-                down = _terms(log_fact, n[at_t], b, b, fail[at_t] + 1, log_p, log_q)
-                if "down" in want:
-                    _accumulate(by_t["down"][i][first - ta:], down)
-                if not with_es:
-                    continue
-                # S = Y1 / (t - t* Y1) on the all-trailing-zeros sequences
-                trailing = np.zeros((b1 - b0, tb - ta + 1))
-                trailing[:, first - ta:] = b / np.maximum(n[at_t] + 1, 1) * down
-                # [i, k-1, j] is the k-term of t = ta + j, at u = t - k + 1
-                row_step, col_step = weighted.strides
-                k_terms = np.ndarray((b1 - b0, block, tb - ta + 1), float, weighted,
-                                     (ta - lo) * col_step, (row_step, -col_step, col_step))
-                # add trailing, then k = 1..t*+1, for each b in turn, at
-                # most _CHUNK cells at a time
-                step = max(1, _CHUNK // ((b1 - b0) * (block + 1)))
-                for j in range(0, tb - ta + 1, step):
-                    chain = np.concatenate((trailing[:, None, j:j + step],
-                                            k_terms[:, :, j:j + step]), axis=1)
-                    _accumulate(by_t["es"][i][j:j + step], chain.reshape(-1, chain.shape[2]))
-        if "g" in want:
-            sums["g"].update(zip(range(lo, hi + 1), g_run.tolist()))
-        for name, t_sums in by_t.items():
-            for (ta, tb), values in zip(t_runs, t_sums):
-                sums[name].update(zip(range(ta, tb + 1), values.tolist()))
     return sums
 
 
@@ -660,17 +620,16 @@ class LinkState:
 
 def _long_sums(times: list[int], tss: Sequence[Union[int, float]], p: float,
                want: set[str]) -> list[dict[str, dict[int, float]]]:
-    """`_binomial_sums` for each cutoff of ``tss`` over its times above
-    t*+1, where it applies; g and E[S] at t read g over t-t*..t, the down
-    family only at t.  The series that `_binomial_sums` would sum in Python
-    share one `_term_sums` walk."""
+    """`_term_sums` for each cutoff of ``tss`` over its times above t*+1,
+    where it applies; g and E[S] at t read g over t-t*..t, the down family
+    only at t.  All the series share one walk, on Python lines if each
+    passes `_is_short`, else on numpy lines."""
     series = {ts: _runs(long, ts if want - {"down"} else 0) for ts in tss
               if (long := sorted({t for t in times if t > ts + 1})) and 0.0 < p < 1.0}
-    python = {ts: runs for ts, runs in series.items() if _on_python_route(runs, ts)}
-    walk = _term_sums([(runs, ts) for ts, runs in python.items()], p, want) if python else []
-    sums = dict(zip(python, walk))
-    sums.update((ts, _binomial_sums(runs, ts, p, want))
-                for ts, runs in series.items() if ts not in python)
+    python = all(_is_short(runs, ts) for ts, runs in series.items())
+    walk = _term_sums([(runs, ts) for ts, runs in series.items()], p, want,
+                      _Lines if python else _NumpyLines) if series else []
+    sums = dict(zip(series, walk))
     return [sums.get(ts, {name: {} for name in want}) for ts in tss]
 
 
@@ -701,9 +660,9 @@ def active_rows_by_cutoff(times: Sequence[int], tstars: Sequence[CutoffLike], p:
                           success: bool = False) -> list[Iterator[LinkState]]:
     """For each cutoff in ``tstars``, in order, the rows that
     ``active_rows(times, t*, p, fcurve, success)`` yields, equal bit for
-    bit.  The cutoffs' series that are summed in Python share one walk
-    over the binomial terms (see the module docstring), so each term is
-    formed once for all of them; f_m is evaluated once per age."""
+    bit.  The cutoffs' series share one walk over the binomial terms (see
+    the module docstring), so each term is formed once for all of them;
+    f_m is evaluated once per age."""
     _validate_p(p)
     tss = [parse_cutoff(tstar) for tstar in tstars]
     times = _checked_times(times)
@@ -758,7 +717,7 @@ def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
     ``next(active_rows((t,), t*, p, fcurve))``; f_m is evaluated at most once.
 
     For t > t*+1 and 0 < p < 1, g(t-m) for m = 0..t* is the column sums,
-    in increasing b, of a (b, m) array of terms formed by `_term_row`.
+    in increasing b, of a (b, m) array of terms formed by `_Lines.row`.
     Its cell k = b(t*+1) + m has F = t-1-k failures, so the terms fill its
     first t cells and depend on (k, b) alone.  The b-rows with
     b < sqrt(t/2) are shared by every cutoff and formed once, which takes
@@ -778,11 +737,10 @@ def cutoff_table(t: int, tstars: Sequence[CutoffLike], p: float,
     if p == 1.0:
         ages = ((t - 1) % (ts + 1) if t > ts + 1 else t - 1 for ts in tss)
         return [(fvals[m], 1.0, fvals[m]) for m in ages]
-    log_p, log_q = math.log(p), math.log1p(-p)
-    lf, fail_logs = _log_factorials(t)[:t + 1].tolist(), [f * log_q for f in range(t + 1)]
+    lines = _Lines(t, p, 1, False)
 
     def row(b, first, last):  # g's terms at b in cells k = first..last-1: F = t-1-k
-        return _term_row(lf, fail_logs, (b + 1) * log_p, b, t - last, t - first)[::-1]
+        return lines.row(b, t - last, t - first, b + 1)[::-1]
 
     low = math.isqrt(t // 2) + 1
     shared = [array("d", row(b, b, t)) for b in range(low)]  # [b][k - b]
@@ -863,7 +821,7 @@ def expected_success_rates(times: Sequence[int], tstar: CutoffLike,
 
     For t <= t*+1, and for t* = infinity, E[S(t)] is the geometric prefix
     sum of p (1-p)^j / (j+1) over j < t.  The later times share one
-    `_binomial_sums` pass.
+    `_term_sums` walk.
     """
     times = _checked_times(times)
     _validate_p(p)
@@ -965,7 +923,7 @@ def waiting_times(t_reqs: Sequence[int], tstar: CutoffLike,
     """The WaitingTime at each t_req in ``t_reqs``, in the order given.
 
     q = Pr[M = t*, X = 0 at t_req + 1] comes from `_down_probs`, so the
-    requests after t* share one `_binomial_sums` pass.
+    requests after t* share one `_term_sums` walk.
     """
     t_reqs = _checked_times(t_reqs, 0, "t_req")
     _validate_p(p)

@@ -676,20 +676,21 @@ SERIES_GOLDENS = ["fig4-left", "fig4-right", "fig5", "fig7", "fig8", "fig9",
 @pytest.mark.parametrize("name", SERIES_GOLDENS)
 def test_criterion_11_goldens_are_equal_on_both_series_routes(name, monkeypatch, tmp_path):
     """Every golden whose path sums cutoff series is written byte for byte
-    with all series on the numpy route, and again with all on the Python
-    route."""
+    with every series walked on numpy lines, and again with every series
+    walked on Python lines."""
     config = GOLDEN_DIR / f"{name}.json"
     mode = json.loads(config.read_text())["mode"]
-    by_terms = []
+    backends = []
     term_sums = ca._term_sums
-    monkeypatch.setattr(ca, "_term_sums", lambda *args: by_terms.append(1) or term_sums(*args))
-    for bound in (0, math.inf):
+    monkeypatch.setattr(ca, "_term_sums", lambda *args: backends.append(args[3])
+                        or term_sums(*args))
+    for bound, lines in ((0, ca._NumpyLines), (math.inf, ca._Lines)):
         monkeypatch.setattr(ca, "_SHORT_TERMS", bound)
         out = tmp_path / f"{name}-{bound}.csv"
         assert cli.main([mode, "--config", str(config), "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()
-        assert bool(by_terms) == bool(bound)  # the route asked for ran
-        by_terms.clear()
+        assert set(backends) == {lines}  # every walk ran on the lines asked for
+        backends.clear()
 
 
 def test_criterion_11_optimize_policy_golden(tmp_path):

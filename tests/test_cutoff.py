@@ -900,14 +900,24 @@ def test_runs_merge_windows_that_touch_or_overlap():
     assert ca._runs([5], 0) == [(5, 5, [(5, 5)])]
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 7, 100])
-def test_binomial_sums_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
-    """Grouping b-rows, and splitting E[S]'s rows by columns, changes no
-    bit: a single far time is a tall narrow group, a dense series one row
-    at a time.  The same holds for the waiting times' down family.  All
-    series take the numpy route, which alone reads the chunk size."""
-    monkeypatch.setattr(ca, "_CHUNK", chunk)
-    monkeypatch.setattr(ca, "_SHORT_TERMS", 0)
+BACKENDS = [(math.inf, ca._Lines), (0, ca._NumpyLines)]  # (`_SHORT_TERMS`, the lines it picks)
+
+
+@pytest.mark.parametrize("by_rows", [True, False], ids=["rows", "columns"])
+@pytest.mark.parametrize("bound, lines", BACKENDS, ids=["python", "numpy"])
+def test_walk_by_rows_or_columns_equals_references_on_each_backend(monkeypatch, by_rows,
+                                                                   bound, lines):
+    """A walk forced to take every group by rows, or every run by columns,
+    gives the term-at-a-time references under ==, for g, E[S] and the
+    waiting times' down family, on Python lines and on numpy lines: a
+    single far time, a dense series and sparse times.  Pieces of b of at
+    most 3 rows make a column several pieces long."""
+    term_sums, backends = ca._term_sums, []
+    monkeypatch.setattr(ca, "_term_sums", lambda *args: backends.append(args[3])
+                        or term_sums(*args))
+    monkeypatch.setattr(ca, "_by_rows", lambda depth, width: by_rows)
+    monkeypatch.setattr(ca, "_PIECE", 7)
+    monkeypatch.setattr(ca, "_SHORT_TERMS", bound)
     for tstar in [0, 1, 3, 8]:
         for p in [0.01, 0.3, 0.9]:
             for times in [list(range(1, 120)), [150], [37, 3, 90, 3, 36, 95, 99]]:
@@ -919,28 +929,33 @@ def test_binomial_sums_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
                 waits = waiting_times([t - 1 for t in times], tstar, p)
                 assert [wait.expectation for wait in waits] == [_expected_wait(t, tstar, p)
                                                                 for t in times]
+    assert set(backends) == {lines}
 
 
 WANTS = [{"g"}, {"down"}, {"es"}, {"g", "es"}, {"g", "down", "es"}]
 
 
 def _both_routes(monkeypatch, times, tstar, p, want):
-    """`_binomial_sums` over ``times`` with numpy, then in Python."""
-    long = sorted({t for t in times if t > tstar + 1})
-    runs = ca._runs(long, tstar if want & {"g", "es"} else 0)
-    by_route = []
-    for bound in (0, math.inf):
+    """`_long_sums`' sums for ``tstar`` over ``times`` on numpy lines, then
+    on Python lines, each from one walk on the lines asked for."""
+    term_sums, backends, by_route = ca._term_sums, [], []
+    monkeypatch.setattr(ca, "_term_sums", lambda *args: backends.append(args[3])
+                        or term_sums(*args))
+    for bound, lines in reversed(BACKENDS):
         monkeypatch.setattr(ca, "_SHORT_TERMS", bound)
-        by_route.append(ca._binomial_sums(runs, tstar, p, want))
+        by_route.append(ca._long_sums(list(times), (tstar,), p, want)[0])
+        assert backends == [lines]
+        backends.clear()
+    monkeypatch.setattr(ca, "_term_sums", term_sums)
     return by_route
 
 
 @pytest.mark.parametrize("tstar", [0, 1, 2, 5, 35, 127])
 @pytest.mark.parametrize("p", [1e-6, 0.01, 0.3, 0.77, 0.999999])
 def test_binomial_sums_are_equal_on_both_routes(monkeypatch, tstar, p):
-    """The Python route and the numpy route give the same bits for g, the
-    down family and E[S], on dense, sparse and single-time series, with
-    times on both sides of a block boundary of t* = 127."""
+    """The walk on Python lines and on numpy lines gives the same bits for
+    g, the down family and E[S], on dense, sparse and single-time series,
+    with times on both sides of a block boundary of t* = 127."""
     for times in [range(1, 301), [3, 40, 41, 128, 129, 130, 257, 300], [129], [300]]:
         for want in WANTS:
             by_numpy, by_python = _both_routes(monkeypatch, times, tstar, p, want)
@@ -951,32 +966,34 @@ def test_binomial_sums_are_equal_on_both_routes(monkeypatch, tstar, p):
 @pytest.mark.parametrize("tstar, p", [(0, 0.3), (5, 0.01)])
 def test_binomial_sums_are_equal_on_both_routes_at_the_bound(monkeypatch, tstar, p):
     """The dense series 1..T with the most g terms at or under
-    `_SHORT_TERMS` takes the Python route, and 1..T+1 the numpy route; each
-    gives the other route's bits."""
-    bound, term_sums, by_python = ca._SHORT_TERMS, ca._term_sums, []
-    monkeypatch.setattr(ca, "_term_sums", lambda *args: by_python.append(1) or term_sums(*args))
+    `_SHORT_TERMS` is walked on Python lines, and 1..T+1 on numpy lines;
+    each gives the other lines' bits."""
+    bound, term_sums, backends = ca._SHORT_TERMS, ca._term_sums, []
     # g(u) has ceil(u / (t*+1)) terms, and the series 1..T forms g at u = 2..T
     g_terms = accumulate(len(range(0, u, tstar + 1)) for u in range(2, MAX_TIME))
     top = next(u for u, total in enumerate(g_terms, start=2) if total > bound) - 1
-    for times, python in [(range(1, top + 1), True), (range(1, top + 2), False)]:
+    for times, lines in [(range(1, top + 1), ca._Lines), (range(1, top + 2), ca._NumpyLines)]:
         want = {"g", "down", "es"}
         monkeypatch.setattr(ca, "_SHORT_TERMS", bound)
-        routed = ca._binomial_sums(ca._runs(list(times)[tstar + 1:], tstar), tstar, p, want)
-        assert bool(by_python) == python
+        monkeypatch.setattr(ca, "_term_sums", lambda *args: backends.append(args[3])
+                            or term_sums(*args))
+        routed = ca._long_sums(list(times), (tstar,), p, want)[0]
+        assert backends == [lines]
+        backends.clear()
+        monkeypatch.setattr(ca, "_term_sums", term_sums)
         assert _both_routes(monkeypatch, times, tstar, p, want) == [routed, routed]
-        by_python.clear()
 
 
 def test_python_route_memory_is_linear_in_the_series():
     """At the route bound, g and E[S] at t* = 0 over t = 1..499 peak at
-    less than 512 KB beyond their sums: the Python route keeps one window of
-    t*+1 weighted columns, not every term of the series (4 MB)."""
+    less than 512 KB beyond their sums on Python lines: a row of terms
+    and the sums by u at a time, not every term of the series (4 MB)."""
     top = max(t for t in range(2, 2000) if t * (t + 1) // 2 - 1 <= ca._SHORT_TERMS)
     runs = ca._runs(list(range(2, top + 1)), 0)
-    ca._term_sums([(runs[:1], 0)], 0.3, {"g", "es"})  # grow the shared log-factorial table first
+    ca._log_factorials(top)  # grow the shared table first
     tracemalloc.start()
     try:
-        sums = ca._binomial_sums(runs, 0, 0.3, {"g", "es"})
+        sums = ca._term_sums([(runs, 0)], 0.3, {"g", "es"}, ca._Lines)[0]
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -985,27 +1002,49 @@ def test_python_route_memory_is_linear_in_the_series():
 
 
 def test_python_route_lists_no_table_past_the_bound(monkeypatch):
-    """A single down time forms few terms, but the Python route lists its
-    tables up to that time: at t = `_SHORT_TERMS` it peaks under 10 MB
+    """A single down time forms few terms, but Python lines list their
+    tables up to that time: at t = `_SHORT_TERMS` they peak under 10 MB
     beyond the sum (importing numpy costs 13 MB), and one step later the
-    series takes the numpy route.  Both routes give the same bits."""
-    bound, term_sums, by_python = ca._SHORT_TERMS, ca._term_sums, []
-    monkeypatch.setattr(ca, "_term_sums", lambda *args: by_python.append(1) or term_sums(*args))
+    series is walked on numpy lines.  Both give the same bits."""
+    bound, term_sums, backends = ca._SHORT_TERMS, ca._term_sums, []
+    monkeypatch.setattr(ca, "_term_sums", lambda *args: backends.append(args[3])
+                        or term_sums(*args))
     ca._log_factorials(bound + 1)  # grow the shared table first
-    runs = ca._runs([bound], 0)
     tracemalloc.start()
     try:
-        down = ca._binomial_sums(runs, 1000, 0.3, {"down"})
+        down = ca._long_sums([bound], (1000,), 0.3, {"down"})[0]
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert by_python and peak - held < 10 * 1024 * 1024
+    assert backends == [ca._Lines] and peak - held < 10 * 1024 * 1024
     monkeypatch.setattr(ca, "_SHORT_TERMS", 0)
-    assert ca._binomial_sums(runs, 1000, 0.3, {"down"}) == down
+    assert ca._long_sums([bound], (1000,), 0.3, {"down"})[0] == down
     monkeypatch.setattr(ca, "_SHORT_TERMS", bound)
-    by_python.clear()
-    past = ca._binomial_sums(ca._runs([bound + 1], 0), 1000, 0.3, {"down"})
-    assert not by_python and past["down"][bound + 1] > 0.0
+    assert backends[1:] == [ca._NumpyLines]
+    backends.clear()
+    past = ca._long_sums([bound + 1], (1000,), 0.3, {"down"})[0]
+    assert backends == [ca._NumpyLines] and past["down"][bound + 1] > 0.0
+
+
+def test_numpy_lines_memory_is_bounded_at_a_far_time():
+    """The down family at the one time t = 10^6, t* = 0 (a column of 10^6
+    terms) peaks at less than 2 MB beyond its sum on numpy lines: the
+    column is walked in pieces of `_PIECE` // 2 terms, and no table but
+    the shared log factorials is listed, where the whole column would take
+    8 MB as float64 and 32 MB as Python floats.  Python lines give the
+    same bits."""
+    t = 10 ** 6
+    runs = ca._runs([t], 0)
+    ca._log_factorials(t)  # grow the shared table first
+    tracemalloc.start()
+    try:
+        down = ca._term_sums([(runs, 0)], 0.3, {"down"}, ca._NumpyLines)[0]
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held < 2 * 1024 * 1024
+    assert down == ca._term_sums([(runs, 0)], 0.3, {"down"}, ca._Lines)[0]
+    assert down["down"][t] > 0.0
 
 
 SHARED_TSTARS = [0, 1, 2, 3, 5, 8, 10, 20, 35, 127]
@@ -1019,22 +1058,25 @@ FAR_TIMES = [[1500], [2000, 2001]]
 @pytest.mark.parametrize("p", [1e-6, 0.01, 0.3, 0.77, 0.999999])
 def test_shared_walk_equals_each_cutoff_on_both_routes(monkeypatch, p):
     """The sums of several cutoffs in one walk over the terms equal, under
-    ==, each cutoff's sums alone and the numpy route's, for every family;
-    the Python-route cutoffs of each call share a single `_term_sums`."""
-    bound, term_sums, walks = ca._SHORT_TERMS, ca._term_sums, []
-    monkeypatch.setattr(ca, "_term_sums", lambda *args: walks.append(len(args[0]))
+    ==, each cutoff's sums alone, for every family, on Python lines and on
+    numpy lines; the cutoffs of each call share a single `_term_sums` on
+    the lines its bound picks."""
+    term_sums, walks = ca._term_sums, []
+    monkeypatch.setattr(ca, "_term_sums", lambda *args: walks.append((len(args[0]), args[3]))
                         or term_sums(*args))
     cases = [(times, SHARED_TSTARS) for times in SHARED_TIMES]
     cases += [(times, [0, 1]) for times in FAR_TIMES]
     for times, tstars in cases:
         for want in WANTS:
-            walks.clear()
-            shared = ca._long_sums(list(times), tstars, p, want)
-            assert len(walks) == 1 and walks[0] == len(tstars)
+            by_backend = []
+            for bound, lines in BACKENDS:
+                monkeypatch.setattr(ca, "_SHORT_TERMS", bound)
+                walks.clear()
+                by_backend.append(ca._long_sums(list(times), tstars, p, want))
+                assert walks == [(len(tstars), lines)]
+            shared = by_backend[0]
+            assert shared == by_backend[1]
             assert shared == [ca._long_sums(list(times), (ts,), p, want)[0] for ts in tstars]
-            monkeypatch.setattr(ca, "_SHORT_TERMS", 0)
-            assert shared == ca._long_sums(list(times), tstars, p, want)
-            monkeypatch.setattr(ca, "_SHORT_TERMS", bound)
             assert all(sums[name] for sums, ts in zip(shared, tstars) for name in want
                        if any(t > ts + 1 for t in times))
 
@@ -1057,9 +1099,9 @@ def test_shared_walk_rows_equal_term_at_a_time_reference(p):
 
 def test_far_cutoff_success_rate_equals_both_routes(monkeypatch):
     """E[S] at t = 10^5 + 2 with t* = 10^5 walks 10^5 + 1 k-terms in a
-    row: its chain of `map(add, ...)` is listed every `_CHAIN` levels, so
-    it does not overflow the C stack, and the sum equals the numpy route's
-    and the term-at-a-time reference."""
+    row: on Python lines its chain of `map(add, ...)` is listed every
+    `_CHAIN` levels, so it does not overflow the C stack, and the sum
+    equals numpy lines' and the term-at-a-time reference."""
     t, tstar = 100_002, 100_000
     by_python = expected_success_rate(t, tstar, 0.3)
     monkeypatch.setattr(ca, "_SHORT_TERMS", 0)
