@@ -258,8 +258,8 @@ def count_sequences(t: int, tstar: CutoffLike) -> int:
 
 # Entry k is math.lgamma(k + 1).  It is never changed in place, because
 # `array.extend` raises BufferError while a reader's `np.frombuffer` view of
-# it is alive: `_log_factorials` builds a longer array and rebinds the name,
-# and every reader keeps the array it fetched.
+# it is alive: `_log_factorials` extends a copy that no reader views yet
+# and rebinds the name, and every reader keeps the array it fetched.
 _LOG_FACTORIAL = array("d", [0.0])
 
 
@@ -269,7 +269,8 @@ def _log_factorials(n: int) -> array:
     table = _LOG_FACTORIAL
     if n >= len(table):
         size = max(n + 1, 2 * len(table))
-        table = table + array("d", map(math.lgamma, range(len(table) + 1, size + 1)))
+        table = array("d", table)
+        table.extend(map(math.lgamma, range(len(table) + 1, size + 1)))
         _LOG_FACTORIAL = table
     return table
 

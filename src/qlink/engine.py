@@ -24,9 +24,11 @@ more for its outcome.  That is at most 2H - 1 uniforms per trial.  An event
 of probability q happens when its uniform is below q.  The simulator does
 not call `trial_rng`: it holds a block of trials' PCG64 states on uint64
 arrays, seeded with the same bits from numpy's SeedSequence hash, and runs
-PCG64's step, XSL-RR output and 53-bit double conversion on them (see
-`_trial_streams` and `_draw`).  NEP 19 keeps these streams stable, and a
-test compares them bit for bit with `trial_rng`.
+PCG64's step and XSL-RR output on them (see `_trial_streams` and `_draw`).
+It forms no double: u = bits * 2**-53 is below q exactly when the bits are
+below ceil(q * 2**53) (`_cut`), and a step whose decisions all have
+probability 0 or 1 forms no output for them.  NEP 19 keeps these streams
+stable, and a test compares them bit for bit with `trial_rng`.
 """
 
 from __future__ import annotations
@@ -47,13 +49,13 @@ if TYPE_CHECKING:
     import numpy as np
 
 EXHAUSTIVE_WARN_HORIZON = 20
-# Trials the simulator advances together; a block holds a few hundred bytes
-# per trial whatever the horizon.
-BLOCK_TRIALS = 8192
+# Trials the simulator advances together, in buffers of about 90 bytes a
+# trial whatever the horizon.  With blocks of 8192 / 4096 / 2048 trials,
+# `simulate-mc` (20,000 trials, H = 50) peaks at 30.4 / 29.8 / 29.7 MB of
+# RSS, and 2048 runs up to 20% slower in process (2-vCPU Xeon, numpy 2.4).
+BLOCK_TRIALS = 4096
 # Trial indices 0..MAX_TRIALS-1 (config.MAX_TRIALS) are one 32-bit word of
-# the SeedSequence spawn key, the case `_trial_streams` reproduces.  `_draw`
-# runs the trials' PCG64 steps, XSL-RR outputs and 53-bit doubles on uint64
-# arrays, and a test compares them bit for bit with `trial_rng`.
+# the SeedSequence spawn key, the case `_trial_streams` reproduces.
 
 # numpy's SeedSequence hash (pool size 4)
 _MASK32 = 0xFFFFFFFF
@@ -385,10 +387,11 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _trial_streams(seed: int, start: int, n: int) -> np.ndarray:
+def _trial_streams(seed: int, start: int, n: int,
+                   work: Optional[np.ndarray] = None) -> np.ndarray:
     """The PCG64 states of ``trial_rng(seed, start + i)`` for i < n, as a
     (4, n) uint64 array: the state's high and low words, then the
-    increment's.  `_draw` advances them.
+    increment's.  `_draw` advances them; ``work`` is passed on to it.
 
     `trial_rng` seeds PCG64 from ``SeedSequence(entropy=seed,
     spawn_key=(trial,))``.  That hashes the seed's 32-bit words, padded with
@@ -419,36 +422,38 @@ def _trial_streams(seed: int, start: int, n: int) -> np.ndarray:
         for dst in range(4):
             pool[dst] = _mix(pool[dst], _hash(word, consts))
     consts = _hash_constants(_INIT_B, _MULT_B)
-    state = [_hash(pool[k % 4], consts).astype(np.uint64) for k in range(8)]
-    # the 64-bit words, little-endian pairs of the hash's 32-bit outputs
     u = _uint64()
-    init_hi, init_lo, seq_hi, seq_lo = (state[k] | state[k + 1] << u.u32
-                                        for k in range(0, 8, 2))
     streams = np.empty((4, n), dtype=np.uint64)
-    streams[2] = seq_hi << u.u1 | seq_lo >> u.u63
-    streams[3] = seq_lo << u.u1 | u.u1
-    streams[1] = init_lo + streams[3]
-    streams[0] = init_hi + streams[2] + (streams[1] < init_lo)
-    _draw(streams)  # the seeding step; its output is not a draw
+    for k, word in enumerate(streams):  # little-endian pairs of hash outputs
+        word[...] = _hash(pool[2 * k % 4], consts)
+        word |= _hash(pool[2 * k % 4 + 1], consts).astype(np.uint64) << u.u32
+    state_hi, state_lo, inc_hi, inc_lo = streams  # initstate, initseq so far
+    inc_hi <<= u.u1
+    inc_hi |= inc_lo >> u.u63
+    inc_lo <<= u.u1
+    inc_lo |= u.u1
+    state_lo += inc_lo
+    state_hi += inc_hi + (state_lo < inc_lo)  # with the carry
+    _draw(streams, None, work, False)  # the seeding step; its output is not a draw
     return streams
 
 
 def _draw(streams: np.ndarray, mask: Optional[np.ndarray] = None,
-          work: Optional[np.ndarray] = None) -> np.ndarray:
-    """Advance each stream by one draw and return its uniforms, bit for bit
-    numpy's ``random()``: the LCG step state * MULT + inc mod 2**128, then
-    the new state's XSL-RR output, whose top 53 bits times 2**-53 are the
-    double.  The high word of low * MULT's low word comes from 32-bit
+          work: Optional[np.ndarray] = None, output: bool = True
+          ) -> Optional[np.ndarray]:
+    """Advance each stream by one draw and return its uniform's 53 bits,
+    ``bits * 2**-53`` being numpy's ``random()``: the LCG step state * MULT
+    + inc mod 2**128, then the new state's XSL-RR output, whose top 53 bits
+    they are.  The high word of low * MULT's low word comes from 32-bit
     partial products; every other product wraps mod 2**64 as it should.
-    Streams where ``mask`` is False keep their state, and their uniforms are
-    to be ignored.  Every intermediate is written into the four uint64 rows
-    of ``work`` (made here when not given), so the draws of a block that
-    passes one buffer allocate only the uniforms they return.  Additions
-    mod 2**64 give the same bits in any order."""
+    Streams where ``mask`` is False keep their state and their bits are to
+    be ignored; with ``output`` False, None is returned.  Intermediates go
+    to the uint64 rows of ``work`` (made here when not given): the bits are
+    row 1, and rows 0, 2 and 3 are free after.  Additions mod 2**64 give
+    the same bits in any order."""
     import numpy as np
     u = _uint64()
-    if work is None:
-        work = np.empty((4, streams.shape[1]), dtype=np.uint64)
+    work = np.empty_like(streams) if work is None else work
     new_hi, new_lo, x, y = work
     hi, lo, inc_hi, inc_lo = streams
     np.right_shift(lo, u.u32, out=x)  # lo_1
@@ -474,11 +479,9 @@ def _draw(streams: np.ndarray, mask: Optional[np.ndarray] = None,
     new_lo += inc_lo
     np.less(new_lo, inc_lo, out=x)  # the carry into the high word
     new_hi += x
-    if mask is None:
-        streams[0], streams[1] = new_hi, new_lo
-    else:
-        np.putmask(hi, mask, new_hi)
-        np.putmask(lo, mask, new_lo)
+    np.copyto(streams[:2], work[:2], where=True if mask is None else mask)
+    if not output:
+        return None
     np.bitwise_xor(new_hi, new_lo, out=x)  # XSL
     np.right_shift(new_hi, u.u58, out=y)  # RR: rotate right by the top 6 bits
     np.right_shift(x, y, out=new_lo)
@@ -487,7 +490,13 @@ def _draw(streams: np.ndarray, mask: Optional[np.ndarray] = None,
     x <<= y
     new_lo |= x
     new_lo >>= u.u11
-    return new_lo * 2.0 ** -53
+    return new_lo
+
+
+def _cut(q):
+    """ceil(q * 2**53) as uint64: bits < _cut(q) exactly when bits * 2**-53 < q."""
+    import numpy as np
+    return np.ceil(np.multiply(q, 2.0 ** 53)).astype(np.uint64)
 
 
 def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
@@ -495,22 +504,20 @@ def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
     """Sample n_trials trajectories of a state policy and estimate the
     tracked link quantities.
 
-    Trials run in blocks as one state machine over (x, M, N_req, N_succ),
-    advanced a time step at a time.  Each step draws every trial's decision
+    Trials run in blocks, in buffers made once, as one state machine over
+    (M + 1, N_req, N_succ), advanced a time step at a time; M + 1 is 0
+    exactly when the link is down.  Each step draws every trial's decision
     uniform, then the outcome uniform of the trials that request, from the
     block's streams (see the module docstring), so each trial consumes its
     stream in the order a trial-at-a-time loop would.  The policy is read
     only through ``policy.decide_runs``, expanded over the ages present; a
-    policy without a state rule raises ValueError.  Sums over trials
-    accumulate in trial order, so the result does not depend on the block
-    size.
+    policy without a state rule raises ValueError.  Sums over trials add in
+    trial order, so the result does not depend on the block size.
     """
     import numpy as np
     horizon = _checked_int(horizon, 1, "horizon")
     if _checked_int(n_trials, 1, "n_trials") > MAX_TRIALS:
         raise ValueError(f"n_trials must be in [1, {MAX_TRIALS}], got {n_trials}")
-    p = params.p
-    fcurve = params.fcurve
     runs = policy.decide_runs
     if runs is None:
         raise ValueError("simulate_trajectories needs a policy with a state rule")
@@ -520,47 +527,56 @@ def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
     ftable = np.zeros(1)
     n_active = np.zeros(horizon, dtype=np.int64)
     sums = np.zeros((4, horizon))  # per t: sum of Ftilde, Ftilde^2, S, S^2
-
-    for start in range(0, n_trials, BLOCK_TRIALS):
-        n = min(BLOCK_TRIALS, n_trials - start)
-        streams = _trial_streams(seed, start, n)
-        work = np.empty((4, n), dtype=np.uint64)  # the draws' intermediates
-        x = _draw(streams, None, work) < p  # A(0) = 1
-        n_req = np.ones(n, dtype=np.int64)
-        n_succ = x.astype(np.int64)
-        m = n_succ - 1
-        fold = np.empty((4, n + 1))
+    # one block's buffers, made once: a shorter last block uses their first
+    # n columns, and the draws' uint64 intermediates share theirs with the
+    # fold of the sums, as the two never hold live values at once
+    size = min(BLOCK_TRIALS, n_trials)
+    shared = np.empty(4 * (size + 1), dtype=np.uint64)
+    ages = np.empty(size, dtype=np.intp)  # M + 1: 0 when down
+    req_succ = np.empty((2, size))  # N_req and N_succ, exact as doubles
+    masks = np.empty((3, size), dtype=bool)  # request, success, up
+    p_cut = _cut(params.p)
+    for start in range(0, n_trials, size):
+        n = min(size, n_trials - start)
+        draws = shared[:4 * n].reshape(4, n)
+        fold = shared[:4 * (n + 1)].view(np.float64).reshape(4, n + 1)
+        age, (n_req, n_succ), (request, success, up) = (
+            ages[:n], req_succ[:, :n], masks[:, :n])
+        streams = None  # the last block's streams go before the next are made
+        streams = _trial_streams(seed, start, n, draws)
+        np.less(_draw(streams, None, draws), p_cut, out=success)  # A(0) = 1
+        n_req[...], n_succ[...], age[...] = 1.0, success, success
         for t in range(1, horizon + 1):
-            idx = t - 1
-            top = int(m.max())
+            top = int(age.max()) - 1  # the largest M present
             if top + 2 > len(ftable):  # ages grow by one per step: no gaps
-                ftable = np.append(ftable, [fcurve(age) for age in
+                ftable = np.append(ftable, [params.fcurve(m) for m in
                                             range(len(ftable) - 1, top + 1)])
-            ft = ftable[m + 1]
-            s = n_succ / n_req
-            n_active[idx] += np.count_nonzero(x)
+            np.take(ftable, age, out=fold[0, 1:], mode="clip")
+            np.divide(n_succ, n_req, out=fold[2, 1:])
+            np.multiply(fold[::2, 1:], fold[::2, 1:], out=fold[1::2, 1:])
+            n_active[t - 1] += np.count_nonzero(age)
             # cumsum adds in trial order; sum() would add pairwise
-            fold[:, 0] = sums[:, idx]
-            fold[0, 1:] = ft
-            fold[1, 1:] = ft * ft
-            fold[2, 1:] = s
-            fold[3, 1:] = s * s
-            sums[:, idx] = np.cumsum(fold, axis=1)[:, -1]
+            fold[:, 0] = sums[:, t - 1]
+            sums[:, t - 1] = np.cumsum(fold, axis=1, out=fold)[:, -1]
             if t == horizon:
                 break
 
-            # [down, the runs over the ages present], read at m + 1
+            # [down, the runs over the ages present], read at M + 1
             down, starts, probs = runs(t)
-            pi = np.empty(top + 2)
-            pi[0] = down
+            pi = np.full(top + 2, down, dtype=float)
             for lo, hi, prob in zip(starts, [*starts[1:], top + 1], probs):
                 pi[lo + 1:hi + 1] = prob
-            request = _draw(streams, None, work) < pi[m + 1]
-            success = _draw(streams, request, work) < p
-            x = np.where(request, success, x)
-            m = np.where(request, x - 1, m + x)
+            # a decision of probability 0 or 1 takes any uniform as 0: none formed
+            certain = {down, *probs} <= {0.0, 1.0}
+            bits = _draw(streams, None, draws, not certain)
+            np.take(_cut(pi), age, out=draws[2], mode="clip")
+            np.less(np.uint64(0) if certain else bits, draws[2], out=request)
+            np.less(_draw(streams, request, draws), p_cut, out=success)
+            success &= request
+            age += np.greater(age, 0, out=up)  # M + x when waiting
+            np.copyto(age, success, where=request)  # x - 1 after a request
             n_req += request
-            n_succ += request & success
+            n_succ += success
 
     def mean_se(total: np.ndarray, total_sq: np.ndarray, counts: list[int]
                 ) -> tuple[list, list]:
@@ -575,17 +591,10 @@ def simulate_trajectories(params: LinkParams, policy: Policy, horizon: int,
         return means, ses
 
     trials = [n_trials] * horizon
-    sum_x = n_active.astype(float)
-    pa_mean, pa_se = mean_se(sum_x, sum_x, trials)  # x^2 = x for bits
-    ft_mean, ft_se = mean_se(sums[0], sums[1], trials)
-    s_mean, s_se = mean_se(sums[2], sums[3], trials)
-    # Ftilde is 0.0 on inactive trials, so its sums are also the sums over
-    # active trials alone
-    e_f, e_f_se = mean_se(sums[0], sums[1], n_active.tolist())
+    sum_x = n_active.astype(float)  # x^2 = x for bits
+    # in field order; Ftilde is 0.0 on inactive trials, so its sums are also
+    # the sums over active trials alone, those of E[F]
     return SimulationResult(
-        horizon=horizon, n_trials=n_trials, seed=seed,
-        prob_active=pa_mean, prob_active_se=pa_se,
-        e_ftilde=ft_mean, e_ftilde_se=ft_se,
-        e_s=s_mean, e_s_se=s_se,
-        e_f=e_f, e_f_se=e_f_se,
-    )
+        horizon, n_trials, seed, *mean_se(sum_x, sum_x, trials),
+        *mean_se(sums[0], sums[1], trials), *mean_se(sums[2], sums[3], trials),
+        *mean_se(sums[0], sums[1], n_active.tolist()))

@@ -1185,6 +1185,22 @@ def test_log_factorial_table_is_thread_safe(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def test_log_factorial_table_grows_in_one_pass(monkeypatch):
+    """Growing the table allocates about the grown table, not also the new
+    entries beside it, which a concatenation would."""
+    monkeypatch.setattr(ca, "_LOG_FACTORIAL", array("d", [0.0]))
+    ca._log_factorials(1 << 16)
+    tracemalloc.start()
+    try:
+        grown = ca._log_factorials(1 << 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(grown) == (1 << 18) + 1
+    assert grown.tolist() == [math.lgamma(k + 1) for k in range(len(grown))]
+    assert peak < 1.2 * len(grown) * grown.itemsize, peak
+
+
 def test_log_factorial_table_grows_while_a_view_of_it_is_held(monkeypatch):
     """A reader's ``np.frombuffer`` view pins the array it was made from
     (``array.extend`` would raise BufferError), so growing the table

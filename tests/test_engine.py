@@ -321,35 +321,62 @@ STREAM_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 130 + 3,
 def test_trial_block_streams_equal_trial_rng(seed):
     """The simulator's block streams draw each trial's stream bit for bit,
     for seeds of one to six 32-bit words and trial indices up to the last
-    one-word spawn key."""
+    one-word spawn key; a draw without output steps past its uniform."""
     rows = 64
     for start in (0, 1, 331, engine.MAX_TRIALS - rows):
-        for width in (1, 2, 99):
+        for width, every in ((1, 0), (2, 0), (99, 0), (99, 3)):
             streams = engine._trial_streams(seed, start, rows)
-            out = np.array([engine._draw(streams) for _ in range(width)]).T
+            # with ``every``, each draw k = 1 mod every forms no output
+            draws = [engine._draw(streams, output=not every or k % every != 1)
+                     for k in range(width)]
+            assert all((bits is None) == bool(every and k % every == 1)
+                       for k, bits in enumerate(draws))
+            kept = [k for k, bits in enumerate(draws) if bits is not None]
+            out = np.array([draws[k] * 2.0 ** -53 for k in kept]).T
             expected = np.array([trial_rng(seed, start + i).random(width)
-                                 for i in range(rows)])
-            assert (out == expected).all(), (start, width)
+                                 for i in range(rows)])[:, kept]
+            assert (out == expected).all(), (start, width, every)
 
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
 def test_masked_draws_hold_streams_back(seed):
     """A trial the mask leaves out keeps its state: its next draw is its
-    stream's next unused uniform, as `trial_rng` gives it."""
+    stream's next unused uniform, as `trial_rng` gives it, also after
+    draws that step every stream without forming output."""
     rows, rounds = 64, 12
     masks = np.random.default_rng(5).random((rounds, rows)) < 0.5
     masks[0], masks[1] = False, True
     for start in (0, 1, 331, engine.MAX_TRIALS - rows):
-        expected = np.array([trial_rng(seed, start + i).random(rounds + 1)
+        expected = np.array([trial_rng(seed, start + i).random(rounds + 5)
                              for i in range(rows)])
         streams = engine._trial_streams(seed, start, rows)
         used = np.zeros(rows, dtype=np.int64)
-        for mask in masks:
-            out = engine._draw(streams, mask)
+        for k, mask in enumerate(masks):
+            if k % 3 == 2:
+                assert engine._draw(streams, None, None, False) is None
+                used += 1
+            out = engine._draw(streams, mask) * 2.0 ** -53
             assert (out[mask] == expected[mask, used[mask]]).all(), start
             used += mask
-        out = engine._draw(streams)
+        out = engine._draw(streams) * 2.0 ** -53
         assert (out == expected[np.arange(rows), used]).all(), start
+
+
+@pytest.mark.parametrize("q", [0.0, 2.0 ** -53, 0.3, 0.5, 1 - 2.0 ** -53, 1.0])
+def test_bits_below_the_cut_are_the_uniforms_below_q(q):
+    """The simulator's integer test bits < ceil(q 2**53) is the float test
+    u < q on u = bits * 2**-53, at q, at the floats beside it, and on the
+    bits on both sides of the cut."""
+    probs = [q, np.nextafter(q, 0.0), np.nextafter(q, 1.0)]
+    cuts = engine._cut(np.array(probs))
+    assert cuts.dtype == np.uint64
+    for prob, cut in zip(probs, cuts):
+        assert engine._cut(prob) == cut and engine._cut(prob).dtype == np.uint64
+        near = [int(cut) + k for k in range(-2, 3)]
+        bits = np.array([b for b in [0, 1, 2 ** 53 - 1, *near] if 0 <= b < 2 ** 53]
+                        + list(np.random.default_rng(1).integers(0, 2 ** 53, 999)),
+                        dtype=np.uint64)
+        assert ((bits < cut) == (bits * 2.0 ** -53 < prob)).all(), prob
 
 
 def test_trial_block_builder_rejects_keys_it_does_not_reproduce():
@@ -388,6 +415,9 @@ SIM_POLICIES = {
     "cutoff3": lambda: cutoff_policy(3),
     "cutoffinf": lambda: cutoff_policy("inf"),
     "stochastic": stochastic_policy,
+    # integer probabilities from the runs, certain and uncertain ones mixed
+    "int-runs": lambda: Policy.from_state_rule(
+        None, "stochastic", runs=lambda t: (1, [0, 2, 4], [0.5, 1, 0])),
 }
 
 
@@ -444,6 +474,16 @@ def test_state_rule_simulation_memory_does_not_grow_with_horizon():
     short, long = (traced_extra_bytes(params, cutoff_policy(5), horizon, 200)
                    for horizon in (50, 2000))
     assert long < short + HORIZON_SLACK_BYTES, (short, long)
+
+
+def test_simulation_memory_does_not_grow_with_blocks():
+    """Every block runs in the buffers of the first: a run that ends one
+    trial into its fourth block peaks within 5% of a one-block run."""
+    params = LinkParams.symbolic(0.3, CURVE)
+    block = engine.BLOCK_TRIALS
+    one, four = (traced_extra_bytes(params, cutoff_policy(5), 50, n)
+                 for n in (block, 3 * block + 1))
+    assert four <= 1.05 * one, (one, four)
 
 
 def test_simulation_evaluates_each_visited_age_once():
