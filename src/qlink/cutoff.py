@@ -957,26 +957,20 @@ class TransitionMatrix:
     """
 
     tstar: Union[int, float]
-    p: float
     states: tuple
     matrix: np.ndarray
 
     def state_index(self, state) -> int:
         return self.states.index(state)
 
-    def initial_distribution(self) -> np.ndarray:
-        """The t = 1 distribution (the A(0) = 1 request)."""
-        import numpy as np
-        dist = np.zeros(len(self.states))
-        up, down = (1, 0) if self.tstar == math.inf else ((1, 0), (0, self.tstar))
-        dist[self.state_index(up)] = self.p
-        dist[self.state_index(down)] = 1.0 - self.p
-        return dist
-
     def distribution_at(self, t: int) -> np.ndarray:
+        """The distribution at time t: the chain stepped t times from its
+        t = 0 down state, (0, t*) or 0, whose first step is the A(0) = 1
+        request; that is the down state's column of M^t."""
         t = _checked_int(t, 1, "t")
         import numpy as np
-        return np.linalg.matrix_power(self.matrix, t - 1) @ self.initial_distribution()
+        down = self.state_index(0 if self.tstar == math.inf else (0, self.tstar))
+        return np.linalg.matrix_power(self.matrix, t)[:, down]
 
 
 def transition_matrix(tstar: CutoffLike, p: float) -> TransitionMatrix:
@@ -987,7 +981,7 @@ def transition_matrix(tstar: CutoffLike, p: float) -> TransitionMatrix:
         # states (x=0, x=1); an established link is kept forever
         mat = np.array([[1.0 - p, 0.0],
                         [p, 1.0]])
-        return TransitionMatrix(tstar=ts, p=p, states=(0, 1), matrix=mat)
+        return TransitionMatrix(tstar=ts, states=(0, 1), matrix=mat)
     states = tuple((x, m) for x in (0, 1) for m in range(ts + 1))
     index = {s: i for i, s in enumerate(states)}
     mat = np.zeros((len(states), len(states)))
@@ -999,4 +993,4 @@ def transition_matrix(tstar: CutoffLike, p: float) -> TransitionMatrix:
             # memory unloaded (x=0) or at cutoff age: a request is made
             mat[index[(1, 0)], j] = p
             mat[index[(0, ts)], j] = 1.0 - p
-    return TransitionMatrix(tstar=ts, p=p, states=states, matrix=mat)
+    return TransitionMatrix(tstar=ts, states=states, matrix=mat)

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from .config import MAX_TRIALS
 from .cutoff import LinkState, _checked_bits, _checked_int, _validate_p
-from .quantum import DensityOperator, FidelityCurve, KrausChannel, apply_channel
+from .quantum import DensityOperator, FidelityCurve, KrausChannel, _memory_states
 
 if TYPE_CHECKING:
     import numpy as np
@@ -307,7 +307,7 @@ def materialize_average_state(state: LinkState, rho0: DensityOperator,
                               channel: KrausChannel) -> DensityOperator:
     """The average state as a density matrix on dim+1 dimensions: the state
     ``rho0`` after m steps of the memory ``channel``, weighted by
-    Pr[X(t) = 1, M(t) = m], one channel step per age.
+    Pr[X(t) = 1, M(t) = m], one step of the memory's walk per age.
 
     The failure branch, 1 - Pr[X(t) = 1], occupies one appended basis
     vector orthogonal to the link space, so fidelities against (padded)
@@ -319,10 +319,8 @@ def materialize_average_state(state: LinkState, rho0: DensityOperator,
                          "link's age grows without bound")
     dim = rho0.dim
     out = np.zeros((dim + 1, dim + 1), dtype=complex)
-    rho = rho0
-    for m, weight in enumerate(state.joint):
-        if m:
-            rho = apply_channel(channel, rho)
+    # joint first: n ages pull n states, n - 1 channel applications
+    for weight, rho in zip(state.joint, _memory_states(rho0, channel)):
         out[:dim, :dim] += weight * rho.matrix
     out[dim, dim] = 1.0 - state.prob_active
     return DensityOperator(out)

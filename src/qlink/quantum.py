@@ -3,16 +3,19 @@
 Everything here is dense complex linear algebra on small Hilbert spaces
 (a handful of qubits at most).  The rest of the package mostly runs in a
 "symbolic" mode that only needs the fidelity curve f_m = <psi| N^m(rho0) |psi>;
-this module supplies that curve either by repeated channel application or by
-a closed form (used as an independent cross-check in the tests).  Only the
-matrix code imports numpy, each function where it runs: a closed-form curve
-needs none.
+this module supplies that curve either from the memory's ageing walk
+rho0, N(rho0), N^2(rho0), ... (`_memory_states`, the one place a channel is
+applied to a memory) or by a closed form (used as an independent cross-check
+in the tests).  The preset channels are built from matrix units |i><j|.
+Only the matrix code imports numpy, each function where it runs: a
+closed-form curve needs none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from dataclasses import dataclass
+from itertools import accumulate, islice, repeat
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .config import MAX_DIM
 from .cutoff import _checked_int, _validate_p
@@ -129,15 +132,21 @@ def apply_channel(channel: KrausChannel, rho: DensityOperator) -> DensityOperato
     return DensityOperator(out)
 
 
+def _memory_states(rho0: DensityOperator, channel: KrausChannel) -> Iterator[DensityOperator]:
+    """The memory's ageing walk rho0, N(rho0), N^2(rho0), ...: one channel
+    application a step, none for rho0.  A channel that does not map rho0's
+    space to itself is refused at the call."""
+    if not channel.dim_in == channel.dim_out == rho0.dim:
+        raise ValueError(f"memory channel must map the state's dimension {rho0.dim} to "
+                         f"itself, got {channel.dim_in} -> {channel.dim_out}")
+    return accumulate(repeat(channel), lambda rho, noise: apply_channel(noise, rho),
+                      initial=rho0)
+
+
 def memory_evolve(rho0: DensityOperator, channel: KrausChannel, m: int) -> DensityOperator:
     """State of a memory after m applications of its decoherence channel."""
-    _checked_int(m, 0, "number of channel applications")
-    if channel.dim_in != channel.dim_out:
-        raise ValueError("memory channel must have equal input and output dimensions")
-    rho = rho0
-    for _ in range(m):
-        rho = apply_channel(channel, rho)
-    return rho
+    m = _checked_int(m, 0, "number of channel applications")
+    return next(islice(_memory_states(rho0, channel), m, None))
 
 
 def fidelity(rho: DensityOperator, psi: PureState) -> float:
@@ -168,50 +177,29 @@ def tensor_channel(channels: Sequence[KrausChannel]) -> KrausChannel:
 # presets
 # ---------------------------------------------------------------------------
 
-def _weyl_shift(dim: int) -> np.ndarray:
-    """Cyclic shift |j> -> |j+1 mod d>."""
-    import numpy as np
-    op = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        op[(j + 1) % dim, j] = 1.0
-    return op
-
-
-def _weyl_clock(dim: int) -> np.ndarray:
-    import numpy as np
-    omega = np.exp(2j * np.pi / dim)
-    return np.diag([omega ** k for k in range(dim)])
-
-
 def preset_channel(name: str, dim: int = 2, lam: float | None = None) -> KrausChannel:
-    """Named memory channels: identity, depolarizing(lam), dephasing(lam)."""
+    """Named memory channels on ``dim`` levels: identity, and depolarizing(lam)
+    and dephasing(lam), each sqrt(lam) I plus weighted matrix units |i><j|."""
     import numpy as np
+    dim = _checked_int(dim, 1, "dim")
+    if dim > MAX_DIM:
+        raise ValueError(f"channel dimension {dim} exceeds cap {MAX_DIM}")
+    eye = np.eye(dim, dtype=complex)
     if name == "identity":
-        return KrausChannel(dim, dim, (np.eye(dim, dtype=complex),))
+        return KrausChannel(dim, dim, (eye,))
     if lam is None:
         raise ValueError(f"channel {name!r} requires a noise parameter")
     _validate_p(lam, "noise parameter")
     if name == "depolarizing":
-        # rho -> lam*rho + (1-lam)*I/d, realized with the Heisenberg-Weyl family:
-        # sum_{a,b} W_ab rho W_ab^dag = d * Tr(rho) * I.
-        shift = _weyl_shift(dim)
-        clock = _weyl_clock(dim)
-        ops = [np.sqrt(lam) * np.eye(dim, dtype=complex)]
-        coeff = np.sqrt((1.0 - lam) / dim ** 2)
-        for a in range(dim):
-            for b in range(dim):
-                ops.append(coeff * (np.linalg.matrix_power(shift, a)
-                                    @ np.linalg.matrix_power(clock, b)))
-        return KrausChannel(dim, dim, tuple(ops))
-    if name == "dephasing":
-        # rho -> lam*rho + (1-lam)*diag(rho)
-        ops = [np.sqrt(lam) * np.eye(dim, dtype=complex)]
-        for k in range(dim):
-            proj = np.zeros((dim, dim), dtype=complex)
-            proj[k, k] = 1.0
-            ops.append(np.sqrt(1.0 - lam) * proj)
-        return KrausChannel(dim, dim, tuple(ops))
-    raise ValueError(f"unknown preset channel {name!r}")
+        # rho -> lam*rho + (1-lam)*I/d: sum_ij |i><j| rho |j><i| = Tr(rho) I
+        coeff = np.sqrt((1.0 - lam) / dim)
+        units = (np.outer(ket, bra) for ket in eye for bra in eye)
+    elif name == "dephasing":
+        # rho -> lam*rho + (1-lam)*diag(rho), with the projectors |k><k|
+        coeff, units = np.sqrt(1.0 - lam), (np.diag(ket) for ket in eye)
+    else:
+        raise ValueError(f"unknown preset channel {name!r}")
+    return KrausChannel(dim, dim, (np.sqrt(lam) * eye, *(coeff * unit for unit in units)))
 
 
 def preset_state(name: str, *, k: int = 2, f0: float = 1.0) -> PureState | DensityOperator:
@@ -260,12 +248,12 @@ class FidelityCurve:
     @classmethod
     def from_channel(cls, rho0: DensityOperator, channel: KrausChannel,
                      target: PureState) -> "FidelityCurve":
-        """Curve obtained by applying the memory channel m times to rho0."""
-        cache: list[DensityOperator] = [rho0]
+        """Curve obtained by applying the memory channel m times to rho0;
+        the states of its walk are kept, so each is formed once."""
+        walk, cache = _memory_states(rho0, channel), []
 
         def evaluate(m: int) -> float:
-            while len(cache) <= m:
-                cache.append(apply_channel(channel, cache[-1]))
+            cache.extend(islice(walk, max(0, m + 1 - len(cache))))
             return fidelity(cache[m], target)
 
         return cls(evaluate)

@@ -172,6 +172,9 @@ ARGUMENTS = {
     "preset_channel.lam": (
         lambda lam: [op.tolist() for op in preset_channel("depolarizing", 2, lam).kraus_ops],
         "prob", 0.9),
+    "preset_channel.dim": (
+        lambda dim: [op.tolist() for op in preset_channel("depolarizing", dim, 0.9).kraus_ops],
+        ("int", 1), 2),
     "preset_state.werner": (
         lambda f0: preset_state("werner", f0=f0).matrix.tolist(), "prob", 0.9),
     "preset_state.ghz": (
@@ -604,7 +607,7 @@ def test_transition_matrix_is_column_stochastic(tstar, p):
     tm = transition_matrix(tstar, p)
     np.testing.assert_allclose(tm.matrix.sum(axis=0), 1.0, atol=1e-14)
     assert (tm.matrix >= 0).all()
-    np.testing.assert_allclose(tm.initial_distribution().sum(), 1.0, atol=1e-14)
+    np.testing.assert_allclose(tm.distribution_at(1).sum(), 1.0, atol=1e-14)
 
 
 def test_transition_matrix_entries():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlink import engine
+from qlink import engine, quantum
 from qlink.cutoff import LinkState, active_rows, cutoff_policy, prob_active
 from qlink.engine import (
     History,
@@ -293,7 +293,7 @@ def test_materialization_applies_the_channel_once_per_age(monkeypatch, t):
         calls.append(args)
         return apply_channel(*args)
 
-    monkeypatch.setattr(engine, "apply_channel", counted)
+    monkeypatch.setattr(quantum, "apply_channel", counted)
     rho = materialize_average_state(state, rho0, channel)
     assert len(state.joint) == t and len(calls) == t - 1
     assert np.array_equal(rho.matrix, expected)

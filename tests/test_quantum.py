@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qlink import quantum
+from qlink.config import MAX_DIM
 from qlink.quantum import (
     DensityOperator,
     FidelityCurve,
@@ -78,24 +80,26 @@ def test_identity_channel_is_identity():
     np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-14)
 
 
-@given(seed=st.integers(0, 10_000), lam=st.floats(0.0, 1.0))
-@settings(max_examples=40, deadline=None)
-def test_depolarizing_action_matches_definition(seed, lam):
+@given(seed=st.integers(0, 10_000), lam=st.floats(0.0, 1.0), dim=st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_depolarizing_action_matches_definition(seed, lam, dim):
     rng = np.random.default_rng(seed)
-    dim = 3
     rho = random_density(rng, dim)
-    out = apply_channel(preset_channel("depolarizing", dim, lam), rho)
+    channel = preset_channel("depolarizing", dim, lam)
+    assert len(channel.kraus_ops) == dim ** 2 + 1
+    out = apply_channel(channel, rho)
     expected = lam * rho.matrix + (1.0 - lam) * np.eye(dim) / dim
     np.testing.assert_allclose(out.matrix, expected, atol=1e-12)
 
 
-@given(seed=st.integers(0, 10_000), lam=st.floats(0.0, 1.0))
-@settings(max_examples=40, deadline=None)
-def test_dephasing_action_matches_definition(seed, lam):
+@given(seed=st.integers(0, 10_000), lam=st.floats(0.0, 1.0), dim=st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_dephasing_action_matches_definition(seed, lam, dim):
     rng = np.random.default_rng(seed)
-    dim = 4
     rho = random_density(rng, dim)
-    out = apply_channel(preset_channel("dephasing", dim, lam), rho)
+    channel = preset_channel("dephasing", dim, lam)
+    assert len(channel.kraus_ops) == dim + 1
+    out = apply_channel(channel, rho)
     expected = lam * rho.matrix + (1.0 - lam) * np.diag(np.diag(rho.matrix))
     np.testing.assert_allclose(out.matrix, expected, atol=1e-12)
 
@@ -109,6 +113,37 @@ def test_memory_evolve_composes():
         np.testing.assert_allclose(memory_evolve(rho, channel, m).matrix,
                                    step.matrix, atol=1e-12)
         step = apply_channel(channel, step)
+
+
+def test_memory_walk_refuses_a_channel_that_does_not_map_rho0_to_itself():
+    """A channel that is not square, or whose input dimension is not rho0's,
+    is refused with ValueError before any state, at m = 0 too."""
+    basis = PureState(np.array([1.0, 0.0]))
+    embed = KrausChannel(2, 3, (np.eye(3, 2),))  # an isometry into 3 levels
+    for channel in (embed, preset_channel("dephasing", 3, 0.5)):
+        with pytest.raises(ValueError, match="must map the state's dimension 2"):
+            memory_evolve(basis.projector(), channel, 0)
+        with pytest.raises(ValueError, match="must map the state's dimension 2"):
+            FidelityCurve.from_channel(basis.projector(), channel, basis)(0)
+
+
+def test_channel_curve_forms_each_state_once(monkeypatch):
+    """Evaluating a channel curve at m = 5, then 2, then 8 applies the
+    channel 8 times: the curve keeps each state of its walk."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return apply_channel(*args)
+
+    monkeypatch.setattr(quantum, "apply_channel", counted)
+    psi = random_pure(np.random.default_rng(19), 3)
+    curve = FidelityCurve.from_channel(psi.projector(), preset_channel("depolarizing", 3, 0.8),
+                                       psi)
+    closed = FidelityCurve.depolarizing(1.0, 0.8, 3)
+    for m, applied in ((5, 5), (2, 5), (8, 8)):
+        assert curve(m) == pytest.approx(closed(m), abs=1e-12)
+        assert len(calls) == applied
 
 
 def test_fidelity_basic_properties():
@@ -152,6 +187,9 @@ def test_preset_states():
         preset_state("nope")
     with pytest.raises(ValueError):
         preset_channel("nope", 2, 0.5)
+    for name in ("identity", "depolarizing", "dephasing"):
+        with pytest.raises(ValueError, match="exceeds cap"):
+            preset_channel(name, MAX_DIM + 1, 0.5)
 
 
 # ---------------------------------------------------------------------------
